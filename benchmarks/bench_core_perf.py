@@ -19,9 +19,21 @@ from repro.flows.runtime import MergedInputsCache
 from repro.graph import build_graph, merge_graphs
 from repro.graph.features import feature_dim
 from repro.layout import synthesize_layout
-from repro.models import GNNRegressor, GraphInputs
+from repro.models import GraphInputs, MultiTaskModel, ReadoutHead, SharedTrunk
 from repro.nn import Adam, Tensor, mse_loss
 from repro.rng import stream
+
+
+def _cap_model(rng):
+    """A per-target ParaGraph CAP model: one readout head on the trunk."""
+    trunk = SharedTrunk(
+        "paragraph",
+        {t: feature_dim(t) for t in NODE_TYPES},
+        rng,
+        embed_dim=32,
+        num_layers=5,
+    )
+    return MultiTaskModel(trunk, {"CAP": ReadoutHead(32, 4, rng)})
 
 
 @pytest.fixture(scope="module")
@@ -57,16 +69,10 @@ def test_perf_layout_synthesis(benchmark, perf_circuit):
 
 def test_perf_paragraph_forward(benchmark, perf_inputs):
     inputs, graph = perf_inputs
-    model = GNNRegressor(
-        "paragraph",
-        {t: feature_dim(t) for t in NODE_TYPES},
-        stream(0, "perf"),
-        embed_dim=32,
-        num_layers=5,
-    )
+    model = _cap_model(stream(0, "perf"))
     model.eval()
     ids = graph.nodes_of_type["net"]
-    out = benchmark(lambda: model(inputs, ids))
+    out = benchmark(lambda: model(inputs, "CAP", ids))
     assert out.shape == (len(ids), 1)
     emit_json(
         "core_perf_paragraph_forward", benchmark,
@@ -77,20 +83,14 @@ def test_perf_paragraph_forward(benchmark, perf_inputs):
 
 def test_perf_training_step(benchmark, perf_inputs):
     inputs, graph = perf_inputs
-    model = GNNRegressor(
-        "paragraph",
-        {t: feature_dim(t) for t in NODE_TYPES},
-        stream(0, "perf-step"),
-        embed_dim=32,
-        num_layers=5,
-    )
+    model = _cap_model(stream(0, "perf-step"))
     ids = graph.nodes_of_type["net"]
     target = Tensor(np.zeros((len(ids), 1)))
     optimizer = Adam(model.parameters(), lr=0.01)
 
     def step():
         optimizer.zero_grad()
-        loss = mse_loss(model(inputs, ids), target)
+        loss = mse_loss(model(inputs, "CAP", ids), target)
         loss.backward()
         optimizer.step()
         return loss.item()
@@ -116,17 +116,17 @@ def test_perf_merge_graphs(benchmark, bundle):
 
 
 def test_perf_multi_target_setup_cached(benchmark, bundle):
-    """Multi-target training setup: shared MergedInputsCache vs per-target
-    rebuilding of the merged GraphInputs (what train_all_targets used to do).
+    """Multi-target training setup: one shared MergedInputsCache vs
+    rebuilding the merged GraphInputs per target (a fresh cache each).
     """
     records = bundle.records("train")
     specs = [target_by_name(n) for n in ("CAP", "RES", "SA", "DA", "SP", "DP")]
 
     def uncached_setup():
-        from repro.models.trainer import _merged_inputs
-
         for spec in specs:
-            inputs, ids, values = _merged_inputs(records, bundle, spec)
+            inputs, ids, values = MergedInputsCache().merged_target(
+                records, bundle.scaler, spec
+            )
         return inputs
 
     def cached_setup():

@@ -34,8 +34,7 @@ from benchmarks._util import RESULTS_DIR, emit, emit_json
 from repro import obs
 from repro.analysis.tables import render_table
 from repro.circuits.spice import write_spice
-from repro.flows.training import TrainConfig
-from repro.models import TargetPredictor
+from repro.models import TargetPredictor, TrainConfig
 from repro.serve.pool import PoolConfig, ServerPool
 
 WORKER_COUNTS = (1, 2, 4)

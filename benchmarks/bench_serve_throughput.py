@@ -1,7 +1,7 @@
 """Serving-layer throughput: merged-batch engine vs the naive predict loop.
 
 The acceptance bar for the unified prediction API: ``Engine.predict_batch``
-over 64 cached-graph circuits must beat a naive ``predict_circuit`` loop by
+over 64 cached-graph circuits must beat a naive ``predict_one`` loop by
 at least 3x, with the graph-cache hit rate and executor queue depth
 observable through ``repro.obs``.
 
@@ -15,14 +15,12 @@ import os
 import statistics
 import tempfile
 import time
-import warnings
 
 from benchmarks._util import emit, emit_json
 from repro import obs
-from repro.api import create_engine
+from repro.api import create_engine, predict_one
 from repro.api.types import PredictionRequest
-from repro.flows.training import TrainConfig
-from repro.models import TargetPredictor
+from repro.models import TargetPredictor, TrainConfig
 
 NUM_REQUESTS = 64
 
@@ -39,12 +37,10 @@ def test_serve_throughput_vs_naive_loop(benchmark, bundle):
         for i in range(NUM_REQUESTS)
     ]
 
-    # the pre-repro.api way: one full parse-build-scale-forward per circuit
+    # the naive way: one full build-scale-forward per circuit, no cache
     tick = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for request in requests:
-            predictor.predict_circuit(request.circuit)
+    for request in requests:
+        predict_one(predictor, request.circuit)
     naive_seconds = time.perf_counter() - tick
 
     obs.enable()

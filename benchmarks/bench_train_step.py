@@ -22,19 +22,26 @@ from repro.circuits.devices import NODE_TYPES
 from repro.data.targets import ALL_TARGETS, target_by_name
 from repro.flows.runtime import MergedInputsCache
 from repro.graph.features import feature_dim
-from repro.models import (
-    GNNRegressor,
-    MultiTaskModel,
-    ReadoutHead,
-    SharedTrunk,
-    TrainConfig,
-)
+from repro.models import MultiTaskModel, ReadoutHead, SharedTrunk, TrainConfig
 from repro.models.trainer import resolve_target_scaler
 from repro.nn import Adam, Tensor, mse_loss, ops
 from repro.nn.plan import SegmentPlan
 from repro.rng import stream
 
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "2.0"))
+
+
+def _one_head_model(target, num_fc_layers, rng):
+    """A per-target ParaGraph model (paper setup): one head on the trunk,
+    trunk and head drawn from one generator as the trainer does."""
+    trunk = SharedTrunk(
+        "paragraph",
+        {t: feature_dim(t) for t in NODE_TYPES},
+        rng,
+        embed_dim=32,
+        num_layers=5,
+    )
+    return MultiTaskModel(trunk, {target: ReadoutHead(32, num_fc_layers, rng)})
 
 
 @pytest.fixture(scope="module")
@@ -45,19 +52,13 @@ def train_setup(bundle):
     inputs, ids, values = cache.merged_target(
         records, bundle.scaler, target_by_name("CAP")
     )
-    model = GNNRegressor(
-        "paragraph",
-        {t: feature_dim(t) for t in NODE_TYPES},
-        stream(0, "bench-train-step"),
-        embed_dim=32,
-        num_layers=5,
-    )
+    model = _one_head_model("CAP", 4, stream(0, "bench-train-step"))
     optimizer = Adam(model.parameters(), lr=0.01)
     target = Tensor(np.log1p(np.abs(values)).reshape(-1, 1))
 
     def step():
         optimizer.zero_grad()
-        loss = mse_loss(model(inputs, ids), target)
+        loss = mse_loss(model(inputs, "CAP", ids), target)
         loss.backward()
         optimizer.step()
         return loss.item()
@@ -203,12 +204,11 @@ def test_train_step_megabatch_multitask(benchmark, multitask_setup, config):
     inputs, prepared = multitask_setup
     dims = {t: feature_dim(t) for t in NODE_TYPES}
 
-    # Baseline: the paper's setup — an independent GNNRegressor per target.
+    # Baseline: the paper's setup — an independent one-head model per target.
     baseline = {}
     for name, (ids, target, plan, fc) in prepared.items():
-        model = GNNRegressor(
-            "paragraph", dims, stream(0, "bench-multitask", "base", name),
-            embed_dim=32, num_layers=5, num_fc_layers=fc,
+        model = _one_head_model(
+            name, fc, stream(0, "bench-multitask", "base", name)
         )
         baseline[name] = (model, Adam(model.parameters(), lr=0.01))
 
@@ -217,7 +217,7 @@ def test_train_step_megabatch_multitask(benchmark, multitask_setup, config):
         for name, (model, optimizer) in baseline.items():
             ids, target, plan, _ = prepared[name]
             optimizer.zero_grad()
-            loss = mse_loss(model(inputs, ids), target)
+            loss = mse_loss(model(inputs, name, ids), target)
             loss.backward()
             optimizer.step()
             total += loss.item()

@@ -16,6 +16,7 @@ Run:  python examples/opamp_prelayout.py
 
 import numpy as np
 
+from repro.api import predict_one
 from repro.circuits.generators.analog import two_stage_opamp
 from repro.data import build_bundle
 from repro.data.dataset import CircuitRecord
@@ -51,8 +52,8 @@ def main() -> None:
 
     estimates = {
         "designer": designer_estimate(opamp),
-        "xgb": xgb.predict_named(record),
-        "paragraph": paragraph.predict_named(record),
+        "xgb": predict_one(xgb, record).named("CAP"),
+        "paragraph": predict_one(paragraph, record).named("CAP"),
     }
 
     print(f"\n{'net':10s} {'truth(fF)':>10s}", end="")

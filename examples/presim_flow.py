@@ -11,6 +11,7 @@ Run:  python examples/presim_flow.py
 """
 
 from repro.analysis.tables import render_table
+from repro.api import predict_one
 from repro.circuits.generators.analog import ldo_regulator
 from repro.data import build_bundle
 from repro.data.dataset import CircuitRecord
@@ -66,12 +67,12 @@ def main() -> None:
         "no parasitics": schematic_annotations(bench.circuit),
         "designer": designer_annotations(bench.circuit),
         "xgb": predicted_annotations(
-            xgb_cap.predict_named(record), circuit=bench.circuit
+            predict_one(xgb_cap, record).named("CAP"), circuit=bench.circuit
         ),
         "paragraph": predicted_annotations(
-            pg_cap.predict_named(record),
-            pg_sa.predict_named(record),
-            pg_da.predict_named(record),
+            predict_one(pg_cap, record).named("CAP"),
+            predict_one(pg_sa, record).named("SA"),
+            predict_one(pg_da, record).named("DA"),
         ),
     }
 

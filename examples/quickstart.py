@@ -8,6 +8,7 @@ seen — the paper's core pre-layout workflow.
 Run:  python examples/quickstart.py
 """
 
+from repro.api import predict_one
 from repro.circuits.generators.analog import two_stage_opamp
 from repro.data import build_bundle
 from repro.data.dataset import CircuitRecord
@@ -26,7 +27,7 @@ def main() -> None:
     print("2. training a ParaGraph net-capacitance model (60 epochs)...")
     predictor = TargetPredictor(
         conv="paragraph",
-        target="CAP",
+        targets="CAP",
         config=TrainConfig(epochs=60, run_seed=0),
     )
     predictor.fit(bundle)
@@ -46,7 +47,7 @@ def main() -> None:
         graph=build_graph(opamp),
         layout=synthesize_layout(opamp, seed=99),  # ground truth for comparison
     )
-    predictions = predictor.predict_named(record)
+    predictions = predict_one(predictor, record).named("CAP")
     print(f"   {'net':12s} {'predicted':>12s} {'post-layout':>12s}")
     for net, predicted in sorted(predictions.items()):
         truth = record.layout.cap_of(net)

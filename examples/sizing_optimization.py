@@ -15,6 +15,7 @@ design.
 Run:  python examples/sizing_optimization.py
 """
 
+from repro.api import predict_one
 from repro.circuits import devices as dev
 from repro.circuits.generators.primitives import buffer
 from repro.circuits.netlist import Circuit
@@ -60,7 +61,7 @@ def main() -> None:
         layout = synthesize_layout(bench.circuit, seed=21)
 
         bare = compute_metrics(bench, schematic_annotations(bench.circuit))
-        predicted_caps = predictor.predict_circuit(bench.circuit)
+        predicted_caps = predict_one(predictor, bench.circuit).named("CAP")
         predicted = compute_metrics(
             bench,
             Annotations(

@@ -254,7 +254,7 @@ def experiment_fig6(
                 predictor = _make_predictor(
                     model, target, config, run, cap_max_v
                 )
-                _fit_predictor(predictor, bundle)
+                predictor.fit(bundle)
                 truth, pred = predictor.collect(test_records)
                 keep = truth <= cap_max_v if target == "CAP" else np.ones(len(truth), bool)
                 r2_runs.append(r_squared(truth[keep], pred[keep]))
@@ -262,16 +262,6 @@ def experiment_fig6(
             result.r2[model][target] = float(np.mean(r2_runs))
             result.mae[model][target] = float(np.mean(mae_runs))
     return result
-
-
-def _fit_predictor(predictor, bundle):
-    """Fit any predictor without tripping the ``fit`` deprecation shim.
-
-    GNN predictors expose the quiet engine entry point (``_fit_quiet``);
-    baselines keep a plain, non-deprecated ``fit``.
-    """
-    quiet = getattr(predictor, "_fit_quiet", None)
-    return quiet(bundle) if quiet is not None else predictor.fit(bundle)
 
 
 def _make_predictor(model: str, target: str, config: ExperimentConfig, run: int, cap_max_v: float):
@@ -282,7 +272,7 @@ def _make_predictor(model: str, target: str, config: ExperimentConfig, run: int,
         )
     return TargetPredictor(
         conv=model,
-        target=target,
+        targets=target,
         config=TrainConfig(
             epochs=config.fig6_epochs,
             run_seed=config.dataset_seed + run,
@@ -336,7 +326,7 @@ def experiment_fig7(
                 "paragraph", target,
                 TrainConfig(epochs=config.epochs, run_seed=config.dataset_seed),
             )
-            _fit_predictor(predictor, bundle)
+            predictor.fit(bundle)
             truth, pred = predictor.collect(test_records)
         result.rows.append(
             {
@@ -381,7 +371,7 @@ def experiment_fig8(
             "paragraph", "CAP",
             TrainConfig(epochs=config.epochs, run_seed=config.dataset_seed, max_v=10e-15),
         )
-        _fit_predictor(predictor, bundle)
+        predictor.fit(bundle)
     result = Fig8Result()
     for record in bundle.records("test"):
         ids, embedding = predictor.embed_record(record)
@@ -437,6 +427,7 @@ def experiment_table5(
     ParaGraph mode uses the §IV ensemble for CAP plus SA/DA device models;
     XGBoost mode uses GBDT models for the same quantities.
     """
+    from repro.api import predict_one
     from repro.data.dataset import CircuitRecord
     from repro.graph.builder import build_graph
 
@@ -444,8 +435,8 @@ def experiment_table5(
     train_cfg = TrainConfig(epochs=config.epochs, run_seed=config.dataset_seed)
 
     ensemble = train_capacitance_ensemble(bundle, config=train_cfg)
-    pg_sa = TargetPredictor("paragraph", "SA", train_cfg)._fit_quiet(bundle)
-    pg_da = TargetPredictor("paragraph", "DA", train_cfg)._fit_quiet(bundle)
+    pg_sa = TargetPredictor("paragraph", "SA", train_cfg).fit(bundle)
+    pg_da = TargetPredictor("paragraph", "DA", train_cfg).fit(bundle)
     xgb_cap = BaselinePredictor("xgb", "CAP", seed=config.dataset_seed).fit(bundle)
     xgb_sa = BaselinePredictor("xgb", "SA", seed=config.dataset_seed).fit(bundle)
     xgb_da = BaselinePredictor("xgb", "DA", seed=config.dataset_seed).fit(bundle)
@@ -467,14 +458,14 @@ def experiment_table5(
             "schematic": schematic_annotations(bench.circuit),
             "designer": designer_annotations(bench.circuit),
             "xgb": predicted_annotations(
-                xgb_cap.predict_named(record),
-                xgb_sa.predict_named(record),
-                xgb_da.predict_named(record),
+                predict_one(xgb_cap, record.graph).named("CAP"),
+                predict_one(xgb_sa, record.graph).named("SA"),
+                predict_one(xgb_da, record.graph).named("DA"),
             ),
             "paragraph": predicted_annotations(
-                ensemble.predict_named(record),
-                pg_sa.predict_named(record),
-                pg_da.predict_named(record),
+                predict_one(ensemble, record.graph).named("CAP"),
+                predict_one(pg_sa, record.graph).named("SA"),
+                predict_one(pg_da, record.graph).named("DA"),
             ),
         }
         for mode in TABLE5_MODES:
@@ -532,7 +523,7 @@ def experiment_layer_sweep(
                 num_layers=depth, max_v=10e-15,
             ),
         )
-        _fit_predictor(predictor, bundle)
+        predictor.fit(bundle)
         truth, pred = predictor.collect(test_records)
         keep = truth <= 10e-15
         result.rows.append(
@@ -566,7 +557,7 @@ def experiment_attention_heads(
                 max_v=10e-15, conv_kwargs={"num_heads": n_heads},
             ),
         )
-        _fit_predictor(predictor, bundle)
+        predictor.fit(bundle)
         truth, pred = predictor.collect(test_records)
         keep = truth <= 10e-15
         result.rows.append(
@@ -603,7 +594,7 @@ def experiment_resistance(
         "linear": BaselinePredictor("linear", "RES", seed=config.dataset_seed),
     }
     for name, predictor in predictors.items():
-        _fit_predictor(predictor, bundle)
+        predictor.fit(bundle)
         truth, pred = predictor.collect(test_records)
         # RES spans decades and its largest values (longest wires) are the
         # least predictable for every model; log-space R2 measures the
@@ -639,7 +630,7 @@ def experiment_corner_robustness(
         "paragraph", "CAP",
         TrainConfig(epochs=config.epochs, run_seed=config.dataset_seed),
     )
-    predictor._fit_quiet(bundle)
+    predictor.fit(bundle)
     result = AblationResult(
         title="Corner robustness (CAP model trained at typ)"
     )
@@ -687,7 +678,7 @@ def experiment_ingredients(
                 max_v=max_v, conv_kwargs=dict(kwargs),
             ),
         )
-        _fit_predictor(predictor, bundle)
+        predictor.fit(bundle)
         truth, pred = predictor.collect(test_records)
         keep = truth <= max_v if max_v else np.ones(len(truth), bool)
         result.rows.append(

@@ -11,8 +11,7 @@ One contract for every model family::
 
 Request/response types live in :mod:`repro.api.types`; the engine and the
 single-shot :func:`predict_one` helper in :mod:`repro.api.engine`; the
-model-family adapters in :mod:`repro.api.adapters`; the deprecation shims
-for the pre-facade entry points in :mod:`repro.api.compat`.
+model-family adapters in :mod:`repro.api.adapters`.
 
 Exports resolve lazily (PEP 562) to keep import costs and cycles at bay —
 ``repro.serve`` and ``repro.api`` import freely from each other's

@@ -4,16 +4,18 @@ The engine never touches a concrete model class; it talks to a
 :class:`ModelAdapter`, which turns a batch of prepared graphs into
 per-target ``(ids, values)`` arrays.  Adapters exist for every family:
 
-* :class:`PredictorAdapter` — a single :class:`TargetPredictor`; batches by
-  merging the cached per-graph inputs into one disjoint forward pass
-  (:meth:`GraphInputs.merge`), which is where the serving throughput comes
-  from.
+* :class:`PredictorAdapter` — a single :class:`TargetPredictor` with any
+  number of heads; batches by merging the cached per-graph inputs into one
+  disjoint forward pass (:meth:`GraphInputs.merge`), which is where the
+  serving throughput comes from.
 * :class:`MultiTargetAdapter` — a :class:`MultiTargetModel`; one batched
-  forward per requested target.
+  forward per distinct predictor behind the requested targets.
 * :class:`EnsembleAdapter` — the §IV :class:`CapacitanceEnsemble`; one
   batched forward per range member, then Algorithm 2 per circuit.
 * :class:`BaselineAdapter` — classical baselines (per-graph features, no
   merged forward).
+
+The three GNN families share one batched forward.
 """
 
 from __future__ import annotations
@@ -81,50 +83,57 @@ class ModelAdapter(Protocol):
     ) -> list[dict[str, Arrays]]: ...
 
 
-def _batched_forward(predictor, works: Sequence[GraphWork]) -> list[Arrays]:
-    """One merged no-grad forward of a TargetPredictor over many graphs.
+def _forward(
+    predictor, works: Sequence[GraphWork], targets: Sequence[str]
+) -> list[dict[str, Arrays]]:
+    """One no-grad trunk pass of a TargetPredictor over many graphs, then
+    every requested head per graph.
 
-    Graphs stay disjoint components through the convolution stack, and the
-    readout MLP runs per graph on exactly the rows the single-graph path
-    would see (BLAS matvec kernels are strongly row-count dependent, so a
-    merged readout would drift in the last ulp).  The conv-stack GEMMs can
-    still differ from the serial pass by one ulp for some merged row
-    counts, so split-back outputs agree with serial prediction to within
+    Several graphs are merged into one disjoint-component batch, so the
+    trunk runs once for all of them and for every head.  The readout MLP
+    runs per graph on exactly the rows the single-graph path would see
+    (BLAS matvec kernels are strongly row-count dependent, so a merged
+    readout would drift in the last ulp).  The conv-stack GEMMs can still
+    differ from the serial pass by one ulp for some merged row counts, so
+    split-back outputs agree with serial prediction to within
     floating-point roundoff rather than bitwise.
     """
     from repro.models.inputs import GraphInputs
-    from repro.nn import gather_rows, no_grad
+    from repro.nn import no_grad
 
     model = predictor._require_fit()
     scaler = predictor._scaler
-    ids_per = [predictor.spec.node_ids(work.graph) for work in works]
+    specs = [predictor._spec(target) for target in targets]
     if len(works) == 1:
-        inputs = works[0].inputs_for(scaler)
-        ids = ids_per[0]
+        inputs, offsets = works[0].inputs_for(scaler), [0]
+    else:
+        inputs, offsets = GraphInputs.merge(
+            [work.inputs_for(scaler) for work in works]
+        )
+        obs.observe("api.forward_batch_size", len(works))
+    out: list[dict[str, Arrays]] = []
+    with obs.span("api.batched_forward", batch=len(works), target=predictor.tag):
         with no_grad():
-            scaled = model(inputs, ids).numpy().ravel()
-        return [(ids, np.maximum(predictor.target_scaler.inverse(scaled), 0.0))]
-    merged, offsets = GraphInputs.merge(
-        [work.inputs_for(scaler) for work in works]
-    )
-    with obs.span(
-        "api.batched_forward", batch=len(works), target=predictor.spec.name
-    ):
-        with no_grad():
-            z = model.embed(merged)
-            scaled_per = [
-                model.readout(gather_rows(z, ids + offset)).numpy().ravel()
-                for ids, offset in zip(ids_per, offsets)
-            ]
-    obs.observe("api.forward_batch_size", len(works))
-    return [
-        (ids, np.maximum(predictor.target_scaler.inverse(scaled), 0.0))
-        for ids, scaled in zip(ids_per, scaled_per)
-    ]
+            z = model.trunk(inputs)
+            for work, offset in zip(works, offsets):
+                slot: dict[str, Arrays] = {}
+                for spec in specs:
+                    ids = spec.node_ids(work.graph)
+                    scaled = model.heads[spec.name](z, ids + offset)
+                    slot[spec.name] = (
+                        ids,
+                        predictor._to_si(spec.name, scaled.numpy().ravel()),
+                    )
+                out.append(slot)
+    return out
 
 
 class PredictorAdapter:
-    """A single trained :class:`~repro.models.TargetPredictor`."""
+    """A single :class:`~repro.models.TargetPredictor`, one head or many.
+
+    One trunk pass serves every requested head per merged batch — the
+    serving-side payoff of shared-trunk training.
+    """
 
     family = "predictor"
 
@@ -133,19 +142,20 @@ class PredictorAdapter:
 
     @property
     def targets(self) -> tuple[str, ...]:
-        return (self.predictor.spec.name,)
+        return tuple(sorted(self.predictor.target_names))
 
     def predict_works(
         self, works: Sequence[GraphWork], targets: Sequence[str]
     ) -> list[dict[str, Arrays]]:
-        (target,) = self.targets
         _check_targets(targets, self.targets)
-        batched = _batched_forward(self.predictor, works)
-        return [{target: arrays} for arrays in batched]
+        return _forward(self.predictor, works, targets)
 
 
 class MultiTargetAdapter:
-    """A :class:`~repro.flows.MultiTargetModel` bundle of predictors."""
+    """A :class:`~repro.flows.MultiTargetModel` bundle of predictors.
+
+    Targets answered by the same predictor share one forward.
+    """
 
     family = "multi_target"
 
@@ -160,87 +170,14 @@ class MultiTargetAdapter:
         self, works: Sequence[GraphWork], targets: Sequence[str]
     ) -> list[dict[str, Arrays]]:
         _check_targets(targets, self.targets)
-        out: list[dict[str, Arrays]] = [{} for _ in works]
+        groups: dict[int, tuple[object, list[str]]] = {}
         for target in targets:
-            batched = _batched_forward(self.model.predictors[target], works)
-            for slot, arrays in zip(out, batched):
-                slot[target] = arrays
-        return out
-
-
-class MultiTaskAdapter:
-    """A shared-trunk :class:`~repro.models.MultiTaskPredictor`.
-
-    One trunk pass serves **every** requested target per merged batch —
-    the serving-side payoff of shared-trunk training.  Readouts follow the
-    same per-graph convention as :func:`_batched_forward` (exact ulp
-    parity with single-graph prediction for the readout MLP).
-    """
-
-    family = "multitask"
-
-    def __init__(self, predictor):
-        self.predictor = predictor
-
-    @property
-    def targets(self) -> tuple[str, ...]:
-        return tuple(sorted(self.predictor.target_names))
-
-    def predict_works(
-        self, works: Sequence[GraphWork], targets: Sequence[str]
-    ) -> list[dict[str, Arrays]]:
-        from repro.models.inputs import GraphInputs
-        from repro.nn import gather_rows, no_grad
-
-        _check_targets(targets, self.targets)
-        predictor = self.predictor
-        model = predictor._require_fit()
-        scaler = predictor._scaler
-        specs = [predictor._spec(target) for target in targets]
-        ids_per = [
-            [spec.node_ids(work.graph) for spec in specs] for work in works
-        ]
+            predictor = self.model.predictors[target]
+            groups.setdefault(id(predictor), (predictor, []))[1].append(target)
         out: list[dict[str, Arrays]] = [{} for _ in works]
-        if len(works) == 1:
-            inputs = works[0].inputs_for(scaler)
-            with no_grad():
-                z = model.embed(inputs)
-                for spec, ids in zip(specs, ids_per[0]):
-                    scaled = model.heads[spec.name](z, ids).numpy().ravel()
-                    out[0][spec.name] = (
-                        ids,
-                        np.maximum(
-                            predictor.target_scalers[spec.name].inverse(scaled),
-                            0.0,
-                        ),
-                    )
-            return out
-        merged, offsets = GraphInputs.merge(
-            [work.inputs_for(scaler) for work in works]
-        )
-        with obs.span(
-            "api.batched_forward", batch=len(works), target="multitask"
-        ):
-            with no_grad():
-                z = model.embed(merged)
-                for k, offset in enumerate(offsets):
-                    for spec, ids in zip(specs, ids_per[k]):
-                        scaled = (
-                            model.heads[spec.name]
-                            .readout(gather_rows(z, ids + offset))
-                            .numpy()
-                            .ravel()
-                        )
-                        out[k][spec.name] = (
-                            ids,
-                            np.maximum(
-                                predictor.target_scalers[spec.name].inverse(
-                                    scaled
-                                ),
-                                0.0,
-                            ),
-                        )
-        obs.observe("api.forward_batch_size", len(works))
+        for predictor, names in groups.values():
+            for slot, arrays in zip(out, _forward(predictor, works, names)):
+                slot.update(arrays)
         return out
 
 
@@ -269,7 +206,8 @@ class EnsembleAdapter:
         if not members:
             raise ModelError("ensemble has no models")
         per_member: list[list[Arrays]] = [
-            _batched_forward(member.predictor, works) for member in members
+            [slot["CAP"] for slot in _forward(member.predictor, works, ("CAP",))]
+            for member in members
         ]
         max_vs = [member.max_v for member in members]
         out: list[dict[str, Arrays]] = []
@@ -336,15 +274,12 @@ def make_adapter(model) -> ModelAdapter:
     from repro.ensemble.ensemble import CapacitanceEnsemble
     from repro.flows.training import MultiTargetModel
     from repro.models.baselines import BaselinePredictor
-    from repro.models.multitask import MultiTaskPredictor
     from repro.models.trainer import TargetPredictor
 
     if isinstance(model, TargetPredictor):
         return PredictorAdapter(model)
     if isinstance(model, MultiTargetModel):
         return MultiTargetAdapter(model)
-    if isinstance(model, MultiTaskPredictor):
-        return MultiTaskAdapter(model)
     if isinstance(model, CapacitanceEnsemble):
         return EnsembleAdapter(model)
     if isinstance(model, BaselinePredictor):
@@ -353,6 +288,6 @@ def make_adapter(model) -> ModelAdapter:
         return model  # already an adapter
     raise ApiError(
         f"cannot serve a {type(model).__name__}; expected TargetPredictor, "
-        "MultiTargetModel, MultiTaskPredictor, CapacitanceEnsemble, "
-        "BaselinePredictor or a ModelAdapter"
+        "MultiTargetModel, CapacitanceEnsemble, BaselinePredictor or a "
+        "ModelAdapter"
     )

@@ -468,9 +468,8 @@ def create_engine(
 def predict_one(model, source, targets: Iterable[str] | None = None) -> PredictionResult:
     """Single-shot prediction without building an engine.
 
-    The compatibility shims route the old entry points through here; it
-    runs the same adapter machinery as :class:`Engine` but with a local,
-    uncached graph.  Accepts the same *source* shapes as
+    Runs the same adapter machinery as :class:`Engine`, but with a local,
+    uncached graph and at the caller's ambient compute precision.  Accepts the same *source* shapes as
     :func:`coerce_request` plus a bare :class:`HeteroGraph`.
     """
     adapter = make_adapter(model)

@@ -112,7 +112,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         targets=(args.target,),
         conv=args.conv,
         config=config,
-        batching=args.batching,
         runtime=_runtime_from_args(args),
         resume_from=args.resume_from,
     )
@@ -130,7 +129,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_train_all(args: argparse.Namespace) -> int:
     from repro.data import ALL_TARGETS, build_bundle
-    from repro.flows import TrainPlan, train
+    from repro.flows import MultiTargetModel, TrainPlan, train
     from repro.models import TrainConfig
 
     if args.targets.strip().lower() == "all":
@@ -145,7 +144,6 @@ def _cmd_train_all(args: argparse.Namespace) -> int:
         conv=args.conv,
         config=config,
         trunk=args.trunk,
-        batching=args.batching,
         runtime=_runtime_from_args(args),
         parallel_workers=args.workers,
     )
@@ -156,22 +154,15 @@ def _cmd_train_all(args: argparse.Namespace) -> int:
     else:
         mode = "shared-input cache"
     print(f"training {len(names)} targets ({mode})...")
-    result = train(bundle, plan)
-    model = result.model
+    model = train(bundle, plan).model
     if plan.trunk == "shared":
-        for name in model.target_names:
-            metrics = model.evaluate(bundle.records("test"), name)
-            print(f"  {name}: R2={metrics['r2']:.3f}")
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = os.path.join(args.out_dir, "multitask.npz")
-        model.save(path)
-        print(f"saved multitask model to {path}")
-    else:
-        for name, predictor in model.predictors.items():
-            metrics = predictor.evaluate(bundle.records("test"))
-            print(f"  {name}: R2={metrics['r2']:.3f}")
-        model.save_dir(args.out_dir)
-        print(f"saved {len(model.predictors)} models to {args.out_dir}")
+        # one predictor answering for every target, saved once
+        model = MultiTargetModel({name: model for name in model.target_names})
+    for name, predictor in model.predictors.items():
+        metrics = predictor.evaluate(bundle.records("test"), name)
+        print(f"  {name}: R2={metrics['r2']:.3f}")
+    model.save_dir(args.out_dir)
+    print(f"saved {len(model.predictors)} models to {args.out_dir}")
     return 0
 
 
@@ -628,8 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", default="model.npz")
     p_train.add_argument("--resume-from", default=None,
                          help="resume training from this checkpoint .npz")
-    p_train.add_argument("--batching", default="mega", choices=["mega", "graph"],
-                         help="merged-input construction (bit-identical results)")
     add_runtime_args(p_train)
     add_obs_args(p_train)
     p_train.set_defaults(func=_cmd_train)
@@ -650,8 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
                              choices=["per_target", "shared"],
                              help="independent model per target, or one shared "
                                   "trunk with per-target readout heads")
-    p_train_all.add_argument("--batching", default="mega", choices=["mega", "graph"],
-                             help="merged-input construction (bit-identical results)")
     p_train_all.add_argument("--out-dir", default="models",
                              help="directory for the per-target .npz files "
                                   "(or multitask.npz with --trunk shared)")

@@ -125,20 +125,6 @@ class CapacitanceEnsemble:
                     obs.inc("ensemble.range_selected", int(count), max_v=label)
         return ids_ref, combined
 
-    def predict_named(self, record: CircuitRecord) -> dict[str, float]:
-        """Deprecated: combined predictions keyed by net name.
-
-        Use :meth:`repro.api.Engine.predict` /
-        :meth:`~repro.api.PredictionResult.named` instead.
-        """
-        from repro.api.compat import named_from_arrays, warn_deprecated
-
-        warn_deprecated(
-            "CapacitanceEnsemble.predict_named",
-            'repro.api.Engine.predict(...).named("CAP")',
-        )
-        return named_from_arrays(record.graph, *self.predict(record))
-
     def evaluate(
         self, records: list[CircuitRecord], mape_eps: float = 0.0
     ) -> dict[str, float]:
@@ -227,12 +213,12 @@ def train_capacitance_ensemble(
     members: list[RangeModel] = []
     for ceiling in sorted(max_vs):
         cfg = TrainConfig(**{**base.__dict__, "max_v": ceiling})
-        predictor = TargetPredictor(conv, "CAP", cfg)._fit_quiet(
+        predictor = TargetPredictor(conv, "CAP", cfg).fit(
             bundle, runtime=runtime, inputs_cache=cache
         )
         members.append(RangeModel(max_v=ceiling, predictor=predictor))
     full_cfg = TrainConfig(**{**base.__dict__, "max_v": None})
-    full = TargetPredictor(conv, "CAP", full_cfg)._fit_quiet(
+    full = TargetPredictor(conv, "CAP", full_cfg).fit(
         bundle, runtime=runtime, inputs_cache=cache
     )
     members.append(RangeModel(max_v=float("inf"), predictor=full))

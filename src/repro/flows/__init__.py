@@ -14,7 +14,6 @@ __all__ = [
     "TrainPlan",
     "TrainResult",
     "train",
-    "train_all_targets",
     "MergedInputsCache",
     "RuntimeConfig",
     "TrainCallback",
@@ -31,7 +30,6 @@ _EXPORTS = {
     "TrainPlan": "repro.flows.plan",
     "TrainResult": "repro.flows.plan",
     "train": "repro.flows.plan",
-    "train_all_targets": "repro.flows.compat",
     "MergedInputsCache": "repro.flows.runtime",
     "RuntimeConfig": "repro.flows.runtime",
     "TrainCallback": "repro.flows.runtime",

@@ -1,17 +1,9 @@
 """The typed training plan: one entry point for every training shape.
 
-Historically each training shape had its own call pattern —
-``TargetPredictor.fit`` for one target, ``train_all_targets`` for the
-suite, keyword soup for runtime knobs.  :class:`TrainPlan` replaces them
-with one declarative value ("which targets, which conv, shared trunk or
-per-target models, mega-batched or per-graph inputs, which runtime") and
-:func:`train` with one verb that consumes it.  The old entry points
-survive as warn-once shims (:mod:`repro.flows.compat`,
-:meth:`TargetPredictor.fit <repro.models.trainer.TargetPredictor.fit>`)
-that route here and produce bit-identical artifacts.
-
-Plan validation happens at construction, so an invalid combination fails
-before any training compute is spent.
+:class:`TrainPlan` is one declarative value ("which targets, which conv,
+shared trunk or per-target models, which runtime") and :func:`train` the
+one verb that consumes it.  Plan validation happens at construction, so
+an invalid combination fails before any training compute is spent.
 """
 
 from __future__ import annotations
@@ -20,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.data.targets import ALL_TARGETS, target_by_name
 from repro.errors import ModelError
-from repro.flows.runtime import BATCHING_MODES, MergedInputsCache, RuntimeConfig
+from repro.flows.runtime import MergedInputsCache, RuntimeConfig
 from repro.models.trainer import TargetPredictor, TrainConfig, TrainHistory
 
 #: Trunk-sharing modes: independent model per target (the paper's setup)
@@ -43,13 +35,10 @@ class TrainPlan:
         ``TrainConfig(epochs=60)`` (the historical suite default).
         ``max_v`` applies to the CAP model only.
     trunk:
-        ``"per_target"`` trains an independent model per target (paper
-        §V); ``"shared"`` trains one :class:`SharedTrunk` with per-target
-        readout heads — one trunk pass per epoch for all targets.
-    batching:
-        Merged-input construction: ``"mega"`` disjoint-unions per-graph
-        :class:`GraphInputs` with stitched segment plans, ``"graph"``
-        merges the hetero graphs first.  Bit-identical results.
+        ``"per_target"`` trains an independent one-head model per target
+        (paper §V); ``"shared"`` trains one :class:`SharedTrunk` with
+        per-target readout heads — one trunk pass per epoch for all
+        targets.  A single-target shared plan is the per-target model.
     loss_weights:
         Per-target weights for the shared-trunk loss (unlisted targets
         weigh 1.0).  Only meaningful with ``trunk="shared"``.
@@ -68,7 +57,6 @@ class TrainPlan:
     conv: str = "paragraph"
     config: TrainConfig | None = None
     trunk: str = "per_target"
-    batching: str = "mega"
     loss_weights: dict[str, float] | None = None
     runtime: RuntimeConfig | None = None
     parallel_workers: int = 0
@@ -78,11 +66,6 @@ class TrainPlan:
         if self.trunk not in TRUNK_MODES:
             raise ModelError(
                 f"unknown trunk mode {self.trunk!r}; choose from {TRUNK_MODES}"
-            )
-        if self.batching not in BATCHING_MODES:
-            raise ModelError(
-                f"unknown batching mode {self.batching!r}; "
-                f"choose from {BATCHING_MODES}"
             )
         if self.targets is not None:
             if not self.targets:
@@ -126,10 +109,10 @@ class TrainPlan:
 class TrainResult:
     """What :func:`train` hands back.
 
-    ``model`` is a :class:`~repro.flows.training.MultiTargetModel` for
-    per-target plans and a
-    :class:`~repro.models.multitask.MultiTaskPredictor` for shared-trunk
-    plans; ``histories`` maps target name (or ``"multitask"``) to its
+    ``model`` is a :class:`~repro.flows.training.MultiTargetModel` of
+    one-head predictors for per-target plans and one multi-head
+    :class:`~repro.models.trainer.TargetPredictor` for shared-trunk plans;
+    ``histories`` maps target name (or ``"multitask"``) to its
     :class:`~repro.models.trainer.TrainHistory`.
     """
 
@@ -144,46 +127,18 @@ def train(
     *,
     inputs_cache: MergedInputsCache | None = None,
 ) -> TrainResult:
-    """Train according to *plan* (default: all 13 targets, per-target).
-
-    The single entry point of the redesigned training API; every legacy
-    pattern (``TargetPredictor.fit``, ``train_all_targets``) routes here
-    via its deprecation shim with bit-identical results.
-    """
-    return _train_with_predictors(bundle, plan or TrainPlan(), inputs_cache=inputs_cache)
-
-
-def _train_with_predictors(
-    bundle,
-    plan: TrainPlan,
-    *,
-    inputs_cache: MergedInputsCache | None = None,
-    predictors: dict[str, TargetPredictor] | None = None,
-) -> TrainResult:
-    """Engine behind :func:`train`, with predictor injection.
-
-    *predictors* lets the ``TargetPredictor.fit`` shim train **its own**
-    object through the plan path (preserving identity semantics and the
-    predictor's exact config, including a non-CAP ``max_v`` the suite
-    path would clear).  Injected plans always train serially.
-    """
+    """Train according to *plan* (default: all 13 targets, per-target)."""
+    plan = plan or TrainPlan()
+    base = plan.config or TrainConfig(epochs=60)
+    cache = inputs_cache if inputs_cache is not None else MergedInputsCache()
     if plan.trunk == "shared":
-        from repro.models.multitask import MultiTaskPredictor
-
-        predictor = MultiTaskPredictor(
-            conv=plan.conv,
-            targets=list(plan.target_names),
-            config=plan.config or TrainConfig(epochs=60),
-            loss_weights=plan.loss_weights,
-        )
-        predictor._fit_quiet(
+        predictor = TargetPredictor(
+            plan.conv, plan.target_names, base, plan.loss_weights
+        ).fit(
             bundle,
             runtime=plan.runtime,
-            inputs_cache=(
-                inputs_cache if inputs_cache is not None else MergedInputsCache()
-            ),
+            inputs_cache=cache,
             resume_from=plan.resume_from,
-            batching=plan.batching,
         )
         return TrainResult(
             model=predictor,
@@ -193,49 +148,38 @@ def _train_with_predictors(
 
     from repro.flows.training import MultiTargetModel, _train_target_job
 
-    names = plan.target_names
-    base = plan.config or TrainConfig(epochs=60)
-    resume = plan.resume_from if len(names) == 1 else None
     jobs = []
-    for name in names:
-        injected = predictors.get(name) if predictors else None
-        if injected is not None:
-            jobs.append((name, injected))
-            continue
+    for name in plan.target_names:
         cfg_kwargs = dict(base.__dict__)
         if name != "CAP":
             # max_v is the §IV CAP training clamp; other targets train on
             # their full value range
             cfg_kwargs["max_v"] = None
-        jobs.append((name, TargetPredictor(plan.conv, name, TrainConfig(**cfg_kwargs))))
+        jobs.append(TargetPredictor(plan.conv, name, TrainConfig(**cfg_kwargs)))
 
     model = MultiTargetModel()
-    if predictors is None and plan.parallel_workers > 1:
+    if plan.parallel_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         worker_jobs = [
-            (plan.conv, name, predictor.config, bundle, plan.runtime, plan.batching)
-            for name, predictor in jobs
+            (predictor, bundle, plan.runtime, plan.resume_from) for predictor in jobs
         ]
         with ProcessPoolExecutor(max_workers=plan.parallel_workers) as pool:
-            fitted = list(pool.map(_train_target_job, worker_jobs))
-        for (name, _), predictor in zip(jobs, fitted):
-            model.predictors[name] = predictor
+            jobs = list(pool.map(_train_target_job, worker_jobs))
     else:
-        cache = inputs_cache if inputs_cache is not None else MergedInputsCache()
-        for name, predictor in jobs:
-            predictor._fit_quiet(
+        for predictor in jobs:
+            predictor.fit(
                 bundle,
                 runtime=plan.runtime,
                 inputs_cache=cache,
-                resume_from=resume,
-                batching=plan.batching,
+                resume_from=plan.resume_from,
             )
-            model.predictors[name] = predictor
+    for predictor in jobs:
+        model.predictors[predictor.tag] = predictor
     return TrainResult(
         model=model,
         histories={
-            name: model.predictors[name].history for name in model.predictors
+            name: predictor.history for name, predictor in model.predictors.items()
         },
         plan=plan,
     )

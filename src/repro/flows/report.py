@@ -57,7 +57,10 @@ def prelayout_report(
     circuit: Circuit, model: MultiTargetModel
 ) -> PrelayoutReport:
     """Build a :class:`PrelayoutReport` from a trained multi-target model."""
-    predictions = model.predict_all(circuit)
+    from repro.api import predict_one
+
+    result = predict_one(model, circuit)
+    predictions = {name: result.named(name) for name in model.predictors}
     targets = tuple(predictions)
     report = PrelayoutReport(circuit_name=circuit.name, targets=targets)
 

@@ -3,7 +3,7 @@
 A full paper reproduction trains ~18 independent models (13 paper targets,
 the RES extension, and the 4-member §IV CAP ensemble) over the *same* merged
 training graph.  This module factors the runtime concerns out of the
-per-target training loop:
+training loop:
 
 * :class:`MergedInputsCache` — builds the merged :class:`GraphInputs` once
   per (record set, feature scaler) pair and shares it across every target
@@ -34,7 +34,6 @@ from repro.data.dataset import CircuitRecord
 from repro.data.normalize import FeatureScaler
 from repro.data.targets import TargetSpec
 from repro.errors import ModelError
-from repro.graph.hetero import merge_graphs
 from repro.nn.module import Module
 from repro.nn.optim import Optimizer
 
@@ -64,24 +63,19 @@ class MergedSplit:
         return np.concatenate(ids), np.concatenate(values)
 
 
-#: Supported merged-input construction modes (see :meth:`MergedInputsCache.merged`).
-BATCHING_MODES = ("mega", "graph")
-
-
 class MergedInputsCache:
     """Cache of merged ``GraphInputs`` keyed by mega-batch composition.
 
     The merge + feature-scaling work in the training driver is identical for
     every target trained on the same node population, so ``repro.flows.train``
     and ``train_capacitance_ensemble`` share one cache across all their
-    per-target loops.  Entries are keyed by **content**, not identity: the
-    ordered circuit fingerprints of the batch, the feature-scaler
-    fingerprint, and the batching mode.  Two differently-composed batches
-    (different circuits, a changed circuit, a different record order — node
-    offsets depend on it — or a different construction mode) can therefore
-    never share an entry, while re-built record objects with identical
-    content still hit.  ``hits``/``misses`` count lookups for tests and
-    diagnostics.
+    fits.  Entries are keyed by **content**, not identity: the ordered
+    circuit fingerprints of the batch and the feature-scaler fingerprint.
+    Two differently-composed batches (different circuits, a changed
+    circuit, or a different record order — node offsets depend on it) can
+    therefore never share an entry, while re-built record objects with
+    identical content still hit.  ``hits``/``misses`` count lookups for
+    tests and diagnostics.
     """
 
     def __init__(self) -> None:
@@ -91,38 +85,24 @@ class MergedInputsCache:
         self.misses = 0
 
     @staticmethod
-    def _key(
-        records: list[CircuitRecord], scaler: FeatureScaler, mode: str
-    ) -> tuple:
+    def _key(records: list[CircuitRecord], scaler: FeatureScaler) -> tuple:
         from repro.data.fingerprint import record_fingerprint, scaler_fingerprint
 
         return (
             tuple(record_fingerprint(record) for record in records),
             scaler_fingerprint(scaler),
-            mode,
         )
 
     def merged(
-        self,
-        records: list[CircuitRecord],
-        scaler: FeatureScaler,
-        mode: str = "mega",
+        self, records: list[CircuitRecord], scaler: FeatureScaler
     ) -> MergedSplit:
         """Merged inputs for a record list, built at most once.
 
-        ``mode="mega"`` builds per-record :class:`GraphInputs` and
-        disjoint-unions them through :meth:`GraphInputs.merge_graphs`
-        (segment plans stitched from the per-graph plans);
-        ``mode="graph"`` is the legacy path (merge the
-        :class:`HeteroGraph` objects, then scale once).  Both produce
-        bit-identical arrays and plans; they are cached separately because
-        callers may hold references into either construction.
+        Builds per-record :class:`GraphInputs` and disjoint-unions them
+        through :meth:`GraphInputs.merge_graphs` (segment plans stitched
+        from the per-graph plans).
         """
-        if mode not in BATCHING_MODES:
-            raise ModelError(
-                f"unknown batching mode {mode!r}; choose from {BATCHING_MODES}"
-            )
-        key = self._key(records, scaler, mode)
+        key = self._key(records, scaler)
         split = self._merged.get(key)
         if split is not None:
             self.hits += 1
@@ -134,20 +114,12 @@ class MergedInputsCache:
         # imports the trainer, which imports this module.
         from repro.models.inputs import GraphInputs
 
-        with obs.span("cache.merge_inputs", records=len(records), mode=mode):
-            if mode == "mega":
-                batch = GraphInputs.merge_graphs(
-                    [GraphInputs.from_record(record, scaler) for record in records]
-                )
-                inputs, offsets = batch.inputs, batch.offsets
-            else:
-                merged = merge_graphs([record.graph for record in records])
-                inputs = GraphInputs.from_graph(merged, scaler)
-                offsets = np.cumsum(
-                    [0] + [r.graph.num_nodes for r in records[:-1]]
-                )
+        with obs.span("cache.merge_inputs", records=len(records)):
+            batch = GraphInputs.merge_graphs(
+                [GraphInputs.from_record(record, scaler) for record in records]
+            )
             split = MergedSplit(
-                inputs=inputs, offsets=offsets, records=list(records)
+                inputs=batch.inputs, offsets=batch.offsets, records=list(records)
             )
         self._merged[key] = split
         return split
@@ -157,15 +129,14 @@ class MergedInputsCache:
         records: list[CircuitRecord],
         scaler: FeatureScaler,
         spec: TargetSpec,
-        mode: str = "mega",
     ) -> tuple[GraphInputs, np.ndarray, np.ndarray]:
         """(shared inputs, target node_ids, target values) for one spec.
 
         The returned arrays are cached and shared between callers — treat
         them as read-only (filter with boolean indexing, never in place).
         """
-        split = self.merged(records, scaler, mode)
-        key = (self._key(records, scaler, mode), spec.name)
+        split = self.merged(records, scaler)
+        key = (self._key(records, scaler), spec.name)
         arrays = self._targets.get(key)
         if arrays is None:
             arrays = split.target_arrays(spec)
@@ -186,7 +157,7 @@ class TrainContext:
     attempt: int
     run_seed: int
     predictor: Any = None  # the TargetPredictor being fitted
-    model: Any = None  # the live GNNRegressor of this attempt
+    model: Any = None  # the live MultiTaskModel of this attempt
 
 
 @dataclass

@@ -2,11 +2,9 @@
 
 The paper trains an independent model per target (13 paper targets + the
 RES extension).  :class:`MultiTargetModel` is the object a designer
-actually holds — it predicts everything for a schematic at once.  The
-driving loop lives in :func:`repro.flows.train` (a :class:`TrainPlan`
-consumer); the historical :func:`train_all_targets` survives as a
-warn-once shim in :mod:`repro.flows.compat`, re-exported here for
-existing imports.
+actually holds — it predicts everything for a schematic at once through
+:class:`repro.api.Engine`.  The driving loop lives in
+:func:`repro.flows.train` (a :class:`TrainPlan` consumer).
 """
 
 from __future__ import annotations
@@ -14,35 +12,21 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.circuits.netlist import Circuit
 from repro.data import DatasetBundle
 from repro.errors import ModelError
-from repro.flows.compat import train_all_targets  # noqa: F401 - legacy import path
 from repro.flows.runtime import RuntimeConfig
-from repro.models.trainer import TargetPredictor, TrainConfig
+from repro.models.trainer import TargetPredictor
 
 
 @dataclass
 class MultiTargetModel:
-    """A bundle of per-target predictors sharing one training dataset."""
+    """Predictors keyed by the target they answer for.
+
+    A multi-head predictor answers for each of its targets, so it may
+    appear under several keys; it is saved once.
+    """
 
     predictors: dict[str, TargetPredictor] = field(default_factory=dict)
-
-    def predict_all(self, circuit: Circuit) -> dict[str, dict[str, float]]:
-        """Deprecated: ``{target: {net_or_instance: value}}`` for a schematic.
-
-        Use :meth:`repro.api.Engine.predict` — one graph build for all
-        targets, cacheable, and batchable — instead.
-        """
-        from repro.api.compat import warn_deprecated
-        from repro.api.engine import predict_one
-
-        warn_deprecated(
-            "MultiTargetModel.predict_all",
-            "repro.api.Engine.predict(circuit)",
-        )
-        result = predict_one(self, circuit, targets=tuple(self.predictors))
-        return {name: result.named(name) for name in self.predictors}
 
     def predictor(self, target: str) -> TargetPredictor:
         try:
@@ -53,10 +37,11 @@ class MultiTargetModel:
             ) from None
 
     def save_dir(self, directory: str | os.PathLike) -> None:
-        """Save every predictor as ``<directory>/<target>.npz``."""
+        """Save every distinct predictor as ``<directory>/<tag>.npz``
+        (the target name of a one-head predictor, ``multitask`` otherwise)."""
         os.makedirs(directory, exist_ok=True)
-        for name, predictor in self.predictors.items():
-            predictor.save(os.path.join(directory, f"{name}.npz"))
+        for predictor in {id(p): p for p in self.predictors.values()}.values():
+            predictor.save(os.path.join(directory, f"{predictor.tag}.npz"))
 
     @classmethod
     def load_dir(cls, directory: str | os.PathLike) -> "MultiTargetModel":
@@ -65,17 +50,16 @@ class MultiTargetModel:
         for entry in sorted(os.listdir(directory)):
             if entry.endswith(".npz"):
                 predictor = TargetPredictor.load(os.path.join(directory, entry))
-                model.predictors[predictor.spec.name] = predictor
+                for name in predictor.target_names:
+                    model.predictors[name] = predictor
         if not model.predictors:
             raise ModelError(f"no .npz models found in {directory}")
         return model
 
 
 def _train_target_job(
-    job: tuple[str, str, TrainConfig, DatasetBundle, RuntimeConfig | None, str],
+    job: tuple[TargetPredictor, DatasetBundle, RuntimeConfig | None, str | None],
 ) -> TargetPredictor:
     """Worker entry point for process-parallel training (must be picklable)."""
-    conv, name, cfg, bundle, runtime, batching = job
-    return TargetPredictor(conv, name, cfg)._fit_quiet(
-        bundle, runtime=runtime, batching=batching
-    )
+    predictor, bundle, runtime, resume_from = job
+    return predictor.fit(bundle, runtime=runtime, resume_from=resume_from)

@@ -1,6 +1,5 @@
 """Prediction models: ParaGraph, GNN baselines, XGBoost/linear baselines."""
 
-from repro.models.base import GNNRegressor
 from repro.models.baselines import BaselinePredictor, baseline_features
 from repro.models.convs import (
     GATConv,
@@ -15,17 +14,11 @@ from repro.models.encoder import NodeTypeEncoder
 from repro.models.gbdt import GradientBoostedTrees, RegressionTree
 from repro.models.inputs import GraphInputs, MegaBatch
 from repro.models.linreg import RidgeRegression
-from repro.models.multitask import (
-    MultiTaskModel,
-    MultiTaskPredictor,
-    ReadoutHead,
-    SharedTrunk,
-)
+from repro.models.multitask import MultiTaskModel, ReadoutHead, SharedTrunk
 from repro.models.trainer import TargetPredictor, TrainConfig, TrainHistory
 from repro.models.uncertainty import SeedEnsemblePredictor, UncertainPrediction
 
 __all__ = [
-    "GNNRegressor",
     "BaselinePredictor",
     "baseline_features",
     "GATConv",
@@ -41,7 +34,6 @@ __all__ = [
     "GraphInputs",
     "MegaBatch",
     "MultiTaskModel",
-    "MultiTaskPredictor",
     "ReadoutHead",
     "SharedTrunk",
     "RidgeRegression",

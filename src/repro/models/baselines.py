@@ -123,20 +123,6 @@ class BaselinePredictor:
         """(node_ids, SI-unit predictions), clamped at zero."""
         return self.predict_graph(record.graph)
 
-    def predict_named(self, record: CircuitRecord) -> dict[str, float]:
-        """Deprecated: predictions keyed by net/instance name.
-
-        Use :meth:`repro.api.Engine.predict` /
-        :meth:`~repro.api.PredictionResult.named` instead.
-        """
-        from repro.api.compat import named_from_arrays, warn_deprecated
-
-        warn_deprecated(
-            "BaselinePredictor.predict_named",
-            "repro.api.Engine.predict(...).named(target)",
-        )
-        return named_from_arrays(record.graph, *self.predict(record))
-
     def evaluate(
         self, records: list[CircuitRecord], mape_eps: float = 0.0
     ) -> dict[str, float]:

@@ -1,73 +1,49 @@
-"""Shared-trunk multi-task training: one GNN, thirteen readout heads.
+"""The GNN model: an encoder + convolution trunk under per-target heads.
 
-The per-target trainer of :mod:`repro.models.trainer` re-runs the encoder
-and all five convolution layers for every one of the paper's 13 targets,
-even though those layers see exactly the same merged mega-batch each time.
-:class:`SharedTrunk` factors the encoder + convolutions out of
-:class:`~repro.models.base.GNNRegressor` so they run **once per epoch**,
-with one lightweight :class:`ReadoutHead` per target reading from the
-shared embeddings.  :class:`MultiTaskPredictor` owns the training loop:
-a single trunk forward per mega-batch, per-target weighted MSE terms
-summed into one loss, one optimizer over trunk + heads.
-
-Scaling semantics are shared with the per-target trainer through
-:func:`repro.models.trainer.resolve_target_scaler` — CAP stays linear
-(with the §IV ``max_v`` ceiling), device parameters train in log space,
-and readout depths default to the paper's 4 (CAP) / 2 (device).
+Every graph model in the paper's comparison is an encoder, L convolution
+layers and an FC readout; the models differ only in their convolution
+layer (paper §V applied the node-type input transform to the naive
+baselines too, so they can consume heterogeneous features).
+:class:`SharedTrunk` is the encoder + convolutions, :class:`ReadoutHead`
+one target's readout, and :class:`MultiTaskModel` a trunk under a dict of
+heads.  The paper's per-target model (and each §IV ensemble member) is
+the one-head case; the shared-trunk mode puts all 13 heads on one trunk,
+so the encoder and convolutions run once per mega-batch for every target.
+Training lives in :class:`repro.models.trainer.TargetPredictor`.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import os
-import time
-
 import numpy as np
 
-from repro import obs
-from repro.circuits.devices import NODE_TYPES
-from repro.data.dataset import CircuitRecord, DatasetBundle
-from repro.data.normalize import FeatureScaler, LogTargetScaler, TargetScaler
-from repro.data.targets import TargetSpec, target_by_name
 from repro.errors import ModelError
-from repro.flows.runtime import (
-    CallbackList,
-    ConsoleProgressReporter,
-    EpochMetrics,
-    MergedInputsCache,
-    RuntimeConfig,
-    TrainContext,
-    load_checkpoint,
-    save_checkpoint,
-)
 from repro.graph.builder import all_edge_type_names
-from repro.graph.features import feature_dim
 from repro.models.convs import make_conv
 from repro.models.encoder import NodeTypeEncoder
 from repro.models.inputs import GraphInputs
-from repro.models.trainer import TrainConfig, TrainHistory, resolve_target_scaler
-from repro.nn import (
-    MLP,
-    Adam,
-    Module,
-    Tensor,
-    gather_rows,
-    global_grad_norm,
-    mse_loss,
-    no_grad,
-    precision,
-)
+from repro.nn import MLP, Module, Tensor, gather_rows
 from repro.nn.plan import SegmentPlan
-from repro.rng import stream
 
 
 class SharedTrunk(Module):
-    """Encoder + L convolution layers, computed once per mega-batch.
+    """Encoder + L convolution layers: node embeddings Z (Algorithm 1).
 
-    Exactly the embedding half of :class:`~repro.models.base.GNNRegressor`
-    (same constructors, same parameter shapes, same forward math), minus
-    the readout — multiple heads share one forward pass through it.
+    Parameters
+    ----------
+    conv:
+        One of ``gcn``, ``sage``, ``rgcn``, ``gat``, ``paragraph``.
+    feature_dims:
+        Raw feature dimension per node type (covering every type the model
+        may encounter).
+    embed_dim:
+        Embedding width F (paper: 32).
+    num_layers:
+        Convolution depth L (paper: 5).
+    edge_types:
+        Edge types to allocate relational weights for; defaults to every
+        type the graph builder can emit.
+    conv_kwargs:
+        Extra arguments for the convolution (ParaGraph ablation flags).
     """
 
     def __init__(
@@ -103,11 +79,12 @@ class SharedTrunk(Module):
 
 
 class ReadoutHead(Module):
-    """One target's FC readout over shared trunk embeddings.
+    """One target's FC readout over trunk embeddings.
 
-    The same MLP stack as ``GNNRegressor.readout`` (hidden width = trunk
-    embedding width, 1 output, ReLU); ``num_fc_layers=0`` is a purely
-    linear projection.
+    All hidden FC layers have the trunk's embedding width and ReLU, the
+    last has 1 output (paper: 4 layers for CAP, 2 for device parameters).
+    ``num_fc_layers=0`` is a purely linear projection (a single F -> 1
+    layer, no hidden nonlinearity).
     """
 
     def __init__(self, embed_dim: int, num_fc_layers: int, rng: np.random.Generator):
@@ -131,19 +108,19 @@ class ReadoutHead(Module):
 
         *plan* (a :class:`SegmentPlan` over ``(node_ids, num_nodes)``)
         turns the gather's backward scatter into a sorted reduction; the
-        trainer caches one per target.
+        trainer builds one per head.
         """
         return self.readout(gather_rows(z, node_ids, plan))
 
 
 class MultiTaskModel(Module):
-    """A shared trunk plus one readout head per target.
+    """A trunk plus one readout head per target.
 
     Parameter names are dotted through the attribute tree
     (``trunk.encoder...``, ``heads.CAP.readout.layers.0.weight``), so the
     generic :meth:`~repro.nn.module.Module.state_dict` /
-    :func:`~repro.flows.runtime.save_checkpoint` machinery covers the whole
-    ensemble of heads for free.
+    :func:`~repro.flows.runtime.save_checkpoint` machinery covers every
+    head for free.
     """
 
     def __init__(self, trunk: SharedTrunk, heads: dict[str, ReadoutHead]):
@@ -158,15 +135,19 @@ class MultiTaskModel(Module):
         return list(self.heads)
 
     def embed(self, inputs: GraphInputs) -> Tensor:
-        """Shared node embeddings (one trunk pass)."""
+        """Node embeddings of one training pass through the trunk.
+
+        Inference calls ``trunk`` directly; every head then reads the same
+        embeddings.
+        """
         return self.trunk(inputs)
 
     def forward(
         self, inputs: GraphInputs, target: str, node_ids: np.ndarray
     ) -> Tensor:
-        """Scaled predictions of one head (single-target convenience path).
+        """Scaled predictions of one head (single-graph inference path).
 
-        Batch callers should run :meth:`embed` once and apply heads to the
+        Batch callers run the trunk once and apply every head to the
         shared embeddings instead.
         """
         if target not in self.heads:
@@ -174,543 +155,4 @@ class MultiTaskModel(Module):
                 f"model has no head for target {target!r}; "
                 f"available: {sorted(self.heads)}"
             )
-        return self.heads[target](self.embed(inputs), node_ids)
-
-
-class MultiTaskPredictor:
-    """All targets trained against one shared trunk.
-
-    Parameters
-    ----------
-    conv:
-        GNN flavour (``paragraph``, ``sage``, ``rgcn``, ``gat``, ``gcn``).
-    targets:
-        Target names (or :class:`TargetSpec` objects) to fit heads for.
-    config:
-        Training hyper-parameters; ``max_v`` applies to the CAP head only,
-        mirroring the per-target trainer.
-    loss_weights:
-        Optional per-target weights for the summed multi-task loss;
-        unlisted targets weigh 1.0.  The total loss is
-        ``sum_t w_t * mse_t`` — no implicit normalisation, so weights are
-        directly comparable across runs.
-    """
-
-    def __init__(
-        self,
-        conv: str = "paragraph",
-        targets: list[str | TargetSpec] | None = None,
-        config: TrainConfig | None = None,
-        loss_weights: dict[str, float] | None = None,
-    ):
-        from repro.data.targets import ALL_TARGETS
-
-        names = targets if targets is not None else [s.name for s in ALL_TARGETS]
-        self.conv = conv
-        self.specs = [
-            t if isinstance(t, TargetSpec) else target_by_name(t) for t in names
-        ]
-        if not self.specs:
-            raise ModelError("MultiTaskPredictor needs at least one target")
-        seen: set[str] = set()
-        for spec in self.specs:
-            if spec.name in seen:
-                raise ModelError(f"duplicate target {spec.name!r}")
-            seen.add(spec.name)
-        self.config = config or TrainConfig()
-        self.loss_weights = dict(loss_weights or {})
-        unknown = set(self.loss_weights) - seen
-        if unknown:
-            raise ModelError(
-                f"loss weights for unknown targets: {sorted(unknown)}"
-            )
-        self.model: MultiTaskModel | None = None
-        self.target_scalers: dict[str, TargetScaler] = {}
-        self.history = TrainHistory()
-        #: per-target unweighted MSE per completed epoch (parallel to
-        #: ``history.losses``, which tracks the weighted total)
-        self.target_losses: dict[str, list[float]] = {}
-        self._scaler: FeatureScaler | None = None
-        self._fc_layers: dict[str, int] = {}
-
-    @property
-    def target_names(self) -> list[str]:
-        return [spec.name for spec in self.specs]
-
-    # ------------------------------------------------------------------
-    def _fit_quiet(
-        self,
-        bundle: DatasetBundle,
-        *,
-        runtime: RuntimeConfig | None = None,
-        inputs_cache: MergedInputsCache | None = None,
-        resume_from: str | os.PathLike | None = None,
-        batching: str = "mega",
-    ) -> "MultiTaskPredictor":
-        """Train trunk + heads on the bundle's train split; returns self.
-
-        Engine entry point — reach it through :func:`repro.flows.train`
-        with ``TrainPlan(trunk="shared")``.
-        """
-        with obs.span("train.fit", conv=self.conv, target="multitask"):
-            with precision.compute_dtype(self.config.dtype):
-                return self._fit(
-                    bundle,
-                    runtime=runtime,
-                    inputs_cache=inputs_cache,
-                    resume_from=resume_from,
-                    batching=batching,
-                )
-
-    def _fit(
-        self,
-        bundle: DatasetBundle,
-        *,
-        runtime: RuntimeConfig | None,
-        inputs_cache: MergedInputsCache | None,
-        resume_from: str | os.PathLike | None,
-        batching: str,
-    ) -> "MultiTaskPredictor":
-        cfg = self.config
-        rt = runtime or RuntimeConfig()
-        callbacks = rt.build_callbacks()
-        if cfg.log_every and not any(
-            isinstance(cb, ConsoleProgressReporter) for cb in callbacks
-        ):
-            callbacks.append(ConsoleProgressReporter(every=cfg.log_every))
-        emit = CallbackList(callbacks)
-
-        records = bundle.records("train")
-        cache = inputs_cache if inputs_cache is not None else MergedInputsCache()
-        inputs = None
-        prepared: dict[str, tuple[np.ndarray, Tensor, SegmentPlan]] = {}
-        fc_by_target: dict[str, int] = {}
-        with obs.span("train.inputs", target="multitask"):
-            for spec in self.specs:
-                inputs, ids, values = cache.merged_target(
-                    records, bundle.scaler, spec, batching
-                )
-                if len(ids) == 0:
-                    raise ModelError(
-                        f"no training samples for target {spec.name}"
-                    )
-                if spec.name == "CAP" and cfg.max_v is not None:
-                    keep = values <= cfg.max_v
-                    if not keep.any():
-                        raise ModelError(
-                            f"max_v={cfg.max_v} removed every training sample"
-                        )
-                    # boolean indexing copies; cached arrays stay untouched
-                    ids, values = ids[keep], values[keep]
-                scaler, default_fc = resolve_target_scaler(spec, values, cfg)
-                self.target_scalers[spec.name] = scaler
-                fc_by_target[spec.name] = (
-                    cfg.num_fc_layers
-                    if cfg.num_fc_layers is not None
-                    else default_fc
-                )
-                prepared[spec.name] = (
-                    ids,
-                    Tensor(scaler.transform(values).reshape(-1, 1)),
-                    SegmentPlan.build(ids, inputs.num_nodes),
-                )
-        self._fc_layers = fc_by_target
-        self._scaler = bundle.scaler
-        weights = {
-            spec.name: float(self.loss_weights.get(spec.name, 1.0))
-            for spec in self.specs
-        }
-
-        checkpoint = load_checkpoint(resume_from) if resume_from is not None else None
-        if checkpoint is not None:
-            ck_conv = checkpoint.meta.get("conv")
-            ck_target = checkpoint.meta.get("target")
-            ck_targets = checkpoint.meta.get("targets")
-            if (
-                ck_conv != self.conv
-                or ck_target != "multitask"
-                or ck_targets != self.target_names
-            ):
-                raise ModelError(
-                    f"checkpoint was written for {ck_conv}/{ck_target} "
-                    f"targets={ck_targets}, cannot resume "
-                    f"{self.conv}/multitask targets={self.target_names}"
-                )
-
-        last_reason = "training diverged"
-        for attempt in range(rt.max_retries + 1):
-            # Trunk and every head draw from their own named substream, so
-            # adding/removing a target never perturbs the others' inits,
-            # and retries never replay a diverged initialisation.
-            retry_path = ["retry", attempt] if attempt else []
-            trunk = SharedTrunk(
-                conv=self.conv,
-                feature_dims={t: feature_dim(t) for t in NODE_TYPES},
-                rng=stream(cfg.run_seed, "model", self.conv, "trunk", *retry_path),
-                embed_dim=cfg.embed_dim,
-                num_layers=cfg.num_layers,
-                conv_kwargs=cfg.conv_kwargs or {},
-            )
-            heads = {
-                spec.name: ReadoutHead(
-                    cfg.embed_dim,
-                    fc_by_target[spec.name],
-                    stream(
-                        cfg.run_seed,
-                        "model",
-                        self.conv,
-                        "head",
-                        spec.name,
-                        *retry_path,
-                    ),
-                )
-                for spec in self.specs
-            }
-            model = MultiTaskModel(trunk, heads)
-            optimizer = Adam(
-                model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay
-            )
-            params = optimizer.params
-            history = TrainHistory(attempts=attempt + 1)
-            target_losses: dict[str, list[float]] = {
-                spec.name: [] for spec in self.specs
-            }
-            start_epoch = 0
-            if checkpoint is not None and attempt == 0:
-                model.load_state_dict(checkpoint.params)
-                optimizer.load_state_dict(checkpoint.optimizer_state)
-                start_epoch = checkpoint.epoch
-                history.losses = list(checkpoint.losses)
-                history.grad_norms = list(checkpoint.grad_norms)
-                history.epoch_seconds = [float("nan")] * start_epoch
-                history.resumed_from = start_epoch
-                for name, losses in checkpoint.meta.get(
-                    "target_losses", {}
-                ).items():
-                    target_losses[name] = list(losses)
-
-            ctx = TrainContext(
-                conv=self.conv,
-                target="multitask",
-                total_epochs=cfg.epochs,
-                attempt=attempt,
-                run_seed=cfg.run_seed,
-                predictor=self,
-                model=model,
-            )
-            emit.on_train_start(ctx)
-
-            diverged = None
-            best_loss = min(history.losses) if history.losses else math.inf
-            epochs_since_best = 0
-            for epoch in range(start_epoch, cfg.epochs):
-                tick = time.perf_counter()
-                with obs.span(
-                    "train.epoch", epoch=epoch + 1, target="multitask"
-                ):
-                    optimizer.zero_grad()
-                    z = model.embed(inputs)
-                    total = None
-                    epoch_target_losses = {}
-                    for spec in self.specs:
-                        ids, targets, plan = prepared[spec.name]
-                        pred = model.heads[spec.name](z, ids, plan)
-                        term = mse_loss(pred, targets)
-                        epoch_target_losses[spec.name] = term.item()
-                        weight = weights[spec.name]
-                        if weight != 1.0:
-                            term = term * weight
-                        total = term if total is None else total + term
-                    loss_value = total.item()
-                    if not math.isfinite(loss_value):
-                        diverged = f"non-finite loss {loss_value}"
-                    else:
-                        total.backward()
-                        grad_norm = global_grad_norm(params)
-                        if not math.isfinite(grad_norm):
-                            diverged = f"non-finite gradient norm {grad_norm}"
-                        else:
-                            optimizer.step()
-                if diverged is not None:
-                    emit.on_divergence(ctx, epoch + 1, diverged)
-                    break
-                seconds = time.perf_counter() - tick
-                history.losses.append(loss_value)
-                history.grad_norms.append(grad_norm)
-                history.epoch_seconds.append(seconds)
-                for name, value in epoch_target_losses.items():
-                    target_losses[name].append(value)
-                emit.on_epoch_end(
-                    ctx,
-                    EpochMetrics(
-                        epoch=epoch + 1,
-                        loss=loss_value,
-                        grad_norm=grad_norm,
-                        lr=optimizer.lr,
-                        seconds=seconds,
-                        attempt=attempt,
-                    ),
-                )
-                if (
-                    rt.checkpoint_dir
-                    and rt.checkpoint_every
-                    and (epoch + 1) % rt.checkpoint_every == 0
-                ):
-                    with obs.span(
-                        "train.checkpoint", epoch=epoch + 1, target="multitask"
-                    ):
-                        path = save_checkpoint(
-                            os.path.join(
-                                rt.checkpoint_dir,
-                                f"{self.conv}-multitask"
-                                f"-epoch{epoch + 1:05d}.npz",
-                            ),
-                            model,
-                            optimizer,
-                            epoch=epoch + 1,
-                            attempt=attempt,
-                            losses=history.losses,
-                            grad_norms=history.grad_norms,
-                            meta={
-                                "conv": self.conv,
-                                "target": "multitask",
-                                "targets": self.target_names,
-                                "target_losses": target_losses,
-                                "run_seed": cfg.run_seed,
-                                "epochs": cfg.epochs,
-                            },
-                        )
-                    emit.on_checkpoint(ctx, path)
-                if rt.patience:
-                    if loss_value < best_loss - rt.min_delta:
-                        best_loss = loss_value
-                        epochs_since_best = 0
-                    else:
-                        epochs_since_best += 1
-                        if epochs_since_best >= rt.patience:
-                            history.stopped_early = True
-                            break
-
-            if diverged is None:
-                self.model = model
-                self.history = history
-                self.target_losses = target_losses
-                emit.on_train_end(ctx, history)
-                return self
-            last_reason = diverged
-            checkpoint = None  # a diverged lineage is not worth resuming
-
-        raise ModelError(
-            f"training {self.conv}/multitask diverged after "
-            f"{rt.max_retries + 1} attempt(s): {last_reason}"
-        )
-
-    # ------------------------------------------------------------------
-    def _require_fit(self) -> MultiTaskModel:
-        if self.model is None or not self.target_scalers:
-            raise ModelError(
-                "predictor is not fitted; train it via repro.flows.train"
-            )
-        return self.model
-
-    def _spec(self, target: str) -> TargetSpec:
-        for spec in self.specs:
-            if spec.name == target:
-                return spec
-        raise ModelError(
-            f"predictor has no head for target {target!r}; "
-            f"available: {self.target_names}"
-        )
-
-    def predict_graph(
-        self, graph, target: str, inputs: GraphInputs | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(node_ids, SI-unit predictions) of one head for a graph.
-
-        Predictions are clamped at zero — capacitances and geometries are
-        physical quantities.
-        """
-        model = self._require_fit()
-        spec = self._spec(target)
-        if inputs is None:
-            inputs = GraphInputs.from_graph(graph, self._scaler)
-        ids = spec.node_ids(graph)
-        with no_grad():
-            scaled = model(inputs, spec.name, ids).numpy().ravel()
-        return ids, np.maximum(self.target_scalers[spec.name].inverse(scaled), 0.0)
-
-    def predict_all_graph(
-        self, graph, inputs: GraphInputs | None = None
-    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """All heads' (node_ids, SI predictions) from one trunk pass."""
-        model = self._require_fit()
-        if inputs is None:
-            inputs = GraphInputs.from_graph(graph, self._scaler)
-        out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        with no_grad():
-            z = model.embed(inputs)
-            for spec in self.specs:
-                ids = spec.node_ids(graph)
-                scaled = model.heads[spec.name](z, ids).numpy().ravel()
-                out[spec.name] = (
-                    ids,
-                    np.maximum(
-                        self.target_scalers[spec.name].inverse(scaled), 0.0
-                    ),
-                )
-        return out
-
-    def predict(
-        self, record: CircuitRecord, target: str
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(node_ids, predictions in SI units) for one dataset record."""
-        return self.predict_graph(record.graph, target)
-
-    def evaluate(
-        self,
-        records: list[CircuitRecord],
-        target: str,
-        mape_eps: float = 0.0,
-    ) -> dict[str, float]:
-        """Pooled R²/MAE/MAPE of one head over several circuits."""
-        from repro.analysis.metrics import summarize
-
-        spec = self._spec(target)
-        truths, preds = [], []
-        for record in records:
-            _, truth = record.target_arrays(spec)
-            _, pred = self.predict(record, target)
-            truths.append(truth)
-            preds.append(pred)
-        return summarize(
-            np.concatenate(truths), np.concatenate(preds), mape_eps=mape_eps
-        )
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def save(self, path: str | os.PathLike) -> None:
-        """Write trunk + all heads + scalers + config to one .npz file."""
-        model = self._require_fit()
-        cfg = self.config
-        # weights are stored in float64 regardless of the training dtype so
-        # artifacts stay portable across precision policies
-        payload: dict[str, np.ndarray] = {
-            f"param/{name}": value.astype(np.float64, copy=False)  # staticcheck: ignore[precision-policy]
-            for name, value in model.state_dict().items()
-        }
-        per_target = {}
-        for spec in self.specs:
-            scaler = self.target_scalers[spec.name]
-            entry = {
-                "target_scale": scaler.scale,
-                "scaler_kind": (
-                    "log" if isinstance(scaler, LogTargetScaler) else "linear"
-                ),
-                "num_fc_layers": self._fc_layers[spec.name],
-            }
-            if isinstance(scaler, LogTargetScaler):
-                entry["target_scaler_floor"] = scaler.floor
-            per_target[spec.name] = entry
-        meta = {
-            "conv": self.conv,
-            "target": "multitask",
-            "targets": self.target_names,
-            "per_target": per_target,
-            "loss_weights": self.loss_weights,
-            "embed_dim": cfg.embed_dim,
-            "num_layers": cfg.num_layers,
-            "conv_kwargs": cfg.conv_kwargs or {},
-            "max_v": cfg.max_v,
-            "weight_decay": cfg.weight_decay,
-            "log_device_targets": cfg.log_device_targets,
-            "epochs": cfg.epochs,
-            "lr": cfg.lr,
-            "run_seed": cfg.run_seed,
-            "dtype": cfg.dtype,
-        }
-        payload["meta"] = np.array(json.dumps(meta))
-        for type_name, mean in self._scaler.means.items():
-            payload[f"fmean/{type_name}"] = mean
-            payload[f"fstd/{type_name}"] = self._scaler.stds[type_name]
-        np.savez(path, **payload)
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "MultiTaskPredictor":
-        """Load a predictor saved by :meth:`save`; ready for prediction."""
-        with np.load(path) as archive:
-            meta = json.loads(str(archive["meta"]))
-            if meta.get("target") != "multitask":
-                raise ModelError(
-                    f"{os.fspath(path)!r} is not a multitask artifact "
-                    f"(target={meta.get('target')!r})"
-                )
-            base_cfg = TrainConfig()
-            predictor = cls(
-                conv=meta["conv"],
-                targets=meta["targets"],
-                config=TrainConfig(
-                    embed_dim=meta["embed_dim"],
-                    num_layers=meta["num_layers"],
-                    conv_kwargs=meta.get("conv_kwargs") or {},
-                    max_v=meta.get("max_v"),
-                    weight_decay=meta.get("weight_decay", base_cfg.weight_decay),
-                    log_device_targets=meta.get(
-                        "log_device_targets", base_cfg.log_device_targets
-                    ),
-                    epochs=meta.get("epochs", base_cfg.epochs),
-                    lr=meta.get("lr", base_cfg.lr),
-                    run_seed=meta.get("run_seed", base_cfg.run_seed),
-                    dtype=meta.get("dtype", base_cfg.dtype),
-                ),
-                loss_weights=meta.get("loss_weights") or None,
-            )
-            per_target = meta["per_target"]
-            # Construction RNGs are throwaways — weights are overwritten by
-            # load_state_dict below.
-            trunk = SharedTrunk(
-                conv=meta["conv"],
-                feature_dims={t: feature_dim(t) for t in NODE_TYPES},
-                rng=stream(0, "model", meta["conv"], "trunk"),
-                embed_dim=meta["embed_dim"],
-                num_layers=meta["num_layers"],
-                conv_kwargs=meta.get("conv_kwargs") or {},
-            )
-            heads = {}
-            for name in meta["targets"]:
-                entry = per_target[name]
-                heads[name] = ReadoutHead(
-                    meta["embed_dim"],
-                    int(entry["num_fc_layers"]),
-                    stream(0, "model", meta["conv"], "head", name),
-                )
-                predictor._fc_layers[name] = int(entry["num_fc_layers"])
-                if entry.get("scaler_kind") == "log":
-                    predictor.target_scalers[name] = LogTargetScaler(
-                        float(entry["target_scale"]),
-                        floor=float(
-                            entry.get(
-                                "target_scaler_floor", LogTargetScaler(1.0).floor
-                            )
-                        ),
-                    )
-                else:
-                    predictor.target_scalers[name] = TargetScaler(
-                        float(entry["target_scale"])
-                    )
-            predictor.model = MultiTaskModel(trunk, heads)
-            predictor.model.load_state_dict(
-                {
-                    name[len("param/"):]: archive[name]
-                    for name in archive.files
-                    if name.startswith("param/")
-                }
-            )
-            scaler = FeatureScaler()
-            for name in archive.files:
-                if name.startswith("fmean/"):
-                    type_name = name[len("fmean/"):]
-                    scaler.means[type_name] = archive[name]
-                    scaler.stds[type_name] = archive[f"fstd/{type_name}"]
-            predictor._scaler = scaler
-        return predictor
+        return self.heads[target](self.trunk(inputs), node_ids)

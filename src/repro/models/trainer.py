@@ -1,10 +1,14 @@
-"""Training driver: one model per target, trained on the merged train split.
+"""Training driver: one predictor class, one training loop.
 
 Reproduces the paper's §V setup: ADAM at lr 0.01, MSE loss, 300 epochs,
 embedding width F=32, depth L=5, readout of 4 FC layers for the CAP model
-and 2 for device parameters.  CAP models support the ``max_v`` clamp of §IV
-(training samples above ``max_v`` are dropped), which is the building block
-of ensemble modeling.
+and 2 for device parameters.  A :class:`TargetPredictor` trains one
+:class:`~repro.models.multitask.MultiTaskModel`: a trunk under one readout
+head per target.  The paper's per-target model is the one-head case; a
+shared-trunk predictor fits several heads against one trunk pass per
+epoch, summing their (optionally weighted) MSE terms into one loss.  CAP
+heads support the ``max_v`` clamp of §IV (training samples above
+``max_v`` are dropped), which is the building block of ensemble modeling.
 """
 
 from __future__ import annotations
@@ -13,11 +17,14 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
 from repro import obs
+from repro.analysis.metrics import summarize
+from repro.circuits.devices import NODE_TYPES
 from repro.data.dataset import CircuitRecord, DatasetBundle
 from repro.data.normalize import (
     FeatureScaler,
@@ -39,12 +46,10 @@ from repro.flows.runtime import (
     save_checkpoint,
 )
 from repro.graph.features import feature_dim
-from repro.graph.hetero import merge_graphs
-from repro.analysis.metrics import summarize
-from repro.circuits.devices import NODE_TYPES
-from repro.models.base import GNNRegressor
 from repro.models.inputs import GraphInputs
+from repro.models.multitask import MultiTaskModel, ReadoutHead, SharedTrunk
 from repro.nn import Adam, Tensor, global_grad_norm, mse_loss, no_grad, precision
+from repro.nn.plan import SegmentPlan
 from repro.rng import stream
 
 
@@ -106,9 +111,8 @@ def resolve_target_scaler(
 ) -> tuple[TargetScaler, int]:
     """(target scaler, paper-default readout depth) for one target.
 
-    Shared by the per-target trainer and the multi-task trunk trainer so
-    both scale identically — the §IV ensemble semantics (CAP linear with a
-    ``max_v`` ceiling) and the log-space device targets live here.
+    The §IV ensemble semantics (CAP linear with a ``max_v`` ceiling) and
+    the log-space device targets live here.
     """
     if spec.name == "CAP":
         # CAP must train linearly: the §IV ensemble phenomenon (Fig. 5)
@@ -124,63 +128,123 @@ def resolve_target_scaler(
     return scaler_from_std(values), 2
 
 
-def _merged_inputs(
-    records: list[CircuitRecord],
-    bundle: DatasetBundle,
-    spec: TargetSpec,
-    batching: str = "mega",
-) -> tuple[GraphInputs, np.ndarray, np.ndarray]:
-    """Merged GraphInputs + target ids/values with node-id offsets applied.
+def _per_target_params(
+    params: dict[str, np.ndarray], target: str
+) -> dict[str, np.ndarray]:
+    """One-way reader of the per-target parameter names written before
+    every model became a trunk plus heads: ``encoder.*``/``convs.*`` move
+    under ``trunk.``, ``readout.*`` under ``heads.<target>.``."""
+    renamed = {}
+    for name, value in params.items():
+        if name.startswith(("encoder.", "convs.")):
+            name = f"trunk.{name}"
+        elif name.startswith("readout."):
+            name = f"heads.{target}.{name}"
+        renamed[name] = value
+    return renamed
 
-    ``batching="mega"`` disjoint-unions per-record :class:`GraphInputs`
-    (stitched segment plans, no re-sort); ``"graph"`` merges the
-    :class:`HeteroGraph` objects first (legacy path).  Both are
-    bit-identical.
-    """
-    if batching == "mega":
-        batch = GraphInputs.merge_graphs(
-            [GraphInputs.from_record(record, bundle.scaler) for record in records]
+
+def _scaler_from_meta(entry: dict) -> TargetScaler:
+    """One head's target scaler from its saved ``meta`` entry."""
+    if entry.get("scaler_kind") == "log":
+        return LogTargetScaler(
+            float(entry["target_scale"]),
+            floor=float(
+                entry.get("target_scaler_floor", LogTargetScaler(1.0).floor)
+            ),
         )
-        inputs, offsets = batch.inputs, batch.offsets
-    else:
-        merged = merge_graphs([record.graph for record in records])
-        inputs = GraphInputs.from_graph(merged, bundle.scaler)
-        offsets = np.cumsum([0] + [r.graph.num_nodes for r in records[:-1]])
-    ids, values = [], []
-    for record, offset in zip(records, offsets):
-        node_ids, vals = record.target_arrays(spec)
-        ids.append(node_ids + int(offset))
-        values.append(vals)
-    return inputs, np.concatenate(ids), np.concatenate(values)
+    return TargetScaler(float(entry["target_scale"]))
 
 
 class TargetPredictor:
-    """One trained model for one prediction target.
+    """A trained GNN: one trunk, one readout head per target.
 
     Parameters
     ----------
     conv:
         GNN flavour (``paragraph``, ``sage``, ``rgcn``, ``gat``, ``gcn``).
-    target:
-        Target name (``CAP``, ``LDE3``, ``SA``...) or a :class:`TargetSpec`.
+    targets:
+        One target name (``CAP``, ``LDE3``, ``SA``...) or
+        :class:`TargetSpec` for the paper's per-target model, or a
+        sequence of them for a shared trunk with one head per target.
     config:
-        Training hyper-parameters.
+        Training hyper-parameters; ``max_v`` applies to the CAP head only.
+    loss_weights:
+        Optional per-target weights for the summed loss; unlisted targets
+        weigh 1.0.  The total loss is ``sum_t w_t * mse_t`` — no implicit
+        normalisation, so weights are directly comparable across runs.
     """
 
     def __init__(
         self,
         conv: str = "paragraph",
-        target: str | TargetSpec = "CAP",
+        targets: str | TargetSpec | Sequence[str | TargetSpec] = "CAP",
         config: TrainConfig | None = None,
+        loss_weights: dict[str, float] | None = None,
     ):
+        if isinstance(targets, (str, TargetSpec)):
+            targets = [targets]
         self.conv = conv
-        self.spec = target if isinstance(target, TargetSpec) else target_by_name(target)
+        self.specs = [
+            t if isinstance(t, TargetSpec) else target_by_name(t) for t in targets
+        ]
+        if not self.specs:
+            raise ModelError("a predictor needs at least one target")
+        seen: set[str] = set()
+        for spec in self.specs:
+            if spec.name in seen:
+                raise ModelError(f"duplicate target {spec.name!r}")
+            seen.add(spec.name)
         self.config = config or TrainConfig()
-        self.model: GNNRegressor | None = None
-        self.target_scaler: TargetScaler | None = None
+        self.loss_weights = dict(loss_weights or {})
+        unknown = set(self.loss_weights) - seen
+        if unknown:
+            raise ModelError(
+                f"loss weights for unknown targets: {sorted(unknown)}"
+            )
+        self.model: MultiTaskModel | None = None
+        self.target_scalers: dict[str, TargetScaler] = {}
         self.history = TrainHistory()
-        self._scaler = None  # feature scaler, captured from the bundle at fit
-        self._fc_layers: int | None = None  # readout depth resolved at fit
+        #: per-target unweighted MSE per completed epoch (parallel to
+        #: ``history.losses``, which tracks the weighted total)
+        self.target_losses: dict[str, list[float]] = {}
+        self._scaler: FeatureScaler | None = None  # captured at fit
+        self._fc_layers: dict[str, int] = {}  # readout depths resolved at fit
+
+    @property
+    def target_names(self) -> list[str]:
+        return [spec.name for spec in self.specs]
+
+    @property
+    def tag(self) -> str:
+        """Name of this model in checkpoints, logs and spans: the target
+        of a one-head model, ``"multitask"`` otherwise."""
+        return self.specs[0].name if len(self.specs) == 1 else "multitask"
+
+    @property
+    def spec(self) -> TargetSpec:
+        """The target of a one-head predictor."""
+        return self._spec(None)
+
+    @property
+    def target_scaler(self) -> TargetScaler | None:
+        """The fitted target scaler of a one-head predictor."""
+        return self.target_scalers.get(self.spec.name)
+
+    def _spec(self, target: str | None) -> TargetSpec:
+        if target is None:
+            if len(self.specs) == 1:
+                return self.specs[0]
+            raise ModelError(
+                f"predictor has heads {self.target_names}; name a target"
+            )
+        for spec in self.specs:
+            if spec.name == target:
+                return spec
+        raise ModelError(
+            f"predictor has no head for target {target!r}; "
+            f"available: {self.target_names}"
+        )
 
     # ------------------------------------------------------------------
     def fit(
@@ -191,49 +255,7 @@ class TargetPredictor:
         inputs_cache: MergedInputsCache | None = None,
         resume_from: str | os.PathLike | None = None,
     ) -> "TargetPredictor":
-        """Deprecated: train via :func:`repro.flows.train` instead.
-
-        Routes through the :class:`~repro.flows.plan.TrainPlan` engine with
-        this predictor injected, so the resulting weights, history and
-        checkpoints are bit-identical to the historical direct ``fit``.
-        Emits a :class:`DeprecationWarning` once per process.
-        """
-        from repro.api.compat import warn_deprecated
-
-        warn_deprecated(
-            "TargetPredictor.fit",
-            "repro.flows.train(bundle, TrainPlan(targets=[...], ...))",
-        )
-        from repro.flows.plan import TrainPlan, _train_with_predictors
-
-        plan = TrainPlan(
-            targets=(self.spec.name,),
-            conv=self.conv,
-            config=self.config,
-            runtime=runtime,
-            resume_from=os.fspath(resume_from) if resume_from is not None else None,
-        )
-        _train_with_predictors(
-            bundle,
-            plan,
-            inputs_cache=inputs_cache,
-            predictors={self.spec.name: self},
-        )
-        return self
-
-    def _fit_quiet(
-        self,
-        bundle: DatasetBundle,
-        *,
-        runtime: RuntimeConfig | None = None,
-        inputs_cache: MergedInputsCache | None = None,
-        resume_from: str | os.PathLike | None = None,
-        batching: str = "mega",
-    ) -> "TargetPredictor":
-        """Train on the bundle's train split; returns self.
-
-        The non-deprecated engine entry point — :func:`repro.flows.train`
-        lands here for every per-target job.
+        """Train trunk + heads on the bundle's train split; returns self.
 
         Parameters
         ----------
@@ -244,38 +266,111 @@ class TargetPredictor:
         inputs_cache:
             A shared :class:`MergedInputsCache`; when several predictors
             train on the same bundle this avoids re-merging the training
-            graphs per target.
+            graphs per model.
         resume_from:
             Path of a checkpoint written by a previous fit of the same
-            conv/target; training continues from its epoch counter with the
-            exact optimizer state, reproducing the uninterrupted run
+            conv/targets; training continues from its epoch counter with
+            the exact optimizer state, reproducing the uninterrupted run
             bit-for-bit.
-        batching:
-            Merged-input construction mode: ``"mega"`` disjoint-unions
-            per-graph :class:`GraphInputs` (stitched plans), ``"graph"``
-            merges the hetero graphs first.  Bit-identical outputs.
         """
-        with obs.span("train.fit", conv=self.conv, target=self.spec.name):
+        with obs.span("train.fit", conv=self.conv, target=self.tag):
             with precision.compute_dtype(self.config.dtype):
                 return self._fit(
                     bundle,
-                    runtime=runtime,
-                    inputs_cache=inputs_cache,
-                    resume_from=resume_from,
-                    batching=batching,
+                    runtime or RuntimeConfig(),
+                    inputs_cache if inputs_cache is not None else MergedInputsCache(),
+                    resume_from,
                 )
+
+    def _prepare(
+        self, bundle: DatasetBundle, cache: MergedInputsCache
+    ) -> tuple[GraphInputs, dict[str, tuple[np.ndarray, Tensor, SegmentPlan]]]:
+        """Merged training inputs plus (ids, scaled targets, gather plan)
+        per head; resolves each head's target scaler and readout depth."""
+        cfg = self.config
+        records = bundle.records("train")
+        prepared: dict[str, tuple[np.ndarray, Tensor, SegmentPlan]] = {}
+        with obs.span("train.inputs", target=self.tag):
+            for spec in self.specs:
+                inputs, ids, values = cache.merged_target(
+                    records, bundle.scaler, spec
+                )
+                if len(ids) == 0:
+                    raise ModelError(
+                        f"no training samples for target {spec.name}"
+                    )
+                if spec.name == "CAP" and cfg.max_v is not None:
+                    keep = values <= cfg.max_v
+                    if not keep.any():
+                        raise ModelError(
+                            f"max_v={cfg.max_v} removed every training sample"
+                        )
+                    # boolean indexing copies; cached arrays stay untouched
+                    ids, values = ids[keep], values[keep]
+                scaler, default_fc = resolve_target_scaler(spec, values, cfg)
+                self.target_scalers[spec.name] = scaler
+                # an explicit num_fc_layers (including 0 = linear readout)
+                # is always honoured; only None falls back to the paper
+                self._fc_layers[spec.name] = (
+                    cfg.num_fc_layers
+                    if cfg.num_fc_layers is not None
+                    else default_fc
+                )
+                prepared[spec.name] = (
+                    ids,
+                    Tensor(scaler.transform(values).reshape(-1, 1)),
+                    SegmentPlan.build(ids, inputs.num_nodes),
+                )
+        self._scaler = bundle.scaler
+        return inputs, prepared
+
+    def _build_model(self, attempt: int = 0) -> MultiTaskModel:
+        """A freshly initialised trunk + heads.
+
+        A one-head model draws its trunk and then its head from the
+        ``model/<conv>/<target>`` substream (the draw order of the paper's
+        per-target models, so their seeds reproduce bitwise).  With several
+        heads the trunk and every head draw from their own named
+        substreams, so adding or removing a target never perturbs the
+        others' inits.  Retries append ``retry/<n>``, so a diverged
+        initialisation is never replayed.
+        """
+        cfg = self.config
+        retry = ["retry", attempt] if attempt else []
+        one_head = len(self.specs) == 1
+        trunk_rng = stream(
+            cfg.run_seed, "model", self.conv,
+            self.tag if one_head else "trunk", *retry,
+        )
+        trunk = SharedTrunk(
+            conv=self.conv,
+            feature_dims={t: feature_dim(t) for t in NODE_TYPES},
+            rng=trunk_rng,
+            embed_dim=cfg.embed_dim,
+            num_layers=cfg.num_layers,
+            conv_kwargs=cfg.conv_kwargs or {},
+        )
+        heads = {
+            spec.name: ReadoutHead(
+                cfg.embed_dim,
+                self._fc_layers[spec.name],
+                trunk_rng if one_head else stream(
+                    cfg.run_seed, "model", self.conv, "head", spec.name, *retry
+                ),
+            )
+            for spec in self.specs
+        }
+        return MultiTaskModel(trunk, heads)
 
     def _fit(
         self,
         bundle: DatasetBundle,
-        *,
-        runtime: RuntimeConfig | None,
-        inputs_cache: MergedInputsCache | None,
+        rt: RuntimeConfig,
+        cache: MergedInputsCache,
         resume_from: str | os.PathLike | None,
-        batching: str = "mega",
     ) -> "TargetPredictor":
         cfg = self.config
-        rt = runtime or RuntimeConfig()
+        tag = self.tag
         callbacks = rt.build_callbacks()
         if cfg.log_every and not any(
             isinstance(cb, ConsoleProgressReporter) for cb in callbacks
@@ -284,71 +379,41 @@ class TargetPredictor:
             callbacks.append(ConsoleProgressReporter(every=cfg.log_every))
         emit = CallbackList(callbacks)
 
-        records = bundle.records("train")
-        with obs.span("train.inputs", target=self.spec.name):
-            if inputs_cache is not None:
-                inputs, ids, values = inputs_cache.merged_target(
-                    records, bundle.scaler, self.spec, batching
-                )
-            else:
-                inputs, ids, values = _merged_inputs(
-                    records, bundle, self.spec, batching
-                )
-        if len(ids) == 0:
-            raise ModelError(f"no training samples for target {self.spec.name}")
+        inputs, prepared = self._prepare(bundle, cache)
+        weights = {
+            name: float(self.loss_weights.get(name, 1.0))
+            for name in self.target_names
+        }
 
-        if cfg.max_v is not None:
-            keep = values <= cfg.max_v
-            if not keep.any():
-                raise ModelError(
-                    f"max_v={cfg.max_v} removed every training sample"
-                )
-            # boolean indexing copies, so cached arrays stay untouched
-            ids, values = ids[keep], values[keep]
-
-        # An explicit num_fc_layers (including 0 = linear readout) is always
-        # honoured; only None falls back to the paper depths.
-        self.target_scaler, default_fc = resolve_target_scaler(
-            self.spec, values, cfg
-        )
-        fc_layers = cfg.num_fc_layers if cfg.num_fc_layers is not None else default_fc
-        conv_kwargs = cfg.conv_kwargs if cfg.conv_kwargs is not None else {}
-        self._fc_layers = fc_layers
-        self._scaler = bundle.scaler
-
-        targets = Tensor(self.target_scaler.transform(values).reshape(-1, 1))
         checkpoint = load_checkpoint(resume_from) if resume_from is not None else None
         if checkpoint is not None:
             ck_conv = checkpoint.meta.get("conv")
-            ck_target = checkpoint.meta.get("target")
-            if ck_conv != self.conv or ck_target != self.spec.name:
+            # per-target checkpoints written before heads existed carry
+            # only "target" and the old parameter names
+            ck_targets = checkpoint.meta.get("targets")
+            if ck_targets is None:
+                ck_targets = [checkpoint.meta.get("target")]
+                checkpoint.params = _per_target_params(
+                    checkpoint.params, ck_targets[0]
+                )
+            if ck_conv != self.conv or ck_targets != self.target_names:
                 raise ModelError(
-                    f"checkpoint was written for {ck_conv}/{ck_target}, "
-                    f"cannot resume {self.conv}/{self.spec.name}"
+                    f"checkpoint was written for {ck_conv} targets="
+                    f"{ck_targets}, cannot resume {self.conv} "
+                    f"targets={self.target_names}"
                 )
 
         last_reason = "training diverged"
         for attempt in range(rt.max_retries + 1):
-            # Re-seeded retries draw from a fresh named substream so a
-            # diverged initialisation is never replayed.
-            seed_path = ["model", self.conv, self.spec.name]
-            if attempt:
-                seed_path += ["retry", attempt]
-            rng = stream(cfg.run_seed, *seed_path)
-            model = GNNRegressor(
-                conv=self.conv,
-                feature_dims={t: feature_dim(t) for t in NODE_TYPES},
-                rng=rng,
-                embed_dim=cfg.embed_dim,
-                num_layers=cfg.num_layers,
-                num_fc_layers=fc_layers,
-                conv_kwargs=conv_kwargs,
-            )
+            model = self._build_model(attempt)
             optimizer = Adam(
                 model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay
             )
             params = optimizer.params
             history = TrainHistory(attempts=attempt + 1)
+            target_losses: dict[str, list[float]] = {
+                name: [] for name in self.target_names
+            }
             start_epoch = 0
             if checkpoint is not None and attempt == 0:
                 model.load_state_dict(checkpoint.params)
@@ -358,10 +423,14 @@ class TargetPredictor:
                 history.grad_norms = list(checkpoint.grad_norms)
                 history.epoch_seconds = [float("nan")] * start_epoch
                 history.resumed_from = start_epoch
+                for name, losses in checkpoint.meta.get(
+                    "target_losses", {}
+                ).items():
+                    target_losses[name] = list(losses)
 
             ctx = TrainContext(
                 conv=self.conv,
-                target=self.spec.name,
+                target=tag,
                 total_epochs=cfg.epochs,
                 attempt=attempt,
                 run_seed=cfg.run_seed,
@@ -375,17 +444,22 @@ class TargetPredictor:
             epochs_since_best = 0
             for epoch in range(start_epoch, cfg.epochs):
                 tick = time.perf_counter()
-                with obs.span(
-                    "train.epoch", epoch=epoch + 1, target=self.spec.name
-                ):
+                with obs.span("train.epoch", epoch=epoch + 1, target=tag):
                     optimizer.zero_grad()
-                    pred = model(inputs, ids)
-                    loss = mse_loss(pred, targets)
-                    loss_value = loss.item()
+                    z = model.embed(inputs)
+                    total = None
+                    epoch_target_losses = {}
+                    for name, (ids, targets, plan) in prepared.items():
+                        term = mse_loss(model.heads[name](z, ids, plan), targets)
+                        epoch_target_losses[name] = term.item()
+                        if weights[name] != 1.0:
+                            term = term * weights[name]
+                        total = term if total is None else total + term
+                    loss_value = total.item()
                     if not math.isfinite(loss_value):
                         diverged = f"non-finite loss {loss_value}"
                     else:
-                        loss.backward()
+                        total.backward()
                         grad_norm = global_grad_norm(params)
                         if not math.isfinite(grad_norm):
                             diverged = f"non-finite gradient norm {grad_norm}"
@@ -398,6 +472,8 @@ class TargetPredictor:
                 history.losses.append(loss_value)
                 history.grad_norms.append(grad_norm)
                 history.epoch_seconds.append(seconds)
+                for name, value in epoch_target_losses.items():
+                    target_losses[name].append(value)
                 emit.on_epoch_end(
                     ctx,
                     EpochMetrics(
@@ -415,15 +491,12 @@ class TargetPredictor:
                     and (epoch + 1) % rt.checkpoint_every == 0
                 ):
                     with obs.span(
-                        "train.checkpoint",
-                        epoch=epoch + 1,
-                        target=self.spec.name,
+                        "train.checkpoint", epoch=epoch + 1, target=tag
                     ):
                         path = save_checkpoint(
                             os.path.join(
                                 rt.checkpoint_dir,
-                                f"{self.conv}-{self.spec.name}"
-                                f"-epoch{epoch + 1:05d}.npz",
+                                f"{self.conv}-{tag}-epoch{epoch + 1:05d}.npz",
                             ),
                             model,
                             optimizer,
@@ -433,7 +506,9 @@ class TargetPredictor:
                             grad_norms=history.grad_norms,
                             meta={
                                 "conv": self.conv,
-                                "target": self.spec.name,
+                                "target": tag,
+                                "targets": self.target_names,
+                                "target_losses": target_losses,
                                 "run_seed": cfg.run_seed,
                                 "epochs": cfg.epochs,
                             },
@@ -452,72 +527,51 @@ class TargetPredictor:
             if diverged is None:
                 self.model = model
                 self.history = history
+                self.target_losses = target_losses
                 emit.on_train_end(ctx, history)
                 return self
             last_reason = diverged
             checkpoint = None  # a diverged lineage is not worth resuming
 
         raise ModelError(
-            f"training {self.conv}/{self.spec.name} diverged after "
+            f"training {self.conv}/{tag} diverged after "
             f"{rt.max_retries + 1} attempt(s): {last_reason}"
         )
 
     # ------------------------------------------------------------------
-    def _require_fit(self) -> GNNRegressor:
-        if self.model is None or self.target_scaler is None:
+    def _require_fit(self) -> MultiTaskModel:
+        if self.model is None or not self.target_scalers:
             raise ModelError("predictor is not fitted; call fit() first")
         return self.model
 
-    def predict_graph(
-        self, graph, inputs: GraphInputs | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(node_ids, SI-unit predictions) for a heterogeneous graph.
+    def _to_si(self, target: str, scaled: np.ndarray) -> np.ndarray:
+        """SI-unit values of one head's scaled outputs, clamped at zero —
+        capacitances and geometries are physical quantities."""
+        return np.maximum(self.target_scalers[target].inverse(scaled), 0.0)
 
-        Predictions are clamped at zero — capacitances and geometries are
-        physical quantities.  ``inputs`` may carry pre-scaled
-        :class:`GraphInputs` for *graph* (the serving cache path); when
-        omitted they are built here.
+    def predict_graph(
+        self, graph, target: str | None = None, inputs: GraphInputs | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(node_ids, SI-unit predictions) of one head for a graph.
+
+        *target* may be omitted on a one-head predictor.  ``inputs`` may
+        carry pre-scaled :class:`GraphInputs` for *graph*; when omitted
+        they are built here.
         """
         model = self._require_fit()
+        spec = self._spec(target)
         if inputs is None:
             inputs = GraphInputs.from_graph(graph, self._scaler)
-        ids = self.spec.node_ids(graph)
+        ids = spec.node_ids(graph)
         with no_grad():
-            scaled = model(inputs, ids).numpy().ravel()
-        return ids, np.maximum(self.target_scaler.inverse(scaled), 0.0)
+            scaled = model(inputs, spec.name, ids).numpy().ravel()
+        return ids, self._to_si(spec.name, scaled)
 
-    def predict(self, record: CircuitRecord) -> tuple[np.ndarray, np.ndarray]:
+    def predict(
+        self, record: CircuitRecord, target: str | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(node_ids, predictions in SI units) for one dataset record."""
-        return self.predict_graph(record.graph)
-
-    def predict_named(self, record: CircuitRecord) -> dict[str, float]:
-        """Deprecated: predictions keyed by net/instance name.
-
-        Use :meth:`repro.api.Engine.predict` /
-        :meth:`~repro.api.PredictionResult.named` instead.
-        """
-        from repro.api.compat import named_from_arrays, warn_deprecated
-
-        warn_deprecated(
-            "TargetPredictor.predict_named",
-            "repro.api.Engine.predict(...).named(target)",
-        )
-        return named_from_arrays(record.graph, *self.predict(record))
-
-    def predict_circuit(self, circuit) -> dict[str, float]:
-        """Deprecated: predict straight from a schematic (no layout).
-
-        Use :meth:`repro.api.Engine.predict` (cached, batchable) or
-        :func:`repro.api.predict_one` instead.
-        """
-        from repro.api.compat import warn_deprecated
-        from repro.api.engine import predict_one
-
-        warn_deprecated(
-            "TargetPredictor.predict_circuit",
-            "repro.api.Engine.predict(circuit).named(target)",
-        )
-        return predict_one(self, circuit).named(self.spec.name)
+        return self.predict_graph(record.graph, target)
 
     def attention_report(
         self, record: CircuitRecord, layer: int = 0
@@ -527,14 +581,14 @@ class TargetPredictor:
         Only available for the ParaGraph model with attention enabled;
         sorted by descending weight for quick inspection.
         """
-        model = self._require_fit()
-        conv = model.convs[layer]
+        trunk = self._require_fit().trunk
+        conv = trunk.convs[layer]
         if not hasattr(conv, "attention_weights"):
             raise ModelError(f"conv {self.conv!r} does not expose attention")
         inputs = GraphInputs.from_record(record, self._scaler)
         with no_grad():
-            h = model.encoder(inputs)
-            for earlier in model.convs[:layer]:
+            h = trunk.encoder(inputs)
+            for earlier in trunk.convs[:layer]:
                 h = earlier(h, inputs)
             weights = conv.attention_weights(h, inputs)
         if not weights:
@@ -561,46 +615,44 @@ class TargetPredictor:
             (types[k], srcs[k], dsts[k], float(alphas[k])) for k in order
         ]
 
-    def embed_record(self, record: CircuitRecord) -> tuple[np.ndarray, np.ndarray]:
+    def embed_record(
+        self, record: CircuitRecord, target: str | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(target node_ids, embedding rows) — used for t-SNE (Fig. 8)."""
         model = self._require_fit()
         inputs = GraphInputs.from_record(record, self._scaler)
-        ids = self.spec.node_ids(record.graph)
+        ids = self._spec(target).node_ids(record.graph)
         with no_grad():
-            z = model.embed(inputs).numpy()
+            z = model.trunk(inputs).numpy()
         return ids, z[ids]
 
-    def evaluate(
-        self, records: list[CircuitRecord], mape_eps: float = 0.0
-    ) -> dict[str, float]:
-        """Pooled R²/MAE/MAPE over several circuits."""
-        truths, preds = [], []
-        for record in records:
-            _, truth = record.target_arrays(self.spec)
-            _, pred = self.predict(record)
-            truths.append(truth)
-            preds.append(pred)
-        return summarize(
-            np.concatenate(truths), np.concatenate(preds), mape_eps=mape_eps
-        )
-
     def collect(
-        self, records: list[CircuitRecord]
+        self, records: list[CircuitRecord], target: str | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(ground truth, prediction) arrays pooled over records."""
+        """(ground truth, prediction) arrays of one head pooled over records."""
+        spec = self._spec(target)
         truths, preds = [], []
         for record in records:
-            _, truth = record.target_arrays(self.spec)
-            _, pred = self.predict(record)
+            _, truth = record.target_arrays(spec)
+            _, pred = self.predict(record, spec.name)
             truths.append(truth)
             preds.append(pred)
         return np.concatenate(truths), np.concatenate(preds)
+
+    def evaluate(
+        self,
+        records: list[CircuitRecord],
+        target: str | None = None,
+        mape_eps: float = 0.0,
+    ) -> dict[str, float]:
+        """Pooled R²/MAE/MAPE of one head over several circuits."""
+        return summarize(*self.collect(records, target), mape_eps=mape_eps)
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path: str | os.PathLike) -> None:
-        """Write the trained model (weights + both scalers + config) to .npz."""
+        """Write trunk + heads + scalers + config to one .npz file."""
         model = self._require_fit()
         cfg = self.config
         # weights are stored in float64 regardless of the training dtype so
@@ -609,21 +661,28 @@ class TargetPredictor:
             f"param/{name}": value.astype(np.float64, copy=False)  # staticcheck: ignore[precision-policy]
             for name, value in model.state_dict().items()
         }
-        fc_layers = (
-            self._fc_layers
-            if self._fc_layers is not None
-            else len(model.readout.layers)
-        )
+        per_target = {}
+        for name in self.target_names:
+            scaler = self.target_scalers[name]
+            entry = {
+                "target_scale": scaler.scale,
+                "scaler_kind": (
+                    "log" if isinstance(scaler, LogTargetScaler) else "linear"
+                ),
+                "num_fc_layers": self._fc_layers[name],
+            }
+            if isinstance(scaler, LogTargetScaler):
+                entry["target_scaler_floor"] = scaler.floor
+            per_target[name] = entry
         meta = {
             "conv": self.conv,
-            "target": self.spec.name,
-            "target_scale": self.target_scaler.scale,
-            "scaler_kind": (
-                "log" if isinstance(self.target_scaler, LogTargetScaler) else "linear"
-            ),
+            "target": self.tag,
+            "targets": self.target_names,
+            "per_target": per_target,
+            "loss_weights": self.loss_weights,
             "embed_dim": cfg.embed_dim,
             "num_layers": cfg.num_layers,
-            "num_fc_layers": fc_layers,
+            "num_fc_layers": cfg.num_fc_layers,
             "conv_kwargs": cfg.conv_kwargs or {},
             # Training provenance that load() must restore: without max_v a
             # reloaded CAP range model loses its ceiling and a saved §IV
@@ -636,8 +695,6 @@ class TargetPredictor:
             "run_seed": cfg.run_seed,
             "dtype": cfg.dtype,
         }
-        if isinstance(self.target_scaler, LogTargetScaler):
-            meta["target_scaler_floor"] = self.target_scaler.floor
         payload["meta"] = np.array(json.dumps(meta))
         for type_name, mean in self._scaler.means.items():
             payload[f"fmean/{type_name}"] = mean
@@ -646,61 +703,46 @@ class TargetPredictor:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "TargetPredictor":
-        """Load a predictor saved by :meth:`save`; ready for prediction."""
+        """Load a predictor saved by :meth:`save`; ready for prediction.
+
+        Per-target artifacts written before every model became a trunk
+        plus heads (one target's scaler fields at the top of ``meta``,
+        ``encoder.*``/``convs.*``/``readout.*`` parameters) load as the
+        one-head predictor they describe.
+        """
         with np.load(path) as archive:
             meta = json.loads(str(archive["meta"]))
-            base_cfg = TrainConfig()
-            predictor = cls(
-                conv=meta["conv"],
-                target=meta["target"],
-                config=TrainConfig(
-                    embed_dim=meta["embed_dim"],
-                    num_layers=meta["num_layers"],
-                    num_fc_layers=meta["num_fc_layers"],
-                    conv_kwargs=meta.get("conv_kwargs") or {},
-                    max_v=meta.get("max_v"),
-                    weight_decay=meta.get("weight_decay", base_cfg.weight_decay),
-                    log_device_targets=meta.get(
-                        "log_device_targets", base_cfg.log_device_targets
-                    ),
-                    epochs=meta.get("epochs", base_cfg.epochs),
-                    lr=meta.get("lr", base_cfg.lr),
-                    run_seed=meta.get("run_seed", base_cfg.run_seed),
-                    dtype=meta.get("dtype", base_cfg.dtype),
-                ),
-            )
-            predictor._fc_layers = meta["num_fc_layers"]
-            rng = stream(0, "model", predictor.conv, predictor.spec.name)
-            predictor.model = GNNRegressor(
-                conv=predictor.conv,
-                feature_dims={t: feature_dim(t) for t in NODE_TYPES},
-                rng=rng,
-                embed_dim=meta["embed_dim"],
-                num_layers=meta["num_layers"],
-                num_fc_layers=meta["num_fc_layers"],
-                conv_kwargs=meta.get("conv_kwargs") or {},
-            )
-            predictor.model.load_state_dict(
-                {
-                    name[len("param/"):]: archive[name]
-                    for name in archive.files
-                    if name.startswith("param/")
-                }
-            )
-            if meta.get("scaler_kind") == "log":
-                predictor.target_scaler = LogTargetScaler(
-                    float(meta["target_scale"]),
-                    floor=float(
-                        meta.get("target_scaler_floor", LogTargetScaler(1.0).floor)
-                    ),
-                )
-            else:
-                predictor.target_scaler = TargetScaler(float(meta["target_scale"]))
+            params = {
+                name[len("param/"):]: archive[name]
+                for name in archive.files
+                if name.startswith("param/")
+            }
             scaler = FeatureScaler()
             for name in archive.files:
                 if name.startswith("fmean/"):
                     type_name = name[len("fmean/"):]
                     scaler.means[type_name] = archive[name]
                     scaler.stds[type_name] = archive[f"fstd/{type_name}"]
-            predictor._scaler = scaler
+        if "targets" not in meta:
+            target = meta["target"]
+            meta["targets"] = [target]
+            meta["per_target"] = {target: meta}
+            params = _per_target_params(params, target)
+        config_fields = {f.name for f in fields(TrainConfig)}
+        predictor = cls(
+            conv=meta["conv"],
+            targets=meta["targets"],
+            config=TrainConfig(
+                **{key: meta[key] for key in config_fields & set(meta)}
+            ),
+            loss_weights=meta.get("loss_weights") or None,
+        )
+        for name in predictor.target_names:
+            entry = meta["per_target"][name]
+            predictor._fc_layers[name] = int(entry["num_fc_layers"])
+            predictor.target_scalers[name] = _scaler_from_meta(entry)
+        # the construction draws are throwaways: the saved weights replace them
+        predictor.model = predictor._build_model()
+        predictor.model.load_state_dict(params)
+        predictor._scaler = scaler
         return predictor

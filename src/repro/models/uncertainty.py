@@ -57,7 +57,7 @@ class SeedEnsemblePredictor:
                 **{**self.config.__dict__, "run_seed": self.config.run_seed + index}
             )
             member = TargetPredictor(self.conv, self.target, cfg)
-            member._fit_quiet(bundle)
+            member.fit(bundle)
             self.members.append(member)
         return self
 

@@ -99,7 +99,9 @@ def evaluate_sizing(
     elif mode == "predicted":
         if predictor is None:
             raise ReproError("mode 'predicted' needs a trained CAP predictor")
-        caps = predictor.predict_circuit(bench.circuit)
+        from repro.api import predict_one
+
+        caps = predict_one(predictor, bench.circuit).named("CAP")
         annotations = predicted_annotations(caps, circuit=bench.circuit)
     else:
         layout = synthesize_layout(bench.circuit, seed=problem.layout_seed)

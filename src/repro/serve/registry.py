@@ -5,11 +5,13 @@ weights it is serving, and notice when an artifact on disk changed.
 :class:`ModelRegistry` does all three over the repo's three persisted model
 shapes:
 
-* ``<name>.npz`` — a single :meth:`TargetPredictor.save` artifact,
+* ``<name>.npz`` — a single :meth:`TargetPredictor.save` artifact (one
+  head or a shared trunk with many),
 * a directory with ``ensemble.json`` — a
   :meth:`CapacitanceEnsemble.save_dir` artifact,
-* a directory of per-target ``*.npz`` files — a
-  :meth:`MultiTargetModel.save_dir` suite.
+* a directory of predictor ``*.npz`` files — a
+  :meth:`MultiTargetModel.save_dir` suite (``repro train-all`` writes one
+  file per target, or one ``multitask.npz`` with ``--trunk shared``).
 
 Every entry carries a **version**: the truncated SHA-256 of the artifact's
 bytes (for directories, of the sorted ``(filename, file-hash)`` pairs), so
@@ -58,23 +60,10 @@ def load_model(path: str | os.PathLike):
     """Load whichever model family is saved at *path* (sniffed by shape)."""
     from repro.ensemble.ensemble import CapacitanceEnsemble
     from repro.flows.training import MultiTargetModel
-    from repro.models.multitask import MultiTaskPredictor
     from repro.models.trainer import TargetPredictor
 
     path = os.fspath(path)
     if os.path.isfile(path):
-        import json
-
-        import numpy as np
-
-        with np.load(path) as archive:
-            meta = (
-                json.loads(str(archive["meta"]))
-                if "meta" in archive.files
-                else {}
-            )
-        if meta.get("target") == "multitask":
-            return MultiTaskPredictor.load(path)
         return TargetPredictor.load(path)
     if os.path.isdir(path):
         if os.path.exists(os.path.join(path, "ensemble.json")):

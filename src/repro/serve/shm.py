@@ -265,9 +265,11 @@ def attach_arrays(manifest: Mapping) -> AttachedArrays:
 # ----------------------------------------------------------------------
 def _leaf_predictors(model, prefix: str = ""):
     """Yield ``(key_prefix, TargetPredictor)`` for every GNN leaf of any
-    registered model family (single predictor, multi-target suite,
-    capacitance ensemble).  Families without GNN weights (classical
-    baselines) yield nothing — their state is too small to matter."""
+    registered model family (single predictor — one head or many —,
+    multi-target suite, capacitance ensemble).  A predictor answering for
+    several targets of a suite is yielded once.  Families without GNN
+    weights (classical baselines) yield nothing — their state is too small
+    to matter."""
     from repro.models.trainer import TargetPredictor
 
     if isinstance(model, TargetPredictor):
@@ -275,10 +277,13 @@ def _leaf_predictors(model, prefix: str = ""):
         return
     predictors = getattr(model, "predictors", None)
     if isinstance(predictors, dict):  # MultiTargetModel
+        seen: set[int] = set()
         for target in sorted(predictors):
-            yield from _leaf_predictors(
-                predictors[target], f"{prefix}{target}/"
-            )
+            if id(predictors[target]) not in seen:
+                seen.add(id(predictors[target]))
+                yield from _leaf_predictors(
+                    predictors[target], f"{prefix}{target}/"
+                )
         return
     members = getattr(model, "models", None)
     if isinstance(members, list):  # CapacitanceEnsemble

@@ -50,9 +50,7 @@ __all__ = [
     "ProjectRule",
     "all_project_rules",
     "project_rule_names",
-    "check_regressor",
     "check_multitask",
-    "check_model_config",
     "check_multitask_config",
     "check_all_shipped",
     "shipped_configs",
@@ -86,9 +84,7 @@ _EXPORTS = {
     "ProjectRule": "repro.staticcheck.project_rules",
     "all_project_rules": "repro.staticcheck.project_rules",
     "project_rule_names": "repro.staticcheck.project_rules",
-    "check_regressor": "repro.staticcheck.shapes",
     "check_multitask": "repro.staticcheck.shapes",
-    "check_model_config": "repro.staticcheck.shapes",
     "check_multitask_config": "repro.staticcheck.shapes",
     "check_all_shipped": "repro.staticcheck.shapes",
     "shipped_configs": "repro.staticcheck.shapes",

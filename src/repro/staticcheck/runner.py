@@ -268,7 +268,7 @@ def filter_changed(result: CheckResult, changed: "set[str]") -> CheckResult:
 
 def run_shapes(*, configs: "list | None" = None) -> CheckResult:
     """Run the symbolic shape/dtype checker over the shipped model configs."""
-    from repro.staticcheck.shapes import check_all_shipped, check_model_config
+    from repro.staticcheck.shapes import check_all_shipped, check_multitask_config
 
     if configs is None:
         findings = check_all_shipped()
@@ -278,6 +278,6 @@ def run_shapes(*, configs: "list | None" = None) -> CheckResult:
     else:
         findings = []
         for config in configs:
-            findings.extend(check_model_config(config))
+            findings.extend(check_multitask_config(config))
         count = len(configs)
     return CheckResult(findings=sort_findings(findings), files_checked=count)

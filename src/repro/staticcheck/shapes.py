@@ -1,8 +1,10 @@
 """Symbolic shape/dtype propagation over :mod:`repro.nn` module graphs.
 
 The lint rules look at source text; this checker looks at *constructed
-models*.  It abstract-interprets a :class:`~repro.models.base.GNNRegressor`
-the way ``forward`` would execute it, but over :class:`SymTensor` values
+models*.  It abstract-interprets a
+:class:`~repro.models.multitask.MultiTaskModel` (the trunk, then every
+readout head) the way a forward would execute it, but over
+:class:`SymTensor` values
 whose row counts are symbolic (``N`` nodes, ``E[t]`` edges of type ``t``)
 while column counts and parameter shapes stay concrete.  Every matrix
 multiply, concat, broadcast-add and readout is checked against the actual
@@ -18,8 +20,9 @@ reported at the layer that introduces it.
 :func:`shipped_configs` enumerates the model zoo the repo actually ships —
 all five convolution families, the paper's readout depths (4 FC for CAP,
 2 for device parameters, 0 for the linear-readout baseline), both
-``TrainConfig.dtype`` precisions, every ParaGraph ablation and the
-shared-trunk multi-task ensemble (one trunk, 13 readout heads) — and
+``TrainConfig.dtype`` precisions, every ParaGraph ablation (each a
+one-head model, as the per-target trainer builds it) and the shared-trunk
+multi-task ensemble (one trunk, 13 readout heads) — and
 :func:`check_all_shipped` validates the lot.  Findings use the virtual
 path ``model://<label>`` so they flow through the same reporters and CLI
 exit codes as the lint rules.
@@ -28,14 +31,10 @@ exit codes as the lint rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.staticcheck.findings import Finding, Severity, sort_findings
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.models.base import GNNRegressor
 
 RULE_NAME = "shape-contract"
 
@@ -319,29 +318,21 @@ class _Checker:
 
 
 def _trunk_embeddings(
-    checker: _Checker,
-    trunk,
-    feature_dims: "dict[str, int]",
-    *,
-    prefix: str = "",
+    checker: _Checker, trunk, feature_dims: "dict[str, int]"
 ) -> SymTensor:
-    """Symbolic node embeddings after encoder + all convolutions.
-
-    Shared by the single-model and multi-task walks; *prefix* namespaces
-    failure sites (``trunk.convs.0`` vs ``convs.0``).
-    """
+    """Symbolic node embeddings after encoder + all convolutions."""
     edge_types = sorted(
         getattr(trunk.convs[0], "edge_types", []) if trunk.convs else []
     )
     h = checker.encoder(trunk.encoder, feature_dims)
     embed = SymDim.of(trunk.embed_dim)
     if not h.cols.compatible(embed):
-        checker.fail(f"{prefix}encoder", f"produced {h} but embed_dim is {embed}")
+        checker.fail("trunk.encoder", f"produced {h} but embed_dim is {embed}")
     for i, conv in enumerate(trunk.convs):
-        h_next = checker.conv(f"{prefix}convs.{i}", conv, h, edge_types)
+        h_next = checker.conv(f"trunk.convs.{i}", conv, h, edge_types)
         if not h_next.cols.compatible(embed):
             checker.fail(
-                f"{prefix}convs.{i}",
+                f"trunk.convs.{i}",
                 f"layer output {h_next} does not preserve embed_dim {embed}; "
                 "stacked convolutions require F -> F",
             )
@@ -381,32 +372,6 @@ def _to_findings(checker: _Checker) -> list[Finding]:
     ]
 
 
-def check_regressor(
-    model: "GNNRegressor",
-    *,
-    feature_dims: "dict[str, int] | None" = None,
-    label: str = "model",
-    expected_dtype: "str | np.dtype | None" = None,
-) -> list[Finding]:
-    """Statically validate one constructed :class:`GNNRegressor`.
-
-    Walks encoder -> L convolutions -> readout with symbolic node/edge row
-    counts, checking every parameter's shape and dtype against the data
-    flow.  *expected_dtype* defaults to the active compute dtype.
-    """
-    from repro.nn import precision
-
-    dtype = np.dtype(expected_dtype) if expected_dtype else precision.get_compute_dtype()
-    checker = _Checker(label=label, expected_dtype=np.dtype(dtype))
-    dims = feature_dims or {
-        name: t.in_features for name, t in sorted(model.encoder.transforms.items())
-    }
-    h = _trunk_embeddings(checker, model, dims)
-    picked = checker.gather(h, SymDim.sym("n_targets"))
-    _check_head(checker, "readout", model.readout, picked)
-    return sort_findings(_to_findings(checker))
-
-
 def check_multitask(
     model,
     *,
@@ -429,7 +394,7 @@ def check_multitask(
     dims = feature_dims or {
         name: t.in_features for name, t in sorted(trunk.encoder.transforms.items())
     }
-    h = _trunk_embeddings(checker, trunk, dims, prefix="trunk.")
+    h = _trunk_embeddings(checker, trunk, dims)
     if not model.heads:
         checker.fail("heads", "multi-task model has no readout heads")
     for name in sorted(model.heads):
@@ -447,62 +412,20 @@ def _default_feature_dims() -> "dict[str, int]":
     return {t: feature_dim(t) for t in NODE_TYPES}
 
 
-def check_model_config(config: dict) -> list[Finding]:
-    """Build the model a config describes and run :func:`check_regressor`.
-
-    Config keys mirror ``GNNRegressor`` / ``TrainConfig``: ``conv`` (name),
-    plus optional ``embed_dim``, ``num_layers``, ``num_fc_layers``,
-    ``dtype``, ``conv_kwargs``, ``feature_dims`` and ``label``.
-    ``trunk: "shared"`` (the :class:`TrainPlan` spelling) switches to the
-    multi-task ensemble — see :func:`check_multitask_config`.
-    """
-    from repro import rng as rng_mod
-    from repro.models.base import GNNRegressor
-    from repro.nn import precision
-
-    if config.get("trunk") == "shared":
-        return check_multitask_config(config)
-    conv = config["conv"]
-    label = config.get("label") or _config_label(config)
-    dtype = config.get("dtype", "float64")
-    feature_dims = config.get("feature_dims") or _default_feature_dims()
-    rng = rng_mod.stream(DEFAULT_MASTER_SEED, "staticcheck", label)
-    try:
-        with precision.compute_dtype(dtype):
-            model = GNNRegressor(
-                conv,
-                feature_dims,
-                rng,
-                embed_dim=config.get("embed_dim", 32),
-                num_layers=config.get("num_layers", 5),
-                num_fc_layers=config.get("num_fc_layers", 4),
-                conv_kwargs=config.get("conv_kwargs") or {},
-            )
-            return check_regressor(
-                model, feature_dims=feature_dims, label=label
-            )
-    except Exception as exc:  # construction itself violated a contract
-        return [
-            Finding(
-                rule=RULE_NAME,
-                path=f"model://{label}",
-                line=0,
-                message=f"model construction failed: {type(exc).__name__}: {exc}",
-                severity=Severity.ERROR,
-            )
-        ]
-
-
 def _default_head_depths(config: dict) -> "dict[str, int]":
-    """Per-target readout depths for a multi-task config.
+    """Readout depth per head for a config without ``heads``.
 
-    Mirrors :func:`repro.models.trainer.resolve_target_scaler`: net targets
-    (CAP) read out through 4 FC layers, device parameters through 2, unless
-    the config pins ``num_fc_layers`` for every head.
+    A per-target config is one CAP head at ``num_fc_layers`` (default 4).
+    ``trunk: "shared"`` puts the paper's 13 targets on the trunk, with
+    depths mirroring :func:`repro.models.trainer.resolve_target_scaler`:
+    net targets (CAP) read out through 4 FC layers, device parameters
+    through 2, unless the config pins ``num_fc_layers`` for every head.
     """
     from repro.data.targets import ALL_TARGETS
 
     pinned = config.get("num_fc_layers")
+    if config.get("trunk") != "shared":
+        return {"CAP": pinned if pinned is not None else 4}
     return {
         spec.name: (
             pinned if pinned is not None else (4 if spec.kind == "net" else 2)
@@ -512,11 +435,13 @@ def _default_head_depths(config: dict) -> "dict[str, int]":
 
 
 def check_multitask_config(config: dict) -> list[Finding]:
-    """Build the multi-task model a config describes and check it.
+    """Build the model a config describes and run :func:`check_multitask`.
 
-    Accepts the same keys as :func:`check_model_config` plus optional
-    ``heads`` (mapping target name -> readout depth; defaults to the
-    paper's 13 targets at their per-kind depths).
+    Config keys mirror ``TrainConfig`` / ``TrainPlan``: ``conv`` (name),
+    plus optional ``embed_dim``, ``num_layers``, ``num_fc_layers``,
+    ``dtype``, ``conv_kwargs``, ``feature_dims``, ``label``, ``trunk``
+    and ``heads`` (mapping target name -> readout depth; defaults to one
+    CAP head, or the paper's 13 targets for ``trunk: "shared"``).
     """
     from repro import rng as rng_mod
     from repro.models.multitask import MultiTaskModel, ReadoutHead, SharedTrunk
@@ -620,5 +545,5 @@ def check_all_shipped() -> list[Finding]:
     """Validate every shipped configuration; a clean repo returns []."""
     findings: list[Finding] = []
     for config in shipped_configs():
-        findings.extend(check_model_config(config))
+        findings.extend(check_multitask_config(config))
     return sort_findings(findings)

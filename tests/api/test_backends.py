@@ -7,16 +7,16 @@ ulp of the float32 default backend (documented tolerance: ``rtol = 4 *
 float32 eps`` — the fused/numba kernels reassociate nothing at the same
 precision).  Across precisions the float32 fast path tracks float64 to
 ~1e-4 relative (inverse target transforms amplify the 1e-7 compute
-error).  The shared-trunk :class:`MultiTaskAdapter` honours the same
-contract for single-graph and merged-batch forwards, including graphs
-with empty node-type segments and single-node readouts.
+error).  A shared-trunk predictor's :class:`PredictorAdapter` honours the
+same contract for single-graph and merged-batch forwards, including
+graphs with empty node-type segments and single-node readouts.
 """
 
 import numpy as np
 import pytest
 
 from repro.api import create_engine
-from repro.api.adapters import GraphWork, MultiTaskAdapter
+from repro.api.adapters import GraphWork, PredictorAdapter
 from repro.api.types import PredictionRequest
 from repro.nn import use_backend
 from repro.nn.backend import available_backends
@@ -29,13 +29,13 @@ CROSS_PRECISION_RTOL = 1e-3
 
 @pytest.fixture(scope="module")
 def multitask_predictor(tiny_bundle):
-    from repro.models import MultiTaskPredictor, TrainConfig
+    from repro.models import TargetPredictor, TrainConfig
 
-    return MultiTaskPredictor(
+    return TargetPredictor(
         "paragraph",
         targets=["CAP", "SA"],
         config=TrainConfig(epochs=2, embed_dim=8, num_layers=2, run_seed=0),
-    )._fit_quiet(tiny_bundle)
+    ).fit(tiny_bundle)
 
 
 def _engine_values(predictor, circuits, *, dtype, backend):
@@ -124,7 +124,7 @@ class TestMultiTaskAdapterParity:
     def test_merged_batch_parity_across_backends(
         self, multitask_predictor, works
     ):
-        adapter = MultiTaskAdapter(multitask_predictor)
+        adapter = PredictorAdapter(multitask_predictor)
         for dtype, rtol in (("float64", 0.0), ("float32", FLOAT32_RTOL)):
             reference = self._values(
                 adapter, works, dtype=dtype, backend="default"
@@ -151,7 +151,7 @@ class TestMultiTaskAdapterParity:
         self, multitask_predictor, works
     ):
         # the len(works) == 1 fast path takes a different code route
-        adapter = MultiTaskAdapter(multitask_predictor)
+        adapter = PredictorAdapter(multitask_predictor)
         reference = self._values(
             adapter, works[:1], dtype="float64", backend="default"
         )

@@ -7,8 +7,6 @@ floating-point roundoff (BLAS kernels are row-count dependent, so exact
 bit-identity across different merge shapes is not guaranteed).
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -43,17 +41,13 @@ def engine(api_cap_predictor, api_sa_predictor, api_multi_model,
     eng.close()
 
 
-def _silently(callable_, *args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return callable_(*args, **kwargs)
-
-
 class TestPredict:
     def test_matches_legacy_predict_named(self, engine, tiny_bundle,
                                           api_cap_predictor):
         record = tiny_bundle.records("test")[0]
-        legacy = _silently(api_cap_predictor.predict_named, record)
+        ids, values = api_cap_predictor.predict(record)
+        names = record.graph.node_name_of
+        legacy = {names[int(i)]: float(v) for i, v in zip(ids, values)}
         result = engine.predict(record.circuit, model="cap")
         assert result.named("CAP") == legacy
 

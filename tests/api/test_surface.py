@@ -73,20 +73,17 @@ FLOWS_SURFACE = [
     "prelayout_report",
     "save_checkpoint",
     "train",
-    "train_all_targets",
 ]
 
 MODELS_SURFACE = [
     "BaselinePredictor",
     "GATConv",
     "GCNConv",
-    "GNNRegressor",
     "GNN_MODEL_NAMES",
     "GradientBoostedTrees",
     "GraphInputs",
     "MegaBatch",
     "MultiTaskModel",
-    "MultiTaskPredictor",
     "NodeTypeEncoder",
     "ParaGraphConv",
     "RGCNConv",
@@ -220,6 +217,6 @@ class TestSignatureSnapshot:
 
         names = [f.name for f in dataclasses.fields(repro.flows.TrainPlan)]
         assert names == [
-            "targets", "conv", "config", "trunk", "batching",
+            "targets", "conv", "config", "trunk",
             "loss_weights", "runtime", "parallel_workers", "resume_from",
         ]

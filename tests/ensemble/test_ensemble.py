@@ -122,8 +122,10 @@ class TestTrainedEnsemble:
         assert ceilings[-1] == float("inf")
 
     def test_predict_named_covers_nets(self, trained, tiny_bundle):
+        from repro.api import predict_one
+
         record = tiny_bundle.records("test")[0]
-        named = trained.predict_named(record)
+        named = predict_one(trained, record).named("CAP")
         assert set(named) == {n.name for n in record.circuit.signal_nets()}
 
     def test_ensemble_not_worse_than_full_range_on_small_caps(

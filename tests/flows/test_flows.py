@@ -6,17 +6,18 @@ import pytest
 from repro.analysis.runs import aggregate_runs
 from repro.circuits.generators.analog import ota_5t
 from repro.errors import ModelError, ReproError
-from repro.flows import MultiTargetModel, prelayout_report, train_all_targets
+from repro.api import predict_one
+from repro.flows import MultiTargetModel, TrainPlan, prelayout_report, train
 from repro.models import TrainConfig
 
 
 @pytest.fixture(scope="module")
 def multi_model(tiny_bundle):
-    return train_all_targets(
-        tiny_bundle,
+    plan = TrainPlan(
         targets=("CAP", "SA", "RES"),
         config=TrainConfig(epochs=4, embed_dim=8, num_layers=2),
     )
+    return train(tiny_bundle, plan).model
 
 
 class TestMultiTargetModel:
@@ -25,7 +26,8 @@ class TestMultiTargetModel:
 
     def test_predict_all(self, multi_model):
         circuit = ota_5t()
-        predictions = multi_model.predict_all(circuit)
+        result = predict_one(multi_model, circuit)
+        predictions = {name: result.named(name) for name in result.targets}
         assert set(predictions) == {"CAP", "SA", "RES"}
         nets = {n.name for n in circuit.signal_nets()}
         assert set(predictions["CAP"]) == nets
@@ -43,8 +45,8 @@ class TestMultiTargetModel:
         assert set(loaded.predictors) == set(multi_model.predictors)
         circuit = ota_5t()
         np.testing.assert_allclose(
-            list(loaded.predict_all(circuit)["CAP"].values()),
-            list(multi_model.predict_all(circuit)["CAP"].values()),
+            list(predict_one(loaded, circuit).named("CAP").values()),
+            list(predict_one(multi_model, circuit).named("CAP").values()),
         )
 
     def test_load_empty_dir_raises(self, tmp_path):
@@ -69,10 +71,10 @@ class TestPrelayoutReport:
         assert "designer CAP" in text
 
     def test_cap_only_model(self, tiny_bundle):
-        model = train_all_targets(
-            tiny_bundle, targets=("CAP",),
-            config=TrainConfig(epochs=3, embed_dim=8, num_layers=2),
+        plan = TrainPlan(
+            targets=("CAP",), config=TrainConfig(epochs=3, embed_dim=8, num_layers=2)
         )
+        model = train(tiny_bundle, plan).model
         report = prelayout_report(ota_5t(), model)
         assert report.device_rows == []
         assert "Device parameters" not in report.render()

@@ -8,7 +8,7 @@ import pytest
 
 from repro.ensemble import train_capacitance_ensemble
 from repro.errors import ModelError
-from repro.flows import train_all_targets
+from repro.flows import TrainPlan, train
 from repro.flows.runtime import (
     ConsoleProgressReporter,
     JsonlMetricsWriter,
@@ -41,10 +41,9 @@ class TestMergedInputsCache:
             GraphInputs, "merge_graphs", classmethod(counting_merge)
         )
         cache = MergedInputsCache()
-        train_all_targets(
+        train(
             tiny_bundle,
-            targets=("CAP", "SA", "RES"),
-            config=_quick_config(epochs=2),
+            TrainPlan(targets=("CAP", "SA", "RES"), config=_quick_config(epochs=2)),
             inputs_cache=cache,
         )
         # One node population (the train split) -> exactly one merge.
@@ -269,12 +268,13 @@ class TestCheckpointResume:
 class TestParallelTraining:
     def test_two_workers_match_serial(self, tiny_bundle):
         cfg = _quick_config(epochs=3)
-        serial = train_all_targets(
-            tiny_bundle, targets=("CAP", "SA"), config=cfg
-        )
-        parallel = train_all_targets(
-            tiny_bundle, targets=("CAP", "SA"), config=cfg, parallel_workers=2
-        )
+        serial = train(
+            tiny_bundle, TrainPlan(targets=("CAP", "SA"), config=cfg)
+        ).model
+        parallel = train(
+            tiny_bundle,
+            TrainPlan(targets=("CAP", "SA"), config=cfg, parallel_workers=2),
+        ).model
         assert set(parallel.predictors) == {"CAP", "SA"}
         record = tiny_bundle.records("test")[0]
         for name in ("CAP", "SA"):
@@ -285,12 +285,14 @@ class TestParallelTraining:
     def test_parallel_with_picklable_metrics_writer(self, tiny_bundle, tmp_path):
         path = tmp_path / "parallel.jsonl"
         rt = RuntimeConfig(callbacks=[JsonlMetricsWriter(str(path))])
-        train_all_targets(
+        train(
             tiny_bundle,
-            targets=("CAP", "SA"),
-            config=_quick_config(epochs=2),
-            runtime=rt,
-            parallel_workers=2,
+            TrainPlan(
+                targets=("CAP", "SA"),
+                config=_quick_config(epochs=2),
+                runtime=rt,
+                parallel_workers=2,
+            ),
         )
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert {row["target"] for row in rows} == {"CAP", "SA"}

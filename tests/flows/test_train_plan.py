@@ -1,14 +1,11 @@
-"""TrainPlan API: validation, train(), and the warn-once legacy shims."""
-
-import warnings
+"""TrainPlan API: validation, train(), and direct predictor fits."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
 from repro.flows import MultiTargetModel, TrainPlan, TrainResult, train
-from repro.flows.compat import reset_deprecation_warnings, train_all_targets
-from repro.models import MultiTaskPredictor, TargetPredictor, TrainConfig
+from repro.models import TargetPredictor, TrainConfig
 
 
 def _quick_config(**kwargs):
@@ -39,10 +36,6 @@ class TestPlanValidation:
     def test_unknown_trunk_mode(self):
         with pytest.raises(ModelError):
             TrainPlan(trunk="frankentrunk")
-
-    def test_unknown_batching_mode(self):
-        with pytest.raises(ModelError):
-            TrainPlan(batching="minibatch")
 
     def test_empty_targets(self):
         with pytest.raises(ModelError):
@@ -91,7 +84,8 @@ class TestTrain:
                 targets=("CAP", "SA"), trunk="shared", config=_quick_config()
             ),
         )
-        assert isinstance(result.model, MultiTaskPredictor)
+        assert isinstance(result.model, TargetPredictor)
+        assert result.model.target_names == ["CAP", "SA"]
         assert list(result.histories) == ["multitask"]
         assert result.histories["multitask"] is result.model.history
 
@@ -99,103 +93,46 @@ class TestTrain:
         result = train(
             tiny_bundle, TrainPlan(targets=("SA",), config=_quick_config())
         )
-        direct = TargetPredictor("paragraph", "SA", _quick_config())._fit_quiet(
+        direct = TargetPredictor("paragraph", "SA", _quick_config()).fit(
             tiny_bundle
         )
         planned = result.model.predictors["SA"]
         assert planned.history.losses == direct.history.losses
         _params_equal(planned.model, direct.model)
 
-
-class TestCompatShims:
-    def test_train_all_targets_warns_once(self, tiny_bundle):
-        reset_deprecation_warnings()
-        cfg = _quick_config(epochs=1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            train_all_targets(tiny_bundle, targets=["CAP"], config=cfg)
-            train_all_targets(tiny_bundle, targets=["CAP"], config=cfg)
-        ours = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "train_all_targets" in str(w.message)
-        ]
-        assert len(ours) == 1
-        assert "repro.flows.train" in str(ours[0].message)
-
-    def test_train_all_targets_matches_train(self, tiny_bundle):
-        reset_deprecation_warnings()
-        cfg = _quick_config()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = train_all_targets(
-                tiny_bundle, targets=["CAP", "SA"], config=cfg
-            )
-        planned = train(
-            tiny_bundle, TrainPlan(targets=("CAP", "SA"), config=cfg)
+    def test_single_target_shared_plan_is_the_per_target_model(self, tiny_bundle):
+        shared = train(
+            tiny_bundle,
+            TrainPlan(targets=("SA",), trunk="shared", config=_quick_config()),
         ).model
-        assert sorted(legacy.predictors) == sorted(planned.predictors)
-        for name in legacy.predictors:
-            a, b = legacy.predictors[name], planned.predictors[name]
-            assert a.history.losses == b.history.losses
-            _params_equal(a.model, b.model)
+        planned = train(
+            tiny_bundle, TrainPlan(targets=("SA",), config=_quick_config())
+        ).model.predictors["SA"]
+        assert shared.history.losses == planned.history.losses
+        _params_equal(shared.model, planned.model)
 
-    def test_predictor_fit_warns_once(self, tiny_bundle):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            TargetPredictor("paragraph", "SA", _quick_config(epochs=1)).fit(
-                tiny_bundle
-            )
-            TargetPredictor("paragraph", "SA", _quick_config(epochs=1)).fit(
-                tiny_bundle
-            )
-        ours = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "TargetPredictor.fit" in str(w.message)
-        ]
-        assert len(ours) == 1
 
-    def test_predictor_fit_matches_quiet(self, tiny_bundle):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shimmed = TargetPredictor("paragraph", "SA", _quick_config()).fit(
-                tiny_bundle
-            )
-        quiet = TargetPredictor("paragraph", "SA", _quick_config())._fit_quiet(
-            tiny_bundle
-        )
-        assert shimmed.history.losses == quiet.history.losses
-        _params_equal(shimmed.model, quiet.model)
-
-    def test_predictor_fit_returns_self_and_keeps_config(self, tiny_bundle):
-        # the shim must train *this* object (identity semantics), keeping a
-        # non-CAP max_v the suite path would clear
+class TestDirectFit:
+    def test_fit_returns_self_and_keeps_config(self, tiny_bundle):
+        # fit trains *this* object (identity semantics), keeping a non-CAP
+        # max_v the suite path would clear
         predictor = TargetPredictor(
             "paragraph", "SA", _quick_config(epochs=1, max_v=123.0)
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            fitted = predictor.fit(tiny_bundle)
+        fitted = predictor.fit(tiny_bundle)
         assert fitted is predictor
         assert predictor.config.max_v == 123.0
         assert predictor.model is not None
 
-    def test_shim_checkpoints_match_plan_checkpoints(self, tiny_bundle, tmp_path):
+    def test_fit_checkpoints_match_plan_checkpoints(self, tiny_bundle, tmp_path):
         from repro.flows import RuntimeConfig
 
         cfg = _quick_config(epochs=2)
-        shim_dir, plan_dir = tmp_path / "shim", tmp_path / "plan"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            TargetPredictor("paragraph", "SA", cfg).fit(
-                tiny_bundle,
-                runtime=RuntimeConfig(
-                    checkpoint_dir=str(shim_dir), checkpoint_every=2
-                ),
-            )
+        fit_dir, plan_dir = tmp_path / "fit", tmp_path / "plan"
+        TargetPredictor("paragraph", "SA", cfg).fit(
+            tiny_bundle,
+            runtime=RuntimeConfig(checkpoint_dir=str(fit_dir), checkpoint_every=2),
+        )
         train(
             tiny_bundle,
             TrainPlan(
@@ -207,7 +144,7 @@ class TestCompatShims:
             ),
         )
         name = "paragraph-SA-epoch00002.npz"
-        with np.load(shim_dir / name) as a, np.load(plan_dir / name) as b:
+        with np.load(fit_dir / name) as a, np.load(plan_dir / name) as b:
             assert sorted(a.files) == sorted(b.files)
             for key in a.files:
                 np.testing.assert_array_equal(a[key], b[key], err_msg=key)

@@ -1,10 +1,11 @@
-"""Mega-batch parity: GraphInputs.merge_graphs vs the legacy graph merge.
+"""Mega-batch parity: GraphInputs.merge_graphs vs a hetero-graph merge.
 
-The tentpole claim of the mega-batched training path is that the
-disjoint-union of per-graph ``GraphInputs`` (with stitched segment plans)
-is **bit-identical** to building inputs from a pre-merged
-``HeteroGraph`` — construction, forward, backward, and whole training
-runs.  These tests pin that claim.
+The claim of the mega-batched training path is that the disjoint-union
+of per-graph ``GraphInputs`` (with stitched segment plans) is
+**bit-identical** to building inputs from a pre-merged ``HeteroGraph`` —
+construction, forward and backward.  The oracle (``merge_graphs`` +
+``GraphInputs.from_graph``) is built in the test bodies; training only
+ever takes the mega-batch path.
 """
 
 import numpy as np
@@ -246,8 +247,8 @@ class TestForwardBackwardParity:
     def test_forward_and_gradients_bitwise(self, tiny_bundle, conv):
         from repro.circuits.devices import NODE_TYPES
         from repro.graph.features import feature_dim
-        from repro.models import GNNRegressor
-        from repro.nn import mse_loss
+        from repro.models import MultiTaskModel, ReadoutHead, SharedTrunk
+        from repro.nn import Tensor, mse_loss
         from repro.rng import stream
 
         records = tiny_bundle.records("train")[:4]
@@ -264,17 +265,16 @@ class TestForwardBackwardParity:
         grads = {}
         preds = {}
         for label, inputs in (("mega", batch.inputs), ("graph", legacy)):
-            model = GNNRegressor(
+            rng = stream(0, "model", conv, "parity")
+            trunk = SharedTrunk(
                 conv=conv,
                 feature_dims={t: feature_dim(t) for t in NODE_TYPES},
-                rng=stream(0, "model", conv, "parity"),
+                rng=rng,
                 embed_dim=8,
                 num_layers=2,
-                num_fc_layers=2,
             )
-            from repro.nn import Tensor
-
-            pred = model(inputs, ids)
+            model = MultiTaskModel(trunk, {"SA": ReadoutHead(8, 2, rng)})
+            pred = model.heads["SA"](model.embed(inputs), ids)
             loss = mse_loss(pred, Tensor(targets_np))
             loss.backward()
             preds[label] = pred.numpy()
@@ -287,35 +287,6 @@ class TestForwardBackwardParity:
         for name in grads["mega"]:
             np.testing.assert_array_equal(
                 grads["mega"][name], grads["graph"][name], err_msg=name
-            )
-
-
-class TestTrainingParity:
-    def test_mega_training_bitwise_matches_graph(self, tiny_bundle):
-        mega = TargetPredictor("paragraph", "CAP", _quick_config())._fit_quiet(
-            tiny_bundle, batching="mega"
-        )
-        graph = TargetPredictor("paragraph", "CAP", _quick_config())._fit_quiet(
-            tiny_bundle, batching="graph"
-        )
-        assert mega.history.losses == graph.history.losses
-        for (name, a), (_, b) in zip(
-            mega.model.named_parameters(), graph.model.named_parameters()
-        ):
-            np.testing.assert_array_equal(
-                np.array(a.data), np.array(b.data), err_msg=name
-            )
-        record = tiny_bundle.records("test")[0]
-        _, pa = mega.predict(record)
-        _, pb = graph.predict(record)
-        np.testing.assert_array_equal(pa, pb)
-
-    def test_unknown_batching_mode_rejected(self, tiny_bundle):
-        from repro.flows.runtime import MergedInputsCache
-
-        with pytest.raises(ModelError):
-            MergedInputsCache().merged(
-                tiny_bundle.records("train"), tiny_bundle.scaler, "banana"
             )
 
 
@@ -346,22 +317,8 @@ class TestMergedInputsCacheKeying:
         cache.merged(records[:-1], tiny_bundle.scaler)
         # different order -> different node offsets -> miss
         cache.merged(list(reversed(records)), tiny_bundle.scaler)
-        # different construction mode -> miss
-        cache.merged(records, tiny_bundle.scaler, "graph")
-        assert cache.misses == 4
+        assert cache.misses == 3
         assert cache.hits == 0
-
-    def test_mode_entries_are_bitwise_equal(self, tiny_bundle):
-        from repro.flows.runtime import MergedInputsCache
-
-        cache = MergedInputsCache()
-        records = tiny_bundle.records("train")
-        mega = cache.merged(records, tiny_bundle.scaler, "mega")
-        graph = cache.merged(records, tiny_bundle.scaler, "graph")
-        np.testing.assert_array_equal(mega.offsets, graph.offsets)
-        np.testing.assert_array_equal(
-            mega.inputs.merged_src, graph.inputs.merged_src
-        )
 
     def test_empty_target_still_errors(self, tiny_bundle):
         # a target with no samples must fail loudly under mega batching too
@@ -369,4 +326,4 @@ class TestMergedInputsCacheKeying:
             "paragraph", "CAP", _quick_config(max_v=-1.0)
         )
         with pytest.raises(ModelError):
-            predictor._fit_quiet(tiny_bundle)
+            predictor.fit(tiny_bundle)

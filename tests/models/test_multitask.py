@@ -6,11 +6,10 @@ import pytest
 from repro.errors import ModelError
 from repro.flows.runtime import MergedInputsCache, RuntimeConfig
 from repro.models import (
-    GNNRegressor,
     MultiTaskModel,
-    MultiTaskPredictor,
     ReadoutHead,
     SharedTrunk,
+    TargetPredictor,
     TrainConfig,
 )
 
@@ -23,39 +22,42 @@ def _quick_config(**kwargs):
 
 def _quick_predictor(**kwargs):
     targets = kwargs.pop("targets", ["CAP", "SA", "LDE1"])
-    return MultiTaskPredictor(
+    return TargetPredictor(
         "paragraph", targets=targets, config=_quick_config(**kwargs)
     )
 
 
 class TestModelStructure:
-    def test_trunk_matches_regressor_embed(self, tiny_bundle):
+    def test_trunk_matches_one_head_model_embed(self, tiny_bundle):
         from repro.circuits.devices import NODE_TYPES
         from repro.graph.features import feature_dim
         from repro.models import GraphInputs
         from repro.rng import stream
 
         dims = {t: feature_dim(t) for t in NODE_TYPES}
-        regressor = GNNRegressor(
-            conv="paragraph", feature_dims=dims,
-            rng=stream(0, "trunk-test"), embed_dim=8, num_layers=2,
+        model = MultiTaskModel(
+            SharedTrunk(
+                conv="paragraph", feature_dims=dims,
+                rng=stream(0, "trunk-test"), embed_dim=8, num_layers=2,
+            ),
+            {"CAP": ReadoutHead(8, 4, stream(0, "trunk-test", "head"))},
         )
         trunk = SharedTrunk(
             conv="paragraph", feature_dims=dims,
             rng=stream(1, "other"), embed_dim=8, num_layers=2,
         )
-        # same parameter tree modulo the missing readout
+        # the trunk's parameter tree is the model's minus the heads
         trunk.load_state_dict(
             {
-                name: value
-                for name, value in regressor.state_dict().items()
-                if not name.startswith("readout.")
+                name[len("trunk."):]: value
+                for name, value in model.state_dict().items()
+                if name.startswith("trunk.")
             }
         )
         record = tiny_bundle.records("train")[0]
         inputs = GraphInputs.from_record(record, tiny_bundle.scaler)
         np.testing.assert_array_equal(
-            trunk(inputs).numpy(), regressor.embed(inputs).numpy()
+            trunk(inputs).numpy(), model.embed(inputs).numpy()
         )
 
     def test_head_param_names_are_dotted(self):
@@ -93,11 +95,11 @@ class TestModelStructure:
 
     def test_constructor_validation(self):
         with pytest.raises(ModelError):
-            MultiTaskPredictor("paragraph", targets=[])
+            TargetPredictor("paragraph", targets=[])
         with pytest.raises(ModelError):
-            MultiTaskPredictor("paragraph", targets=["CAP", "CAP"])
+            TargetPredictor("paragraph", targets=["CAP", "CAP"])
         with pytest.raises(ModelError):
-            MultiTaskPredictor(
+            TargetPredictor(
                 "paragraph", targets=["CAP"], loss_weights={"SA": 2.0}
             )
 
@@ -105,7 +107,7 @@ class TestModelStructure:
 class TestTraining:
     @pytest.fixture(scope="class")
     def fitted(self, tiny_bundle):
-        return _quick_predictor()._fit_quiet(tiny_bundle)
+        return _quick_predictor().fit(tiny_bundle)
 
     def test_one_trunk_many_heads(self, fitted):
         assert fitted.model.targets == ["CAP", "SA", "LDE1"]
@@ -129,7 +131,7 @@ class TestTraining:
         assert fitted._fc_layers["SA"] == 2
 
     def test_deterministic(self, tiny_bundle, fitted):
-        again = _quick_predictor()._fit_quiet(tiny_bundle)
+        again = _quick_predictor().fit(tiny_bundle)
         assert again.history.losses == fitted.history.losses
         for (name, a), (_, b) in zip(
             again.model.named_parameters(), fitted.model.named_parameters()
@@ -138,23 +140,13 @@ class TestTraining:
                 np.array(a.data), np.array(b.data), err_msg=name
             )
 
-    def test_batching_modes_bitwise_identical(self, tiny_bundle, fitted):
-        graph_mode = _quick_predictor()._fit_quiet(tiny_bundle, batching="graph")
-        assert graph_mode.history.losses == fitted.history.losses
-        for (name, a), (_, b) in zip(
-            graph_mode.model.named_parameters(), fitted.model.named_parameters()
-        ):
-            np.testing.assert_array_equal(
-                np.array(a.data), np.array(b.data), err_msg=name
-            )
-
     def test_loss_weights_scale_total(self, tiny_bundle):
-        weighted = MultiTaskPredictor(
+        weighted = TargetPredictor(
             "paragraph",
             targets=["CAP", "SA"],
             config=_quick_config(epochs=2),
             loss_weights={"CAP": 3.0},
-        )._fit_quiet(tiny_bundle)
+        ).fit(tiny_bundle)
         np.testing.assert_allclose(
             weighted.history.losses,
             3.0 * np.asarray(weighted.target_losses["CAP"])
@@ -162,11 +154,11 @@ class TestTraining:
         )
 
     def test_max_v_applies_to_cap_only(self, tiny_bundle):
-        clamped = MultiTaskPredictor(
+        clamped = TargetPredictor(
             "paragraph",
             targets=["CAP", "SA"],
             config=_quick_config(epochs=2, max_v=1e-15),
-        )._fit_quiet(tiny_bundle)
+        ).fit(tiny_bundle)
         assert clamped.target_scalers["CAP"].scale == 1e-15
 
     def test_predict_and_evaluate(self, fitted, tiny_bundle):
@@ -174,8 +166,10 @@ class TestTraining:
         ids, values = fitted.predict(record, "SA")
         assert len(ids) == len(values)
         assert (values >= 0).all()
-        everything = fitted.predict_all_graph(record.graph)
-        np.testing.assert_array_equal(everything["SA"][1], values)
+        from repro.api import predict_one
+
+        everything = predict_one(fitted, record.graph)
+        np.testing.assert_array_equal(everything.arrays("SA")[1], values)
         metrics = fitted.evaluate(tiny_bundle.records("test"), "SA")
         assert set(metrics) >= {"r2", "mae"}
         with pytest.raises(ModelError):
@@ -188,10 +182,10 @@ class TestTraining:
 
 class TestCheckpointAndPersistence:
     def test_save_load_roundtrip(self, tiny_bundle, tmp_path):
-        fitted = _quick_predictor()._fit_quiet(tiny_bundle)
+        fitted = _quick_predictor().fit(tiny_bundle)
         path = tmp_path / "multitask.npz"
         fitted.save(path)
-        loaded = MultiTaskPredictor.load(path)
+        loaded = TargetPredictor.load(path)
         assert loaded.target_names == fitted.target_names
         assert loaded._fc_layers == fitted._fc_layers
         record = tiny_bundle.records("test")[0]
@@ -202,8 +196,8 @@ class TestCheckpointAndPersistence:
 
     def test_checkpoint_resume_bitwise(self, tiny_bundle, tmp_path):
         rt = RuntimeConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2)
-        full = _quick_predictor()._fit_quiet(tiny_bundle, runtime=rt)
-        resumed = _quick_predictor()._fit_quiet(
+        full = _quick_predictor().fit(tiny_bundle, runtime=rt)
+        resumed = _quick_predictor().fit(
             tiny_bundle,
             resume_from=str(tmp_path / "paragraph-multitask-epoch00002.npz"),
         )
@@ -218,12 +212,12 @@ class TestCheckpointAndPersistence:
 
     def test_checkpoint_target_mismatch_rejected(self, tiny_bundle, tmp_path):
         rt = RuntimeConfig(checkpoint_dir=str(tmp_path), checkpoint_every=2)
-        _quick_predictor()._fit_quiet(tiny_bundle, runtime=rt)
-        other = MultiTaskPredictor(
+        _quick_predictor().fit(tiny_bundle, runtime=rt)
+        other = TargetPredictor(
             "paragraph", targets=["CAP", "SA"], config=_quick_config()
         )
         with pytest.raises(ModelError):
-            other._fit_quiet(
+            other.fit(
                 tiny_bundle,
                 resume_from=str(
                     tmp_path / "paragraph-multitask-epoch00002.npz"
@@ -231,26 +225,24 @@ class TestCheckpointAndPersistence:
             )
 
     def test_shared_cache_with_per_target_trainer(self, tiny_bundle):
-        # the multitask loop reuses a cache already primed by per-target fits
-        from repro.models import TargetPredictor
-
+        # a multi-head fit reuses a cache already primed by per-target fits
         cache = MergedInputsCache()
-        TargetPredictor("paragraph", "CAP", _quick_config(epochs=2))._fit_quiet(
+        TargetPredictor("paragraph", "CAP", _quick_config(epochs=2)).fit(
             tiny_bundle, inputs_cache=cache
         )
         misses_before = cache.misses
-        _quick_predictor(epochs=2)._fit_quiet(tiny_bundle, inputs_cache=cache)
+        _quick_predictor(epochs=2).fit(tiny_bundle, inputs_cache=cache)
         assert cache.misses == misses_before  # same batch composition
         assert cache.hits >= 3
 
 
 class TestAdapter:
     def test_multitask_adapter_batches(self, tiny_bundle):
-        from repro.api.adapters import GraphWork, MultiTaskAdapter, make_adapter
+        from repro.api.adapters import GraphWork, PredictorAdapter, make_adapter
 
-        fitted = _quick_predictor()._fit_quiet(tiny_bundle)
+        fitted = _quick_predictor().fit(tiny_bundle)
         adapter = make_adapter(fitted)
-        assert isinstance(adapter, MultiTaskAdapter)
+        assert isinstance(adapter, PredictorAdapter)
         assert adapter.targets == ("CAP", "LDE1", "SA")
         records = tiny_bundle.records("test")[:3]
         works = [GraphWork.local(r.graph) for r in records]
@@ -266,7 +258,7 @@ class TestAdapter:
     def test_single_work_short_circuit(self, tiny_bundle):
         from repro.api.adapters import GraphWork, make_adapter
 
-        fitted = _quick_predictor()._fit_quiet(tiny_bundle)
+        fitted = _quick_predictor().fit(tiny_bundle)
         adapter = make_adapter(fitted)
         record = tiny_bundle.records("test")[0]
         (slot,) = adapter.predict_works([GraphWork.local(record.graph)], ["CAP"])
@@ -279,7 +271,7 @@ class TestAdapter:
         from repro.api.adapters import GraphWork, make_adapter
         from repro.errors import ApiError
 
-        fitted = _quick_predictor()._fit_quiet(tiny_bundle)
+        fitted = _quick_predictor().fit(tiny_bundle)
         adapter = make_adapter(fitted)
         record = tiny_bundle.records("test")[0]
         with pytest.raises(ApiError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import predict_one
 from repro.circuits.generators.analog import two_stage_opamp
 from repro.errors import ModelError
 from repro.models import TargetPredictor, TrainConfig
@@ -104,7 +105,7 @@ class TestSaveLoad:
         path = tmp_path / "linear.npz"
         predictor.save(path)
         loaded = TargetPredictor.load(path)
-        assert len(loaded.model.readout.layers) == 1
+        assert len(loaded.model.heads["CAP"].readout.layers) == 1
         record = tiny_bundle.records("test")[0]
         _, a = predictor.predict(record)
         _, b = loaded.predict(record)
@@ -115,13 +116,13 @@ class TestPredictCircuit:
     def test_predict_circuit_no_layout_needed(self, fitted):
         """Deployment path: schematic in, predictions out."""
         opamp = two_stage_opamp()
-        predictions = fitted.predict_circuit(opamp)
+        predictions = predict_one(fitted, opamp).named("CAP")
         expected = {n.name for n in opamp.signal_nets()}
         assert set(predictions) == expected
         assert all(v >= 0 for v in predictions.values())
 
     def test_predict_circuit_matches_record_path(self, fitted, tiny_bundle):
         record = tiny_bundle.records("test")[0]
-        via_record = fitted.predict_named(record)
-        via_circuit = fitted.predict_circuit(record.circuit)
+        via_record = predict_one(fitted, record.graph).named("CAP")
+        via_circuit = predict_one(fitted, record.circuit).named("CAP")
         assert via_record == via_circuit

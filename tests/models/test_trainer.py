@@ -3,12 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.errors import ModelError
-from repro.models import GNNRegressor, TargetPredictor, TrainConfig
-from repro.nn import save_module, load_module
-from repro.rng import stream
-from repro.graph.features import feature_dim
+from repro.api import predict_one
 from repro.circuits.devices import NODE_TYPES
+from repro.errors import ModelError
+from repro.graph.builder import all_edge_type_names
+from repro.graph.features import feature_dim
+from repro.models import (
+    MultiTaskModel,
+    ReadoutHead,
+    SharedTrunk,
+    TargetPredictor,
+    TrainConfig,
+)
+from repro.models.convs import make_conv
+from repro.models.encoder import NodeTypeEncoder
+from repro.nn import MLP, load_module, save_module
+from repro.rng import stream
 
 
 def _quick_config(**kwargs):
@@ -33,7 +43,7 @@ class TestTargetPredictor:
     def test_predictions_cover_all_nets(self, tiny_bundle):
         predictor = TargetPredictor("paragraph", "CAP", _quick_config()).fit(tiny_bundle)
         record = tiny_bundle.records("test")[0]
-        named = predictor.predict_named(record)
+        named = predict_one(predictor, record).named("CAP")
         expected = {n.name for n in record.circuit.signal_nets()}
         assert set(named) == expected
         assert all(v >= 0 for v in named.values())
@@ -42,8 +52,8 @@ class TestTargetPredictor:
         """Paper: 4 FC layers for CAP, 2 for device parameters."""
         cap = TargetPredictor("paragraph", "CAP", _quick_config()).fit(tiny_bundle)
         sa = TargetPredictor("paragraph", "SA", _quick_config()).fit(tiny_bundle)
-        assert len(cap.model.readout.layers) == 4
-        assert len(sa.model.readout.layers) == 2
+        assert len(cap.model.heads["CAP"].readout.layers) == 4
+        assert len(sa.model.heads["SA"].readout.layers) == 2
 
     def test_explicit_zero_fc_layers_honoured(self, tiny_bundle):
         """Regression: ``num_fc_layers=0`` used to be silently replaced by
@@ -51,7 +61,7 @@ class TestTargetPredictor:
         predictor = TargetPredictor(
             "paragraph", "CAP", _quick_config(epochs=2, num_fc_layers=0)
         ).fit(tiny_bundle)
-        assert len(predictor.model.readout.layers) == 1
+        assert len(predictor.model.heads["CAP"].readout.layers) == 1
 
     def test_max_v_filters_training_data(self, tiny_bundle):
         clamped = TargetPredictor(
@@ -122,16 +132,18 @@ class TestLearningSignal:
         assert metrics["r2"] > 0.5
 
 
-class TestGNNRegressorSerialization:
+def _one_head_model(rng, num_layers=2, num_fc_layers=4):
+    dims = {t: feature_dim(t) for t in NODE_TYPES}
+    trunk = SharedTrunk("paragraph", dims, rng, embed_dim=8, num_layers=num_layers)
+    return MultiTaskModel(trunk, {"CAP": ReadoutHead(8, num_fc_layers, rng)})
+
+
+class TestModelSerialization:
     def test_state_roundtrip(self, tmp_path):
-        rng = stream(0, "test")
-        dims = {t: feature_dim(t) for t in NODE_TYPES}
-        model = GNNRegressor("paragraph", dims, rng, embed_dim=8, num_layers=2)
+        model = _one_head_model(stream(0, "test"))
         path = tmp_path / "m.npz"
         save_module(model, path)
-        fresh = GNNRegressor(
-            "paragraph", dims, stream(9, "other"), embed_dim=8, num_layers=2
-        )
+        fresh = _one_head_model(stream(9, "other"))
         load_module(fresh, path)
         for (na, pa), (nb, pb) in zip(
             model.named_parameters(), fresh.named_parameters()
@@ -141,16 +153,51 @@ class TestGNNRegressorSerialization:
 
     def test_invalid_depths(self):
         rng = stream(0, "x")
-        dims = {t: feature_dim(t) for t in NODE_TYPES}
         with pytest.raises(ValueError):
-            GNNRegressor("paragraph", dims, rng, num_layers=0)
+            _one_head_model(rng, num_layers=0)
         with pytest.raises(ValueError):
-            GNNRegressor("paragraph", dims, rng, num_fc_layers=-1)
+            _one_head_model(rng, num_fc_layers=-1)
 
     def test_zero_fc_layers_is_linear_readout(self):
-        rng = stream(0, "x")
-        dims = {t: feature_dim(t) for t in NODE_TYPES}
-        model = GNNRegressor(
-            "paragraph", dims, rng, embed_dim=8, num_layers=2, num_fc_layers=0
+        model = _one_head_model(stream(0, "x"), num_fc_layers=0)
+        assert len(model.heads["CAP"].readout.layers) == 1
+
+
+class TestSeedStability:
+    """A one-head predictor initialises exactly like the paper's per-target
+    model: encoder, then convolutions, then readout MLP, all drawn from the
+    one ``model/<conv>/<target>`` substream.  Initialisation draws random
+    numbers only (no BLAS), so the comparison is bitwise on every machine.
+    """
+
+    @pytest.mark.parametrize("conv", ["paragraph", "sage", "rgcn", "gat", "gcn"])
+    @pytest.mark.parametrize("target,depth", [("CAP", 4), ("SA", 2), ("CAP", 0)])
+    def test_initial_state_matches_per_target_draw_order(
+        self, tiny_bundle, conv, target, depth
+    ):
+        config = TrainConfig(
+            epochs=0, embed_dim=8, num_layers=2, num_fc_layers=depth, run_seed=3
         )
-        assert len(model.readout.layers) == 1
+        predictor = TargetPredictor(conv, target, config).fit(tiny_bundle)
+
+        rng = stream(3, "model", conv, target)
+        dims = {t: feature_dim(t) for t in NODE_TYPES}
+        encoder = NodeTypeEncoder(dims, 8, rng)
+        convs = [make_conv(conv, 8, all_edge_type_names(), rng) for _ in range(2)]
+        readout = MLP(
+            [8, 1] if depth == 0 else [8] * depth + [1], rng, activation="relu"
+        )
+        expected = {f"trunk.encoder.{k}": v for k, v in encoder.state_dict().items()}
+        for i, layer in enumerate(convs):
+            expected.update(
+                {f"trunk.convs.{i}.{k}": v for k, v in layer.state_dict().items()}
+            )
+        expected.update(
+            {f"heads.{target}.readout.{k}": v for k, v in readout.state_dict().items()}
+        )
+
+        state = predictor.model.state_dict()
+        assert list(state) == list(expected)
+        for name, value in expected.items():
+            assert state[name].dtype == value.dtype
+            assert state[name].tobytes() == value.tobytes(), name

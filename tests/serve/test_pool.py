@@ -244,6 +244,38 @@ class TestServerPool:
         assert status == 200
 
 
+class TestSharedTrunkPool:
+    """A shared-trunk (multi-head) predictor publishes its weights like
+    any other model and serves every head from the worker."""
+
+    @pytest.fixture(scope="class")
+    def shared(self, tiny_bundle):
+        from repro.flows import TrainPlan, train
+        from repro.models import TrainConfig
+
+        plan = TrainPlan(
+            targets=("CAP", "SA"),
+            trunk="shared",
+            config=TrainConfig(epochs=2, embed_dim=8, num_layers=2),
+        )
+        return train(tiny_bundle, plan).model
+
+    def test_one_worker_pool_matches_in_process_engine(self, shared, netlist_text):
+        from repro.api import create_engine
+
+        config = PoolConfig(workers=1, port=0, drain_timeout_s=10.0)
+        with ServerPool(shared, config=config) as running:
+            status, _, body = _post(
+                running.url + "/predict", {"netlist": netlist_text}
+            )
+        assert status == 200
+        with create_engine(shared, dtype="float32", workers=1) as engine:
+            expected = engine.predict(netlist_text)
+        assert sorted(body["targets"]) == ["CAP", "SA"]
+        for target in ("CAP", "SA"):
+            assert body["targets"][target]["values"] == expected.named(target)
+
+
 class TestPoolConfig:
     def test_rejects_zero_workers(self, artifact):
         with pytest.raises(ServeError, match="at least one"):

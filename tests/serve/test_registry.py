@@ -31,20 +31,44 @@ class TestLoadModel:
         assert isinstance(load_model(model_root / "multi"), MultiTargetModel)
         assert isinstance(load_model(model_root / "ens"), CapacitanceEnsemble)
 
-    def test_sniffs_multitask_npz(self, tiny_bundle, tmp_path):
-        from repro.models import MultiTaskPredictor, TrainConfig
+    @pytest.fixture(scope="class")
+    def shared(self, tiny_bundle):
+        from repro.models import TargetPredictor, TrainConfig
 
-        fitted = MultiTaskPredictor(
+        return TargetPredictor(
             "paragraph",
             targets=["CAP", "SA"],
             config=TrainConfig(epochs=2, embed_dim=8, num_layers=2),
-        )._fit_quiet(tiny_bundle)
-        fitted.save(tmp_path / "multitask.npz")
+        ).fit(tiny_bundle)
+
+    def test_sniffs_multitask_npz(self, shared, tiny_bundle, tmp_path):
+        from repro.models import TargetPredictor
+
+        shared.save(tmp_path / "multitask.npz")
         loaded = load_model(tmp_path / "multitask.npz")
-        assert isinstance(loaded, MultiTaskPredictor)
+        assert isinstance(loaded, TargetPredictor)
+        assert loaded.target_names == ["CAP", "SA"]
         record = tiny_bundle.records("test")[0]
         result = predict_one(loaded, record.circuit)
         assert set(result.targets) == {"CAP", "SA"}
+
+    def test_loads_shared_trunk_output_dir(self, shared, tiny_bundle, tmp_path):
+        # `repro train-all --trunk shared --out-dir D` writes D/multitask.npz;
+        # loading D used to read it as a per-target artifact (KeyError)
+        from repro.flows.training import MultiTargetModel
+
+        MultiTargetModel({"CAP": shared, "SA": shared}).save_dir(tmp_path / "d")
+        assert os.listdir(tmp_path / "d") == ["multitask.npz"]
+        loaded = load_model(tmp_path / "d")
+        assert isinstance(loaded, MultiTargetModel)
+        assert loaded.predictors["CAP"] is loaded.predictors["SA"]
+        record = tiny_bundle.records("test")[0]
+        got = predict_one(loaded, record.circuit)
+        want = predict_one(shared, record.circuit)
+        for target in ("CAP", "SA"):
+            np.testing.assert_array_equal(
+                got.arrays(target)[1], want.arrays(target)[1]
+            )
 
     def test_rejects_junk(self, tmp_path):
         with pytest.raises(ApiError, match="no loadable model"):

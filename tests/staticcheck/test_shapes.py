@@ -6,24 +6,21 @@ import pytest
 from repro import rng as rng_mod
 from repro.circuits.devices import NODE_TYPES
 from repro.graph.features import feature_dim
-from repro.models.base import GNNRegressor
 from repro.nn import precision
 from repro.models.multitask import MultiTaskModel, ReadoutHead, SharedTrunk
 from repro.staticcheck.shapes import (
     SymDim,
-    check_model_config,
     check_multitask,
     check_multitask_config,
-    check_regressor,
     shipped_configs,
 )
 
 FEATURE_DIMS = {t: feature_dim(t) for t in NODE_TYPES}
 
 
-def make_model(conv="paragraph", **kwargs):
-    rng = rng_mod.stream(7, "shapes-test", conv)
-    return GNNRegressor(conv, FEATURE_DIMS, rng, embed_dim=32, **kwargs)
+def make_model(conv="paragraph", num_fc_layers=4, **kwargs):
+    """The per-target model: one CAP head on the trunk."""
+    return make_multitask(conv, heads={"CAP": num_fc_layers}, **kwargs)
 
 
 def make_multitask(conv="paragraph", heads=None, embed_dim=32, **kwargs):
@@ -60,12 +57,12 @@ class TestSymDim:
 class TestCleanModels:
     @pytest.mark.parametrize("conv", ["gcn", "sage", "rgcn", "gat", "paragraph"])
     def test_every_conv_family_passes(self, conv):
-        assert check_regressor(make_model(conv), feature_dims=FEATURE_DIMS) == []
+        assert check_multitask(make_model(conv), feature_dims=FEATURE_DIMS) == []
 
     def test_float32_model_passes_under_policy(self):
         with precision.compute_dtype("float32"):
             model = make_model("paragraph")
-            assert check_regressor(model, feature_dims=FEATURE_DIMS) == []
+            assert check_multitask(model, feature_dims=FEATURE_DIMS) == []
 
     def test_shipped_configs_cover_paper_matrix(self):
         configs = shipped_configs()
@@ -83,7 +80,7 @@ class TestCleanModels:
         }
 
     def test_check_model_config_reports_construction_error(self):
-        findings = check_model_config(
+        findings = check_multitask_config(
             {"conv": "paragraph", "conv_kwargs": {"num_heads": 7}}
         )
         assert len(findings) == 1
@@ -93,56 +90,56 @@ class TestCleanModels:
 class TestInjectedMismatches:
     def test_readout_shape_mismatch(self):
         model = make_model("paragraph")
-        model.readout.layers[1].weight.data = np.zeros((33, 32))
-        findings = check_regressor(model, feature_dims=FEATURE_DIMS)
+        model.heads["CAP"].readout.layers[1].weight.data = np.zeros((33, 32))
+        findings = check_multitask(model, feature_dims=FEATURE_DIMS)
         assert len(findings) == 1
         assert "matmul mismatch" in findings[0].message
-        assert "readout.layers.1" in findings[0].message
+        assert "heads.CAP.readout.layers.1" in findings[0].message
 
     def test_conv_dimension_mismatch(self):
         model = make_model("sage")
-        linear = model.convs[2].linear
+        linear = model.trunk.convs[2].linear
         linear.weight.data = linear.weight.data[:60, :]
-        findings = check_regressor(model, feature_dims=FEATURE_DIMS)
-        assert findings and "convs.2" in findings[0].message
+        findings = check_multitask(model, feature_dims=FEATURE_DIMS)
+        assert findings and "trunk.convs.2" in findings[0].message
 
     def test_encoder_feature_dim_mismatch(self):
         model = make_model("gcn")
         wrong = dict(FEATURE_DIMS)
         first = sorted(wrong)[0]
         wrong[first] += 2
-        findings = check_regressor(model, feature_dims=wrong)
+        findings = check_multitask(model, feature_dims=wrong)
         assert findings and f"encoder.transforms.{first}" in findings[0].message
 
     def test_dtype_leak_detected(self):
         model = make_model("gcn")
-        conv_linear = model.convs[0].linear
+        conv_linear = model.trunk.convs[0].linear
         conv_linear.weight.data = conv_linear.weight.data.astype(np.float32)
-        findings = check_regressor(model, feature_dims=FEATURE_DIMS)
+        findings = check_multitask(model, feature_dims=FEATURE_DIMS)
         assert findings
         assert "float32" in findings[0].message
 
     def test_readout_must_end_in_one_column(self):
         model = make_model("gat")
-        last = model.readout.layers[-1]
+        last = model.heads["CAP"].readout.layers[-1]
         last.weight.data = np.zeros((32, 2))
         last.bias.data = np.zeros((2,))
-        findings = check_regressor(model, feature_dims=FEATURE_DIMS)
+        findings = check_multitask(model, feature_dims=FEATURE_DIMS)
         assert findings and "1 column" in findings[0].message
 
     def test_paragraph_head_concat_mismatch(self):
         model = make_model("paragraph", conv_kwargs={"num_heads": 4})
-        conv = model.convs[0]
+        conv = model.trunk.convs[0]
         key = next(iter(conv.type_weights))
         # widen one head so the concat no longer reassembles embed_dim
         conv.type_weights[key].data = np.zeros((32, 16))
-        findings = check_regressor(model, feature_dims=FEATURE_DIMS)
+        findings = check_multitask(model, feature_dims=FEATURE_DIMS)
         assert findings
 
     def test_findings_use_model_path(self):
         model = make_model("gcn")
-        model.readout.layers[0].weight.data = np.zeros((99, 32))
-        findings = check_regressor(
+        model.heads["CAP"].readout.layers[0].weight.data = np.zeros((99, 32))
+        findings = check_multitask(
             model, feature_dims=FEATURE_DIMS, label="gcn/test"
         )
         assert findings[0].path == "model://gcn/test"
@@ -174,7 +171,7 @@ class TestMultiTaskClean:
         multitask = [c for c in shipped_configs() if c.get("trunk") == "shared"]
         assert {c["dtype"] for c in multitask} == {"float64", "float32"}
         for config in multitask:
-            assert check_model_config(config) == []
+            assert check_multitask_config(config) == []
 
     def test_config_reports_construction_error(self):
         findings = check_multitask_config(

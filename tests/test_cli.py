@@ -122,6 +122,32 @@ class TestCli:
         assert (out_dir / "SA.npz").exists()
         assert "saved 2 models" in capsys.readouterr().out
 
+    def test_train_all_shared_output_dir_predicts(self, tmp_path, capsys):
+        # regression: the shared-trunk output directory holds one
+        # multitask.npz, which `predict --model DIR` must load
+        import json
+
+        out_dir = tmp_path / "models"
+        code = main(
+            [
+                "train-all", "--targets", "CAP,SA", "--epochs", "2",
+                "--scale", "0.05", "--trunk", "shared",
+                "--out-dir", str(out_dir),
+            ]
+        )
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["multitask.npz"]
+        netlist = tmp_path / "amp.sp"
+        netlist.write_text(SPICE_OTA)
+        capsys.readouterr()
+        code = main(
+            ["predict", "--model", str(out_dir), "--netlist", str(netlist),
+             "--json"]
+        )
+        assert code == 0
+        (result,) = json.loads(capsys.readouterr().out)
+        assert sorted(result["targets"]) == ["CAP", "SA"]
+
     def test_predict_annotate_requires_cap_model(self, tmp_path, capsys):
         model_path = tmp_path / "sa.npz"
         main(
@@ -219,12 +245,13 @@ class TestPredictCliEndToEnd:
     def test_predict_values_are_finite_and_positive(self, cap_model, tmp_path, capsys):
         netlist = tmp_path / "amp.sp"
         netlist.write_text(SPICE_OTA)
+        from repro.api import predict_one
         from repro.models import TargetPredictor
 
         predictor = TargetPredictor.load(str(cap_model))
         with open(netlist) as handle:
             circuit = read_spice(handle, name="amp")
-        predictions = predictor.predict_circuit(circuit)
+        predictions = predict_one(predictor, circuit).named("CAP")
         assert predictions
         assert all(np.isfinite(v) for v in predictions.values())
 

@@ -8,6 +8,7 @@ Scaled tiny; quality is the benchmarks' job.
 import numpy as np
 import pytest
 
+from repro.api import predict_one
 from repro.circuits import devices as dev
 from repro.circuits import read_spice, write_spice
 from repro.circuits.generators.analog import ota_5t
@@ -59,7 +60,7 @@ class TestPredictAnnotateSimulate:
         predicted = compute_metrics(
             bench,
             predicted_annotations(
-                cap_model.predict_circuit(bench.circuit), circuit=bench.circuit
+                predict_one(cap_model, bench.circuit).named("CAP"), circuit=bench.circuit
             ),
         )
 
@@ -79,7 +80,7 @@ class TestPredictAnnotateSimulate:
     ):
         """Writing predictions as C elements == passing them as annotations."""
         bench = _ota_bench()
-        caps = cap_model.predict_circuit(bench.circuit)
+        caps = predict_one(cap_model, bench.circuit).named("CAP")
         annotated_circuit = annotated_netlist(bench.circuit, caps)
         bench_annotated = Testbench(
             "tb2", annotated_circuit, "in", "out", bench.metrics
@@ -98,9 +99,9 @@ class TestPredictAnnotateSimulate:
     def test_spice_roundtrip_preserves_predictions(self, cap_model):
         """Predict -> write SPICE -> read -> predict again: same values."""
         circuit = ota_5t()
-        first = cap_model.predict_circuit(circuit)
+        first = predict_one(cap_model, circuit).named("CAP")
         reparsed = read_spice(write_spice(circuit), name="ota5t")
-        second = cap_model.predict_circuit(reparsed)
+        second = predict_one(cap_model, reparsed).named("CAP")
         assert set(first) == set(second)
         for net in first:
             assert second[net] == pytest.approx(first[net], rel=1e-9)
@@ -120,6 +121,6 @@ class TestEnsembleIntegration:
             graph=build_graph(circuit),
             layout=synthesize_layout(circuit, seed=5),
         )
-        named = ensemble.predict_named(record)
+        named = predict_one(ensemble, record).named("CAP")
         assert set(named) == {n.name for n in circuit.signal_nets()}
         assert all(v >= 0 for v in named.values())
