@@ -9,9 +9,11 @@ per-target ``(ids, values)`` arrays.  Adapters exist for every family:
   disjoint forward pass (:meth:`GraphInputs.merge`), which is where the
   serving throughput comes from.
 * :class:`MultiTargetAdapter` — a :class:`MultiTargetModel`; one batched
-  forward per distinct predictor behind the requested targets.
+  forward per distinct predictor behind the requested targets, all on
+  one merge of the graphs.
 * :class:`EnsembleAdapter` — the §IV :class:`CapacitanceEnsemble`; one
-  batched forward per range member, then Algorithm 2 per circuit.
+  batched forward per range member (again on one merge), then
+  Algorithm 2 per circuit.
 * :class:`BaselineAdapter` — classical baselines (per-graph features, no
   merged forward).
 
@@ -83,34 +85,58 @@ class ModelAdapter(Protocol):
     ) -> list[dict[str, Arrays]]: ...
 
 
+def _merged(
+    works: Sequence[GraphWork], scaler: "FeatureScaler", batches: dict
+) -> "tuple[GraphInputs, Sequence[int]]":
+    """The works' inputs under *scaler* as one disjoint batch, with offsets.
+
+    *batches* memoises per scaler fingerprint for one ``predict_works``
+    call: the predictors behind a multi-target model or an ensemble hold
+    separate scaler objects of equal content, so they share one merge
+    and the plans it builds lazily.
+    """
+    from repro.data.fingerprint import scaler_fingerprint
+    from repro.models.inputs import GraphInputs
+
+    key = scaler_fingerprint(scaler)
+    batch = batches.get(key)
+    if batch is None:
+        if len(works) == 1:
+            batch = works[0].inputs_for(scaler), [0]
+        else:
+            batch = GraphInputs.merge([work.inputs_for(scaler) for work in works])
+            obs.observe("api.forward_batch_size", len(works))
+        batches[key] = batch
+    return batch
+
+
 def _forward(
-    predictor, works: Sequence[GraphWork], targets: Sequence[str]
+    predictor,
+    works: Sequence[GraphWork],
+    targets: Sequence[str],
+    batches: dict | None = None,
 ) -> list[dict[str, Arrays]]:
     """One no-grad trunk pass of a TargetPredictor over many graphs, then
     every requested head per graph.
 
     Several graphs are merged into one disjoint-component batch, so the
-    trunk runs once for all of them and for every head.  The readout MLP
-    runs per graph on exactly the rows the single-graph path would see
-    (BLAS matvec kernels are strongly row-count dependent, so a merged
-    readout would drift in the last ulp).  The conv-stack GEMMs can still
-    differ from the serial pass by one ulp for some merged row counts, so
-    split-back outputs agree with serial prediction to within
-    floating-point roundoff rather than bitwise.
+    trunk runs once for all of them and for every head; *batches* shares
+    that merge between the predictors of one request (see
+    :func:`_merged`).  The readout MLP runs per graph on exactly the rows
+    the single-graph path would see (BLAS matvec kernels are strongly
+    row-count dependent, so a merged readout would drift in the last
+    ulp).  The conv-stack GEMMs can still differ from the serial pass by
+    one ulp for some merged row counts, so split-back outputs agree with
+    serial prediction to within floating-point roundoff rather than
+    bitwise.
     """
-    from repro.models.inputs import GraphInputs
     from repro.nn import no_grad
 
     model = predictor._require_fit()
-    scaler = predictor._scaler
     specs = [predictor._spec(target) for target in targets]
-    if len(works) == 1:
-        inputs, offsets = works[0].inputs_for(scaler), [0]
-    else:
-        inputs, offsets = GraphInputs.merge(
-            [work.inputs_for(scaler) for work in works]
-        )
-        obs.observe("api.forward_batch_size", len(works))
+    inputs, offsets = _merged(
+        works, predictor._scaler, {} if batches is None else batches
+    )
     out: list[dict[str, Arrays]] = []
     with obs.span("api.batched_forward", batch=len(works), target=predictor.tag):
         with no_grad():
@@ -154,7 +180,8 @@ class PredictorAdapter:
 class MultiTargetAdapter:
     """A :class:`~repro.flows.MultiTargetModel` bundle of predictors.
 
-    Targets answered by the same predictor share one forward.
+    Targets answered by the same predictor share one forward, and every
+    forward of one call shares one merge of the graphs.
     """
 
     family = "multi_target"
@@ -175,8 +202,11 @@ class MultiTargetAdapter:
             predictor = self.model.predictors[target]
             groups.setdefault(id(predictor), (predictor, []))[1].append(target)
         out: list[dict[str, Arrays]] = [{} for _ in works]
+        batches: dict = {}
         for predictor, names in groups.values():
-            for slot, arrays in zip(out, _forward(predictor, works, names)):
+            for slot, arrays in zip(
+                out, _forward(predictor, works, names, batches)
+            ):
                 slot.update(arrays)
         return out
 
@@ -205,8 +235,12 @@ class EnsembleAdapter:
         members = self.ensemble.models
         if not members:
             raise ModelError("ensemble has no models")
+        batches: dict = {}
         per_member: list[list[Arrays]] = [
-            [slot["CAP"] for slot in _forward(member.predictor, works, ("CAP",))]
+            [
+                slot["CAP"]
+                for slot in _forward(member.predictor, works, ("CAP",), batches)
+            ]
             for member in members
         ]
         max_vs = [member.max_v for member in members]

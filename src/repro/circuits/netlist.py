@@ -104,6 +104,9 @@ class Circuit:
         self.ports: list[str] = list(ports)
         self._nets: dict[str, Net] = {}
         self._instances: dict[str, Instance] = {}
+        #: net name -> (instance, terminal) pins, in instance insertion and
+        #: terminal order; written only by add_instance
+        self._pins: dict[str, list[tuple[Instance, str]]] = {}
         for port in self.ports:
             self.add_net(port)
 
@@ -147,6 +150,8 @@ class Circuit:
             self.add_net(net_name)
         inst = Instance(name, device_type, dict(conns), dict(params or {}))
         self._instances[name] = inst
+        for terminal, net_name in inst.conns.items():
+            self._pins.setdefault(net_name, []).append((inst, terminal))
         return inst
 
     def embed(
@@ -235,17 +240,17 @@ class Circuit:
     # Topology queries
     # ------------------------------------------------------------------
     def instances_on_net(self, net_name: str) -> list[tuple[Instance, str]]:
-        """Return ``(instance, terminal)`` pairs attached to a net."""
-        hits = []
-        for inst in self._instances.values():
-            for terminal, net in inst.conns.items():
-                if net == net_name:
-                    hits.append((inst, terminal))
-        return hits
+        """Return ``(instance, terminal)`` pairs attached to a net.
+
+        Ordered by instance insertion, then terminal order, from an index
+        kept by :meth:`add_instance`, so one query costs the net's fanout,
+        not a scan of every instance.
+        """
+        return list(self._pins.get(net_name, ()))
 
     def fanout(self, net_name: str) -> int:
         """Number of device terminals attached to a net (Table II feature N)."""
-        return len(self.instances_on_net(net_name))
+        return len(self._pins.get(net_name, ()))
 
     def signal_nets(self) -> list[Net]:
         """Nets excluding supply/ground rails."""

@@ -25,6 +25,7 @@ from repro.nn import (
     Module,
     Parameter,
     Tensor,
+    block_matmul,
     concat,
     gather_rows,
     l2_normalize_rows,
@@ -35,7 +36,6 @@ from repro.nn import (
     segment_sum,
 )
 from repro.nn import init as nn_init
-from repro.nn import ops
 
 
 class GCNConv(Module):
@@ -75,7 +75,12 @@ class SageConv(Module):
 
 
 class RGCNConv(Module):
-    """Relational GCN: one weight matrix per edge type plus a self weight."""
+    """Relational GCN: one weight matrix per edge type plus a self weight.
+
+    Each type's messages are averaged per destination and the averages
+    summed over types.  Edges of a type the layer has no weight for are
+    ignored.
+    """
 
     def __init__(self, dim: int, edge_types: list[str], rng: np.random.Generator):
         super().__init__()
@@ -87,27 +92,21 @@ class RGCNConv(Module):
         self.self_weight = Parameter(nn_init.xavier_uniform((dim, dim), rng))
 
     def forward(self, h: Tensor, inputs: GraphInputs) -> Tensor:
-        agg = None
-        for edge_type in self.edge_types:
-            if edge_type not in inputs.edges:
-                continue
-            src, dst = inputs.edges[edge_type]
-            if len(src) == 0:
-                continue
-            weight = self.relation_weights[edge_type]
-            src_plan, dst_plan = inputs.edge_plans(edge_type)
-            if ops.plans_enabled():
-                # Gather-first: transform E edge rows, not all N nodes.
-                messages = gather_rows(h, src, plan=src_plan) @ weight
-            else:
-                messages = gather_rows(h @ weight, src, plan=src_plan)
-            summed = segment_sum(messages, dst, inputs.num_nodes, plan=dst_plan)
-            inv = Tensor(inputs.edge_inv_counts(edge_type, h.data.dtype))
-            contribution = summed * inv
-            agg = contribution if agg is None else agg + contribution
         self_term = h @ self.self_weight
-        if agg is None:
+        names, bounds = inputs.edge_blocks()
+        if not names:
             return relu(self_term)
+        ignored = Tensor(np.zeros_like(self.self_weight.data))
+        weight = concat(
+            [self.relation_weights.get(name, ignored) for name in names], axis=1
+        )
+        src_plan, dst_plan = inputs.merged_plans()
+        messages = block_matmul(
+            gather_rows(h, inputs.merged_src, plan=src_plan), weight, bounds
+        ) * Tensor(inputs.type_dst_inv_counts(h.data.dtype))
+        agg = segment_sum(
+            messages, inputs.merged_dst, inputs.num_nodes, plan=dst_plan
+        )
         return relu(agg + self_term)
 
 
@@ -200,54 +199,72 @@ class ParaGraphConv(Module):
     def _group_key(self, edge_type: str) -> str:
         return edge_type if self.group_edge_types else "__shared__"
 
-    def _aggregate_head(
-        self, h: Tensor, inputs: GraphInputs, key: str, edge_type: str,
-        src: np.ndarray, dst: np.ndarray, wh_cache: dict,
-    ) -> Tensor:
-        src_plan, dst_plan = inputs.edge_plans(edge_type)
-        if ops.plans_enabled() and self.group_edge_types:
-            # Gather-first: each edge type has its own weight, so transform
-            # only the 2·E edge-incident rows instead of all N nodes per
-            # type.  The per-type h[src]/h[dst] gathers are shared across
-            # heads through *wh_cache*.
-            hs_key = ("h_src", edge_type)
-            if hs_key not in wh_cache:
-                wh_cache[hs_key] = gather_rows(h, src, plan=src_plan)
-            wh_src = wh_cache[hs_key] @ self.type_weights[key]
-            if self.use_attention:
-                hd_key = ("h_dst", edge_type)
-                if hd_key not in wh_cache:
-                    wh_cache[hd_key] = gather_rows(h, dst, plan=dst_plan)
-                wh_dst = wh_cache[hd_key] @ self.type_weights[key]
-                logits = leaky_relu(
-                    wh_dst @ self.attn_dst[key] + wh_src @ self.attn_src[key],
-                    self.negative_slope,
-                )
-                alpha = segment_softmax(
-                    logits, dst, inputs.num_nodes, plan=dst_plan
-                )
-                return segment_sum(
-                    wh_src * alpha, dst, inputs.num_nodes, plan=dst_plan
-                )
-            return segment_mean(wh_src, dst, inputs.num_nodes, plan=dst_plan)
-        if key not in wh_cache:
-            wh_cache[key] = h @ self.type_weights[key]
-        wh = wh_cache[key]
-        if self.use_attention:
-            logits = leaky_relu(
-                gather_rows(wh @ self.attn_dst[key], dst, plan=dst_plan)
-                + gather_rows(wh @ self.attn_src[key], src, plan=src_plan),
-                self.negative_slope,
-            )
-            alpha = segment_softmax(logits, dst, inputs.num_nodes, plan=dst_plan)
-            messages = gather_rows(wh, src, plan=src_plan) * alpha
-            return segment_sum(messages, dst, inputs.num_nodes, plan=dst_plan)
-        return segment_mean(
-            gather_rows(wh, src, plan=src_plan),
-            dst,
-            inputs.num_nodes,
-            plan=dst_plan,
+    def _pieces(self, table: dict, names: list[str]) -> list[Parameter]:
+        """*table*'s parameter for every edge type in *names* and every
+        head, type-major, head-minor."""
+        return [
+            table[f"{self._group_key(name)}#{head}"]
+            for name in names
+            for head in range(self.num_heads)
+        ]
+
+    def _scores(self, weight: Tensor, names: list[str]) -> Tensor:
+        """Attention folded into the type weights: ``W_{t,k} @ a_{t,k}``.
+
+        *weight* is the (F, T*F) stacked type weight.  Returns (2F, T*H):
+        rows ``:F`` hold the destination vectors, rows ``F:`` the source
+        vectors, column ``t*H + k`` type t and head k, so one
+        :func:`block_matmul` of ``[h_dst | h_src]`` gives every edge's
+        attention logit for every head.
+        """
+        dim = weight.shape[0]
+        attn = concat(
+            self._pieces(self.attn_dst, names) + self._pieces(self.attn_src, names),
+            axis=0,
         )
+        products = weight * attn.reshape(2, 1, -1)
+        return products.reshape(2 * dim, -1, dim // self.num_heads).sum(axis=2)
+
+    def _messages(
+        self, h: Tensor, inputs: GraphInputs, names: list[str], bounds: np.ndarray
+    ) -> tuple[Tensor, Tensor | None]:
+        """Weighted per-edge messages over the merged edge list, and alpha.
+
+        Every edge type's rows are transformed by that type's weight in
+        one :func:`block_matmul`; attention (one softmax column per head)
+        or the per-type mean runs over (type, destination) segments.
+        Returns ``(messages, alpha)``; alpha is ``(E, H)``, or ``None``
+        without attention.
+        """
+        missing = [
+            name for name in names
+            if f"{self._group_key(name)}#0" not in self.type_weights
+        ]
+        if missing:
+            raise ModelError(f"no weights for edge type {missing[0]!r}")
+        src_plan, dst_plan = inputs.merged_plans()
+        h_src = gather_rows(h, inputs.merged_src, plan=src_plan)
+        weight = concat(self._pieces(self.type_weights, names), axis=1)
+        messages = block_matmul(h_src, weight, bounds)
+        if not self.use_attention:
+            inv_counts = Tensor(inputs.type_dst_inv_counts(h.data.dtype))
+            return messages * inv_counts, None
+        h_dst = gather_rows(h, inputs.merged_dst, plan=dst_plan)
+        logits = leaky_relu(
+            block_matmul(
+                concat([h_dst, h_src], axis=1), self._scores(weight, names), bounds
+            ),
+            self.negative_slope,
+        )
+        pairs = inputs.type_dst_plan()
+        alpha = segment_softmax(
+            logits, pairs.segment_ids, pairs.num_segments, plan=pairs
+        )
+        num_edges, heads = alpha.shape
+        weighted = messages.reshape(num_edges, heads, -1) * alpha.reshape(
+            num_edges, heads, 1
+        )
+        return weighted.reshape(num_edges, -1), alpha
 
     def attention_weights(
         self, h: Tensor, inputs: GraphInputs
@@ -260,42 +277,25 @@ class ParaGraphConv(Module):
         """
         if not self.use_attention:
             raise ModelError("attention is disabled on this layer")
-        weights: dict[str, np.ndarray] = {}
-        for edge_type in sorted(inputs.edges):
-            src, dst = inputs.edges[edge_type]
-            if len(src) == 0:
-                continue
-            key = f"{self._group_key(edge_type)}#0"
-            src_plan, dst_plan = inputs.edge_plans(edge_type)
-            wh = h @ self.type_weights[key]
-            logits = leaky_relu(
-                gather_rows(wh @ self.attn_dst[key], dst, plan=dst_plan)
-                + gather_rows(wh @ self.attn_src[key], src, plan=src_plan),
-                self.negative_slope,
-            )
-            alpha = segment_softmax(logits, dst, inputs.num_nodes, plan=dst_plan)
-            weights[edge_type] = alpha.numpy().ravel().copy()
-        return weights
+        names, bounds = inputs.edge_blocks()
+        if not names:
+            return {}
+        _, alpha = self._messages(h, inputs, names, bounds)
+        head0 = alpha.numpy()[:, 0]
+        return {
+            name: head0[lo:hi].copy()
+            for name, lo, hi in zip(names, bounds[:-1], bounds[1:])
+        }
 
     def forward(self, h: Tensor, inputs: GraphInputs) -> Tensor:
-        agg = None
-        wh_cache: dict[str, Tensor] = {}
-        for edge_type in sorted(inputs.edges):
-            src, dst = inputs.edges[edge_type]
-            if len(src) == 0:
-                continue
-            group_key = self._group_key(edge_type)
-            if f"{group_key}#0" not in self.type_weights:
-                raise ModelError(f"no weights for edge type {edge_type!r}")
-            heads = [
-                self._aggregate_head(
-                    h, inputs, f"{group_key}#{head}", edge_type, src, dst, wh_cache
-                )
-                for head in range(self.num_heads)
-            ]
-            group = heads[0] if len(heads) == 1 else concat(heads, axis=1)
-            agg = group if agg is None else agg + group
-        if agg is None:
+        names, bounds = inputs.edge_blocks()
+        if names:
+            messages, _ = self._messages(h, inputs, names, bounds)
+            _, dst_plan = inputs.merged_plans()
+            agg = segment_sum(
+                messages, inputs.merged_dst, inputs.num_nodes, plan=dst_plan
+            )
+        else:
             agg = h * Tensor(0.0)  # no edges at all: zero neighbourhood
         if self.concat_skip:
             combined = concat([h, agg + self.agg_bias], axis=1)

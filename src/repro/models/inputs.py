@@ -2,9 +2,11 @@
 
 :class:`GraphInputs` packages a heterogeneous graph's scaled features and
 edge arrays in the exact form the GNN layers consume: per-type feature
-matrices for the input transform, per-edge-type COO arrays for relational
-layers, and a merged (homogenised) edge list for the baseline GNNs that
-ignore edge types.
+matrices for the input transform, per-edge-type COO arrays, and one
+merged edge list.  The merged list is type-major (one contiguous block
+per edge type), so the baseline GNNs that ignore edge types read it
+whole and the relational layers read it block by block
+(:meth:`GraphInputs.edge_blocks`).
 
 It is also the home of the *graph compute plan*: every index-derived
 artifact the convolution layers need — self-loop-augmented edge lists,
@@ -24,6 +26,7 @@ import numpy as np
 
 from repro.data.dataset import CircuitRecord
 from repro.data.normalize import FeatureScaler
+from repro.errors import ShapeError
 from repro.graph.hetero import HeteroGraph
 from repro.nn.plan import SegmentPlan
 from repro.nn import precision
@@ -285,6 +288,66 @@ class GraphInputs:
             ),
         )
 
+    # -- Per-edge-type blocks of the merged edge list --------------------
+    def edge_blocks(self) -> tuple[list[str], np.ndarray]:
+        """The edge types of the merged list and their row bounds.
+
+        ``merged_src``/``merged_dst`` are type-major: all edges of the
+        first type in sorted order, then the next type, and so on (both
+        :meth:`from_graph` and :meth:`merge_graphs` lay them out that
+        way).  Returns ``(names, bounds)`` over the types that have edges:
+        type ``names[t]`` owns rows ``bounds[t]:bounds[t + 1]``.
+        """
+
+        def build():
+            names = [t for t in sorted(self.edges) if len(self.edges[t][0])]
+            bounds = np.zeros(len(names) + 1, dtype=np.int64)
+            np.cumsum([len(self.edges[t][0]) for t in names], out=bounds[1:])
+            if bounds[-1] != len(self.merged_dst):
+                raise ShapeError(
+                    f"edge types hold {bounds[-1]} edges but the merged "
+                    f"list has {len(self.merged_dst)}"
+                )
+            return names, bounds
+
+        return self._cached("edge_blocks", build)
+
+    def type_dst_plan(self) -> SegmentPlan:
+        """Plan over the (edge type, destination) pairs of the merged list.
+
+        Segment ``k`` is the ``k``-th pair that occurs, ordered by type
+        block, then destination id, so there are at most E segments (not
+        ``T * num_nodes``).  Each type's cached destination plan is
+        compacted to the destinations it reaches, and the compacted plans
+        are stitched with :meth:`SegmentPlan.concat` (the type blocks are
+        contiguous and their segment ranges ascend), so building it never
+        sorts.  Attention softmaxes and per-type means run over it.
+        """
+
+        def build():
+            names, _ = self.edge_blocks()
+            compact = [self.edge_plans(t)[1].compact() for t in names]
+            sizes = [plan.num_segments for plan in compact]
+            offsets = np.cumsum([0] + sizes[:-1]).astype(np.int64)
+            return SegmentPlan.concat(compact, offsets, int(sum(sizes)))
+
+        return self._cached("type_dst_plan", build)
+
+    def type_dst_inv_counts(self, dtype: "np.dtype | None" = None) -> np.ndarray:
+        """Per-edge ``1/count`` of its (type, destination) pair, as (E, 1).
+
+        Weighting every message by it and summing into the destination
+        is the per-type mean aggregation of RGCN (and of ParaGraph
+        without attention), summed over types.
+        """
+        dtype = np.dtype(dtype) if dtype is not None else precision.get_compute_dtype()
+
+        def build():
+            plan = self.type_dst_plan()
+            return plan.inverse_counts(dtype)[plan.segment_ids]
+
+        return self._cached(("type_dst_inv_counts", dtype), build)
+
     def node_type_plans(self) -> dict[str, SegmentPlan]:
         """Scatter plans for placing per-type rows into the node matrix."""
         return self._cached(
@@ -305,18 +368,6 @@ class GraphInputs:
             return (1.0 / np.sqrt(np.maximum(degree, 1.0))).astype(dtype).reshape(-1, 1)
 
         return self._cached(("gcn_inv_sqrt", dtype), build)
-
-    def edge_inv_counts(
-        self, edge_type: str, dtype: "np.dtype | None" = None
-    ) -> np.ndarray:
-        """``1/max(in_count, 1)`` column for one edge type (RGCN mean norm)."""
-        dtype = np.dtype(dtype) if dtype is not None else precision.get_compute_dtype()
-
-        def build():
-            _, dst_plan = self.edge_plans(edge_type)
-            return dst_plan.inverse_counts(dtype)
-
-        return self._cached(("edge_inv_counts", edge_type, dtype), build)
 
 
 @dataclass

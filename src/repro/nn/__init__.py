@@ -21,6 +21,7 @@ from repro.nn.layers import MLP, Linear, get_activation
 from repro.nn.loss import huber_loss, mae_loss, mse_loss
 from repro.nn.module import Module, Parameter
 from repro.nn.ops import (
+    block_matmul,
     concat,
     dropout,
     gather_rows,
@@ -73,6 +74,7 @@ __all__ = [
     "mse_loss",
     "Module",
     "Parameter",
+    "block_matmul",
     "concat",
     "dropout",
     "gather_rows",

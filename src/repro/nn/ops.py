@@ -6,7 +6,10 @@ operations every message-passing layer in the library is built from:
 * :func:`gather_rows` — ``h[src]`` for edge-wise source features,
 * :func:`segment_sum` — scatter-add of edge messages into destination nodes,
 * :func:`segment_softmax` — softmax over the incoming edges of each node
-  (the attention normaliser of GAT and ParaGraph).
+  (the attention normaliser of GAT and ParaGraph),
+
+plus :func:`block_matmul`, the per-edge-type transform of the relational
+layers (one weight per contiguous block of a type-major edge list).
 
 The scatter-style kernels (forward of the segment ops *and* the
 scatter-add backward of :func:`gather_rows`) run through
@@ -141,6 +144,64 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
         return tuple(pieces)
 
     return Tensor._make(out_data, tuple(tensors), backward)
+
+
+def block_matmul(x: Tensor, weight: Tensor, bounds: np.ndarray) -> Tensor:
+    """Row-blocked matmul: each row block gets its own weight.
+
+    ``bounds`` holds ``T + 1`` ascending row offsets (``bounds[0] == 0``,
+    ``bounds[-1] == len(x)``) and *weight* is ``(K, T * M)``: column block
+    ``t`` multiplies row block ``t``, so
+
+    ``out[bounds[t]:bounds[t + 1]] = x[bounds[t]:bounds[t + 1]] @ weight[:, t*M:(t+1)*M]``.
+
+    This is the per-edge-type transform of a relational layer over a
+    type-major edge list, in one tape node however many types there are.
+    Empty blocks are allowed.
+    """
+    x, weight = as_tensor(x), as_tensor(weight)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    num_blocks = len(bounds) - 1
+    if x.ndim != 2 or weight.ndim != 2 or weight.shape[0] != x.shape[1]:
+        raise ShapeError(
+            f"block_matmul needs x (E, K) and weight (K, T*M), got "
+            f"{x.shape} and {weight.shape}"
+        )
+    if (
+        num_blocks < 1
+        or weight.shape[1] % num_blocks
+        or bounds[0] != 0
+        or bounds[-1] != x.shape[0]
+        or np.any(np.diff(bounds) < 0)
+    ):
+        raise ShapeError(
+            f"block bounds {bounds.tolist()} do not tile {x.shape[0]} rows "
+            f"into column blocks of a {weight.shape[1]}-wide weight"
+        )
+    width = weight.shape[1] // num_blocks
+    x_data, w_data = x.data, weight.data
+    blocks = [
+        (int(lo), int(hi), slice(t * width, (t + 1) * width))
+        for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
+    # np.dot, not matmul: on the thin blocks of a typed edge list (a
+    # one-column logit weight, say) matmul leaves BLAS and is ~3x slower.
+    out_data = np.empty(
+        (x.shape[0], width), dtype=np.result_type(x_data, w_data)
+    )
+    for lo, hi, cols in blocks:
+        np.dot(x_data[lo:hi], w_data[:, cols], out=out_data[lo:hi])
+
+    def backward(grad: np.ndarray):
+        grad = np.ascontiguousarray(grad)
+        grad_x = np.empty(x_data.shape, dtype=np.result_type(grad, w_data))
+        grad_w = np.empty_like(w_data)
+        for lo, hi, cols in blocks:
+            np.dot(grad[lo:hi], w_data[:, cols].T, out=grad_x[lo:hi])
+            grad_w[:, cols] = np.dot(x_data[lo:hi].T, grad[lo:hi])
+        return grad_x, grad_w
+
+    return Tensor._make(out_data, (x, weight), backward)
 
 
 def gather_rows(

@@ -233,6 +233,27 @@ class SegmentPlan:
             counts=total_counts,
         )
 
+    def compact(self) -> "SegmentPlan":
+        """The same schedule over its non-empty segments only.
+
+        Segment ``present[k]`` becomes segment ``k``.  Renumbering keeps
+        the ids' order, so the stable sort, the boundaries and every
+        reduction are unchanged: the result equals :meth:`build` on the
+        renumbered ids, computed in O(E) without sorting.
+        """
+        counts = self.counts[self.present]
+        ranks = np.arange(len(self.present), dtype=np.int64)
+        segment_ids = np.empty(self.num_items, dtype=np.int64)
+        segment_ids[self.order] = np.repeat(ranks, counts)
+        return SegmentPlan(
+            segment_ids=segment_ids,
+            num_segments=len(ranks),
+            order=self.order,
+            starts=self.starts,
+            present=ranks,
+            counts=counts,
+        )
+
     # ------------------------------------------------------------------
     @property
     def num_items(self) -> int:

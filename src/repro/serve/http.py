@@ -88,13 +88,24 @@ class _Handler(BaseHTTPRequestHandler):
     access_log = None  # an AccessLog, or None
 
     protocol_version = "HTTP/1.1"
+    # Responses leave in one write (see _send_body); with Nagle's algorithm
+    # off, a small one is not held back waiting for the client's ACK.
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # pragma: no cover - log plumbing
         if not self.quiet:
             super().log_message(fmt, *args)
 
     # ------------------------------------------------------------------
-    def _send_headers(self, status: int, headers: dict) -> None:
+    def _send_body(
+        self, status: int, body: bytes, content_type: str, headers: dict
+    ) -> None:
+        """Status line, headers and body in a single socket write.
+
+        ``end_headers`` would flush the header buffer on its own, and
+        the body would follow as a second segment that a keep-alive
+        client ACKs late; the body joins the buffer before the flush.
+        """
         self._status = status
         self.send_response(status)
         self.send_header("X-Request-ID", self._request_id)
@@ -102,24 +113,20 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("X-Worker", str(self.worker_id))
         for name, value in headers.items():
             self.send_header(name.replace("_", "-"), str(value))
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _send_json(self, status: int, payload: dict, **headers) -> None:
-        body = json.dumps(payload).encode()
-        self._send_headers(status, headers)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(
+            status, json.dumps(payload).encode(), "application/json", headers
+        )
 
     def _send_text(
         self, status: int, text: str, content_type: str, **headers
     ) -> None:
-        body = text.encode()
-        self._send_headers(status, headers)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(status, text.encode(), content_type, headers)
 
     def _send_error_json(self, status: int, error: Exception, **headers) -> None:
         self._log_fields["error"] = f"{type(error).__name__}: {error}"

@@ -124,6 +124,67 @@ class TestTopology:
         assert row["net"] == 2
         assert row[dev.TRANSISTOR] == 2
 
+    def test_pin_index_follows_insertion_and_terminal_order(self):
+        c = _simple_inverter()
+        hits = c.instances_on_net("vdd")
+        assert [(inst.name, term) for inst, term in hits] == [
+            ("mp", "source"), ("mp", "bulk"),
+        ]
+        hits.clear()  # callers get a copy, not the index
+        assert c.fanout("vdd") == 2
+        assert c.instances_on_net("nowhere") == [] and c.fanout("nowhere") == 0
+
+
+def _scan_instances_on_net(circuit, net_name):
+    """The reference query: scan every instance's terminals."""
+    return [
+        (inst, terminal)
+        for inst in circuit.instances()
+        for terminal, net in inst.conns.items()
+        if net == net_name
+    ]
+
+
+def _bundle_bytes(bundle):
+    """Graphs, scaled-feature statistics and all 13 targets, as bytes."""
+    from repro.data.targets import ALL_TARGETS
+
+    chunks = []
+    for split in ("train", "test"):
+        for record in bundle.records(split):
+            graph = record.graph
+            chunks.append(record.name.encode())
+            for name in sorted(graph.features):
+                chunks += [
+                    name.encode(),
+                    graph.features[name].tobytes(),
+                    graph.nodes_of_type[name].tobytes(),
+                ]
+            for name in sorted(graph.edges):
+                src, dst = graph.edges[name]
+                chunks += [name.encode(), src.tobytes(), dst.tobytes()]
+            for spec in ALL_TARGETS:
+                chunks += [
+                    spec.node_ids(graph).tobytes(),
+                    spec.values(graph, record.layout).tobytes(),
+                ]
+    for name in sorted(bundle.scaler.means):
+        chunks += [bundle.scaler.means[name].tobytes(), bundle.scaler.stds[name].tobytes()]
+    return chunks
+
+
+def test_build_bundle_matches_scanning_fanout(monkeypatch):
+    """The net -> pins index gives the graphs, features and targets the
+    instance scan gives, byte for byte."""
+    from repro.data import build_bundle
+
+    indexed = _bundle_bytes(build_bundle(seed=1, scale=0.1))
+    monkeypatch.setattr(Circuit, "instances_on_net", _scan_instances_on_net)
+    monkeypatch.setattr(
+        Circuit, "fanout", lambda self, net: len(_scan_instances_on_net(self, net))
+    )
+    assert _bundle_bytes(build_bundle(seed=1, scale=0.1)) == indexed
+
 
 class TestEmbed:
     def test_embed_flattens_with_prefix(self):

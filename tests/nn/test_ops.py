@@ -56,6 +56,48 @@ class TestConcat:
         assert_gradients_match(lambda: (nn.concat([a, b]) ** 2).sum(), [a, b])
 
 
+class TestBlockMatmul:
+    #: rows 0-2, 3-2 (empty), 3-7, 8-8 (empty)
+    BOUNDS = np.array([0, 3, 3, 8, 8])
+
+    def test_value_is_per_block_matmul(self):
+        x, w = _rand((8, 3)), _rand((3, 4 * 2), seed=1)
+        out = nn.block_matmul(Tensor(x), Tensor(w), self.BOUNDS).numpy()
+        assert out.shape == (8, 2)
+        np.testing.assert_array_equal(out[0:3], x[0:3] @ w[:, 0:2])
+        np.testing.assert_array_equal(out[3:8], x[3:8] @ w[:, 4:6])
+
+    def test_gradient(self):
+        x = Tensor(_rand((8, 3)), requires_grad=True)
+        w = Tensor(_rand((3, 4 * 2), seed=1), requires_grad=True)
+        assert_gradients_match(
+            lambda: (nn.block_matmul(x, w, self.BOUNDS) ** 2).sum(), [x, w]
+        )
+
+    def test_empty_blocks_get_zero_weight_gradient(self):
+        x = Tensor(_rand((8, 3)))
+        w = Tensor(_rand((3, 4 * 2), seed=1), requires_grad=True)
+        nn.block_matmul(x, w, self.BOUNDS).sum().backward()
+        np.testing.assert_array_equal(w.grad[:, 2:4], 0.0)
+        np.testing.assert_array_equal(w.grad[:, 6:8], 0.0)
+
+    @pytest.mark.parametrize(
+        "x_shape,w_shape,bounds",
+        [
+            ((8, 3), (4, 8), [0, 3, 8]),  # inner dimensions disagree
+            ((8, 3), (3, 7), [0, 3, 8]),  # columns do not split into blocks
+            ((8, 3), (3, 8), [0, 3, 7]),  # bounds stop short of the rows
+            ((8, 3), (3, 9), [0, 5, 3, 8]),  # bounds not ascending
+            ((8, 3), (3, 8), [0]),  # no blocks
+        ],
+    )
+    def test_shape_errors(self, x_shape, w_shape, bounds):
+        with pytest.raises(ShapeError):
+            nn.block_matmul(
+                Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), bounds
+            )
+
+
 class TestGatherRows:
     def test_value(self):
         x = Tensor(np.arange(6.0).reshape(3, 2))

@@ -57,6 +57,19 @@ class TestSegmentPlanBuild:
         out = plan.scatter_add(np.empty((0, 3)))
         np.testing.assert_array_equal(out, np.zeros((7, 3)))
 
+    @pytest.mark.parametrize("num_items", [0, 1, 200])
+    def test_compact_matches_build_on_renumbered_ids(self, num_items):
+        ids, S = _segments(seed=2, num_items=num_items)
+        plan = SegmentPlan.build(ids, S)
+        _, dense = np.unique(ids, return_inverse=True)
+        compact = plan.compact()
+        rebuilt = SegmentPlan.build(dense.astype(np.int64), len(plan.present))
+        assert compact.num_segments == rebuilt.num_segments
+        for field in ("segment_ids", "order", "starts", "present", "counts"):
+            np.testing.assert_array_equal(
+                getattr(compact, field), getattr(rebuilt, field), err_msg=field
+            )
+
 
 class TestScatterAddBitwise:
     @pytest.mark.parametrize("feature_dim", [None, 1, 32])

@@ -158,6 +158,78 @@ class TestErrorMapping:
         assert code == 404
 
 
+class _RecordingWriter:
+    """Wraps a handler's ``wfile``; logs every ``write`` it receives."""
+
+    def __init__(self, inner, log):
+        self._inner = inner
+        self._log = log
+
+    def write(self, data):
+        self._log.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestKeepAliveWrites:
+    """A keep-alive response leaves in one write on a TCP_NODELAY socket.
+
+    Written as headers and body in two sends with Nagle's algorithm on,
+    the body of a small response waits for the client's delayed ACK of
+    the headers (up to 40 ms on Linux).
+    """
+
+    def test_each_response_is_one_write(self, api_cap_predictor, netlist_text):
+        import http.client
+        import socket
+
+        writes: list[bytes] = []
+        nodelay: list[int] = []
+        exchanges = [
+            ("GET", "/healthz", None, 200),
+            ("GET", "/metrics", None, 200),
+            ("GET", "/metrics?format=prom", None, 200),
+            ("POST", "/predict", {"netlist": netlist_text}, 200),
+            ("POST", "/predict", b"{not json", 400),
+            ("GET", "/nowhere", None, 404),
+        ]
+        engine = create_engine(api_cap_predictor, workers=1)
+        with PredictionServer(engine, port=0) as server:
+            handler = server._server.RequestHandlerClass
+
+            class Recording(handler):
+                def setup(self):
+                    super().setup()
+                    nodelay.append(
+                        self.connection.getsockopt(
+                            socket.IPPROTO_TCP, socket.TCP_NODELAY
+                        )
+                    )
+                    self.wfile = _RecordingWriter(self.wfile, writes)
+
+            server._server.RequestHandlerClass = Recording
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=10.0
+            )
+            bodies = []
+            for method, path, payload, status in exchanges:
+                if isinstance(payload, dict):
+                    payload = json.dumps(payload).encode()
+                connection.request(method, path, body=payload)
+                response = connection.getresponse()
+                bodies.append(response.read())
+                assert response.status == status, path
+            connection.close()
+        assert len(nodelay) == 1 and nodelay[0] != 0  # one connection, kept alive
+        assert len(writes) == len(exchanges)
+        for data, body in zip(writes, bodies):
+            head, sent = data.split(b"\r\n\r\n", 1)
+            assert head.startswith(b"HTTP/1.1 ")
+            assert sent == body
+
+
 class TestCliServeBuild:
     def test_serve_build_wires_registry_and_server(self, tmp_path,
                                                    api_cap_predictor):
