@@ -1,44 +1,28 @@
-"""Isolated kernel micro-benchmarks: backends x precisions vs legacy.
+"""Isolated kernel micro-benchmarks: the one kernel path, per precision.
 
 Times the three hot kernel entry points of :mod:`repro.nn.ops` —
 ``segment_softmax``, ``gather_rows`` and ``scatter_rows`` — forward *and*
-backward (all tensors require grad, so the legacy baseline pays its
-``np.add.at`` backward scatters) on a synthetic workload sized like a
-large mega-batch.  Each kernel runs once per registered
-:mod:`repro.nn.backend` at float64 and float32; the baseline is the
-legacy composite path (``use_legacy_kernels``) at the same precision, so
-``speedup = legacy_seconds / backend_seconds``.
+backward (all tensors require grad) on a synthetic workload sized like a
+large mega-batch, at float64 and float32.  A kernel time is evidence for
+one stage, not for the system; end-to-end numbers come from
+``perfbench/``.
 
 The record lands in ``benchmarks/results/kernels.json``.
-
-``REPRO_BENCH_MIN_SPEEDUP`` sets the minimum acceptable speedup of the
-accelerated backend (``auto``: numba when installed, else ``fused``) on
-``segment_softmax`` and ``gather_rows`` (default 2.0; the CI perf-smoke
-job relaxes it to 1.0 because shared runners amortise nothing).
 """
 
-import os
 import time
 
 import numpy as np
 
 from benchmarks._util import emit_json
-from repro.nn import Tensor, ops, use_backend
+from repro.nn import Tensor, ops
 from repro.nn import precision
-from repro.nn.backend import available_backends, resolve_backend
 from repro.nn.plan import SegmentPlan
-
-MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "2.0"))
 
 #: Synthetic workload: a mega-batch-sized graph reduction.
 NUM_NODES = 20_000
 NUM_EDGES = 200_000
 DIM = 32
-
-#: The two kernels the accelerated backend must beat legacy by
-#: ``MIN_SPEEDUP`` on (scatter_rows is recorded but not gated: its CSR
-#: temporary keeps float64 wins below 2x on small caches).
-GATED_KERNELS = ("segment_softmax", "gather_rows")
 
 
 def _time_call(fn, repeats: int = 5, warmup: int = 1) -> float:
@@ -54,7 +38,7 @@ def _time_call(fn, repeats: int = 5, warmup: int = 1) -> float:
 
 
 def _kernel_cases(ids: np.ndarray, plan: SegmentPlan, rng):
-    """fwd+bwd closures per kernel; ``plan=None`` selects the legacy path."""
+    """fwd+bwd closure per kernel at the active compute precision."""
     dtype = precision.get_compute_dtype()
     scores = Tensor(rng.standard_normal((NUM_EDGES, 1)), requires_grad=True)
     nodes = Tensor(rng.standard_normal((NUM_NODES, DIM)), requires_grad=True)
@@ -63,19 +47,16 @@ def _kernel_cases(ids: np.ndarray, plan: SegmentPlan, rng):
     grad_edges = np.ones((NUM_EDGES, DIM), dtype=dtype)
     grad_nodes = np.ones((NUM_NODES, DIM), dtype=dtype)
 
-    def softmax(plan):
+    def softmax():
         out = ops.segment_softmax(scores, ids, NUM_NODES, plan=plan)
         out.backward(grad_scores)
 
-    def gather(plan):
+    def gather():
         out = ops.gather_rows(nodes, ids, plan=plan)
         out.backward(grad_edges)
 
-    def scatter(plan):
-        out = ops.scatter_rows(
-            [piece], [ids], NUM_NODES,
-            plans=None if plan is None else [plan],
-        )
+    def scatter():
+        out = ops.scatter_rows([piece], [ids], NUM_NODES, plans=[plan])
         out.backward(grad_nodes)
 
     return {
@@ -85,69 +66,30 @@ def _kernel_cases(ids: np.ndarray, plan: SegmentPlan, rng):
     }
 
 
-def test_kernel_backend_speedups(benchmark):
+def test_kernel_timings(benchmark):
     rng = np.random.default_rng(0)
     ids = rng.integers(0, NUM_NODES, size=NUM_EDGES).astype(np.int64)
     plan = SegmentPlan.build(ids, NUM_NODES)
-    accelerated = resolve_backend("auto").name
 
     results: dict[str, dict] = {}
     for dtype in ("float64", "float32"):
         with precision.compute_dtype(dtype):
             cases = _kernel_cases(ids, plan, rng)
-            per_kernel = {}
-            for kernel, fn in cases.items():
-                with ops.use_legacy_kernels():
-                    legacy = _time_call(lambda: fn(None))
-                backends = {}
-                for name in available_backends():
-                    with use_backend(name):
-                        seconds = _time_call(lambda: fn(plan))
-                    backends[name] = {
-                        "seconds": seconds,
-                        "speedup": legacy / seconds,
-                    }
-                per_kernel[kernel] = {
-                    "legacy_seconds": legacy,
-                    "backends": backends,
-                }
-            results[dtype] = per_kernel
+            results[dtype] = {
+                kernel: {"seconds": _time_call(fn)}
+                for kernel, fn in cases.items()
+            }
 
-    # pytest-benchmark statistics for the accelerated softmax steady state.
-    with precision.compute_dtype("float32"), use_backend(accelerated):
+    # pytest-benchmark statistics for the float32 softmax steady state.
+    with precision.compute_dtype("float32"):
         cases = _kernel_cases(ids, plan, rng)
-        benchmark(lambda: cases["segment_softmax"](plan))
+        benchmark(cases["segment_softmax"])
 
     emit_json(
         "kernels", benchmark,
-        params={
-            "num_nodes": NUM_NODES,
-            "num_edges": NUM_EDGES,
-            "dim": DIM,
-            "backends": list(available_backends()),
-            "accelerated_backend": accelerated,
-        },
-        metrics={
-            "min_speedup_required": MIN_SPEEDUP,
-            "gated_kernels": list(GATED_KERNELS),
-            "kernels": results,
-        },
+        params={"num_nodes": NUM_NODES, "num_edges": NUM_EDGES, "dim": DIM},
+        metrics={"kernels": results},
     )
     for dtype, per_kernel in results.items():
-        for kernel, record in per_kernel.items():
-            row = record["backends"][accelerated]
-            print(
-                f"{dtype} {kernel}: legacy="
-                f"{record['legacy_seconds'] * 1e3:.2f}ms "
-                f"{accelerated}={row['seconds'] * 1e3:.2f}ms "
-                f"({row['speedup']:.2f}x)",
-                flush=True,
-            )
-
-    for dtype, per_kernel in results.items():
-        for kernel in GATED_KERNELS:
-            speedup = per_kernel[kernel]["backends"][accelerated]["speedup"]
-            assert speedup >= MIN_SPEEDUP, (
-                f"{accelerated} backend {kernel} speedup {speedup:.2f}x at "
-                f"{dtype} below required {MIN_SPEEDUP}x"
-            )
+        for kernel, row in per_kernel.items():
+            print(f"{dtype} {kernel}: {row['seconds'] * 1e3:.2f}ms", flush=True)

@@ -1,14 +1,16 @@
-"""Full-train-step benchmark: plan-based CSR kernels vs legacy scatters.
+"""Full-train-step benchmarks on the merged training split.
 
-Measures one complete ParaGraph training step (forward + backward + Adam
-update) on the merged training split — the exact workload of
-``TargetPredictor.fit`` — with the segment-plan engine on and off, plus the
-three segment kernels in isolation.  The before/after record lands in
-``benchmarks/results/train_step.json``.
+``test_train_step`` times one complete ParaGraph training step (forward +
+backward + Adam update) — the exact workload of ``TargetPredictor.fit`` —
+plus the three segment kernels in isolation on the merged graph; the
+record lands in ``benchmarks/results/train_step.json``.
+``test_train_step_megabatch_multitask`` compares one shared-trunk step
+over all 13 targets with 13 per-target steps
+(``benchmarks/results/train_step_megabatch.json``).
 
-``REPRO_BENCH_MIN_SPEEDUP`` sets the minimum acceptable full-step speedup
-of the plan engine over the legacy ``np.add.at`` kernels (default 2.0; the
-CI perf-smoke job relaxes it to 1.0 because tiny graphs amortise nothing).
+``REPRO_BENCH_MIN_SPEEDUP`` sets the minimum acceptable shared-trunk
+speedup (default 2.0; the CI perf-smoke job relaxes it to 1.0 because tiny
+graphs amortise nothing).
 """
 
 import os
@@ -98,48 +100,34 @@ def _kernel_cases(inputs):
     nodes = Tensor(rng.standard_normal((inputs.num_nodes, 32)))
     scores = Tensor(rng.standard_normal((len(dst), 1)))
 
-    def seg_sum(plan):
-        out = ops.segment_sum(x, dst, inputs.num_nodes, plan=plan)
+    def seg_sum():
+        out = ops.segment_sum(x, dst, inputs.num_nodes, plan=dst_plan)
         out.backward(np.ones_like(out.data))
 
-    def softmax(plan):
-        out = ops.segment_softmax(scores, dst, inputs.num_nodes, plan=plan)
+    def softmax():
+        out = ops.segment_softmax(scores, dst, inputs.num_nodes, plan=dst_plan)
         out.backward(np.ones_like(out.data))
 
-    def gather_bwd(plan):
-        out = ops.gather_rows(nodes, dst, plan=plan)
+    def gather_bwd():
+        out = ops.gather_rows(nodes, dst, plan=dst_plan)
         out.backward(np.ones_like(out.data))
 
     return {
         "segment_sum_fwd_bwd": seg_sum,
         "segment_softmax_fwd_bwd": softmax,
         "gather_rows_fwd_bwd": gather_bwd,
-    }, dst_plan
+    }
 
 
-def test_train_step_plan_speedup(benchmark, train_setup, config):
+def test_train_step(benchmark, train_setup, config):
     inputs, ids, step = train_setup
+    step_seconds = _time_steps(step)
+    kernels = {
+        name: {"seconds": _time_call(fn)}
+        for name, fn in _kernel_cases(inputs).items()
+    }
 
-    # Manual best-of timing of both modes for a symmetric speedup figure.
-    with ops.use_legacy_kernels():
-        legacy_seconds = _time_steps(step)
-    plan_seconds = _time_steps(step)
-    speedup = legacy_seconds / plan_seconds
-
-    # Isolated kernel timings, legacy vs plan.
-    cases, dst_plan = _kernel_cases(inputs)
-    kernels = {}
-    for name, fn in cases.items():
-        with ops.use_legacy_kernels():
-            legacy = _time_call(lambda: fn(None))
-        planned = _time_call(lambda: fn(dst_plan))
-        kernels[name] = {
-            "legacy_seconds": legacy,
-            "plan_seconds": planned,
-            "speedup": legacy / planned,
-        }
-
-    # pytest-benchmark statistics for the steady-state plan-based step.
+    # pytest-benchmark statistics for the steady-state step.
     loss = benchmark(step)
     assert np.isfinite(loss)
 
@@ -156,22 +144,12 @@ def test_train_step_plan_speedup(benchmark, train_setup, config):
             "dataset_scale": config.dataset_scale,
         },
         metrics={
-            "legacy_step_seconds": legacy_seconds,
-            "plan_step_seconds": plan_seconds,
-            "speedup": speedup,
-            "min_speedup_required": MIN_SPEEDUP,
+            "step_seconds": step_seconds,
             "kernels": kernels,
             "loss": loss,
         },
     )
-    print(
-        f"\ntrain step: legacy={legacy_seconds * 1e3:.1f}ms "
-        f"plan={plan_seconds * 1e3:.1f}ms ({speedup:.2f}x)",
-        flush=True,
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"plan engine speedup {speedup:.2f}x below required {MIN_SPEEDUP}x"
-    )
+    print(f"\ntrain step: {step_seconds * 1e3:.1f}ms", flush=True)
 
 
 @pytest.fixture(scope="module")

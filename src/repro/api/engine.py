@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.api.adapters import GraphWork, make_adapter
-from repro.nn import backend as nn_backend
 from repro.nn import precision
 from repro.api.types import (
     ModelProvenance,
@@ -52,8 +51,6 @@ class EngineConfig:
     ``float32`` — roughly half the memory traffic of float64 at a ~1e-6
     relative output tolerance (see ``docs/performance.md``); pass
     ``"float64"`` to recover the historical bit-exact behaviour.
-    ``backend`` selects the :mod:`repro.nn.backend` kernel backend for
-    forwards (``None`` inherits the process default / ``REPRO_BACKEND``).
     """
 
     cache_size: int = 256
@@ -62,7 +59,6 @@ class EngineConfig:
     workers: int = 2
     timeout_s: float | None = None
     dtype: str = "float32"
-    backend: str | None = None
 
 
 def _target_kind(target: str) -> str:
@@ -172,11 +168,8 @@ class Engine:
         return self.registry.get(model).targets
 
     def compute_info(self) -> dict:
-        """The serving precision and kernel backend forwards run under."""
-        return {
-            "dtype": self._dtype.name,
-            "backend": nn_backend.resolve_backend(self.config.backend).name,
-        }
+        """The serving precision forwards run under."""
+        return {"dtype": self._dtype.name}
 
     def stats(self) -> dict:
         """JSON-ready operational snapshot (the ``/metrics`` body)."""
@@ -245,12 +238,10 @@ class Engine:
 
         Items sharing a model and target set are merged into one batched
         forward pass; the rest fall back to singleton batches.  Runs
-        under the engine's serving precision and kernel backend (both
-        thread-local, so caller threads keep their own policy).
+        under the engine's serving precision (thread-local, so caller
+        threads keep their own policy).
         """
-        with precision.compute_dtype(self._dtype), nn_backend.use_backend(
-            self.config.backend
-        ):
+        with precision.compute_dtype(self._dtype):
             return self._predict_group_inner(requests)
 
     def _predict_group_inner(
@@ -436,7 +427,6 @@ def create_engine(
     workers: int = 2,
     timeout_s: float | None = None,
     dtype: str = "float32",
-    backend: str | None = None,
     cache=None,
 ) -> Engine:
     """One-call engine construction.
@@ -447,8 +437,8 @@ def create_engine(
     (registered as ``"default"``).  A pre-built
     :class:`~repro.serve.cache.GraphCache` (e.g. the pool's sharded
     variant) may be injected via *cache*; it wins over *cache_size*.
-    *dtype* and *backend* set the serving compute policy (float32 by
-    default; pass ``dtype="float64"`` for bit-exact parity with training).
+    *dtype* sets the serving compute precision (float32 by default; pass
+    ``dtype="float64"`` for bit-exact parity with training).
     """
     return Engine(
         models,
@@ -459,7 +449,6 @@ def create_engine(
             workers=workers,
             timeout_s=timeout_s,
             dtype=dtype,
-            backend=backend,
         ),
         cache=cache,
     )

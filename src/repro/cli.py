@@ -22,7 +22,6 @@ Subcommands::
     python -m repro predict    --model cap_model.npz --netlist in.sp
                                [--netlist more.sp ...] [--json]
                                [--annotate out.sp] [--precision float32]
-                               [--backend auto]
         Parse SPICE netlists, predict every target the model offers for each
         (batched through :class:`repro.api.Engine`), print a report or a
         JSON dump; with ``--annotate`` also write the parasitic-annotated
@@ -33,7 +32,6 @@ Subcommands::
                                [--max-batch 16] [--queue-depth 128]
                                [--workers 2] [--cache-size 256]
                                [--timeout-s T] [--precision float32]
-                               [--backend auto]
         Discover saved models under ``--models`` and answer predictions over
         stdlib JSON/HTTP: ``POST /predict``, ``GET /healthz``,
         ``GET /metrics``.
@@ -182,9 +180,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     registry = ModelRegistry()
     with precision.compute_dtype(args.precision):
         registry.load(_entry_name(os.path.basename(args.model)), args.model)
-    with create_engine(
-        registry, dtype=args.precision, backend=args.backend
-    ) as engine:
+    with create_engine(registry, dtype=args.precision) as engine:
         if args.annotate and "CAP" not in engine.targets_of():
             print("--annotate requires a CAP model", file=sys.stderr)
             return 2
@@ -232,7 +228,6 @@ def _serve_build(args: argparse.Namespace):
         workers=args.workers,
         timeout_s=args.timeout_s,
         dtype=args.precision,
-        backend=args.backend,
     )
     access_log = None
     if getattr(args, "access_log", None):
@@ -275,7 +270,6 @@ def _cmd_serve_pool(args: argparse.Namespace) -> int:
         threads=args.workers,
         timeout_s=args.timeout_s,
         dtype=args.precision,
-        backend=args.backend,
         quiet=not args.verbose,
         metrics_dir=getattr(args, "metrics_dir", None),
         access_log=getattr(args, "access_log", None),
@@ -660,10 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=["float32", "float64"],
                            help="serving compute precision (default float32; "
                                 "float64 matches training bit-for-bit)")
-    p_predict.add_argument("--backend", default=None,
-                           help="kernel backend: default, fused, auto, or "
-                                "numba when installed (default: "
-                                "REPRO_BACKEND or 'default')")
     add_obs_args(p_predict)
     p_predict.set_defaults(func=_cmd_predict)
 
@@ -692,10 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["float32", "float64"],
                          help="serving compute precision (default float32; "
                               "float64 matches training bit-for-bit)")
-    p_serve.add_argument("--backend", default=None,
-                         help="kernel backend: default, fused, auto, or "
-                              "numba when installed (default: "
-                              "REPRO_BACKEND or 'default')")
     p_serve.add_argument("--verbose", action="store_true",
                          help="log every HTTP request to stderr")
     p_serve.add_argument("--metrics-dir", default=None, metavar="DIR",

@@ -9,14 +9,7 @@ Public surface::
     loss.backward()
 """
 
-from repro.nn import backend, precision
-from repro.nn.backend import (
-    KernelBackend,
-    available_backends,
-    get_backend,
-    set_backend,
-    use_backend,
-)
+from repro.nn import precision
 from repro.nn.layers import MLP, Linear, get_activation
 from repro.nn.loss import huber_loss, mae_loss, mse_loss
 from repro.nn.module import Module, Parameter
@@ -27,7 +20,6 @@ from repro.nn.ops import (
     gather_rows,
     l2_normalize_rows,
     leaky_relu,
-    plans_enabled,
     relu,
     scatter_rows,
     segment_mean,
@@ -35,7 +27,6 @@ from repro.nn.ops import (
     segment_sum,
     sigmoid,
     tanh,
-    use_legacy_kernels,
 )
 from repro.nn.plan import SegmentPlan
 from repro.nn.precision import compute_dtype, get_compute_dtype, set_compute_dtype
@@ -55,19 +46,11 @@ from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled, no_grad
 __all__ = [
     "MLP",
     "Linear",
-    "KernelBackend",
     "SegmentPlan",
-    "available_backends",
-    "backend",
     "compute_dtype",
-    "get_backend",
     "get_compute_dtype",
-    "plans_enabled",
     "precision",
-    "set_backend",
     "set_compute_dtype",
-    "use_backend",
-    "use_legacy_kernels",
     "get_activation",
     "huber_loss",
     "mae_loss",

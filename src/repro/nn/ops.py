@@ -11,66 +11,26 @@ operations every message-passing layer in the library is built from:
 plus :func:`block_matmul`, the per-edge-type transform of the relational
 layers (one weight per contiguous block of a type-major edge list).
 
-The scatter-style kernels (forward of the segment ops *and* the
-scatter-add backward of :func:`gather_rows`) run through
-:class:`~repro.nn.plan.SegmentPlan` — a sorted-CSR reduction schedule
-whose scatter-add is bit-identical to the historical unbuffered
-``np.add.at`` but an order of magnitude faster.  :func:`segment_softmax`
-additionally fuses its shift/exp/sum/div chain into a single autodiff
-node when plans are enabled (same math, matching the composite form to
-roundoff).  Callers that own graph-shaped index arrays (the convolution
-layers) pass cached plans from :class:`repro.models.inputs.GraphInputs`;
-ad-hoc calls build a plan on the fly.  :func:`use_legacy_kernels`
-switches back to the unbuffered composite kernels for benchmarking and
-parity testing.
-
-*Which implementation* answers each kernel is the thread-local policy of
-:mod:`repro.nn.backend`: every op captures the active
-:class:`~repro.nn.backend.KernelBackend` at forward time and runs both
-its forward and its backward through it, so GCN/GraphSAGE/RGCN/GAT and
-ParaGraph layers all swap kernels together when a caller scopes
-``backend.use_backend(...)``.  The ``default`` backend reproduces the
-historical code paths bit-for-bit.
+Every scatter (the forward of the segment ops and the backward of
+:func:`gather_rows`) runs through a :class:`~repro.nn.plan.SegmentPlan`, a
+sorted-CSR reduction schedule whose scatter-add is bit-identical to the
+unbuffered ``np.add.at``.  Callers that own graph-shaped index arrays (the
+convolution layers) pass cached plans from
+:class:`repro.models.inputs.GraphInputs`; ad-hoc calls build a plan on the
+fly.  Row gathers are :func:`np.take`, and :func:`segment_softmax` is one
+autodiff node with a closed-form backward.  ``tests/nn/kernel_oracle.py``
+keeps the composite ``np.add.at`` forms these kernels are checked against.
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.backend import get_backend
 from repro.nn.plan import SegmentPlan
 from repro.nn.tensor import Tensor, as_tensor
-
-# ----------------------------------------------------------------------
-# Kernel-mode switch (plan-based vs legacy np.add.at)
-# ----------------------------------------------------------------------
-_kernel_state = threading.local()
-
-
-def plans_enabled() -> bool:
-    """True when the scatter kernels use sorted-CSR plans (this thread)."""
-    return getattr(_kernel_state, "plans", True)
-
-
-@contextlib.contextmanager
-def use_legacy_kernels() -> Iterator[None]:
-    """Run the scatter kernels through unbuffered ``np.add.at``.
-
-    Exists for before/after benchmarking (``bench_train_step``) and for
-    parity tests asserting the plan-based kernels are bit-compatible.
-    Thread-local, like :func:`repro.nn.no_grad`.
-    """
-    previous = plans_enabled()
-    _kernel_state.plans = False
-    try:
-        yield
-    finally:
-        _kernel_state.plans = previous
 
 
 def _scatter_add(
@@ -78,52 +38,60 @@ def _scatter_add(
     values: np.ndarray,
     num_rows: int,
     plan: SegmentPlan | None = None,
-    backend=None,
 ) -> np.ndarray:
     """Sum rows of *values* into *num_rows* buckets selected by *index*."""
-    if not plans_enabled():
-        out = np.zeros((num_rows, *values.shape[1:]), dtype=values.dtype)
-        # staticcheck: ignore[autodiff-bypass] -- the legacy (plans
-        # disabled) scatter kernel; forward-only, wrapped by the op tape
-        np.add.at(out, index, values)
-        return out
     if plan is None:
         plan = SegmentPlan.build(index, num_rows)
     else:
         plan.check(index, num_rows)
-    return (backend or get_backend()).scatter_add(values, plan)
-
-
-def _activation(x: Tensor, kernel) -> Tensor:
-    """Wrap a backend activation kernel (out, vjp) into one tape node."""
-    x = as_tensor(x)
-    out_data, vjp = kernel(x.data)
-
-    def backward(grad: np.ndarray):
-        return (vjp(grad),)
-
-    return Tensor._make(out_data, (x,), backward)
+    return plan.scatter_add(values)
 
 
 def relu(x: Tensor) -> Tensor:
     """Rectified linear unit."""
-    return _activation(x, get_backend().relu)
+    x = as_tensor(x)
+    data = x.data
+
+    def backward(grad: np.ndarray):
+        # the mask exists only when a gradient is requested
+        return (grad * (data > 0),)
+
+    return Tensor._make(np.maximum(data, 0.0), (x,), backward)
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
     """Leaky ReLU with the GAT-default slope of 0.2."""
-    backend = get_backend()
-    return _activation(x, lambda data: backend.leaky_relu(data, negative_slope))
+    x = as_tensor(x)
+    data = x.data
+
+    def backward(grad: np.ndarray):
+        scale = np.where(data > 0, 1.0, negative_slope)
+        return (grad * scale.astype(data.dtype, copy=False),)
+
+    out_data = np.where(data > 0, data, data * negative_slope)
+    return Tensor._make(out_data, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic sigmoid."""
-    return _activation(x, get_backend().sigmoid)
+    x = as_tensor(x)
+    out_data = 1.0 / (1.0 + np.exp(-x.data))
+
+    def backward(grad: np.ndarray):
+        return (grad * out_data * (1.0 - out_data),)
+
+    return Tensor._make(out_data, (x,), backward)
 
 
 def tanh(x: Tensor) -> Tensor:
     """Hyperbolic tangent."""
-    return _activation(x, get_backend().tanh)
+    x = as_tensor(x)
+    out_data = np.tanh(x.data)
+
+    def backward(grad: np.ndarray):
+        return (grad * (1.0 - out_data**2),)
+
+    return Tensor._make(out_data, (x,), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -216,12 +184,11 @@ def gather_rows(
     """
     x = as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
-    backend = get_backend()
-    out_data = backend.gather_rows(x.data, index)
+    out_data = np.take(x.data, index, axis=0)
     num_rows = x.data.shape[0]
 
     def backward(grad: np.ndarray):
-        return (_scatter_add(index, grad, num_rows, plan, backend),)
+        return (_scatter_add(index, grad, num_rows, plan),)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -245,11 +212,10 @@ def segment_sum(
             f"segment_ids length {len(segment_ids)} does not match "
             f"leading dimension {x.data.shape[0]}"
         )
-    backend = get_backend()
-    out_data = _scatter_add(segment_ids, x.data, num_segments, plan, backend)
+    out_data = _scatter_add(segment_ids, x.data, num_segments, plan)
 
     def backward(grad: np.ndarray):
-        return (backend.gather_rows(grad, segment_ids),)
+        return (np.take(grad, segment_ids, axis=0),)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -274,23 +240,6 @@ def segment_mean(
     return summed * Tensor(inv_counts.reshape(shape))
 
 
-def _segment_max_data(
-    data: np.ndarray,
-    segment_ids: np.ndarray,
-    num_segments: int,
-    plan: SegmentPlan | None = None,
-) -> np.ndarray:
-    if plans_enabled():
-        if plan is None:
-            plan = SegmentPlan.build(segment_ids, num_segments)
-        return get_backend().segment_max(data, plan)
-    out = np.full((num_segments, *data.shape[1:]), -np.inf, dtype=data.dtype)
-    # staticcheck: ignore[autodiff-bypass] -- legacy segment-max kernel
-    np.maximum.at(out, segment_ids, data)
-    out[~np.isfinite(out)] = 0.0  # empty segments
-    return out
-
-
 def segment_softmax(
     scores: Tensor,
     segment_ids: np.ndarray,
@@ -306,40 +255,32 @@ def segment_softmax(
     ``finfo(dtype).tiny`` — a fixed ``1e-300`` would flush to zero under a
     float32 compute policy.
 
-    With plans enabled this is a *fused* kernel: one autodiff node whose
-    backward is the closed-form softmax gradient
-    ``alpha * (grad - segsum(alpha * grad))``, instead of the historical
-    chain of shift/exp/sum/clip/div nodes.  Values and gradients match the
-    composite form to roundoff (same math, reassociated).
+    One autodiff node: the forward reuses one scratch buffer for the
+    shift, exp and divide, and the backward is the closed-form softmax
+    gradient ``alpha * (grad - segsum(alpha * grad))``.
     """
     scores = as_tensor(scores)
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if plan is not None:
+    if plan is None:
+        plan = SegmentPlan.build(segment_ids, num_segments)
+    else:
         plan.check(segment_ids, num_segments)
-    if plans_enabled():
-        if plan is None:
-            plan = SegmentPlan.build(segment_ids, num_segments)
-        fused_plan = plan
-        backend = get_backend()
-        alpha = backend.segment_softmax(scores.data, segment_ids, fused_plan)
+    data = scores.data
+    scratch = np.take(plan.segment_max(data), segment_ids, axis=0)
+    np.subtract(data, scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    denom = plan.scatter_add(scratch)
+    np.maximum(denom, np.finfo(data.dtype).tiny, out=denom)
+    alpha = np.take(denom, segment_ids, axis=0)
+    np.divide(scratch, alpha, out=alpha)
 
-        def backward(grad: np.ndarray):
-            return (
-                backend.segment_softmax_backward(
-                    alpha, grad, segment_ids, fused_plan
-                ),
-            )
+    def backward(grad: np.ndarray):
+        out = np.take(plan.scatter_add(alpha * grad), segment_ids, axis=0)
+        np.subtract(grad, out, out=out)
+        np.multiply(alpha, out, out=out)
+        return (out,)
 
-        return Tensor._make(alpha, (scores,), backward)
-    # Legacy composite path (the pre-plan-engine computation order).
-    max_per_segment = _segment_max_data(
-        scores.data, segment_ids, num_segments, plan
-    )
-    shifted = scores - Tensor(max_per_segment[segment_ids])
-    exp_scores = shifted.exp()
-    denom = segment_sum(exp_scores, segment_ids, num_segments, plan)
-    denom = denom.clip_min(float(np.finfo(scores.data.dtype).tiny))
-    return exp_scores / gather_rows(denom, segment_ids, plan)
+    return Tensor._make(alpha, (scores,), backward)
 
 
 def scatter_rows(
@@ -368,48 +309,26 @@ def scatter_rows(
     for piece, index in zip(pieces, index_arrays):
         if piece.data.shape[0] != len(index):
             raise ShapeError("scatter_rows piece/index length mismatch")
-    backend = get_backend()
-    if plans_enabled():
-        out_data = np.zeros((num_rows, width), dtype=dtype)
-        for piece, index, plan in zip(pieces, index_arrays, plans):
-            if plan is not None:
-                plan.check(index, num_rows)
-            if plan is not None and plan.counts.max(initial=0) <= 1:
-                # unique indices: buffered fancy-index add is safe and
-                # avoids the (num_rows, F) temporary of the general path
-                out_data[index] += piece.data
-            else:
-                out_data += _scatter_add(
-                    index, piece.data, num_rows, plan, backend
-                )
-    else:
-        out_data = np.zeros((num_rows, width), dtype=dtype)
-        for piece, index in zip(pieces, index_arrays):
-            # staticcheck: ignore[autodiff-bypass] -- legacy scatter path
-            np.add.at(out_data, index, piece.data)
+    out_data = np.zeros((num_rows, width), dtype=dtype)
+    for piece, index, plan in zip(pieces, index_arrays, plans):
+        if plan is not None:
+            plan.check(index, num_rows)
+        if plan is not None and plan.counts.max(initial=0) <= 1:
+            # unique indices: buffered fancy-index add is safe and
+            # avoids the (num_rows, F) temporary of the general path
+            out_data[index] += piece.data
+        else:
+            out_data += _scatter_add(index, piece.data, num_rows, plan)
 
     def backward(grad: np.ndarray):
-        return tuple(backend.gather_rows(grad, index) for index in index_arrays)
+        return tuple(np.take(grad, index, axis=0) for index in index_arrays)
 
     return Tensor._make(out_data, tuple(pieces), backward)
 
 
 def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalise each row to unit L2 norm (GraphSage's final projection).
-
-    Backends may fuse this into a single tape node (forward matches the
-    composite chain bitwise; the closed-form backward agrees to roundoff).
-    The default backend keeps the historical composite Tensor-op chain.
-    """
+    """Normalise each row to unit L2 norm (GraphSage's final projection)."""
     x = as_tensor(x)
-    fused = get_backend().l2_normalize_rows(x.data, eps)
-    if fused is not None:
-        out_data, vjp = fused
-
-        def backward(grad: np.ndarray):
-            return (vjp(grad),)
-
-        return Tensor._make(out_data, (x,), backward)
     norms = (x * x).sum(axis=1, keepdims=True).clip_min(eps).sqrt()
     return x / norms
 

@@ -23,11 +23,7 @@ stable-sorted row order.  scipy's CSR kernel accumulates each output row
 sequentially over its stored columns — exactly the element order the
 unbuffered ``np.add.at`` uses — so plan-based reductions are
 **bit-identical** to the historical scatter in any dtype, while running
-5-10x faster (one fused C pass, no per-element dispatch).  Without scipy
-(it is a declared dependency, but the engine degrades gracefully) a
-sorted ``np.add.reduceat`` fallback is used, which matches the unbuffered
-scatter to ulp-level rather than bitwise because NumPy reductions sum
-pairwise.
+5-10x faster (one fused C pass, no per-element dispatch).
 
 Plans depend only on ``(segment_ids, num_segments)``, so graph-shaped
 plans are computed once per graph and cached on
@@ -42,12 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:  # pragma: no cover - scipy is a declared dependency
-    from scipy import sparse as _sparse
-    from scipy.sparse import _sparsetools
-except ImportError:  # pragma: no cover
-    _sparse = None
-    _sparsetools = None
+from scipy import sparse as _sparse
+from scipy.sparse import _sparsetools
 
 from repro.errors import ShapeError
 
@@ -296,33 +288,24 @@ class SegmentPlan:
         stable-sorted (i.e. original) element order.
         """
         values = np.ascontiguousarray(values)
-        if _sparse is not None:
-            matrix = self._matrix(values.dtype)
-            if _sparsetools is not None and values.ndim in (1, 2):
-                # Same compiled kernel scipy's ``@`` dispatches to, minus
-                # the per-call validation overhead (these run hundreds of
-                # times per training step on small per-edge-type arrays).
-                out = np.zeros(
-                    (self.num_segments, *values.shape[1:]), dtype=values.dtype
-                )
-                if values.ndim == 1:
-                    _sparsetools.csr_matvec(
-                        self.num_segments, self.num_items,
-                        matrix.indptr, matrix.indices, matrix.data,
-                        values, out,
-                    )
-                else:
-                    _sparsetools.csr_matvecs(
-                        self.num_segments, self.num_items, values.shape[1],
-                        matrix.indptr, matrix.indices, matrix.data,
-                        values.ravel(), out.ravel(),
-                    )
-                return out
+        matrix = self._matrix(values.dtype)
+        if values.ndim not in (1, 2):
             return np.ascontiguousarray(matrix @ values)
+        # Same compiled kernel scipy's ``@`` dispatches to, minus the
+        # per-call validation overhead (these run hundreds of times per
+        # training step on small per-edge-type arrays).
         out = np.zeros((self.num_segments, *values.shape[1:]), dtype=values.dtype)
-        if self.order.size:
-            out[self.present] = np.add.reduceat(
-                values[self.order], self.starts, axis=0
+        if values.ndim == 1:
+            _sparsetools.csr_matvec(
+                self.num_segments, self.num_items,
+                matrix.indptr, matrix.indices, matrix.data,
+                values, out,
+            )
+        else:
+            _sparsetools.csr_matvecs(
+                self.num_segments, self.num_items, values.shape[1],
+                matrix.indptr, matrix.indices, matrix.data,
+                values.ravel(), out.ravel(),
             )
         return out
 

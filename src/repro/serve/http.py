@@ -7,7 +7,7 @@ Endpoints:
   ``{"items": [<request>, ...]}`` for a micro-batched group.  Responds with
   a :meth:`PredictionResult.to_json_dict` dump (or ``{"results": [...]}``).
 * ``GET /healthz`` — liveness plus the model inventory and the serving
-  ``compute`` policy (precision dtype + kernel backend); pool workers
+  ``compute`` policy (precision dtype); pool workers
   also report their identity (index, pid, weight ``generation``) and,
   when a metrics directory is wired, per-worker fleet liveness.
 * ``GET /metrics`` — engine stats (cache hit rate, queue depth), the
@@ -22,9 +22,12 @@ the obs request context for the handler's duration, and written to the
 structured access log when one is configured.
 
 Error mapping: bad request body/netlist → 400, unknown model/target → 404,
-queue backpressure → 429 (with a ``Retry-After`` hint), queued-too-long →
-504, anything else → 500.  Only the standard library is used, so any HTTP
-client — including :mod:`urllib.request` — can drive it.
+a ``Content-Length`` over :data:`MAX_BODY_BYTES` → 413, queue backpressure
+→ 429 (with a ``Retry-After`` hint), queued-too-long → 504, anything else
+→ 500.  A body length that is not a non-negative integer, or too large, is
+answered before any of the body is read, and the connection is closed.
+Only the standard library is used, so any HTTP client — including
+:mod:`urllib.request` — can drive it.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ from repro.obs.requestlog import new_request_id, request_context
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.engine import Engine
+
+#: Largest ``/predict`` body accepted, in bytes.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 def request_from_json(payload: dict) -> PredictionRequest:
@@ -241,15 +247,42 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send_error_json(404, ApiError(f"no route {path!r}"))
 
+    def _read_body(self) -> bytes | None:
+        """The request body, or None once a bad length has been answered.
+
+        The length is checked before anything is read: a negative one
+        would read until the client closes, a huge one would be buffered
+        whole.  The unread body leaves the stream unusable, so the
+        connection closes after the error.
+        """
+        raw = self.headers.get("Content-Length", "0")
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if 0 <= length <= MAX_BODY_BYTES:
+            return self.rfile.read(length)
+        if length < 0:
+            status, message = 400, f"invalid Content-Length {raw!r}"
+        else:
+            status, message = 413, (
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
+        self._send_error_json(status, ApiError(message), Connection="close")
+        return None
+
     def _handle_post(self) -> None:
         path = self.path.split("?", 1)[0]
         if path != "/predict":
             self._send_error_json(404, ApiError(f"no route {path!r}"))
             return
         try:
-            length = int(self.headers.get("Content-Length", 0))
+            body = self._read_body()
+            if body is None:
+                return
             try:
-                payload = json.loads(self.rfile.read(length) or b"{}")
+                payload = json.loads(body or b"{}")
             except json.JSONDecodeError as error:
                 raise ApiError(f"request body is not valid JSON: {error}")
             if isinstance(payload, dict) and "items" in payload:

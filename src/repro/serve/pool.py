@@ -171,8 +171,6 @@ class PoolConfig:
     timeout_s: float | None = None
     #: serving compute precision (weights cast at load; float32 default)
     dtype: str = "float32"
-    #: kernel backend for worker forwards (None = REPRO_BACKEND / default)
-    backend: str | None = None
     shard_cache: bool = True
     ring_replicas: int = 64
     drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S
@@ -279,7 +277,6 @@ def _child_main(
                 workers=config.threads,
                 timeout_s=config.timeout_s,
                 dtype=config.dtype,
-                backend=config.backend,
             ),
             cache=cache,
         )

@@ -13,7 +13,6 @@ from repro.staticcheck.rules.precision import PrecisionPolicyRule
 from repro.staticcheck.rules.determinism import DeterminismRule
 from repro.staticcheck.rules.concurrency import ConcurrencyRule
 from repro.staticcheck.rules.api_surface import ApiSurfaceRule
-from repro.staticcheck.rules.kernel_dispatch import KernelDispatchRule
 
 RULE_CLASSES: tuple[type[Rule], ...] = (
     AutodiffBypassRule,
@@ -21,7 +20,6 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     DeterminismRule,
     ConcurrencyRule,
     ApiSurfaceRule,
-    KernelDispatchRule,
 )
 
 

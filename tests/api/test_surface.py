@@ -181,7 +181,7 @@ class TestSignatureSnapshot:
     def test_create_engine(self):
         assert self._params(repro.api.create_engine) == [
             "models", "cache_size", "max_batch", "queue_depth",
-            "workers", "timeout_s", "dtype", "backend", "cache",
+            "workers", "timeout_s", "dtype", "cache",
         ]
 
     def test_predict_one(self):
@@ -204,7 +204,7 @@ class TestSignatureSnapshot:
         names = [f.name for f in dataclasses.fields(repro.api.EngineConfig)]
         assert names == [
             "cache_size", "max_batch", "queue_depth", "workers", "timeout_s",
-            "dtype", "backend",
+            "dtype",
         ]
 
     def test_flows_train(self):

@@ -1,263 +1,161 @@
-"""Cross-backend parity for the pluggable kernel engine.
+"""Every ``repro.nn.ops`` kernel against the kernel oracle.
 
-The contract of :mod:`repro.nn.backend`: at float64 every registered
-backend is bit-identical to the ``default`` (CSR plan) backend on every
-kernel entry point, forward *and* backward — except the documented
-relu sign-of-zero difference (``np.maximum`` produces ``+0.0`` where
-``x * mask`` produces ``-0.0``; value-equal either way) and the fused
-``l2_normalize_rows`` backward (closed-form vjp vs the composite tape;
-roundoff-level).  At float32, forwards agree to a few ulp.  Edge cases —
-empty segments, a single node, empty inputs — behave identically on
-every backend.
+The contract: at float64 each kernel entry point equals its composite
+numpy form in :mod:`tests.nn.kernel_oracle` bitwise, forward *and*
+backward (``np.array_equal``, so relu's ``+0.0`` from ``np.maximum`` and
+the oracle's ``-0.0`` from a mask multiply compare equal).  At float32
+forwards agree to ``FLOAT32_RTOL`` (4 ulp).  Edge cases — empty segments,
+a single node, empty inputs — hold the same contract.
 """
-
-import threading
 
 import numpy as np
 import pytest
 
-from repro import nn
-from repro.nn import Tensor, ops, use_backend
-from repro.nn.backend import (
-    KernelBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    set_backend,
-)
+from repro.nn import Tensor, ops
 from repro.nn.plan import SegmentPlan
 from repro.nn.precision import compute_dtype
 
-#: backends compared against "default" in the parity tests
-OTHERS = [name for name in available_backends() if name != "default"]
+from tests.api.test_backends import FLOAT32_RTOL
+from tests.nn import kernel_oracle as oracle
 
 NUM_ITEMS, NUM_SEGMENTS, DIM = 40, 11, 5
 
 
-def _workload(dtype, seed=0, num_items=NUM_ITEMS, num_segments=NUM_SEGMENTS):
-    rng = np.random.default_rng(seed)
-    ids = rng.integers(0, num_segments, size=num_items).astype(np.int64)
+def _cases(ids, num_segments, plan):
+    """kernel -> (input name, repro.nn.ops call, oracle call)."""
+    n = num_segments
+    return {
+        "segment_sum": (
+            "values",
+            lambda x: ops.segment_sum(x, ids, n, plan=plan),
+            lambda a: oracle.segment_sum(a, ids, n),
+        ),
+        "segment_mean": (
+            "values",
+            lambda x: ops.segment_mean(x, ids, n, plan=plan),
+            lambda a: oracle.segment_mean(a, ids, n),
+        ),
+        "segment_softmax": (
+            "scores",
+            lambda x: ops.segment_softmax(x, ids, n, plan=plan),
+            lambda a: oracle.segment_softmax(a, ids, n),
+        ),
+        "gather_rows": (
+            "nodes",
+            lambda x: ops.gather_rows(x, ids, plan=plan),
+            lambda a: oracle.gather_rows(a, ids),
+        ),
+        "scatter_rows": (
+            "values",
+            lambda x: ops.scatter_rows([x], [ids], n, plans=[plan]),
+            lambda a: oracle.scatter_rows([a], [ids], n),
+        ),
+        "relu": ("values", ops.relu, oracle.relu),
+        "leaky_relu": ("values", ops.leaky_relu, oracle.leaky_relu),
+        "sigmoid": ("values", ops.sigmoid, oracle.sigmoid),
+        "tanh": ("values", ops.tanh, oracle.tanh),
+        "l2_normalize_rows": (
+            "values", ops.l2_normalize_rows, oracle.l2_normalize_rows
+        ),
+    }
+
+
+def _kernel_results(dtype, ids, num_segments, seed=0):
+    """kernel -> ((out, grad) from repro.nn.ops, (out, grad) from the oracle)."""
+    ids = np.asarray(ids, dtype=np.int64)
     plan = SegmentPlan.build(ids, num_segments)
-    values = rng.standard_normal((num_items, DIM)).astype(dtype)
-    scores = rng.standard_normal((num_items, 1)).astype(dtype)
-    nodes = rng.standard_normal((num_segments, DIM)).astype(dtype)
-    return ids, plan, values, scores, nodes
-
-
-def _kernel_results(backend_name, dtype):
-    """Forward + gradient arrays of every kernel under one backend."""
-    with compute_dtype(dtype), use_backend(backend_name):
-        ids, plan, values, scores, nodes = _workload(dtype)
-        results = {}
-
-        x = Tensor(values, requires_grad=True)
-        out = ops.segment_sum(x, ids, NUM_SEGMENTS, plan=plan)
-        out.backward(np.ones_like(out.data))
-        results["segment_sum"] = (out.data, x.grad)
-
-        x = Tensor(values, requires_grad=True)
-        out = ops.segment_mean(x, ids, NUM_SEGMENTS, plan=plan)
-        out.backward(np.ones_like(out.data))
-        results["segment_mean"] = (out.data, x.grad)
-
-        s = Tensor(scores, requires_grad=True)
-        out = ops.segment_softmax(s, ids, NUM_SEGMENTS, plan=plan)
-        out.backward(np.ones_like(out.data))
-        results["segment_softmax"] = (out.data, s.grad)
-
-        n = Tensor(nodes, requires_grad=True)
-        out = ops.gather_rows(n, ids, plan=plan)
-        out.backward(np.ones_like(out.data))
-        results["gather_rows"] = (out.data, n.grad)
-
-        p = Tensor(values, requires_grad=True)
-        out = ops.scatter_rows([p], [ids], NUM_SEGMENTS, plans=[plan])
-        out.backward(np.ones_like(out.data))
-        results["scatter_rows"] = (out.data, p.grad)
-
-        for name, op in (
-            ("relu", ops.relu),
-            ("leaky_relu", ops.leaky_relu),
-            ("sigmoid", ops.sigmoid),
-            ("tanh", ops.tanh),
-        ):
-            x = Tensor(values, requires_grad=True)
+    rng = np.random.default_rng(seed)
+    arrays = {
+        "values": rng.standard_normal((len(ids), DIM)).astype(dtype),
+        "scores": rng.standard_normal((len(ids), 1)).astype(dtype),
+        "nodes": rng.standard_normal((num_segments, DIM)).astype(dtype),
+    }
+    results = {}
+    with compute_dtype(dtype):
+        for kernel, (name, op, reference) in _cases(
+            ids, num_segments, plan
+        ).items():
+            x = Tensor(arrays[name], requires_grad=True)
             out = op(x)
-            out.backward(np.ones_like(out.data))
-            results[name] = (out.data, x.grad)
+            upstream = rng.standard_normal(out.shape).astype(dtype)
+            out.backward(upstream)
+            ref_out, vjp = reference(arrays[name])
+            ref_grad = vjp(upstream)
+            if kernel == "scatter_rows":
+                (ref_grad,) = ref_grad
+            results[kernel] = ((out.data, x.grad), (ref_out, ref_grad))
+    return results
 
-        x = Tensor(values, requires_grad=True)
-        out = ops.l2_normalize_rows(x)
-        out.backward(np.ones_like(out.data))
-        results["l2_normalize_rows"] = (out.data, x.grad)
-        return results
+
+def _random_ids(seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, NUM_SEGMENTS, size=NUM_ITEMS)
+
+
+def _assert_bitwise(results):
+    for kernel, ((out, grad), (ref_out, ref_grad)) in results.items():
+        assert out.dtype == ref_out.dtype, kernel
+        np.testing.assert_array_equal(out, ref_out, err_msg=f"{kernel} forward")
+        np.testing.assert_array_equal(
+            grad, ref_grad, err_msg=f"{kernel} backward"
+        )
+
+
+def _assert_float32_contract(results):
+    for kernel, ((out, grad), (ref_out, ref_grad)) in results.items():
+        assert out.dtype == np.float32, kernel
+        np.testing.assert_allclose(
+            out, ref_out, rtol=FLOAT32_RTOL, atol=1e-30,
+            err_msg=f"{kernel} forward",
+        )
+        np.testing.assert_allclose(
+            grad, ref_grad, rtol=1e-5, atol=1e-7, err_msg=f"{kernel} backward"
+        )
 
 
 class TestFloat64Parity:
-    @pytest.mark.parametrize("other", OTHERS)
-    def test_kernels_bit_identical(self, other):
-        reference = _kernel_results("default", "float64")
-        candidate = _kernel_results(other, "float64")
-        for kernel, (ref_out, ref_grad) in reference.items():
-            out, grad = candidate[kernel]
-            np.testing.assert_array_equal(
-                out, ref_out, err_msg=f"{other}:{kernel} forward"
-            )
-            if kernel == "l2_normalize_rows":
-                # fused closed-form vjp vs composite tape: roundoff only
-                np.testing.assert_allclose(
-                    grad, ref_grad, rtol=1e-12, atol=1e-15,
-                    err_msg=f"{other}:{kernel} backward",
-                )
-            else:
-                np.testing.assert_array_equal(
-                    grad, ref_grad, err_msg=f"{other}:{kernel} backward"
-                )
+    def test_kernels_bit_identical(self):
+        _assert_bitwise(_kernel_results("float64", _random_ids(), NUM_SEGMENTS))
 
 
 class TestFloat32Parity:
-    @pytest.mark.parametrize("other", OTHERS)
-    def test_kernels_match_within_ulps(self, other):
-        reference = _kernel_results("default", "float32")
-        candidate = _kernel_results(other, "float32")
-        for kernel, (ref_out, ref_grad) in reference.items():
-            out, grad = candidate[kernel]
-            # documented float32 tolerance: a few ulp of the reference
-            np.testing.assert_allclose(
-                out, ref_out, rtol=4 * np.finfo(np.float32).eps, atol=1e-30,
-                err_msg=f"{other}:{kernel} forward",
-            )
-            np.testing.assert_allclose(
-                grad, ref_grad, rtol=1e-5, atol=1e-7,
-                err_msg=f"{other}:{kernel} backward",
-            )
+    def test_kernels_match_within_ulps(self):
+        _assert_float32_contract(
+            _kernel_results("float32", _random_ids(), NUM_SEGMENTS)
+        )
 
     def test_outputs_are_float32(self):
-        for name in available_backends():
-            with compute_dtype("float32"), use_backend(name):
-                ids, plan, values, scores, _ = _workload("float32")
-                out = ops.segment_softmax(
-                    Tensor(scores), ids, NUM_SEGMENTS, plan=plan
-                )
-                assert out.data.dtype == np.float32
+        with compute_dtype("float32"):
+            scores = Tensor(
+                np.random.default_rng(0).standard_normal((NUM_ITEMS, 1))
+            )
+            out = ops.segment_softmax(scores, _random_ids(), NUM_SEGMENTS)
+        assert out.data.dtype == np.float32
 
 
 class TestEdgeCases:
-    @pytest.mark.parametrize("name", list(available_backends()))
-    def test_empty_segments_match_default(self, name):
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_empty_segments_match_oracle(self, dtype):
         # half the segments receive no items: softmax denominators guard,
         # means divide by max(count, 1), sums stay zero
-        ids = np.array([0, 0, 2, 2, 2], dtype=np.int64)
-        plan = SegmentPlan.build(ids, 6)
-        values = np.linspace(-1.0, 1.0, 5 * DIM).reshape(5, DIM)
-        with use_backend("default"):
-            ref_sum = ops.segment_sum(Tensor(values), ids, 6, plan=plan).data
-            ref_soft = ops.segment_softmax(
-                Tensor(values[:, :1]), ids, 6, plan=plan
-            ).data
-        with use_backend(name):
-            np.testing.assert_array_equal(
-                ops.segment_sum(Tensor(values), ids, 6, plan=plan).data,
-                ref_sum,
-            )
-            np.testing.assert_array_equal(
-                ops.segment_softmax(
-                    Tensor(values[:, :1]), ids, 6, plan=plan
-                ).data,
-                ref_soft,
-            )
+        self._check(dtype, [0, 0, 2, 2, 2], 6)
 
-    @pytest.mark.parametrize("name", list(available_backends()))
-    def test_single_node_graph(self, name):
-        ids = np.zeros(1, dtype=np.int64)
-        plan = SegmentPlan.build(ids, 1)
-        values = np.array([[2.0, -3.0]])
-        with use_backend(name):
-            out = ops.segment_softmax(Tensor(values), ids, 1, plan=plan)
-            np.testing.assert_array_equal(out.data, np.ones_like(values))
-            gathered = ops.gather_rows(Tensor(values), ids, plan=plan)
-            np.testing.assert_array_equal(gathered.data, values)
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_single_node_graph(self, dtype):
+        results = self._check(dtype, [0], 1)
+        (alpha, _), _ = results["segment_softmax"]
+        np.testing.assert_array_equal(alpha, np.ones((1, 1)))
 
-    @pytest.mark.parametrize("name", list(available_backends()))
-    def test_empty_items(self, name):
-        ids = np.empty(0, dtype=np.int64)
-        plan = SegmentPlan.build(ids, 4)
-        values = np.empty((0, DIM))
-        with use_backend(name):
-            out = ops.segment_sum(Tensor(values), ids, 4, plan=plan)
-            np.testing.assert_array_equal(out.data, np.zeros((4, DIM)))
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_empty_items(self, dtype):
+        results = self._check(dtype, [], 4)
+        (summed, _), _ = results["segment_sum"]
+        np.testing.assert_array_equal(summed, np.zeros((4, DIM)))
 
-
-class TestSelection:
-    def test_default_is_default(self):
-        assert get_backend().name == "default"
-
-    def test_use_backend_restores(self):
-        with use_backend("fused"):
-            assert get_backend().name == "fused"
-            with use_backend("default"):
-                assert get_backend().name == "default"
-            assert get_backend().name == "fused"
-        assert get_backend().name == "default"
-
-    def test_set_backend_is_thread_local(self):
-        seen = {}
-
-        def probe():
-            seen["worker"] = get_backend().name
-
-        with use_backend("fused"):
-            thread = threading.Thread(target=probe)
-            thread.start()
-            thread.join()
-        assert seen["worker"] == "default"
-
-    def test_resolve_auto_prefers_accelerated(self):
-        resolved = resolve_backend("auto")
-        assert resolved.name in ("numba", "fused")
-        if "numba" in available_backends():
-            assert resolved.name == "numba"
-
-    def test_resolve_instance_passthrough(self):
-        backend = resolve_backend("fused")
-        assert resolve_backend(backend) is backend
-
-    def test_resolve_none_is_thread_policy(self):
-        with use_backend("fused"):
-            assert resolve_backend(None).name == "fused"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            set_backend("cuda")
-
-    def test_register_rejects_auto_and_duplicates(self):
-        class Impostor(KernelBackend):
-            name = "auto"
-
-        with pytest.raises(ValueError, match="selector"):
-            register_backend(Impostor())
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(KernelBackend())
-
-    def test_env_override(self, monkeypatch):
-        from repro.nn import backend as backend_mod
-
-        monkeypatch.setattr(backend_mod, "_process_default", [None])
-        monkeypatch.setenv("REPRO_BACKEND", "fused")
-        assert get_backend().name == "fused"
-        monkeypatch.setattr(backend_mod, "_process_default", [None])
-        monkeypatch.delenv("REPRO_BACKEND")
-        assert get_backend().name == "default"
-
-    def test_nn_exports(self):
-        assert nn.get_backend is get_backend
-        assert "fused" in nn.available_backends()
-
-
-@pytest.mark.skipif(
-    "numba" not in available_backends(), reason="numba not installed"
-)
-class TestNumbaBackend:
-    def test_registered_and_selected_by_auto(self):
-        assert resolve_backend("auto").name == "numba"
+    def _check(self, dtype, ids, num_segments):
+        results = _kernel_results(dtype, ids, num_segments)
+        if dtype == "float64":
+            _assert_bitwise(results)
+        else:
+            _assert_float32_contract(results)
+        return results

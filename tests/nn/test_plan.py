@@ -1,9 +1,9 @@
-"""SegmentPlan engine: parity with the legacy ``np.add.at`` kernels.
+"""SegmentPlan engine: parity with the ``np.add.at`` kernel oracle.
 
 The plan-based scatter-add must be *bit-identical* to the unbuffered
 scatter in float64 (the CSR kernel accumulates in the same element order);
-the fused ``segment_softmax`` reassociates its backward and is checked to
-roundoff instead.
+against the composite softmax chain the closed-form ``segment_softmax``
+backward is checked to roundoff instead.
 """
 
 import numpy as np
@@ -11,9 +11,9 @@ import pytest
 
 from repro import nn
 from repro.errors import ShapeError
-from repro.nn import SegmentPlan, Tensor, ops
-from repro.nn.ops import use_legacy_kernels, plans_enabled
+from repro.nn import SegmentPlan, Tensor
 
+from tests.nn import kernel_oracle as oracle
 from tests.nn.gradcheck import assert_gradients_match
 
 
@@ -113,13 +113,22 @@ class TestScatterAddBitwise:
 
 
 class TestKernelParity:
-    """Plan kernels vs legacy ``np.add.at`` kernels, forward and backward."""
+    """Plan kernels, with and without a cached plan, vs the oracle."""
 
-    def _forward_backward(self, build_out, x):
+    def _forward_backward(self, build_out, x, grad=None):
         x.zero_grad()
         out = build_out()
-        out.backward(np.ones_like(out.data))
+        out.backward(np.ones_like(out.data) if grad is None else grad)
         return out.data.copy(), x.grad.copy()
+
+    def _assert_matches(self, x, run, reference, grad=None):
+        """``run(plan_or_none)`` with and without the plan equals the oracle."""
+        ref_out, vjp = reference(x.data)
+        ref_grad = vjp(np.ones_like(ref_out) if grad is None else grad)
+        for use_plan in (True, False):
+            out, got = self._forward_backward(lambda: run(use_plan), x, grad)
+            np.testing.assert_array_equal(out, ref_out)
+            np.testing.assert_array_equal(got, ref_grad)
 
     @pytest.mark.parametrize("num_items,num_segments", [(200, 37), (1, 5), (6, 1)])
     def test_segment_sum_bitwise(self, num_items, num_segments):
@@ -129,15 +138,13 @@ class TestKernelParity:
             requires_grad=True,
         )
         plan = SegmentPlan.build(ids, S)
-        with use_legacy_kernels():
-            legacy = self._forward_backward(
-                lambda: nn.segment_sum(x, ids, S), x
-            )
-        planned = self._forward_backward(
-            lambda: nn.segment_sum(x, ids, S, plan=plan), x
+        self._assert_matches(
+            x,
+            lambda use_plan: nn.segment_sum(
+                x, ids, S, plan=plan if use_plan else None
+            ),
+            lambda data: oracle.segment_sum(data, ids, S),
         )
-        np.testing.assert_array_equal(legacy[0], planned[0])
-        np.testing.assert_array_equal(legacy[1], planned[1])
 
     def test_segment_mean_bitwise(self):
         ids, S = _segments(seed=6)
@@ -146,15 +153,13 @@ class TestKernelParity:
             requires_grad=True,
         )
         plan = SegmentPlan.build(ids, S)
-        with use_legacy_kernels():
-            legacy = self._forward_backward(
-                lambda: nn.segment_mean(x, ids, S), x
-            )
-        planned = self._forward_backward(
-            lambda: nn.segment_mean(x, ids, S, plan=plan), x
+        self._assert_matches(
+            x,
+            lambda use_plan: nn.segment_mean(
+                x, ids, S, plan=plan if use_plan else None
+            ),
+            lambda data: oracle.segment_mean(data, ids, S),
         )
-        np.testing.assert_array_equal(legacy[0], planned[0])
-        np.testing.assert_array_equal(legacy[1], planned[1])
 
     def test_gather_rows_backward_bitwise(self):
         ids, S = _segments(seed=7)
@@ -162,37 +167,34 @@ class TestKernelParity:
             np.random.default_rng(7).standard_normal((S, 4)), requires_grad=True
         )
         plan = SegmentPlan.build(ids, S)
-        grad = np.random.default_rng(8).standard_normal((len(ids), 4))
-
-        def run(use_plan):
-            x.zero_grad()
-            out = nn.gather_rows(x, ids, plan=plan if use_plan else None)
-            out.backward(grad)
-            return out.data.copy(), x.grad.copy()
-
-        with use_legacy_kernels():
-            legacy = run(False)
-        planned = run(True)
-        np.testing.assert_array_equal(legacy[0], planned[0])
-        np.testing.assert_array_equal(legacy[1], planned[1])
+        self._assert_matches(
+            x,
+            lambda use_plan: nn.gather_rows(
+                x, ids, plan=plan if use_plan else None
+            ),
+            lambda data: oracle.gather_rows(data, ids),
+            grad=np.random.default_rng(8).standard_normal((len(ids), 4)),
+        )
 
     def test_segment_softmax_roundoff(self):
-        """The fused softmax reassociates the math: roundoff, not bitwise."""
+        """Closed-form backward vs the composite chain: roundoff, not bitwise."""
         ids, S = _segments(seed=9)
         scores = Tensor(
             np.random.default_rng(9).standard_normal((len(ids), 1)),
             requires_grad=True,
         )
         plan = SegmentPlan.build(ids, S)
-        with use_legacy_kernels():
-            legacy = self._forward_backward(
-                lambda: nn.segment_softmax(scores, ids, S), scores
-            )
-        planned = self._forward_backward(
-            lambda: nn.segment_softmax(scores, ids, S, plan=plan), scores
+        grad = np.random.default_rng(10).standard_normal((len(ids), 1))
+        composite_out, vjp = oracle.segment_softmax_composite(
+            scores.data, ids, S
         )
-        np.testing.assert_allclose(legacy[0], planned[0], rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(legacy[1], planned[1], rtol=1e-10, atol=1e-13)
+        planned = self._forward_backward(
+            lambda: nn.segment_softmax(scores, ids, S, plan=plan), scores, grad
+        )
+        np.testing.assert_array_equal(composite_out, planned[0])
+        np.testing.assert_allclose(
+            vjp(grad), planned[1], rtol=1e-10, atol=1e-13
+        )
         # per-segment normalisation still holds exactly where edges exist
         sums = SegmentPlan.build(ids, S).scatter_add(planned[0])
         np.testing.assert_allclose(sums[plan.present], 1.0, atol=1e-12)
@@ -205,21 +207,21 @@ class TestKernelParity:
         a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
         plans = [SegmentPlan.build(idx_a, 12), SegmentPlan.build(idx_b, 12)]
+        ref_out, vjp = oracle.scatter_rows(
+            [a.data, b.data], [idx_a, idx_b], 12
+        )
+        ref_grads = vjp(np.ones_like(ref_out))
 
-        def run(use_plans):
+        for use_plans in (True, False):
             a.zero_grad()
             b.zero_grad()
             out = nn.scatter_rows(
                 [a, b], [idx_a, idx_b], 12, plans=plans if use_plans else None
             )
             out.backward(np.ones_like(out.data))
-            return out.data.copy(), a.grad.copy(), b.grad.copy()
-
-        with use_legacy_kernels():
-            legacy = run(False)
-        planned = run(True)
-        for lhs, rhs in zip(legacy, planned):
-            np.testing.assert_array_equal(lhs, rhs)
+            np.testing.assert_array_equal(out.data, ref_out)
+            np.testing.assert_array_equal(a.grad, ref_grads[0])
+            np.testing.assert_array_equal(b.grad, ref_grads[1])
 
     def test_single_edge_type_single_segment(self):
         # all rows land in one segment — degenerate single-boundary plan
@@ -228,13 +230,13 @@ class TestKernelParity:
             np.random.default_rng(11).standard_normal((9, 2)), requires_grad=True
         )
         plan = SegmentPlan.build(ids, 1)
-        with use_legacy_kernels():
-            legacy = self._forward_backward(lambda: nn.segment_sum(x, ids, 1), x)
-        planned = self._forward_backward(
-            lambda: nn.segment_sum(x, ids, 1, plan=plan), x
+        self._assert_matches(
+            x,
+            lambda use_plan: nn.segment_sum(
+                x, ids, 1, plan=plan if use_plan else None
+            ),
+            lambda data: oracle.segment_sum(data, ids, 1),
         )
-        np.testing.assert_array_equal(legacy[0], planned[0])
-        np.testing.assert_array_equal(legacy[1], planned[1])
 
 
 class TestGradients:
@@ -285,15 +287,6 @@ class TestGradients:
 
 
 class TestKernelMode:
-    def test_legacy_context_restores(self):
-        assert plans_enabled()
-        with use_legacy_kernels():
-            assert not plans_enabled()
-            with use_legacy_kernels():
-                assert not plans_enabled()
-            assert not plans_enabled()
-        assert plans_enabled()
-
     def test_plan_validated_against_kernel_call(self):
         ids, S = _segments()
         plan = SegmentPlan.build(ids, S)

@@ -1,6 +1,7 @@
 """End-to-end HTTP serving with a stdlib-only client (urllib)."""
 
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -75,6 +76,7 @@ class TestEndpoints:
         status, payload = _get(served.url + "/healthz")
         assert status == 200
         assert payload["status"] == "ok"
+        assert payload["compute"] == {"dtype": "float32"}
         assert {row["name"] for row in payload["models"]} == {"CAP", "multi"}
 
     def test_predict_single(self, served, netlist_text, tiny_bundle,
@@ -228,6 +230,48 @@ class TestKeepAliveWrites:
             head, sent = data.split(b"\r\n\r\n", 1)
             assert head.startswith(b"HTTP/1.1 ")
             assert sent == body
+
+
+def _raw_post_headers(server, content_length: bytes, timeout=3.0):
+    """POST headers only over a raw socket; read until the server closes.
+
+    A server that waits for a body, or keeps the connection open, makes
+    ``recv`` time out and the test fail instead of hanging.
+    """
+    address = (server.host, server.port)
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(
+            b"POST /predict HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + content_length + b"\r\n\r\n"
+        )
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, head.decode("latin-1"), json.loads(body)
+
+
+class TestBodyLength:
+    """Content-Length is validated before the body is read."""
+
+    @pytest.mark.parametrize(
+        "content_length,status",
+        [
+            (b"abc", 400),
+            (b"-1", 400),
+            (b"16777217", 413),  # one byte over the 16 MiB limit
+            (b"1000000000", 413),
+        ],
+    )
+    def test_bad_length_answered_unread_and_closed(
+        self, served, content_length, status
+    ):
+        got, head, payload = _raw_post_headers(served, content_length)
+        assert got == status
+        assert "Connection: close" in head
+        assert payload["error"] == "ApiError"
 
 
 class TestCliServeBuild:

@@ -50,79 +50,6 @@ class TestAutodiffBypass:
         )
 
 
-class TestKernelDispatch:
-    BAD_BINCOUNT = (
-        "import numpy as np\n"
-        "def degrees(ids, n):\n"
-        "    return np.bincount(ids, minlength=n)\n"
-    )
-    BAD_REDUCEAT = (
-        "import numpy as np\n"
-        "def seg_max(vals, starts):\n"
-        "    return np.maximum.reduceat(vals, starts)\n"
-    )
-    BAD_AT = (
-        "import numpy as np\n"
-        "def agg(out, idx, vals):\n"
-        "    np.add.at(out, idx, vals)\n"
-    )
-
-    def test_flags_bincount(self):
-        findings = by_rule(
-            lint(self.BAD_BINCOUNT, "src/repro/graph/whatever.py"),
-            "kernel-dispatch",
-        )
-        assert len(findings) == 1
-        assert findings[0].line == 3
-        assert findings[0].severity is Severity.ERROR
-
-    def test_flags_reduceat(self):
-        findings = by_rule(
-            lint(self.BAD_REDUCEAT, "src/repro/models/whatever.py"),
-            "kernel-dispatch",
-        )
-        assert len(findings) == 1
-
-    def test_flags_ufunc_at(self):
-        findings = by_rule(
-            lint(self.BAD_AT, "src/repro/api/whatever.py"), "kernel-dispatch"
-        )
-        assert len(findings) == 1
-
-    def test_backend_modules_are_exempt(self):
-        for path in (
-            "src/repro/nn/plan.py",
-            "src/repro/nn/ops.py",
-            "src/repro/nn/backend.py",
-            "src/repro/nn/_numba.py",
-        ):
-            assert not by_rule(
-                lint(self.BAD_REDUCEAT, path), "kernel-dispatch"
-            )
-
-    def test_pragma_suppresses(self):
-        source = (
-            "import numpy as np\n"
-            "def degrees(ids, n):\n"
-            "    return np.bincount(ids, minlength=n)"
-            "  # staticcheck: ignore[kernel-dispatch]\n"
-        )
-        findings = by_rule(
-            lint(source, "src/repro/graph/whatever.py"), "kernel-dispatch"
-        )
-        assert len(findings) == 1 and findings[0].suppressed
-
-    def test_plain_numpy_calls_pass(self):
-        source = (
-            "import numpy as np\n"
-            "def norm(x):\n"
-            "    return np.sqrt(np.sum(x * x, axis=1))\n"
-        )
-        assert not by_rule(
-            lint(source, "src/repro/models/whatever.py"), "kernel-dispatch"
-        )
-
-
 class TestPrecisionPolicy:
     def test_flags_dtype_literals(self):
         source = (
