@@ -13,6 +13,14 @@
 ``Engine.predict`` runs synchronously in the calling thread;
 ``Engine.predict_batch`` fans out through the executor and preserves
 request order.  Both return :class:`~repro.api.types.PredictionResult`.
+
+An engine answers one group at a time, whichever thread calls it.  Two
+forwards running at once in one process only pass the GIL back and forth
+at every numpy call that releases it (hundreds per request), and each
+hand-off wakes the other thread; serialised, the same requests cost less
+CPU and their latency depends far less on how fast the host wakes
+threads.  Processes, not threads, are the unit of parallel serving
+(:mod:`repro.serve.pool`).
 """
 
 from __future__ import annotations
@@ -97,6 +105,7 @@ class Engine:
         )
         self._executor: BatchExecutor | None = None
         self._executor_lock = threading.Lock()
+        self._group_lock = threading.Lock()  # one group at a time
 
     # ------------------------------------------------------------------
     # Public surface
@@ -132,14 +141,21 @@ class Engine:
         """Predict for many circuits through the micro-batching executor.
 
         Results come back in request order.  Raises
-        :class:`~repro.errors.ServeOverloadedError` when the queue rejects
-        a request and :class:`~repro.errors.ServeTimeoutError` when one
-        exceeds its deadline; other per-request failures re-raise their
-        original exception when that result is collected.
+        :class:`~repro.errors.ApiError`, before anything is queued, when
+        the batch holds more requests than the queue does (no retry could
+        succeed), :class:`~repro.errors.ServeOverloadedError` when the
+        queue rejects a request and :class:`~repro.errors.ServeTimeoutError`
+        when one exceeds its deadline; other per-request failures re-raise
+        their original exception when that result is collected.
         """
         reqs = [coerce_request(r) for r in requests]
         if not reqs:
             return []
+        if len(reqs) > self.config.queue_depth:
+            raise ApiError(
+                f"batch of {len(reqs)} requests exceeds the serving "
+                f"queue depth of {self.config.queue_depth}; split it"
+            )
         executor = self._ensure_executor()
         obs.inc("serve.requests_total", len(reqs))
         futures = [
@@ -179,6 +195,7 @@ class Engine:
             "models": self.registry.describe(),
             "graph_cache": {
                 "hits": self.cache.hits,
+                "text_hits": self.cache.text_hits,
                 "misses": self.cache.misses,
                 "hit_rate": self.cache.hit_rate(),
                 "entries": len(self.cache),
@@ -239,9 +256,10 @@ class Engine:
         Items sharing a model and target set are merged into one batched
         forward pass; the rest fall back to singleton batches.  Runs
         under the engine's serving precision (thread-local, so caller
-        threads keep their own policy).
+        threads keep their own policy), one group at a time (see the
+        module docstring).
         """
-        with precision.compute_dtype(self._dtype):
+        with self._group_lock, precision.compute_dtype(self._dtype):
             return self._predict_group_inner(requests)
 
     def _predict_group_inner(
@@ -251,7 +269,6 @@ class Engine:
         for req in requests:
             t0 = time.perf_counter()
             try:
-                circuit = req.resolve_circuit()
                 entry = self.registry.get(req.model)
                 targets = req.targets or entry.targets
                 unknown = [t for t in targets if t not in entry.targets]
@@ -260,13 +277,12 @@ class Engine:
                         f"model {entry.name!r} does not predict {unknown}; "
                         f"available: {sorted(entry.targets)}"
                     )
+                # the cache parses the netlist only if its text index misses
                 cached, hit = self.cache.lookup(
-                    circuit, use_cache=req.options.use_cache
+                    req, use_cache=req.options.use_cache
                 )
                 graph_s = time.perf_counter() - t0
-                prepared.append(
-                    (req, circuit, entry, tuple(targets), cached, hit, graph_s)
-                )
+                prepared.append((req, entry, tuple(targets), cached, hit, graph_s))
             except Exception as error:
                 prepared.append(error)
 
@@ -275,13 +291,13 @@ class Engine:
         for index, item in enumerate(prepared):
             if isinstance(item, Exception):
                 continue
-            _, _, entry, targets, _, _, _ = item
+            _, entry, targets, _, _, _ = item
             groups.setdefault((id(entry), targets), []).append(index)
 
         results: list = [None] * len(prepared)
         for (_, targets), indices in groups.items():
             items = [prepared[i] for i in indices]
-            entry: RegistryEntry = items[0][2]
+            entry: RegistryEntry = items[0][1]
             # identical circuits (same content hash) share one forward:
             # a batch cycling N distinct schematics costs N graph slots
             # in the merged pass, however many requests reference them
@@ -289,7 +305,7 @@ class Engine:
             works: list[GraphWork] = []
             slots: list[int] = []
             for it in items:
-                cached = it[4]
+                cached = it[3]
                 slot = slot_of_key.get(cached.fingerprint)
                 if slot is None:
                     slot = slot_of_key[cached.fingerprint] = len(works)
@@ -310,7 +326,7 @@ class Engine:
             per_item = [per_work[slot] for slot in slots]
             inference_s = time.perf_counter() - t0
             for it, arrays_by_target, index in zip(items, per_item, indices):
-                req, circuit, entry, targets, cached, hit, graph_s = it
+                req, entry, targets, cached, hit, graph_s = it
                 predictions: dict[str, TargetPrediction] = {}
                 names_of = cached.graph.node_name_of
                 for target in targets:
@@ -323,7 +339,7 @@ class Engine:
                         unit=target_unit(target),
                     )
                 results[index] = PredictionResult(
-                    circuit=circuit.name,
+                    circuit=req.circuit_name,
                     fingerprint=cached.fingerprint,
                     request_id=req.request_id,
                     targets=predictions,

@@ -91,6 +91,15 @@ class PredictionRequest:
         if self.targets is not None:
             self.targets = tuple(str(t) for t in self.targets)
 
+    @property
+    def circuit_name(self) -> str:
+        """The name of the circuit this request resolves to (no parse)."""
+        if self.circuit is not None:
+            return self.circuit.name
+        if self.netlist_path is not None:
+            return self.name or os.fspath(self.netlist_path)
+        return self.name or "request"
+
     def resolve_circuit(self) -> "Circuit":
         """The in-memory circuit, parsing the netlist source if needed."""
         if self.circuit is not None:
@@ -98,13 +107,10 @@ class PredictionRequest:
         from repro.circuits.spice import read_spice
 
         if self.netlist_path is not None:
-            path = os.fspath(self.netlist_path)
-            with open(path) as handle:
-                self.circuit = read_spice(handle, name=self.name or path)
+            with open(os.fspath(self.netlist_path)) as handle:
+                self.circuit = read_spice(handle, name=self.circuit_name)
         else:
-            self.circuit = read_spice(
-                self.netlist_text, name=self.name or "request"
-            )
+            self.circuit = read_spice(self.netlist_text, name=self.circuit_name)
         return self.circuit
 
     def with_options(self, **changes) -> "PredictionRequest":

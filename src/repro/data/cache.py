@@ -3,7 +3,9 @@
 Bundle construction is cheap at small scales but grows with
 ``dataset_scale``; caching also pins the exact dataset used by a paper run
 for later inspection.  Circuits are stored as SPICE text, targets and
-feature-scaler state as ``.npz`` arrays.
+feature-scaler state as ``.npz`` arrays.  Names are stored as unicode
+arrays and every archive is loaded with ``allow_pickle=False``: a
+bundle directory is data, and loading one must never run code.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ def _save_record(directory: str, record: CircuitRecord) -> None:
     device_names = sorted(rename[n] for n in layout.device_params)
     inverse = {rename[n]: n for n in layout.device_params}
     arrays: dict[str, np.ndarray] = {
-        "net_names": np.array(sorted(layout.net_caps), dtype=object),
+        "net_names": np.array(sorted(layout.net_caps), dtype=str),
         "net_caps": np.array([layout.net_caps[n] for n in sorted(layout.net_caps)]),
         "net_res": np.array(
             [layout.net_res.get(n, 0.0) for n in sorted(layout.net_caps)]
         ),
-        "device_names": np.array(device_names, dtype=object),
+        "device_names": np.array(device_names, dtype=str),
         "device_values": np.array(
             [
                 list(layout.device_params[inverse[n]].as_dict().values())
@@ -50,33 +52,42 @@ def _save_record(directory: str, record: CircuitRecord) -> None:
             ]
         ).reshape(len(layout.device_params), -1),
     }
-    np.savez(
-        os.path.join(directory, f"{record.name}.targets.npz"),
-        **arrays,
-        allow_pickle=True,
-    )
+    np.savez(os.path.join(directory, f"{record.name}.targets.npz"), **arrays)
+
+
+def _names(archive, key: str) -> list[str]:
+    array = archive[key]
+    if array.dtype.kind != "U":
+        raise ValueError(f"{key!r} holds {array.dtype} values, not text")
+    return array.tolist()
 
 
 def _load_record(directory: str, name: str) -> CircuitRecord:
     with open(os.path.join(directory, f"{name}.sp")) as handle:
         circuit = read_spice(handle, name=name)
-    with np.load(
-        os.path.join(directory, f"{name}.targets.npz"), allow_pickle=True
-    ) as archive:
-        net_names = [str(n) for n in archive["net_names"]]
-        net_caps = dict(zip(net_names, archive["net_caps"].tolist()))
-        net_res = dict(zip(net_names, archive["net_res"].tolist()))
-        device_names = [str(n) for n in archive["device_names"]]
-        device_params = {}
-        for row, device in enumerate(device_names):
-            values = archive["device_values"][row]
-            device_params[device] = DeviceTargets(
-                lde=list(values[:8]),
-                sa=float(values[8]),
-                da=float(values[9]),
-                sp=float(values[10]),
-                dp=float(values[11]),
-            )
+    path = os.path.join(directory, f"{name}.targets.npz")
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            net_names = _names(archive, "net_names")
+            net_caps = dict(zip(net_names, archive["net_caps"].tolist()))
+            net_res = dict(zip(net_names, archive["net_res"].tolist()))
+            device_names = _names(archive, "device_names")
+            device_params = {}
+            for row, device in enumerate(device_names):
+                values = archive["device_values"][row]
+                device_params[device] = DeviceTargets(
+                    lde=list(values[:8]),
+                    sa=float(values[8]),
+                    da=float(values[9]),
+                    sp=float(values[10]),
+                    dp=float(values[11]),
+                )
+    except ValueError as error:
+        # object arrays (the old format, or a crafted file) refuse to load
+        raise DatasetError(
+            f"cannot load {path}: {error}; rebuild the dataset cache "
+            "(files written before names were stored as text need it)"
+        ) from error
     layout = LayoutResult(
         circuit_name=name,
         net_caps=net_caps,

@@ -29,7 +29,12 @@ SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 DEFAULT_DTYPE = np.dtype(np.float64)
 
-_state = threading.local()
+
+class _State(threading.local):
+    dtype = DEFAULT_DTYPE  # until this thread sets its own
+
+
+_state = _State()
 
 
 def resolve_dtype(dtype: "str | np.dtype | type") -> np.dtype:
@@ -51,7 +56,7 @@ def resolve_dtype(dtype: "str | np.dtype | type") -> np.dtype:
 
 def get_compute_dtype() -> np.dtype:
     """The dtype new tensors are cast to (this thread)."""
-    return getattr(_state, "dtype", DEFAULT_DTYPE)
+    return _state.dtype
 
 
 def set_compute_dtype(dtype: "str | np.dtype | type") -> np.dtype:

@@ -33,7 +33,11 @@ ArrayLike = "np.ndarray | float | int | list | tuple | Tensor"
 # The grad-enabled flag is thread-local: a no_grad() block on one thread
 # (e.g. prediction inside a callback) must not disable graph construction
 # for training loops running concurrently on other threads.
-_grad_state = threading.local()
+class _GradState(threading.local):
+    enabled = True  # until this thread enters no_grad()
+
+
+_grad_state = _GradState()
 
 
 @contextlib.contextmanager
@@ -53,7 +57,7 @@ def no_grad() -> Iterator[None]:
 
 def is_grad_enabled() -> bool:
     """Return True when operations record the autodiff graph (this thread)."""
-    return getattr(_grad_state, "enabled", True)
+    return _grad_state.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -74,6 +78,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _as_array(value) -> np.ndarray:
     array = np.asarray(value, dtype=precision.get_compute_dtype())
     return array
+
+
+_new_tensor = object.__new__  # a Tensor without running __init__
 
 
 class Tensor:
@@ -140,9 +147,24 @@ class Tensor:
         parents: Iterable["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
+        if not _grad_state.enabled:
+            # Tape-free: no parents tuple, and the compute dtype is read
+            # once; *data* is kept as is when it already has that dtype
+            # (np.asarray would return it unchanged).
+            out = _new_tensor(Tensor)
+            dtype = precision.get_compute_dtype()
+            out.data = (
+                data if type(data) is np.ndarray and data.dtype is dtype
+                else np.asarray(data, dtype=dtype)
+            )
+            out.requires_grad = False
+            out.grad = None
+            out._backward = None
+            out._parents = ()
+            return out
         parents = tuple(parents)
         out = Tensor(data)
-        if is_grad_enabled() and any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward

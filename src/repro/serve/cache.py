@@ -9,14 +9,22 @@ built :class:`~repro.graph.hetero.HeteroGraph`, and memoises the scaled
 :class:`~repro.models.GraphInputs` per feature-scaler fingerprint (models
 trained on different bundles scale differently).
 
+In front of the content key sits a *text index*: a request that carries
+netlist text is first looked up by :func:`text_key` of its name and text,
+so a byte-identical re-submission hits without parsing the netlist or
+fingerprinting the circuit.  The content fingerprint stays the entry's
+key, so two formattings of one circuit still share one entry.
+
 Hit/miss counts are observable both directly (:attr:`GraphCache.hits` /
-:attr:`GraphCache.misses`, always on) and through the ``repro.obs``
-counters ``serve.graph_cache_hits_total`` / ``serve.graph_cache_misses_total``
-when collection is enabled.
+:attr:`GraphCache.misses` / :attr:`GraphCache.text_hits`, always on) and
+through the ``repro.obs`` counters ``serve.graph_cache_hits_total`` /
+``serve.graph_cache_misses_total`` / ``serve.graph_cache_text_hits_total``
+(a subset of the hits) when collection is enabled.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING
@@ -26,6 +34,7 @@ import numpy as np
 from repro import obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.types import PredictionRequest
     from repro.circuits.netlist import Circuit
     from repro.data.normalize import FeatureScaler
     from repro.graph.hetero import HeteroGraph
@@ -39,6 +48,23 @@ from repro.data.fingerprint import (  # noqa: F401
     circuit_fingerprint,
     scaler_fingerprint,
 )
+
+
+#: The text index holds at most this many keys per entry the LRU may hold.
+TEXT_KEYS_PER_ENTRY = 4
+
+
+def text_key(name: str, text: str) -> bytes:
+    """Text-index key of a netlist request: a hash of its name and text.
+
+    The name is length-prefixed, so no (name, text) split of the same
+    bytes can collide with another.
+    """
+    name_bytes = name.encode("utf-8", "surrogatepass")
+    hasher = hashlib.sha256(len(name_bytes).to_bytes(8, "big"))
+    hasher.update(name_bytes)
+    hasher.update(text.encode("utf-8", "surrogatepass"))
+    return hasher.digest()
 
 
 def arrays_nbytes(obj, _seen: set | None = None, _depth: int = 0) -> int:
@@ -147,6 +173,12 @@ class GraphCache:
     Subclasses can veto admission per fingerprint via :meth:`admits` —
     the pool's sharded cache partitions the keyspace this way so N
     workers hold N disjoint cache slices instead of N copies.
+
+    The text index maps :func:`text_key` of a request to the fingerprint
+    of an entry this cache admitted for it.  Parsing and fingerprinting
+    are pure, so a key never maps to a wrong fingerprint; a key whose
+    entry was evicted misses.  The index is an LRU of at most
+    ``TEXT_KEYS_PER_ENTRY * max_entries`` keys.
     """
 
     def __init__(self, max_entries: int = 256, max_bytes: int | None = None):
@@ -157,9 +189,11 @@ class GraphCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._entries: OrderedDict[str, CachedGraph] = OrderedDict()
+        self._by_text: OrderedDict[bytes, str] = OrderedDict()
         self._lock = threading.RLock()
         self._bytes = 0
         self.hits = 0
+        self.text_hits = 0  # the hits that skipped parse and fingerprint
         self.misses = 0
         self.evictions = 0
 
@@ -185,20 +219,45 @@ class GraphCache:
         """
         return True
 
-    def get(self, circuit: "Circuit", use_cache: bool = True) -> CachedGraph:
+    def get(
+        self, source: "Circuit | PredictionRequest", use_cache: bool = True
+    ) -> CachedGraph:
         """Entry for a circuit, building (and caching) the graph on a miss."""
-        return self.lookup(circuit, use_cache=use_cache)[0]
+        return self.lookup(source, use_cache=use_cache)[0]
 
     def lookup(
-        self, circuit: "Circuit", use_cache: bool = True
+        self, source: "Circuit | PredictionRequest", use_cache: bool = True
     ) -> tuple[CachedGraph, bool]:
-        """(entry, was_hit) for a circuit, building the graph on a miss.
+        """(entry, was_hit) for a circuit or a request, building the graph
+        on a miss.
+
+        A :class:`~repro.api.types.PredictionRequest` with netlist text is
+        first looked up in the text index; a hit there neither parses the
+        netlist nor fingerprints the circuit.  Otherwise the request's
+        circuit is resolved (parsed) and looked up by content.
 
         ``use_cache=False`` builds a fresh throwaway entry without touching
-        the LRU state — for one-shot circuits that should not evict hot
-        entries.  Fingerprints rejected by :meth:`admits` are served the
-        same way (built, never admitted).
+        the LRU state or the text index — for one-shot circuits that
+        should not evict hot entries.  Fingerprints rejected by
+        :meth:`admits` are served the same way (built, never admitted or
+        indexed).
         """
+        request = source if hasattr(source, "resolve_circuit") else None
+        key = None
+        if use_cache and request is not None and request.netlist_text is not None:
+            key = text_key(request.circuit_name, request.netlist_text)
+            with self._lock:
+                fingerprint = self._by_text.get(key)
+                entry = self._entries.get(fingerprint) if fingerprint else None
+                if entry is not None:
+                    self._by_text.move_to_end(key)
+                    self._entries.move_to_end(fingerprint)
+                    self.hits += 1
+                    self.text_hits += 1
+                    obs.inc("serve.graph_cache_hits_total")
+                    obs.inc("serve.graph_cache_text_hits_total")
+                    return entry, True
+        circuit = request.resolve_circuit() if request is not None else source
         fingerprint = circuit_fingerprint(circuit)
         admit = use_cache and self.admits(fingerprint)
         if admit:
@@ -206,6 +265,7 @@ class GraphCache:
                 entry = self._entries.get(fingerprint)
                 if entry is not None:
                     self._entries.move_to_end(fingerprint)
+                    self._index(key, fingerprint)
                     self.hits += 1
                     obs.inc("serve.graph_cache_hits_total")
                     return entry, True
@@ -218,6 +278,7 @@ class GraphCache:
             return CachedGraph(fingerprint, graph), False
         entry = CachedGraph(fingerprint, graph, on_grow=self._note_growth)
         with self._lock:
+            self._index(key, fingerprint)
             existing = self._entries.get(fingerprint)
             if existing is not None:  # raced with another thread
                 entry.release()
@@ -226,6 +287,15 @@ class GraphCache:
             self._bytes += entry.nbytes
             self._evict_over_budget()
         return entry, False
+
+    def _index(self, key: bytes | None, fingerprint: str) -> None:
+        """Map a text key to an admitted fingerprint.  Caller holds the lock."""
+        if key is None:
+            return
+        self._by_text[key] = fingerprint
+        self._by_text.move_to_end(key)
+        while len(self._by_text) > TEXT_KEYS_PER_ENTRY * self.max_entries:
+            self._by_text.popitem(last=False)
 
     def _note_growth(self, delta: int) -> None:
         """A cached entry memoised new inputs; re-check the byte budget."""
@@ -263,7 +333,9 @@ class GraphCache:
             for entry in self._entries.values():
                 entry.release()
             self._entries.clear()
+            self._by_text.clear()
             self._bytes = 0
             self.hits = 0
+            self.text_hits = 0
             self.misses = 0
             self.evictions = 0

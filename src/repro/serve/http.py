@@ -22,9 +22,9 @@ the obs request context for the handler's duration, and written to the
 structured access log when one is configured.
 
 Error mapping: bad request body/netlist → 400, unknown model/target → 404,
-a ``Content-Length`` over :data:`MAX_BODY_BYTES` → 413, queue backpressure
-→ 429 (with a ``Retry-After`` hint), queued-too-long → 504, anything else
-→ 500.  A body length that is not a non-negative integer, or too large, is
+a ``Content-Length`` over :data:`MAX_BODY_BYTES` or more ``items`` than
+the engine's ``queue_depth`` → 413, queue backpressure → 429 (with a
+``Retry-After`` hint), queued-too-long → 504, anything else → 500.  A body length that is not a non-negative integer, or too large, is
 answered before any of the body is read, and the connection is closed.
 Only the standard library is used, so any HTTP client — including
 :mod:`urllib.request` — can drive it.
@@ -289,6 +289,14 @@ class _Handler(BaseHTTPRequestHandler):
                 items = payload["items"]
                 if not isinstance(items, list):
                     raise ApiError('"items" must be a list of requests')
+                depth = self.engine.config.queue_depth
+                if len(items) > depth:
+                    # a retry could never fit: refuse before any item runs
+                    self._send_error_json(413, ApiError(
+                        f"batch of {len(items)} items exceeds the serving "
+                        f"queue depth of {depth}; split it"
+                    ))
+                    return
                 requests = [request_from_json(item) for item in items]
                 for request in requests:
                     request.request_id = self._request_id

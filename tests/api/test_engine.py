@@ -139,6 +139,106 @@ class TestCaching:
         assert second.timing.cache_hit
         assert first.named("CAP") == second.named("CAP")
 
+    def test_repeated_text_skips_parse_and_fingerprint(
+        self, engine, tiny_bundle, monkeypatch
+    ):
+        import repro.circuits.spice as spice
+        import repro.serve.cache as cache_module
+        from repro.circuits.spice import write_spice
+
+        text = write_spice(tiny_bundle.records("test")[0].circuit)
+        first = engine.predict(
+            PredictionRequest(netlist_text=text, name="same"), model="cap"
+        )
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a repeat must not parse or fingerprint")
+
+        monkeypatch.setattr(spice, "read_spice", boom)
+        monkeypatch.setattr(cache_module, "circuit_fingerprint", boom)
+        second = engine.predict(
+            PredictionRequest(netlist_text=text, name="same"), model="cap"
+        )
+        assert second.timing.cache_hit and engine.cache.text_hits == 1
+        assert second.circuit == first.circuit == "same"
+        assert second.fingerprint == first.fingerprint
+        assert np.array_equal(
+            second.targets["CAP"].values, first.targets["CAP"].values
+        )
+        assert engine.stats()["graph_cache"]["text_hits"] == 1
+
+    def test_concurrent_repeats_stay_consistent(self, api_cap_predictor,
+                                                tiny_bundle):
+        """Threads calling one engine at once, through a two-entry cache
+        that keeps evicting: every answer is the serial one, and no hit
+        or miss is lost."""
+        import random
+        import sys
+        import threading
+
+        from repro.circuits.spice import write_spice
+        from repro.serve.cache import TEXT_KEYS_PER_ENTRY
+
+        texts = [
+            (record.name, write_spice(record.circuit))
+            for record in tiny_bundle.records("test")
+        ]
+        threads_n, per_thread = 8, 30
+        with create_engine(api_cap_predictor, cache_size=2, dtype="float64") as eng:
+            expected = {
+                name: eng.predict(
+                    PredictionRequest(netlist_text=text, name=name)
+                ).targets["CAP"].values
+                for name, text in texts
+            }
+            eng.cache.clear()
+            outcomes = []
+
+            def worker(seed):
+                rng = random.Random(seed)
+                for _ in range(per_thread):
+                    name, text = texts[rng.randrange(len(texts))]
+                    result = eng.predict(
+                        PredictionRequest(netlist_text=text, name=name)
+                    )
+                    outcomes.append(
+                        result.circuit == name
+                        and np.array_equal(
+                            result.targets["CAP"].values, expected[name]
+                        )
+                    )
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [
+                    threading.Thread(target=worker, args=(seed,))
+                    for seed in range(threads_n)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(outcomes) == threads_n * per_thread and all(outcomes)
+            cache = eng.cache
+            assert cache.hits + cache.misses == threads_n * per_thread
+            assert 0 < cache.text_hits <= cache.hits
+            assert len(cache._by_text) <= TEXT_KEYS_PER_ENTRY * cache.max_entries
+
+    def test_unparseable_netlist_fails_every_time(self, engine):
+        from repro.errors import NetlistError
+
+        for _ in range(2):
+            with pytest.raises(NetlistError):
+                engine.predict(
+                    PredictionRequest(netlist_text="M1 a b\n", name="bad"),
+                    model="cap",
+                )
+        assert engine.cache.text_hits == 0 and len(engine.cache) == 0
+
     def test_use_cache_false_bypasses(self, engine, tiny_bundle):
         record = tiny_bundle.records("test")[0]
         engine.predict(record.circuit, model="cap", use_cache=False)
@@ -197,6 +297,18 @@ class TestPredictBatch:
                 result.targets["CAP"].values, first.targets["CAP"].values
             )
 
+    def test_batch_larger_than_the_queue_is_refused_up_front(
+        self, api_cap_predictor, tiny_bundle
+    ):
+        circuit = tiny_bundle.records("test")[0].circuit
+        with create_engine(api_cap_predictor, queue_depth=2) as eng:
+            with pytest.raises(ApiError, match="queue depth of 2"):
+                eng.predict_batch([circuit] * 3)
+            # nothing was queued, parsed or cached
+            assert not eng.stats()["executor"]["started"]
+            assert len(eng.cache) == 0 and eng.cache.misses == 0
+            assert len(eng.predict_batch([circuit] * 2)) == 2
+
     def test_bad_item_fails_alone(self, engine, tiny_bundle):
         record = tiny_bundle.records("test")[0]
         good = PredictionRequest(circuit=record.circuit, model="cap")
@@ -205,6 +317,62 @@ class TestPredictBatch:
         assert ok[0].named("CAP")
         with pytest.raises(ApiError, match="unknown model"):
             engine.predict_batch([good, bad])
+
+
+class TestOneGroupAtATime:
+    def test_concurrent_callers_never_overlap(self, api_cap_predictor,
+                                              tiny_bundle, monkeypatch):
+        """predict() threads and executor threads take turns: no two
+        forwards of one engine ever run at once."""
+        import threading
+        import time
+
+        circuits = [r.circuit for r in tiny_bundle.records("test")]
+        with create_engine(api_cap_predictor, workers=2) as eng:
+            adapter = eng.registry.get().adapter
+            forward = adapter.predict_works
+            guard = threading.Lock()
+            running = {"now": 0, "peak": 0}
+
+            def tracked(works, targets):
+                with guard:
+                    running["now"] += 1
+                    running["peak"] = max(running["peak"], running["now"])
+                time.sleep(0.005)  # a window wide enough to overlap in
+                try:
+                    return forward(works, targets)
+                finally:
+                    with guard:
+                        running["now"] -= 1
+
+            monkeypatch.setattr(adapter, "predict_works", tracked)
+            start = threading.Barrier(4)
+            failures = []
+
+            def single():
+                start.wait()
+                for circuit in circuits * 2:
+                    try:
+                        eng.predict(circuit)
+                    except Exception as error:  # pragma: no cover - reported
+                        failures.append(error)
+
+            def batched():
+                start.wait()
+                try:
+                    eng.predict_batch(circuits * 4)
+                except Exception as error:  # pragma: no cover - reported
+                    failures.append(error)
+
+            threads = [threading.Thread(target=single) for _ in range(2)]
+            threads += [threading.Thread(target=batched) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures
+            assert running == {"now": 0, "peak": 1}
 
 
 class TestConstruction:

@@ -89,6 +89,71 @@ class TestCache:
         with pytest.raises(DatasetError):
             load_bundle_from_cache(tmp_path)
 
+    def test_names_are_stored_as_text(self, saved):
+        directory, _ = saved
+        with np.load(directory / "test" / "e1.targets.npz") as archive:
+            assert archive["net_names"].dtype.kind == "U"
+            assert archive["device_names"].dtype.kind == "U"
+
+
+class _Payload:
+    """Pickles to a call that creates *marker* when unpickled."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
+
+
+class TestUntrustedCache:
+    """A bundle directory is data: loading one must never run code."""
+
+    @staticmethod
+    def _tamper(saved, tmp_path, names):
+        import shutil
+
+        directory = tmp_path / "bundle"
+        shutil.copytree(saved[0], directory)
+        path = directory / "test" / "e1.targets.npz"
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        arrays["net_names"] = names(arrays["net_names"].tolist())
+        np.savez(path, **arrays)
+        return directory, path
+
+    @pytest.fixture(scope="class")
+    def saved(self, tiny_bundle, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("bundle_cache")
+        save_bundle(tiny_bundle, directory)
+        return directory, tiny_bundle
+
+    def test_pickled_payload_never_runs(self, saved, tmp_path):
+        marker = tmp_path / "payload-ran"
+        directory, path = self._tamper(
+            saved, tmp_path,
+            lambda names: np.array(names + [_Payload(str(marker))], dtype=object),
+        )
+        with pytest.raises(DatasetError, match="rebuild the dataset cache"):
+            load_bundle_from_cache(directory)
+        assert not marker.exists()
+
+    def test_old_object_array_format_names_the_file(self, saved, tmp_path):
+        directory, path = self._tamper(
+            saved, tmp_path, lambda names: np.array(names, dtype=object)
+        )
+        with pytest.raises(DatasetError) as caught:
+            load_bundle_from_cache(directory)
+        assert str(path) in str(caught.value)
+        assert "rebuild" in str(caught.value)
+
+    def test_non_text_names_are_refused(self, saved, tmp_path):
+        directory, _ = self._tamper(
+            saved, tmp_path, lambda names: np.arange(len(names))
+        )
+        with pytest.raises(DatasetError, match="not text"):
+            load_bundle_from_cache(directory)
+
 
 class TestErrorBreakdown:
     def test_buckets_and_render(self):

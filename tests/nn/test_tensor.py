@@ -48,6 +48,31 @@ class TestBasics:
             b = a * 2.0
         assert not b.requires_grad
 
+    def test_no_grad_records_no_parents(self):
+        a = Tensor([1.0, -2.0], requires_grad=True)
+        with no_grad():
+            b = (a * 2.0).sum()
+        assert b._parents == () and b._backward is None and b.grad is None
+
+    def test_no_grad_keeps_the_compute_dtype_contract(self):
+        """Tape-free ops cast like the taped ones: to the compute dtype,
+        and without a copy when the array already has it."""
+        from repro.nn import compute_dtype
+
+        wide = Tensor(np.ones((2, 2)))  # float64 under the default policy
+        with compute_dtype("float32"):
+            narrow = Tensor(np.ones((2, 2)))
+            with no_grad():
+                mixed = narrow @ wide  # numpy promotes to float64
+                same = narrow * narrow
+            taped = narrow @ wide
+        assert mixed.data.dtype == taped.data.dtype == np.float32
+        assert same.data.dtype == np.float32
+        with no_grad():
+            data = np.ones(3)
+            out = Tensor._make(data, (), None)
+        assert out.data is data
+
     def test_no_grad_is_thread_local(self):
         """Regression: the disable flag was a module global, so one thread's
         no_grad() silently killed gradients being built on another thread."""

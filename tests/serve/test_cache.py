@@ -198,3 +198,149 @@ class TestByteBudget:
             for circuit in circuits:
                 cache.get(circuit).inputs_for(tiny_bundle.scaler)
         assert cache.current_bytes() <= budget + largest
+
+
+class TestTextIndex:
+    """A repeat of a request's (name, netlist text) hits without parsing
+    the netlist or fingerprinting the circuit."""
+
+    @staticmethod
+    def _request(text, name="same"):
+        from repro.api.types import PredictionRequest
+
+        return PredictionRequest(netlist_text=text, name=name)
+
+    @staticmethod
+    def _count_parses(monkeypatch):
+        import repro.circuits.spice as spice
+
+        calls = []
+        real = spice.read_spice
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spice, "read_spice", counting)
+        return calls
+
+    def test_repeat_skips_parse_and_fingerprint(self, circuits, monkeypatch):
+        import repro.circuits.spice as spice
+        import repro.serve.cache as cache_module
+
+        cache = GraphCache()
+        text = write_spice(circuits[0])
+        entry, hit = cache.lookup(self._request(text))
+        assert not hit
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a text-index hit must not parse or hash")
+
+        monkeypatch.setattr(spice, "read_spice", boom)
+        monkeypatch.setattr(cache_module, "circuit_fingerprint", boom)
+        again, hit = cache.lookup(self._request(text))
+        assert hit and again is entry
+        assert cache.hits == 1 and cache.text_hits == 1 and cache.misses == 1
+
+    def test_reformatted_netlist_shares_the_content_entry(
+        self, circuits, monkeypatch
+    ):
+        cache = GraphCache()
+        text = write_spice(circuits[0])
+        entry, _ = cache.lookup(self._request(text))
+        parses = self._count_parses(monkeypatch)
+        reformatted = "* the same circuit, commented\n" + text.replace(" ", "  ")
+        again, hit = cache.lookup(self._request(reformatted))
+        assert hit and again is entry and parses == [1]
+        assert cache.text_hits == 0 and len(cache) == 1
+        # the re-formatted bytes are now indexed too
+        _, hit = cache.lookup(self._request(reformatted))
+        assert hit and parses == [1] and cache.text_hits == 1
+
+    def test_a_different_name_is_a_different_entry(self, circuits):
+        cache = GraphCache()
+        text = write_spice(circuits[0])
+        first, _ = cache.lookup(self._request(text, name="a"))
+        second, hit = cache.lookup(self._request(text, name="b"))
+        assert not hit and second is not first
+        assert second.fingerprint != first.fingerprint
+        assert len(cache) == 2 and cache.text_hits == 0
+
+    def test_key_separates_name_from_text(self):
+        from repro.serve.cache import text_key
+
+        assert text_key("a\0b", "c") != text_key("a", "b\0c")
+        assert text_key("ab", "c") != text_key("a", "bc")
+        assert text_key("a", "b") == text_key("a", "b")
+
+    def test_index_is_bounded(self, circuits):
+        from repro.serve.cache import TEXT_KEYS_PER_ENTRY
+
+        cache = GraphCache(max_entries=2)
+        text = write_spice(circuits[0])
+        for spaces in range(1, 4 * TEXT_KEYS_PER_ENTRY * cache.max_entries):
+            # distinct bytes, one circuit: many keys for one entry
+            cache.get(self._request(text + " " * spaces))
+        for circuit in circuits[1:4]:
+            cache.get(self._request(write_spice(circuit), name=circuit.name))
+        assert len(cache._by_text) <= TEXT_KEYS_PER_ENTRY * cache.max_entries
+
+    def test_keys_of_an_evicted_entry_miss(self, circuits, monkeypatch):
+        cache = GraphCache(max_entries=1)
+        first = self._request(write_spice(circuits[0]))
+        cache.get(first)
+        cache.get(self._request(write_spice(circuits[1]), name="other"))
+        parses = self._count_parses(monkeypatch)
+        _, hit = cache.lookup(self._request(first.netlist_text))
+        assert not hit and parses == [1] and cache.text_hits == 0
+
+    def test_use_cache_false_neither_reads_nor_writes(self, circuits,
+                                                      monkeypatch):
+        cache = GraphCache()
+        text = write_spice(circuits[0])
+        cache.get(self._request(text))
+        parses = self._count_parses(monkeypatch)
+        _, hit = cache.lookup(self._request(text), use_cache=False)
+        assert not hit and parses == [1]
+        other = write_spice(circuits[1])
+        cache.lookup(self._request(other, name="o"), use_cache=False)
+        _, hit = cache.lookup(self._request(other, name="o"))
+        assert not hit and cache.text_hits == 0 and parses == [1, 1, 1]
+
+    def test_sharded_cache_never_indexes_a_foreign_fingerprint(
+        self, circuits, monkeypatch
+    ):
+        from repro.serve.pool import ShardedGraphCache
+
+        owner = ShardedGraphCache(0, 2)
+        text = write_spice(circuits[0])
+        names = [f"c{index}" for index in range(16)]
+        foreign = next(
+            name for name in names
+            if not owner.owns(circuit_fingerprint(read_spice(text, name=name)))
+        )
+        parses = self._count_parses(monkeypatch)
+        for _ in range(2):
+            _, hit = owner.lookup(self._request(text, foreign))
+            assert not hit
+        assert parses == [1, 1] and len(owner._by_text) == 0
+        assert owner.foreign == 2
+
+    def test_unparseable_netlist_is_never_indexed(self, monkeypatch):
+        from repro.errors import NetlistError
+
+        cache = GraphCache()
+        for _ in range(2):
+            with pytest.raises(NetlistError):
+                cache.lookup(self._request("M1 a b\n", name="bad"))
+        assert len(cache._by_text) == 0 and len(cache) == 0
+
+    def test_clear_empties_the_index(self, circuits):
+        cache = GraphCache()
+        text = write_spice(circuits[0])
+        cache.get(self._request(text))
+        cache.get(self._request(text))
+        cache.clear()
+        assert cache.text_hits == 0 and len(cache._by_text) == 0
+        _, hit = cache.lookup(self._request(text))
+        assert not hit

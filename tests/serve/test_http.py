@@ -149,6 +149,29 @@ class TestErrorMapping:
         assert code == 404
         assert "unknown model" in payload["message"]
 
+    def test_batch_over_the_queue_depth_is_413(self, served):
+        """A batch the queue can never hold is refused before any item is
+        parsed or queued (``{}`` items would otherwise be 400s), and not
+        with a 429 that invites a retry."""
+        engine = served.engine
+        depth = engine.config.queue_depth
+        misses = engine.cache.misses
+        code, payload = _post_error(
+            served.url + "/predict", {"items": [{}] * (depth + 1)}
+        )
+        assert code == 413
+        assert f"queue depth of {depth}" in payload["message"]
+        assert engine.cache.misses == misses
+        assert engine.stats()["executor"]["pending"] == 0
+
+    def test_unparseable_netlist_is_400_on_every_repeat(self, served):
+        for _ in range(2):
+            code, payload = _post_error(
+                served.url + "/predict",
+                {"netlist": "M1 a b\n", "name": "bad", "model": "CAP"},
+            )
+            assert code == 400
+
     def test_unknown_route_is_404(self, served):
         try:
             _get(served.url + "/nope")
@@ -415,6 +438,29 @@ class TestTelemetry:
             families, series = validate_exposition(response.read().decode())
             assert families.get("repro_serve_requests_total") == "counter"
             assert families.get("repro_serve_request_seconds") == "histogram"
+        finally:
+            obs.disable_metrics()
+            obs.registry().reset()
+
+    def test_text_hits_counted_as_a_subset_of_hits(self, served,
+                                                   netlist_text):
+        from repro import obs
+
+        obs.enable_metrics()
+        try:
+            for _ in range(3):
+                with self._open(
+                    served.url + "/predict",
+                    {"netlist": netlist_text, "model": "CAP",
+                     "name": "text-hit-probe"},
+                ) as response:
+                    assert response.status == 200
+            counters = {
+                row["name"]: row["value"]
+                for row in obs.registry().snapshot() if row["kind"] == "counter"
+            }
+            text_hits = counters["serve.graph_cache_text_hits_total"]
+            assert 2 <= text_hits <= counters["serve.graph_cache_hits_total"]
         finally:
             obs.disable_metrics()
             obs.registry().reset()
