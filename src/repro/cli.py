@@ -44,19 +44,16 @@ Subcommands::
         Print the per-stage time/memory summary of a trace written with
         ``--trace`` or ``--obs-jsonl``.
 
-    python -m repro check [paths...] [--rules r1,r2] [--shapes/--no-shapes]
-                          [--project] [--changed BASE] [--fail-stale]
+    python -m repro check [paths...] [--rules r1,r2] [--fail-stale]
                           [--baseline FILE] [--no-baseline]
-                          [--update-baseline] [--format json|sarif]
+                          [--update-baseline] [--format json]
                           [--verbose] [--list-rules]
-        Run the repo-aware static checks: the AST lint rules over
-        ``src/repro`` (or explicit file paths) plus the symbolic
-        shape/dtype contract checker over every shipped model config.
-        ``--project`` adds the whole-program call-graph/dataflow rules;
-        ``--changed BASE`` gates only on findings touching files changed
-        since a git ref.  Exit 0 when clean, 1 when there are new
-        findings (or stale baseline entries under ``--fail-stale``),
-        2 on usage or configuration errors.
+        Run the repo-aware static checks.  With no paths: all six rules,
+        the five AST lint rules over ``src/repro`` plus the whole-program
+        ``fork-safety`` rule.  With paths: the lint rules over those
+        files.  Exit 0 when clean, 1 when there are new findings (or stale
+        baseline entries under ``--fail-stale``), 2 on usage or
+        configuration errors.
 
 Every subcommand additionally accepts ``--trace out.json`` (write a Chrome
 ``trace_event`` file loadable in Perfetto / chrome://tracing) and
@@ -436,27 +433,16 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.errors import StaticCheckError
-    from repro.staticcheck import (
-        render_json,
-        render_sarif,
-        render_text,
-        rule_names,
-        run_lint,
-        run_shapes,
-    )
-    from repro.staticcheck.baseline import write_baseline
-    from repro.staticcheck.runner import CheckResult, default_baseline_path
+    from repro.staticcheck import render_json, render_text, run_lint, run_project
+    from repro.staticcheck.baseline import Baseline, write_baseline
+    from repro.staticcheck.runner import default_baseline_path
 
     if args.list_rules:
-        from repro.staticcheck import all_project_rules, all_rules
+        from repro.staticcheck import all_rules
+        from repro.staticcheck.fork_safety import ForkSafetyRule
 
-        for rule in all_rules():
+        for rule in [*all_rules(), ForkSafetyRule()]:
             print(f"{rule.name:18s} [{rule.severity.value}] {rule.description}")
-        for rule in all_project_rules():
-            print(f"{rule.name:18s} [{rule.severity.value}] (--project) "
-                  f"{rule.description}")
-        print(f"{'shape-contract':18s} [error] symbolic shape/dtype "
-              "propagation over shipped model configs")
         return 0
 
     selected = (
@@ -465,76 +451,42 @@ def _cmd_check(args: argparse.Namespace) -> int:
         else None
     )
     paths = args.paths or None
-    if args.project and paths is not None:
+    if args.update_baseline and (paths is not None or selected is not None):
+        # the rewrite replaces every row, so it needs every finding
         print(
-            "repro check: --project analyses the whole repo; explicit "
-            "paths are not supported (use --changed BASE to gate on a diff)",
+            "repro check: --update-baseline rewrites the whole baseline "
+            "and needs a full run of every rule (no paths, no --rules)",
             file=sys.stderr,
         )
         return 2
-    lint_selected = project_selected = selected
-    if args.project and selected is not None:
-        from repro.staticcheck.project_rules import project_rule_names
-
-        lint_selected = [n for n in selected if n not in project_rule_names()]
-        project_selected = [n for n in selected if n in project_rule_names()]
+    use_baseline = not args.no_baseline
     try:
-        result = run_lint(
-            paths=paths,
-            rule_names=lint_selected,
-            baseline_path=args.baseline,
-            use_baseline=not args.no_baseline,
-            compute_stale=not args.project,
-        )
-        if args.project:
-            from repro.staticcheck import run_project
-
+        if paths is None:
             result = run_project(
-                rule_names=project_selected,
+                rule_names=selected,
                 baseline_path=args.baseline,
-                use_baseline=not args.no_baseline,
-                lint_result=result,
+                use_baseline=use_baseline,
+            )
+        else:
+            result = run_lint(
+                paths=paths,
+                rule_names=selected,
+                baseline_path=args.baseline,
+                use_baseline=use_baseline,
             )
     except StaticCheckError as exc:
         print(f"repro check: {exc}", file=sys.stderr)
         return 2
 
-    if args.changed:
-        from repro.staticcheck import changed_files, filter_changed
-
-        try:
-            result = filter_changed(result, changed_files(args.changed))
-        except StaticCheckError as exc:
-            print(f"repro check: {exc}", file=sys.stderr)
-            return 2
-
     if args.update_baseline:
-        from repro.staticcheck.baseline import Baseline
-
-        if paths is not None or args.changed:
-            print(
-                "repro check: --update-baseline requires a full-repo run "
-                "(no explicit paths, no --changed)",
-                file=sys.stderr,
-            )
-            return 2
         target = args.baseline or default_baseline_path()
         write_baseline(target, Baseline.from_findings(result.findings))
         kept = sum(1 for f in result.findings if not f.suppressed)
         print(f"wrote {kept} finding(s) to {target}")
         return 0
 
-    if args.shapes and selected is None:
-        try:
-            result = result.merge(run_shapes())
-        except StaticCheckError as exc:
-            print(f"repro check: {exc}", file=sys.stderr)
-            return 2
-
     if args.format == "json":
         print(render_json(result))
-    elif args.format == "sarif":
-        print(render_sarif(result))
     else:
         print(render_text(result, verbose=args.verbose))
     if args.fail_stale and result.stale_baseline:
@@ -703,38 +655,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_check = sub.add_parser(
-        "check", help="run the static lint rules and shape-contract checker"
+        "check", help="run the static analysis rules (lint + fork-safety)"
     )
     p_check.add_argument("paths", nargs="*",
                          help="specific files to lint (default: all of "
-                              "src/repro)")
+                              "src/repro, plus the whole-program fork-safety "
+                              "rule)")
     p_check.add_argument("--rules", default=None, metavar="R1,R2",
-                         help="comma-separated lint rule names (implies "
-                              "--no-shapes); see --list-rules")
-    p_check.add_argument("--shapes", dest="shapes", action="store_true",
-                         default=True,
-                         help="run the symbolic shape/dtype checker (default)")
-    p_check.add_argument("--no-shapes", dest="shapes", action="store_false",
-                         help="skip the shape/dtype checker")
+                         help="comma-separated rule names; see --list-rules")
     p_check.add_argument("--baseline", default=None, metavar="FILE",
                          help="baseline file (default: "
                               "<repo>/staticcheck-baseline.json)")
     p_check.add_argument("--no-baseline", action="store_true",
                          help="report grandfathered findings too")
-    p_check.add_argument("--project", action="store_true",
-                         help="also run the whole-program rules (call "
-                              "graph + dataflow: lock-order, fork-safety, "
-                              "resource-lifecycle, precision-taint)")
-    p_check.add_argument("--changed", default=None, metavar="BASE",
-                         help="only report findings touching files changed "
-                              "since this git ref (diff-aware CI gate)")
     p_check.add_argument("--fail-stale", action="store_true",
                          help="exit non-zero when baseline entries no "
                               "longer match any finding (baseline may "
                               "only shrink)")
     p_check.add_argument("--update-baseline", action="store_true",
                          help="rewrite the baseline from the current findings")
-    p_check.add_argument("--format", choices=["text", "json", "sarif"],
+    p_check.add_argument("--format", choices=["text", "json"],
                          default="text")
     p_check.add_argument("--verbose", action="store_true",
                          help="also list suppressed and baselined findings")

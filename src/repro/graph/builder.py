@@ -68,7 +68,7 @@ def _build_graph(circuit: Circuit, validate: bool) -> HeteroGraph:
 
     for node_type, members in type_members.items():
         graph.nodes_of_type[node_type] = np.asarray(members, dtype=np.int64)
-        # staticcheck: ignore[precision-policy,precision-taint] -- raw
+        # staticcheck: ignore[precision-policy] -- raw
         # features are stored float64-canonical; the model casts at the
         # encoder boundary, so nothing float64 survives into the kernels
         feats = np.asarray(type_features[node_type], dtype=np.float64)

@@ -1,25 +1,20 @@
 """``repro.staticcheck`` — repo-aware static analysis.
 
-Complementary layers guard the invariants the runtime stack depends
-on (see ``docs/static-analysis.md``):
+Six rules guard the invariants the runtime stack depends on (see
+``docs/static-analysis.md``):
 
-* an AST **lint engine** (:mod:`repro.staticcheck.engine`) running
+* an AST **lint engine** (:mod:`repro.staticcheck.engine`) running five
   per-module rules — autodiff-bypass, precision-policy, determinism,
   concurrency, api-surface — with per-line ``# staticcheck: ignore[rule]``
-  pragmas and a committed baseline for grandfathered findings,
-* a **whole-program layer** (:mod:`repro.staticcheck.project`) — symbol
-  table, call graph and a CFG/dataflow framework
-  (:mod:`repro.staticcheck.dataflow`) — running cross-module rules
-  (lock-order, fork-safety, resource-lifecycle, precision-taint) under
-  ``repro check --project``, and
-* a **symbolic shape/dtype checker** (:mod:`repro.staticcheck.shapes`)
-  that abstract-interprets the ``repro.nn`` model graphs with symbolic
-  node/edge dims, catching wiring mismatches in encoder/conv/readout
-  stacks before any training step runs.
+  pragmas and a committed baseline for grandfathered findings, and
+* one **whole-program rule**, fork-safety
+  (:mod:`repro.staticcheck.fork_safety`), over a project-wide symbol
+  table and call graph (:mod:`repro.staticcheck.project`).
 
-All are wired into ``repro check`` (CLI) and the ``static-analysis`` CI
-job.  Exports resolve lazily (PEP 562) so importing :mod:`repro` never
-pays for the checker.
+A full-repo ``repro check`` (:func:`run_project`) runs all six over one
+parse of the tree; the ``static-analysis`` CI job runs it.  Exports
+resolve lazily (PEP 562) so importing :mod:`repro` never pays for the
+checker.
 """
 
 from typing import Any
@@ -38,24 +33,11 @@ __all__ = [
     "CheckResult",
     "run_lint",
     "run_project",
-    "run_shapes",
-    "changed_files",
-    "filter_changed",
     "iter_source_files",
     "repo_root",
     "render_text",
     "render_json",
-    "render_sarif",
     "ProjectContext",
-    "ProjectRule",
-    "all_project_rules",
-    "project_rule_names",
-    "check_multitask",
-    "check_multitask_config",
-    "check_all_shipped",
-    "shipped_configs",
-    "SymDim",
-    "SymTensor",
 ]
 
 _EXPORTS = {
@@ -72,24 +54,11 @@ _EXPORTS = {
     "CheckResult": "repro.staticcheck.runner",
     "run_lint": "repro.staticcheck.runner",
     "run_project": "repro.staticcheck.runner",
-    "run_shapes": "repro.staticcheck.runner",
-    "changed_files": "repro.staticcheck.runner",
-    "filter_changed": "repro.staticcheck.runner",
     "iter_source_files": "repro.staticcheck.runner",
     "repo_root": "repro.staticcheck.runner",
     "render_text": "repro.staticcheck.reporters",
     "render_json": "repro.staticcheck.reporters",
-    "render_sarif": "repro.staticcheck.reporters",
     "ProjectContext": "repro.staticcheck.project",
-    "ProjectRule": "repro.staticcheck.project_rules",
-    "all_project_rules": "repro.staticcheck.project_rules",
-    "project_rule_names": "repro.staticcheck.project_rules",
-    "check_multitask": "repro.staticcheck.shapes",
-    "check_multitask_config": "repro.staticcheck.shapes",
-    "check_all_shipped": "repro.staticcheck.shapes",
-    "shipped_configs": "repro.staticcheck.shapes",
-    "SymDim": "repro.staticcheck.shapes",
-    "SymTensor": "repro.staticcheck.shapes",
 }
 
 

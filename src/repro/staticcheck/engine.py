@@ -11,7 +11,6 @@ silently suppress nothing while looking load-bearing).
 from __future__ import annotations
 
 import ast
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -110,8 +109,8 @@ class LintEngine:
             raise StaticCheckError(f"duplicate rule names: {sorted(dupes)}")
         self.rules = list(rules)
         # Rule names that are valid pragma targets even though this engine
-        # does not run them (whole-program rules, the shape checker):
-        # pragmas for those live on source lines this engine *does* parse.
+        # does not run them (fork-safety, rules a --rules subset leaves
+        # out): pragmas for those live on source lines this engine parses.
         self.known_rule_names = frozenset(known_rule_names)
 
     def rule_names(self) -> tuple[str, ...]:
@@ -120,7 +119,10 @@ class LintEngine:
     # ------------------------------------------------------------------
     def check_source(self, path: str, source: str) -> list[Finding]:
         """Lint one module given its source text (repo-relative *path*)."""
-        ctx = ModuleContext.from_source(path, source)
+        return self.check_context(ModuleContext.from_source(path, source))
+
+    def check_context(self, ctx: ModuleContext) -> list[Finding]:
+        """Lint one parsed module."""
         findings: list[Finding] = []
         for rule in self.rules:
             for finding in rule.check_module(ctx):
@@ -128,18 +130,6 @@ class LintEngine:
                     finding = finding.with_flags(suppressed=True)
                 findings.append(finding)
         findings.extend(self._pragma_findings(ctx))
-        return sort_findings(findings)
-
-    def check_file(self, root: str, relpath: str) -> list[Finding]:
-        full = os.path.join(root, relpath.replace("/", os.sep))
-        with open(full, encoding="utf-8") as handle:
-            source = handle.read()
-        return self.check_source(relpath.replace(os.sep, "/"), source)
-
-    def check_files(self, root: str, relpaths: Iterable[str]) -> list[Finding]:
-        findings: list[Finding] = []
-        for relpath in relpaths:
-            findings.extend(self.check_file(root, relpath))
         return sort_findings(findings)
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Finding and severity types shared by the lint engine and shape checker."""
+"""Finding and severity types shared by the lint engine and fork-safety."""
 
 from __future__ import annotations
 
@@ -26,12 +26,12 @@ class Severity(enum.Enum):
 class RelatedLocation:
     """A secondary location a whole-program finding depends on.
 
-    Whole-program rules (call-graph / dataflow) anchor a finding in one
-    file but reason about code in another — a lock acquired here while
-    held there, a float64 source flowing into a serving function two
-    modules away.  The related location carries that second site; its
-    ``snippet`` (not its line number) joins the fingerprint so the
-    finding's identity survives line drift in *both* files.
+    The whole-program rule anchors a finding in one file but reasons
+    about code in another — a fork site here, the lock its child
+    inherits defined two modules away.  The related location carries
+    that second site; its ``snippet`` (not its line number) joins the
+    fingerprint so the finding's identity survives line drift in *both*
+    files.
     """
 
     path: str
@@ -50,17 +50,15 @@ class RelatedLocation:
 
 @dataclass(frozen=True)
 class Finding:
-    """One static-analysis finding, from a lint rule or the shape checker.
+    """One static-analysis finding, from a lint rule or fork-safety.
 
-    ``path`` is repo-relative with forward slashes for files, or a
-    ``model://`` pseudo-path for shape-contract findings.  ``snippet`` is
+    ``path`` is repo-relative with forward slashes.  ``snippet`` is
     the stripped source line the finding anchors to; the baseline
     fingerprint hashes it instead of the line number so findings survive
     unrelated edits above them.  ``related`` carries the secondary
-    locations of whole-program findings (the other end of a lock cycle,
-    the taint source feeding a sink) — their snippets join the
-    fingerprint, so identity survives line drift across every involved
-    file.
+    locations of whole-program findings (the definition of a lock a
+    forked child inherits) — their snippets join the fingerprint, so
+    identity survives line drift across every involved file.
     """
 
     rule: str

@@ -1,18 +1,18 @@
 """Whole-program symbol table and call graph for ``repro.staticcheck``.
 
 The per-module lint rules (:mod:`repro.staticcheck.rules`) see one
-``ast.Module`` at a time; the whole-program rules
-(:mod:`repro.staticcheck.project_rules`) need to know *what calls what*
-across the repo — which functions a forked child executes, which locks a
-callee acquires while the caller holds another, which helper two modules
-away returns a float64 array into the serving hot path.
+``ast.Module`` at a time; the ``fork-safety`` rule
+(:mod:`repro.staticcheck.fork_safety`) needs to know *what calls what*
+across the repo — which functions a forked child executes, and which
+objects it reaches that were built before the fork.
 
 :class:`ProjectContext` provides that layer:
 
 * **Symbol table** — every module under ``src/repro`` parsed once
-  (reusing :class:`~repro.staticcheck.engine.ModuleContext`, so pragmas
-  ride along), with its classes, methods, module-level functions and
-  import aliases resolved to dotted ``repro.*`` names.
+  (the same :class:`~repro.staticcheck.engine.ModuleContext` objects the
+  lint engine checks, so pragmas ride along), with its classes, methods,
+  module-level functions and import aliases resolved to dotted
+  ``repro.*`` names.
 * **Call graph** — per-function resolved callees.  Resolution handles
   direct names (``helper()``), imported names (``from x import f``),
   module-attribute calls (``mod.f()``), constructor calls
@@ -23,12 +23,12 @@ away returns a float64 array into the serving hot path.
   attribute call resolves by *unique method name* against the known repo
   classes — class-hierarchy analysis in the small.
 * **Reachability** — BFS over the call graph from any root set
-  (:meth:`ProjectContext.reachable_from`), which is what "code the
-  serving path can execute" and "code a forked child runs" mean.
+  (:meth:`ProjectContext.reachable_from`), which is what "code a forked
+  child runs" means.
 
 Everything is a heuristic over ``ast`` — no imports are executed.  The
-rules that consume this are expected to err on the side of silence when
-resolution fails; an unresolved call simply contributes no edges.
+rule that consumes this errs on the side of silence when resolution
+fails; an unresolved call simply contributes no edges.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def _collect_imports(tree: ast.Module, module: str) -> dict[str, str]:
 
 
 class ProjectContext:
-    """The project-wide view whole-program rules consume."""
+    """The project-wide view the ``fork-safety`` rule consumes."""
 
     def __init__(self, contexts: Iterable[ModuleContext]):
         self.modules: dict[str, ModuleInfo] = {}
@@ -185,18 +185,6 @@ class ProjectContext:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_files(cls, root: str, relpaths: Iterable[str]) -> "ProjectContext":
-        import os
-
-        contexts = []
-        for rel in relpaths:
-            full = os.path.join(root, rel.replace("/", os.sep))
-            with open(full, encoding="utf-8") as handle:
-                source = handle.read()
-            contexts.append(ModuleContext.from_source(rel.replace(os.sep, "/"), source))
-        return cls(contexts)
-
     def _index_module(self, ctx: ModuleContext) -> None:
         name = module_name_of(ctx.path)
         info = ModuleInfo(name=name, path=ctx.path, ctx=ctx)
@@ -265,10 +253,6 @@ class ProjectContext:
                 if target is not None:
                     resolved = target
         return resolved
-
-    def resolve_class(self, module: ModuleInfo, dotted: str) -> ClassInfo | None:
-        resolved = self._resolve_name(module, dotted)
-        return self.classes.get(resolved)
 
     def lookup_method(self, cls: ClassInfo, method: str) -> FunctionInfo | None:
         """Method lookup through the known part of the MRO."""
@@ -452,21 +436,6 @@ class ProjectContext:
             seen.add(qual)
             stack.extend(self.call_graph.get(qual, ()))
         return seen
-
-    def reachable_paths(self, roots: Iterable[str]) -> set[str]:
-        """Repo-relative paths of modules holding reachable functions."""
-        return {
-            self.functions[qual].path
-            for qual in self.reachable_from(roots)
-            if qual in self.functions
-        }
-
-    def callers_of(self, qual: str) -> set[str]:
-        return {
-            caller
-            for caller, callees in self.call_graph.items()
-            if qual in callees
-        }
 
 
 def _annotation_name(node: ast.AST) -> str:

@@ -66,102 +66,3 @@ def render_json(result: "CheckResult") -> str:
     }
     return json.dumps(payload, indent=2)
 
-
-#: SARIF ``level`` per finding severity (info maps to SARIF's "note").
-_SARIF_LEVELS = {"error": "error", "warning": "warning", "info": "note"}
-
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def _rule_descriptions() -> "dict[str, str]":
-    from repro.staticcheck.project_rules import all_project_rules
-    from repro.staticcheck.rules import all_rules
-
-    out = {rule.name: rule.description for rule in all_rules()}
-    out.update({rule.name: rule.description for rule in all_project_rules()})
-    out["shape-contract"] = (
-        "symbolic shape/dtype propagation over shipped model configs"
-    )
-    out["invalid-pragma"] = "malformed or typo'd staticcheck pragma"
-    return out
-
-
-def _sarif_location(path: str, line: int, col: int = 0) -> dict:
-    return {
-        "physicalLocation": {
-            "artifactLocation": {"uri": path, "uriBaseId": "SRCROOT"},
-            "region": {
-                "startLine": max(1, line),
-                "startColumn": max(1, col + 1),
-            },
-        }
-    }
-
-
-def render_sarif(result: "CheckResult") -> str:
-    """SARIF 2.1.0 report (the ``--format sarif`` body, a CI artifact).
-
-    Pragma-suppressed findings carry an ``inSource`` suppression and
-    baselined ones an ``external`` suppression, so SARIF viewers (and
-    GitHub code scanning) show only the actionable set by default while
-    the artifact still records everything.
-    """
-    descriptions = _rule_descriptions()
-    rule_ids = sorted({f.rule for f in result.findings})
-    rule_index = {rule_id: i for i, rule_id in enumerate(rule_ids)}
-    rules = []
-    for rule_id in rule_ids:
-        entry: dict = {"id": rule_id}
-        if rule_id in descriptions:
-            entry["shortDescription"] = {"text": descriptions[rule_id]}
-        rules.append(entry)
-
-    results = []
-    for finding in result.findings:
-        row: dict = {
-            "ruleId": finding.rule,
-            "ruleIndex": rule_index[finding.rule],
-            "level": _SARIF_LEVELS[finding.severity.value],
-            "message": {"text": finding.message},
-            "locations": [
-                _sarif_location(finding.path, finding.line, finding.col)
-            ],
-            "partialFingerprints": {
-                "reproStaticcheck/v1": finding.fingerprint()
-            },
-        }
-        if finding.related:
-            row["relatedLocations"] = [
-                {
-                    **_sarif_location(rel.path, rel.line),
-                    "message": {"text": rel.note or rel.snippet},
-                }
-                for rel in finding.related
-            ]
-        if finding.suppressed:
-            row["suppressions"] = [{"kind": "inSource"}]
-        elif finding.baselined:
-            row["suppressions"] = [{"kind": "external"}]
-        results.append(row)
-
-    payload = {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-staticcheck",
-                        "version": "1.0.0",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-                "columnKind": "utf16CodeUnits",
-            }
-        ],
-    }
-    return json.dumps(payload, indent=2)

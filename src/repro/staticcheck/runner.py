@@ -1,35 +1,40 @@
-"""File discovery and check orchestration shared by CLI, CI and tests."""
+"""File discovery and check orchestration shared by CLI, CI and tests.
+
+:func:`run_project` is the full-repo ``repro check``: the per-module lint
+rules over every module under ``src/repro`` plus the whole-program
+``fork-safety`` rule, both over one parse of the tree, with the baseline
+applied and its stale rows computed once over all findings.
+:func:`run_lint` runs the per-module rules alone, over explicit files
+(the pre-commit hook) or the whole tree.
+"""
 
 from __future__ import annotations
 
 import os
-import subprocess
 from dataclasses import dataclass, field
 
+from repro.errors import StaticCheckError
 from repro.staticcheck.baseline import (
     DEFAULT_BASELINE_NAME,
     Baseline,
     load_baseline,
 )
-from repro.staticcheck.engine import LintEngine, Rule
+from repro.staticcheck.engine import LintEngine, ModuleContext, Rule
 from repro.staticcheck.findings import Finding, Severity, sort_findings
-from repro.staticcheck.rules import select_rules
+from repro.staticcheck.fork_safety import ForkSafetyRule
+from repro.staticcheck.project import ProjectContext
+from repro.staticcheck.rules import all_rules, select_rules
+from repro.staticcheck.rules import rule_names as lint_rule_names
 
 
-def _extra_pragma_rule_names() -> "tuple[str, ...]":
-    """Rule names valid in pragmas beyond the rules a run selects.
+def all_rule_names() -> "tuple[str, ...]":
+    """Every rule ``repro check`` runs: the lint rules, then fork-safety.
 
-    Whole-program rules and the shape checker report through the same
-    pragma machinery but don't run inside :class:`LintEngine`, and a
-    ``--rules`` selection runs only a subset of the lint registry; the
-    *full* registry stays pragma-valid so e.g. ``--rules lock-order``
-    doesn't flag every ``ignore[precision-policy]`` in the tree as a
-    typo.
+    All of them stay valid pragma targets under a ``--rules`` subset, so
+    e.g. ``--rules determinism`` doesn't flag every
+    ``ignore[precision-policy]`` in the tree as a typo.
     """
-    from repro.staticcheck.project_rules import project_rule_names
-    from repro.staticcheck.rules import rule_names
-
-    return rule_names() + project_rule_names() + ("shape-contract",)
+    return lint_rule_names() + (ForkSafetyRule.name,)
 
 
 def repo_root() -> str:
@@ -66,7 +71,7 @@ def iter_source_files(
 
 @dataclass
 class CheckResult:
-    """Outcome of a lint and/or shape run."""
+    """Outcome of one check run."""
 
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
@@ -88,12 +93,90 @@ class CheckResult:
     def ok(self) -> bool:
         return not self.new_errors()
 
-    def merge(self, other: "CheckResult") -> "CheckResult":
-        return CheckResult(
-            findings=sort_findings(self.findings + other.findings),
-            files_checked=self.files_checked + other.files_checked,
-            stale_baseline=self.stale_baseline + other.stale_baseline,
+
+def _select(rule_names: "list[str] | None") -> "tuple[list[Rule], bool]":
+    """The lint rules *rule_names* selects, and whether it selects
+    fork-safety (everything when None)."""
+    if rule_names is None:
+        return all_rules(), True
+    known = all_rule_names()
+    unknown = [name for name in rule_names if name not in known]
+    if unknown:
+        raise StaticCheckError(
+            f"unknown rule(s) {unknown}; available: {sorted(known)}"
         )
+    lint_names = [name for name in rule_names if name != ForkSafetyRule.name]
+    return select_rules(lint_names), len(lint_names) < len(rule_names)
+
+
+def _relpaths(root: str, paths: "list[str]") -> list[str]:
+    """Repo-relative paths of explicit files (relative ones are taken
+    from *root*); a missing path or a directory is a usage error."""
+    out: list[str] = []
+    for path in paths:
+        full = os.path.abspath(path if os.path.isabs(path) else os.path.join(root, path))
+        if os.path.isdir(full):
+            raise StaticCheckError(
+                f"{path}: is a directory; name files, or give no paths "
+                "to check all of src/repro"
+            )
+        if not os.path.isfile(full):
+            raise StaticCheckError(f"{path}: no such file")
+        out.append(os.path.relpath(full, root).replace(os.sep, "/"))
+    return out
+
+
+def _parse(root: str, relpaths: "list[str]") -> list[ModuleContext]:
+    contexts: list[ModuleContext] = []
+    for rel in relpaths:
+        full = os.path.join(root, rel.replace("/", os.sep))
+        with open(full, encoding="utf-8") as handle:
+            contexts.append(ModuleContext.from_source(rel, handle.read()))
+    return contexts
+
+
+def _lint(rules: "list[Rule]", contexts: "list[ModuleContext]") -> list[Finding]:
+    engine = LintEngine(rules, known_rule_names=all_rule_names())
+    return [f for ctx in contexts for f in engine.check_context(ctx)]
+
+
+def _fork_safety(contexts: "list[ModuleContext]") -> list[Finding]:
+    """``fork-safety`` findings, each pragma-suppressible on its primary line."""
+    project = ProjectContext(contexts)
+    findings: list[Finding] = []
+    for finding in ForkSafetyRule().check_project(project):
+        if project.by_path[finding.path].ctx.pragmas.suppresses(
+            finding.rule, finding.line
+        ):
+            finding = finding.with_flags(suppressed=True)
+        findings.append(finding)
+    return findings
+
+
+def _result(
+    root: str,
+    findings: "list[Finding]",
+    files_checked: int,
+    *,
+    baseline: "Baseline | None",
+    baseline_path: "str | os.PathLike | None",
+    use_baseline: bool,
+    compute_stale: bool,
+) -> CheckResult:
+    """Apply the baseline (loaded from *baseline_path*, default
+    ``<root>/staticcheck-baseline.json``, unless an explicit one or
+    ``use_baseline=False`` is given)."""
+    findings = sort_findings(findings)
+    if baseline is None and use_baseline:
+        baseline = load_baseline(baseline_path or default_baseline_path(root))
+    stale: list[dict] = []
+    if baseline is not None:
+        findings = baseline.apply(findings)
+        if compute_stale:
+            stale = baseline.stale_entries(findings)
+    return CheckResult(
+        findings=findings, files_checked=files_checked, stale_baseline=stale
+    )
 
 
 def run_lint(
@@ -105,44 +188,35 @@ def run_lint(
     baseline: "Baseline | None" = None,
     baseline_path: "str | os.PathLike | None" = None,
     use_baseline: bool = True,
-    compute_stale: bool = True,
 ) -> CheckResult:
-    """Run the lint rules over the repo (or explicit *paths*).
+    """Run the per-module lint rules over explicit *paths* (default: every
+    module under ``src/repro``).
 
-    *paths* are repo-relative or absolute file paths; directories are not
-    expanded (use :func:`iter_source_files`).  The baseline is loaded
-    from *baseline_path* (default ``<root>/staticcheck-baseline.json``)
-    unless an explicit :class:`Baseline` or ``use_baseline=False`` is
-    given.  ``compute_stale=False`` defers stale-entry detection to a
-    caller that will merge in more findings (project mode computes stale
-    over the lint+project union).
+    *paths* are files, repo-relative or absolute; a missing path or a
+    directory raises :class:`~repro.errors.StaticCheckError`.
+    ``fork-safety`` analyses the whole program, so selecting it here is
+    an error too.  Stale baseline rows are reported only by the full
+    check (:func:`run_project`): the baseline also holds rows this run
+    does not look for.
     """
     root = root or repo_root()
-    engine = LintEngine(
-        rules if rules is not None else select_rules(rule_names),
-        known_rule_names=_extra_pragma_rule_names(),
-    )
-    if paths is None:
-        relpaths = iter_source_files(root)
-    else:
-        relpaths = []
-        for path in paths:
-            full = path if os.path.isabs(path) else os.path.join(root, path)
-            rel = os.path.relpath(os.path.abspath(full), root)
-            relpaths.append(rel.replace(os.sep, "/"))
-    findings = engine.check_files(root, relpaths)
-    stale: list[dict] = []
-    if baseline is None and use_baseline:
-        baseline = load_baseline(baseline_path or default_baseline_path(root))
-    if baseline is not None:
-        findings = baseline.apply(findings)
-        # Stale detection only makes sense over a full-repo, full-registry
-        # run; a partial file list (or a --rules subset) would mark every
-        # entry outside the selection stale.
-        if paths is None and compute_stale and rules is None and rule_names is None:
-            stale = baseline.stale_entries(findings)
-    return CheckResult(
-        findings=findings, files_checked=len(relpaths), stale_baseline=stale
+    if rule_names is not None and ForkSafetyRule.name in rule_names:
+        raise StaticCheckError(
+            "fork-safety analyses the whole program, so it runs only "
+            "on a full-repo check (no explicit paths)"
+        )
+    if rules is None:
+        rules, _ = _select(rule_names)
+    relpaths = iter_source_files(root) if paths is None else _relpaths(root, paths)
+    contexts = _parse(root, relpaths)
+    return _result(
+        root,
+        _lint(rules, contexts),
+        len(contexts),
+        baseline=baseline,
+        baseline_path=baseline_path,
+        use_baseline=use_baseline,
+        compute_stale=False,
     )
 
 
@@ -153,131 +227,26 @@ def run_project(
     baseline: "Baseline | None" = None,
     baseline_path: "str | os.PathLike | None" = None,
     use_baseline: bool = True,
-    lint_result: "CheckResult | None" = None,
 ) -> CheckResult:
-    """Run the whole-program rules over the full repo.
+    """The full-repo check: every module under ``src/repro``, parsed once,
+    through the lint rules and ``fork-safety``.
 
-    Builds the project-wide symbol table and call graph, runs every
-    selected :class:`~repro.staticcheck.project_rules.ProjectRule`,
-    applies each finding's primary-file pragmas and the shared baseline.
-
-    When *lint_result* (a per-module run over the same tree, ideally with
-    ``compute_stale=False``) is given, the two are merged: lint
-    ``precision-policy`` findings inside serving-reachable functions are
-    dropped — ``precision-taint`` supersedes the literal scan there —
-    and stale baseline entries are computed once over the combined
-    findings.
-    """
-    from repro.staticcheck.project import ProjectContext
-    from repro.staticcheck.project_rules import select_project_rules
-    from repro.staticcheck.project_rules.precision_taint import (
-        PrecisionTaintRule,
-    )
-
-    root = root or repo_root()
-    project = ProjectContext.from_files(root, iter_source_files(root))
-    findings: list[Finding] = []
-    for rule in select_project_rules(rule_names):
-        for finding in rule.check_project(project):
-            info = project.by_path.get(finding.path)
-            if info is not None and info.ctx.pragmas.suppresses(
-                finding.rule, finding.line
-            ):
-                finding = finding.with_flags(suppressed=True)
-            findings.append(finding)
-    if baseline is None and use_baseline:
-        baseline = load_baseline(baseline_path or default_baseline_path(root))
-    if baseline is not None:
-        findings = baseline.apply(findings)
-    result = CheckResult(
-        findings=sort_findings(findings),
-        files_checked=len(project.by_path),
-    )
-    if lint_result is None:
-        return result
-    spans = PrecisionTaintRule().superseded_spans(project)
-    kept = [
-        f
-        for f in lint_result.findings
-        if not (
-            f.rule == "precision-policy"
-            and any(lo <= f.line <= hi for lo, hi in spans.get(f.path, ()))
-        )
-    ]
-    merged = CheckResult(
-        findings=sort_findings(kept + result.findings),
-        files_checked=lint_result.files_checked,
-        stale_baseline=lint_result.stale_baseline,
-    )
-    # Same full-registry caveat as run_lint: under a --rules subset the
-    # unselected rules' entries would all look stale.
-    if baseline is not None and rule_names is None and not merged.stale_baseline:
-        merged.stale_baseline = baseline.stale_entries(merged.findings)
-    return merged
-
-
-def changed_files(base: str, *, root: "str | None" = None) -> "set[str]":
-    """Repo-relative paths changed since *base* (per git), plus untracked.
-
-    Backs ``repro check --changed BASE``: CI diffs against the merge
-    target so a PR is gated only on findings it could have introduced,
-    while the full run stays advisory.
+    *rule_names* selects a subset of :func:`all_rule_names`.  Stale
+    baseline rows are computed only when every rule runs: under a subset
+    the rows of the rules left out would all look stale.
     """
     root = root or repo_root()
-    changed: set[str] = set()
-    for args in (
-        ["git", "diff", "--name-only", base, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        proc = subprocess.run(
-            args, cwd=root, capture_output=True, text=True, check=False
-        )
-        if proc.returncode != 0:
-            from repro.errors import StaticCheckError
-
-            raise StaticCheckError(
-                f"{' '.join(args)!r} failed: {proc.stderr.strip()}"
-            )
-        changed.update(
-            line.strip().replace(os.sep, "/")
-            for line in proc.stdout.splitlines()
-            if line.strip()
-        )
-    return changed
-
-
-def filter_changed(result: CheckResult, changed: "set[str]") -> CheckResult:
-    """Keep findings touching any changed file (primary or related).
-
-    A two-file finding (say a lock-order cycle) is kept when *either*
-    side changed — editing one end of a cycle can introduce it even
-    though the other file is untouched.  Stale-baseline entries are
-    dropped: they describe the full tree, not the diff.
-    """
-    kept = [
-        f
-        for f in result.findings
-        if f.path in changed or any(r.path in changed for r in f.related)
-    ]
-    return CheckResult(
-        findings=kept,
-        files_checked=result.files_checked,
-        stale_baseline=[],
+    rules, fork = _select(rule_names)
+    contexts = _parse(root, iter_source_files(root))
+    findings = _lint(rules, contexts)
+    if fork:
+        findings += _fork_safety(contexts)
+    return _result(
+        root,
+        findings,
+        len(contexts),
+        baseline=baseline,
+        baseline_path=baseline_path,
+        use_baseline=use_baseline,
+        compute_stale=rule_names is None,
     )
-
-
-def run_shapes(*, configs: "list | None" = None) -> CheckResult:
-    """Run the symbolic shape/dtype checker over the shipped model configs."""
-    from repro.staticcheck.shapes import check_all_shipped, check_multitask_config
-
-    if configs is None:
-        findings = check_all_shipped()
-        from repro.staticcheck.shapes import shipped_configs
-
-        count = len(shipped_configs())
-    else:
-        findings = []
-        for config in configs:
-            findings.extend(check_multitask_config(config))
-        count = len(configs)
-    return CheckResult(findings=sort_findings(findings), files_checked=count)

@@ -433,6 +433,15 @@ class TestTelemetry:
                 served.url + "/predict",
                 {"netlist": netlist_text, "model": "CAP"},
             )
+            # the handler records its request histogram after flushing
+            # the response, so wait for that before scraping
+            deadline = time.monotonic() + 5.0
+            while not any(
+                row["name"] == "serve.request_seconds"
+                for row in obs.registry().snapshot()
+            ):
+                assert time.monotonic() < deadline, "request never timed"
+                time.sleep(0.005)
             response = self._open(served.url + "/metrics?format=prom")
             assert response.headers["Content-Type"] == CONTENT_TYPE
             families, series = validate_exposition(response.read().decode())

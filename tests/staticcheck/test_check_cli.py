@@ -1,6 +1,7 @@
 """`repro check` CLI, runner orchestration and the repo-is-clean gate."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from repro.cli import main
-from repro.staticcheck import run_lint
+from repro.staticcheck import run_lint, run_project
 from repro.staticcheck.runner import iter_source_files, repo_root
 
 
@@ -25,29 +26,23 @@ class TestRunner:
 
 
 class TestRepoIsClean:
-    """The acceptance gate: zero non-baselined findings on the repo."""
+    """The acceptance gate: the full check (every lint rule plus
+    fork-safety, as CI runs it) has zero non-baselined findings."""
 
     def test_lint_is_clean_with_baseline(self):
-        result = run_lint()
+        result = run_project()
         assert result.new_errors() == [], "\n".join(
             f"{f.location()}: [{f.rule}] {f.message}" for f in result.new_errors()
         )
 
     def test_baseline_has_no_stale_entries(self):
-        result = run_lint()
+        result = run_project()
         assert result.stale_baseline == []
-
-    def test_shape_contracts_hold_for_all_shipped_configs(self):
-        from repro.staticcheck import run_shapes
-
-        result = run_shapes()
-        assert result.findings == []
-        assert result.files_checked >= 20  # 5 convs x fc x dtype + ablations
 
 
 class TestCheckCommand:
     def test_clean_run_exits_zero(self, capsys):
-        assert main(["check", "--no-shapes"]) == 0
+        assert main(["check", "--fail-stale"]) == 0
         out = capsys.readouterr().out
         assert "0 new error(s)" in out
 
@@ -56,11 +51,11 @@ class TestCheckCommand:
         bad.write_text(
             "import numpy as np\nrng = np.random.default_rng()\n"
         )
-        assert main(["check", "--no-shapes", str(bad)]) == 1
+        assert main(["check", str(bad)]) == 1
         assert "determinism" in capsys.readouterr().out
 
     def test_json_format(self, capsys):
-        assert main(["check", "--no-shapes", "--format", "json",
+        assert main(["check", "--format", "json",
                      "src/repro/nn/loss.py"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
@@ -78,16 +73,33 @@ class TestCheckCommand:
 
     def test_rules_subset_skips_stale_detection(self):
         # a subset run can't tell a stale entry from an unselected rule's
-        result = run_lint(rule_names=["determinism"])
+        result = run_project(rule_names=["determinism"])
         assert result.stale_baseline == []
 
     def test_project_rules_subset_is_clean(self, capsys):
-        code = main(["check", "--no-shapes", "--project",
-                     "--rules", "lock-order,fork-safety"])
+        code = main(["check", "--rules", "fork-safety"])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "invalid-pragma" not in out
         assert "stale" not in out
+
+    def test_fork_safety_with_paths_is_usage_error(self, capsys):
+        # the whole-program rule cannot run on a file list
+        assert main(["check", "--rules", "fork-safety",
+                     "src/repro/serve/pool.py"]) == 2
+        assert "fork-safety" in capsys.readouterr().err
+
+    def test_missing_path_is_usage_error(self, capsys):
+        assert main(["check", "no/such/file.py"]) == 2
+        err = capsys.readouterr().err
+        assert "no/such/file.py" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_directory_path_is_usage_error(self, capsys):
+        assert main(["check", "src/repro"]) == 2
+        err = capsys.readouterr().err
+        assert "src/repro" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_unknown_rule_is_usage_error(self, capsys):
         assert main(["check", "--rules", "bogus"]) == 2
@@ -97,21 +109,30 @@ class TestCheckCommand:
         assert main(["check", "--update-baseline",
                      "src/repro/nn/loss.py"]) == 2
 
+    def test_update_baseline_refuses_rules_subset(self, tmp_path, capsys):
+        # a subset's findings would replace every other rule's rows
+        target = tmp_path / "baseline.json"
+        assert main(["check", "--update-baseline", "--rules", "determinism",
+                     "--baseline", str(target)]) == 2
+        assert not target.exists()
+        assert "--rules" in capsys.readouterr().err
+
     def test_update_baseline_round_trip(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "baseline.json"
         assert main(["check", "--update-baseline",
                      "--baseline", str(target)]) == 0
         assert target.exists()
         # the fresh baseline makes a --baseline run clean
-        assert main(["check", "--no-shapes",
+        assert main(["check", "--fail-stale",
                      "--baseline", str(target)]) == 0
 
     def test_list_rules(self, capsys):
         assert main(["check", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for name in ("autodiff-bypass", "precision-policy", "determinism",
-                     "concurrency", "api-surface", "shape-contract"):
-            assert name in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "autodiff-bypass", "precision-policy", "determinism",
+            "concurrency", "api-surface", "fork-safety",
+        ]
 
 
 class TestCISeededViolation:
@@ -128,6 +149,33 @@ class TestCISeededViolation:
         )
         result = run_lint(root=str(root))
         assert [f.rule for f in result.new_errors()] == ["concurrency"]
+
+    def test_fork_gap_in_pool_fails_plain_check(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a copy of the library whose forked worker no longer
+        # re-initialises the registry's inherited lock
+        shutil.copytree(
+            os.path.join(repo_root(), "src", "repro"),
+            tmp_path / "src" / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        shutil.copy(
+            os.path.join(repo_root(), "staticcheck-baseline.json"), tmp_path
+        )
+        pool = tmp_path / "src" / "repro" / "serve" / "pool.py"
+        source = pool.read_text()
+        assert source.count("registry.reinit_after_fork()") == 1
+        pool.write_text(source.replace("registry.reinit_after_fork()", "pass"))
+        monkeypatch.setattr(
+            "repro.staticcheck.runner.repo_root", lambda: str(tmp_path)
+        )
+        assert main(["check"]) == 1
+        out = capsys.readouterr().out
+        assert "1 new error(s)" in out
+        assert "src/repro/serve/pool.py" in out
+        assert "[fork-safety]" in out
+        assert "src/repro/serve/registry.py" in out  # the lock's definition
 
 
 @pytest.mark.skipif(shutil.which("mypy") is None, reason="mypy not installed")

@@ -1,13 +1,7 @@
-"""Whole-program layer: symbol table, call graph, CFG and dataflow."""
+"""Whole-program layer: symbol table, call graph and reachability."""
 
-import ast
 import textwrap
 
-from repro.staticcheck.dataflow import (
-    ReachingDefs,
-    build_cfg,
-    shallow_walk,
-)
 from repro.staticcheck.engine import ModuleContext
 from repro.staticcheck.project import ProjectContext, module_name_of
 
@@ -17,10 +11,6 @@ def project_of(files: dict) -> ProjectContext:
         ModuleContext.from_source(path, textwrap.dedent(source))
         for path, source in files.items()
     )
-
-
-def fn_node(source: str):
-    return ast.parse(textwrap.dedent(source)).body[0]
 
 
 class TestModuleNames:
@@ -231,137 +221,3 @@ class TestReachability:
         assert "repro.aaa.mod.c" in reach
         assert "repro.aaa.mod.unrelated" not in reach
 
-    def test_callers_of(self):
-        project = project_of(self.FILES)
-        assert project.callers_of("repro.aaa.mod.c") == {"repro.aaa.mod.b"}
-
-
-# ----------------------------------------------------------------------
-# CFG path queries
-# ----------------------------------------------------------------------
-def _closes(name: str):
-    def pred(cnode) -> bool:
-        if cnode.stmt is None:
-            return False
-        return any(
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Attribute)
-            and sub.func.attr == "close"
-            and isinstance(sub.func.value, ast.Name)
-            and sub.func.value.id == name
-            for sub in shallow_walk(cnode.stmt)
-        )
-
-    return pred
-
-
-def _leaks(source: str, *, include_exceptional: bool):
-    fn = fn_node(source)
-    cfg = build_cfg(fn)
-    holder = cfg.node_for(fn.body[0])
-    assert holder is not None
-    return cfg.paths_missing(
-        holder.index, _closes("fh"), include_exceptional=include_exceptional
-    )
-
-
-class TestPathsMissing:
-    def test_straight_line_close_covers_normal_paths(self):
-        src = """
-            def f(path):
-                fh = open(path)
-                data = fh.read()
-                fh.close()
-                return data
-            """
-        assert _leaks(src, include_exceptional=False) == []
-        # fh.read() can raise before the close -> exceptional leak
-        assert _leaks(src, include_exceptional=True) != []
-
-    def test_try_finally_covers_exception_paths(self):
-        src = """
-            def f(path):
-                fh = open(path)
-                try:
-                    data = fh.read()
-                finally:
-                    fh.close()
-                return data
-            """
-        assert _leaks(src, include_exceptional=True) == []
-
-    def test_branch_that_skips_close_leaks(self):
-        src = """
-            def f(path, flag):
-                fh = open(path)
-                if flag:
-                    return None
-                fh.close()
-                return None
-            """
-        assert _leaks(src, include_exceptional=False) != []
-
-    def test_close_on_both_branches_is_clean(self):
-        src = """
-            def f(path, flag):
-                fh = open(path)
-                if flag:
-                    fh.close()
-                    return None
-                fh.close()
-                return None
-            """
-        assert _leaks(src, include_exceptional=False) == []
-
-    def test_allocation_failure_incurs_no_obligation(self):
-        # open() itself raising must not count as a leaking path
-        src = """
-            def f(path):
-                fh = open(path)
-                fh.close()
-                return None
-            """
-        assert _leaks(src, include_exceptional=True) == []
-
-    def test_nested_close_inside_if_is_not_the_if_header(self):
-        # the close lives in the `if` body, a separate CFG node; the
-        # `if` header itself must not satisfy the predicate
-        src = """
-            def f(path, flag):
-                fh = open(path)
-                if flag:
-                    fh.close()
-                return None
-            """
-        assert _leaks(src, include_exceptional=False) != []
-
-
-class TestReachingDefs:
-    def test_branch_join_keeps_both_defs(self):
-        fn = fn_node(
-            """
-            def f(flag):
-                x = 1
-                if flag:
-                    x = 2
-                y = x
-                return y
-            """
-        )
-        facts = ReachingDefs().analyse(fn)
-        use = fn.body[2]  # y = x
-        names = {(var, line) for var, line in facts[use] if var == "x"}
-        assert names == {("x", 3), ("x", 5)}
-
-    def test_reassignment_kills_prior_def(self):
-        fn = fn_node(
-            """
-            def f():
-                x = 1
-                x = 2
-                return x
-            """
-        )
-        facts = ReachingDefs().analyse(fn)
-        ret = fn.body[2]
-        assert {(v, n) for v, n in facts[ret] if v == "x"} == {("x", 4)}

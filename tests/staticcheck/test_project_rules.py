@@ -1,15 +1,10 @@
-"""Whole-program rules: one known-bad fixture per rule, plus clean twins."""
+"""The whole-program fork-safety rule: a known-bad fixture plus clean twins."""
 
 import textwrap
 
 from repro.staticcheck.engine import ModuleContext
+from repro.staticcheck.fork_safety import ForkSafetyRule
 from repro.staticcheck.project import ProjectContext
-from repro.staticcheck.project_rules.fork_safety import ForkSafetyRule
-from repro.staticcheck.project_rules.lock_order import LockOrderRule
-from repro.staticcheck.project_rules.precision_taint import PrecisionTaintRule
-from repro.staticcheck.project_rules.resource_lifecycle import (
-    ResourceLifecycleRule,
-)
 
 
 def project_of(files: dict) -> ProjectContext:
@@ -23,157 +18,6 @@ def run_rule(rule, files: dict):
     return list(rule.check_project(project_of(files)))
 
 
-def by_rule(findings, name):
-    return [f for f in findings if f.rule == name]
-
-
-# ----------------------------------------------------------------------
-# lock-order
-# ----------------------------------------------------------------------
-class TestLockOrder:
-    def test_cycle_across_functions(self):
-        findings = run_rule(
-            LockOrderRule(),
-            {
-                "src/repro/serve/locksmod.py": """
-                    import threading
-
-                    LOCK_A = threading.Lock()
-                    LOCK_B = threading.Lock()
-
-                    def ab():
-                        with LOCK_A:
-                            with LOCK_B:
-                                pass
-
-                    def ba():
-                        with LOCK_B:
-                            with LOCK_A:
-                                pass
-                    """,
-            },
-        )
-        cycles = [f for f in findings if "cycle" in f.message]
-        assert len(cycles) == 1
-        assert "LOCK_A" in cycles[0].message and "LOCK_B" in cycles[0].message
-        # each edge of the cycle is a related location
-        assert len(cycles[0].related) == 2
-
-    def test_consistent_order_is_clean(self):
-        findings = run_rule(
-            LockOrderRule(),
-            {
-                "src/repro/serve/locksmod.py": """
-                    import threading
-
-                    LOCK_A = threading.Lock()
-                    LOCK_B = threading.Lock()
-
-                    def one():
-                        with LOCK_A:
-                            with LOCK_B:
-                                pass
-
-                    def two():
-                        with LOCK_A:
-                            with LOCK_B:
-                                pass
-                    """,
-            },
-        )
-        assert findings == []
-
-    def test_nonreentrant_reacquire_through_call(self):
-        findings = run_rule(
-            LockOrderRule(),
-            {
-                "src/repro/serve/locksmod.py": """
-                    import threading
-
-                    LOCK = threading.Lock()
-
-                    def outer():
-                        with LOCK:
-                            inner()
-
-                    def inner():
-                        with LOCK:
-                            pass
-                    """,
-            },
-        )
-        selfs = [f for f in findings if "self-deadlock" in f.message]
-        assert len(selfs) == 1
-
-    def test_rlock_reacquire_is_fine(self):
-        findings = run_rule(
-            LockOrderRule(),
-            {
-                "src/repro/serve/locksmod.py": """
-                    import threading
-
-                    LOCK = threading.RLock()
-
-                    def outer():
-                        with LOCK:
-                            inner()
-
-                    def inner():
-                        with LOCK:
-                            pass
-                    """,
-            },
-        )
-        assert findings == []
-
-    def test_bare_acquire_without_release_on_branch(self):
-        findings = run_rule(
-            LockOrderRule(),
-            {
-                "src/repro/serve/locksmod.py": """
-                    import threading
-
-                    LOCK = threading.Lock()
-
-                    def bad(flag):
-                        LOCK.acquire()
-                        if flag:
-                            return 1
-                        LOCK.release()
-                        return 0
-                    """,
-            },
-        )
-        bare = [f for f in findings if "acquire" in f.message]
-        assert len(bare) == 1
-        assert bare[0].line == 7
-
-    def test_acquire_with_try_finally_release_is_clean(self):
-        findings = run_rule(
-            LockOrderRule(),
-            {
-                "src/repro/serve/locksmod.py": """
-                    import threading
-
-                    LOCK = threading.Lock()
-
-                    def good(flag):
-                        LOCK.acquire()
-                        try:
-                            if flag:
-                                return 1
-                            return 0
-                        finally:
-                            LOCK.release()
-                    """,
-            },
-        )
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# fork-safety
-# ----------------------------------------------------------------------
 FORK_BAD = {
     "src/repro/serve/forkmod.py": """
         import os
@@ -326,254 +170,37 @@ class TestForkSafety:
         assert len(findings) == 1
         assert "_local" in findings[0].message
 
-
-# ----------------------------------------------------------------------
-# resource-lifecycle
-# ----------------------------------------------------------------------
-class TestResourceLifecycle:
-    def test_normal_path_leak_is_error(self):
-        findings = run_rule(
-            ResourceLifecycleRule(),
-            {
-                "src/repro/data/resmod.py": """
-                    def leak(path, flag):
-                        fh = open(path)
-                        if flag:
-                            return None
-                        fh.close()
-                        return None
-                    """,
-            },
-        )
-        assert len(findings) == 1
-        assert "normal exit path" in findings[0].message
-        assert findings[0].severity.value == "error"
-
-    def test_exception_leak_is_error_in_serving_packages(self):
-        src = """
-            def read(path):
-                fh = open(path)
-                data = fh.read()
-                fh.close()
-                return data
-            """
-        serving = run_rule(
-            ResourceLifecycleRule(), {"src/repro/serve/resmod.py": src}
-        )
-        batch = run_rule(
-            ResourceLifecycleRule(), {"src/repro/data/resmod.py": src}
-        )
-        assert len(serving) == 1 and serving[0].severity.value == "error"
-        assert len(batch) == 1 and batch[0].severity.value == "warning"
-
-    def test_with_block_is_clean(self):
-        findings = run_rule(
-            ResourceLifecycleRule(),
-            {
-                "src/repro/serve/resmod.py": """
-                    def read(path):
-                        with open(path) as fh:
-                            return fh.read()
-                    """,
-            },
-        )
-        assert findings == []
-
-    def test_try_finally_is_clean(self):
-        findings = run_rule(
-            ResourceLifecycleRule(),
-            {
-                "src/repro/serve/resmod.py": """
-                    def read(path):
-                        fh = open(path)
-                        try:
-                            return fh.read()
-                        finally:
-                            fh.close()
-                    """,
-            },
-        )
-        assert findings == []
-
-    def test_escaping_handle_is_not_our_lifecycle(self):
-        findings = run_rule(
-            ResourceLifecycleRule(),
-            {
-                "src/repro/serve/resmod.py": """
-                    def make(path):
-                        fh = open(path)
-                        return fh
-                    """,
-            },
-        )
-        assert findings == []
-
-    def test_shared_memory_without_close_unlink(self):
-        findings = run_rule(
-            ResourceLifecycleRule(),
-            {
-                "src/repro/serve/resmod.py": """
-                    from multiprocessing import shared_memory
-
-                    def attach(name, flag):
-                        shm = shared_memory.SharedMemory(name=name)
-                        if flag:
-                            return None
-                        shm.close()
-                        return None
-                    """,
-            },
-        )
-        assert len(findings) == 1
-        assert "shm" in findings[0].message
-
-
-# ----------------------------------------------------------------------
-# precision-taint
-# ----------------------------------------------------------------------
-TAINT_BAD = {
-    "src/repro/api/engine.py": """
-        from repro.serve.prep import featurize
-
-        class Engine:
-            def _predict_group(self, x):
-                return featurize(x)
-        """,
-    "src/repro/serve/prep.py": """
-        import numpy as np
-
-        def featurize(x):
-            return np.asarray(x, dtype=np.float64)
-        """,
-}
-
-
-class TestPrecisionTaint:
-    def test_float64_in_serving_reachable_code(self):
-        findings = run_rule(PrecisionTaintRule(), TAINT_BAD)
-        assert len(findings) == 1
-        finding = findings[0]
-        assert finding.path == "src/repro/serve/prep.py"
-        assert "np.float64" in finding.message
-        # the call edge that puts featurize on the serving path
-        assert finding.related[0].path == "src/repro/api/engine.py"
-
     def test_two_file_fingerprint_survives_line_drift_in_both(self):
-        before = run_rule(PrecisionTaintRule(), TAINT_BAD)[0]
-        drifted = {
-            path: "\n\n\n# drifted\n" + textwrap.dedent(src)
-            for path, src in TAINT_BAD.items()
+        files = {
+            "src/repro/serve/widget.py": """
+                import threading
+
+                class Widget:
+                    def __init__(self):
+                        self._lock = threading.Lock()
+                """,
+            "src/repro/serve/forkmod.py": """
+                import os
+
+                from repro.serve.widget import Widget
+
+                def child_main(w: Widget):
+                    return w
+
+                def spawn(w: Widget):
+                    pid = os.fork()
+                    if pid == 0:
+                        child_main(w)
+                """,
         }
-        after = list(
-            PrecisionTaintRule().check_project(
-                ProjectContext(
-                    ModuleContext.from_source(path, src)
-                    for path, src in drifted.items()
-                )
-            )
-        )[0]
-        assert before.line != after.line  # the drift was real
+        (before,) = run_rule(ForkSafetyRule(), files)
+        assert before.related[0].path == "src/repro/serve/widget.py"
+        drifted = {
+            path: "\n\n\n# drifted\n" + textwrap.dedent(source)
+            for path, source in files.items()
+        }
+        (after,) = run_rule(ForkSafetyRule(), drifted)
+        # the drift was real in both the fork site and the lock definition
+        assert before.line != after.line
+        assert before.related[0].line != after.related[0].line
         assert before.fingerprint() == after.fingerprint()
-
-    def test_float32_is_fine(self):
-        findings = run_rule(
-            PrecisionTaintRule(),
-            {
-                "src/repro/api/engine.py": TAINT_BAD["src/repro/api/engine.py"],
-                "src/repro/serve/prep.py": """
-                    import numpy as np
-
-                    def featurize(x):
-                        return np.asarray(x, dtype=np.float32)
-                    """,
-            },
-        )
-        assert findings == []
-
-    def test_unreachable_float64_not_flagged(self):
-        findings = run_rule(
-            PrecisionTaintRule(),
-            {
-                "src/repro/api/engine.py": """
-                    class Engine:
-                        def _predict_group(self, x):
-                            return x
-                    """,
-                "src/repro/data/offline.py": """
-                    import numpy as np
-
-                    def export(x):
-                        return np.asarray(x, dtype=np.float64)
-                    """,
-            },
-        )
-        assert findings == []
-
-    def test_boundary_taint_passed_into_serving_path(self):
-        findings = run_rule(
-            PrecisionTaintRule(),
-            {
-                "src/repro/api/engine.py": """
-                    class Engine:
-                        def _predict_group(self, x):
-                            return x
-                    """,
-                "src/repro/data/feed.py": """
-                    import numpy as np
-                    from repro.api.engine import Engine
-
-                    def feed(engine: Engine, raw):
-                        arr = np.asarray(raw, dtype="float64")
-                        return engine._predict_group(arr)
-                    """,
-            },
-        )
-        boundary = [f for f in findings if "carries float64" in f.message]
-        assert len(boundary) == 1
-        assert boundary[0].path == "src/repro/data/feed.py"
-        assert len(boundary[0].related) == 2
-
-    def test_precision_module_is_exempt(self):
-        findings = run_rule(
-            PrecisionTaintRule(),
-            {
-                "src/repro/api/engine.py": """
-                    from repro.nn.precision import canonical
-
-                    class Engine:
-                        def _predict_group(self, x):
-                            return canonical(x)
-                    """,
-                "src/repro/nn/precision.py": """
-                    import numpy as np
-
-                    def canonical(x):
-                        return np.asarray(x, dtype=np.float64)
-                    """,
-            },
-        )
-        assert findings == []
-
-    def test_superseded_spans_are_function_granular(self):
-        project = project_of(
-            {
-                "src/repro/api/engine.py": """
-                    from repro.serve.prep import featurize
-
-                    class Engine:
-                        def _predict_group(self, x):
-                            return featurize(x)
-                    """,
-                "src/repro/serve/prep.py": """
-                    def featurize(x):
-                        return x
-
-                    def training_only(x):
-                        return x
-                    """,
-            }
-        )
-        spans = PrecisionTaintRule().superseded_spans(project)
-        prep_spans = spans["src/repro/serve/prep.py"]
-        assert any(lo <= 3 <= hi for lo, hi in prep_spans)  # featurize body
-        assert not any(lo <= 6 <= hi for lo, hi in prep_spans)  # training_only

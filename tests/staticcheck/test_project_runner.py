@@ -1,11 +1,10 @@
-"""``run_project`` orchestration: pragmas, baseline, supersession, diffs."""
+"""``run_project`` orchestration: whole-program findings, pragmas, baseline."""
 
 import os
 import textwrap
 
 from repro.staticcheck.baseline import Baseline
-from repro.staticcheck.findings import Finding, RelatedLocation, Severity
-from repro.staticcheck.runner import CheckResult, filter_changed, run_project
+from repro.staticcheck.runner import run_project
 
 
 def write_tree(root, files: dict) -> None:
@@ -16,146 +15,53 @@ def write_tree(root, files: dict) -> None:
             handle.write(textwrap.dedent(source))
 
 
-LEAKY = {
-    "src/repro/serve/resmod.py": """
-        def bad(path, flag):
-            fh = open(path)
-            if flag:
-                return None
-            fh.close()
-            return None
-        """,
-}
+def fork_gap(fork_line: str = "pid = os.fork()") -> dict:
+    """A pool whose child keeps the parent's lock without re-initialising it."""
+    return {
+        "src/repro/serve/forkmod.py": f"""
+            import os
+            import threading
+
+            class Widget:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+                def use(self):
+                    with self._lock:
+                        pass
+
+            def child_main(w: Widget):
+                w.use()
+
+            def spawn(w: Widget):
+                {fork_line}
+                if pid == 0:
+                    child_main(w)
+            """,
+    }
 
 
 class TestRunProject:
     def test_reports_whole_program_findings(self, tmp_path):
-        write_tree(tmp_path, LEAKY)
+        write_tree(tmp_path, fork_gap())
         result = run_project(root=str(tmp_path), use_baseline=False)
-        assert [f.rule for f in result.active()] == ["resource-lifecycle"]
+        assert [f.rule for f in result.active()] == ["fork-safety"]
 
     def test_primary_line_pragma_suppresses(self, tmp_path):
         write_tree(
             tmp_path,
-            {
-                "src/repro/serve/resmod.py": """
-                    def bad(path, flag):
-                        fh = open(path)  # staticcheck: ignore[resource-lifecycle] -- test
-                        if flag:
-                            return None
-                        fh.close()
-                        return None
-                    """,
-            },
+            fork_gap(
+                "pid = os.fork()  # staticcheck: ignore[fork-safety] -- test"
+            ),
         )
         result = run_project(root=str(tmp_path), use_baseline=False)
         assert result.active() == []
         assert result.suppressed_count() == 1
 
     def test_baseline_absorbs_known_findings(self, tmp_path):
-        write_tree(tmp_path, LEAKY)
+        write_tree(tmp_path, fork_gap())
         raw = run_project(root=str(tmp_path), use_baseline=False)
         baseline = Baseline.from_findings(raw.findings)
         result = run_project(root=str(tmp_path), baseline=baseline)
         assert result.active() == []
         assert result.baselined_count() == 1
-
-    def test_merge_supersedes_serving_reachable_precision_policy(
-        self, tmp_path
-    ):
-        write_tree(
-            tmp_path,
-            {
-                "src/repro/api/engine.py": """
-                    from repro.serve.prep import featurize
-
-                    class Engine:
-                        def _predict_group(self, x):
-                            return featurize(x)
-                    """,
-                "src/repro/serve/prep.py": """
-                    import numpy as np
-
-                    def featurize(x):
-                        return np.asarray(x, dtype=np.float64)
-
-                    def offline(x):
-                        return np.asarray(x, dtype=np.float64)
-                    """,
-            },
-        )
-        # a stand-in per-module result: one precision-policy finding in
-        # the serving-reachable featurize(), one in offline-only code
-        lint = CheckResult(
-            findings=[
-                Finding(
-                    rule="precision-policy",
-                    path="src/repro/serve/prep.py",
-                    line=4,
-                    message="hard-coded np.float64",
-                    severity=Severity.ERROR,
-                ),
-                Finding(
-                    rule="precision-policy",
-                    path="src/repro/serve/prep.py",
-                    line=7,
-                    message="hard-coded np.float64",
-                    severity=Severity.ERROR,
-                ),
-            ],
-            files_checked=2,
-        )
-        result = run_project(
-            root=str(tmp_path), use_baseline=False, lint_result=lint
-        )
-        policy = [f for f in result.findings if f.rule == "precision-policy"]
-        taint = [f for f in result.findings if f.rule == "precision-taint"]
-        # the reachable-function literal is superseded by precision-taint;
-        # the offline one keeps its per-module finding
-        assert [f.line for f in policy] == [7]
-        assert len(taint) == 1
-
-
-class TestFilterChanged:
-    def make_result(self) -> CheckResult:
-        return CheckResult(
-            findings=[
-                Finding(
-                    rule="lock-order",
-                    path="src/repro/serve/a.py",
-                    line=1,
-                    message="cycle",
-                    severity=Severity.ERROR,
-                    related=(
-                        RelatedLocation(
-                            path="src/repro/obs/b.py", line=2, snippet=""
-                        ),
-                    ),
-                ),
-                Finding(
-                    rule="determinism",
-                    path="src/repro/data/c.py",
-                    line=3,
-                    message="unseeded rng",
-                    severity=Severity.ERROR,
-                ),
-            ],
-            files_checked=3,
-            stale_baseline=[{"fingerprint": "deadbeef"}],
-        )
-
-    def test_primary_path_match(self):
-        kept = filter_changed(self.make_result(), {"src/repro/data/c.py"})
-        assert [f.rule for f in kept.findings] == ["determinism"]
-
-    def test_related_path_match_keeps_two_file_finding(self):
-        kept = filter_changed(self.make_result(), {"src/repro/obs/b.py"})
-        assert [f.rule for f in kept.findings] == ["lock-order"]
-
-    def test_stale_entries_dropped_in_diff_mode(self):
-        kept = filter_changed(self.make_result(), {"src/repro/obs/b.py"})
-        assert kept.stale_baseline == []
-
-    def test_no_changes_no_findings(self):
-        kept = filter_changed(self.make_result(), set())
-        assert kept.findings == []
