@@ -92,9 +92,3 @@ class ObsError(ReproError):
 class StaticCheckError(ReproError):
     """Raised for static-analysis configuration failures (bad baseline,
     unknown rule name, unparseable target file)."""
-
-
-class ShapeContractError(StaticCheckError):
-    """Raised when the symbolic shape checker cannot interpret a model
-    (unknown layer type, malformed spec) — distinct from a shape *finding*,
-    which is reported, not raised."""

@@ -57,10 +57,21 @@ class DeviceTargets:
         return values
 
     def value(self, target: str) -> float:
-        try:
-            return self.as_dict()[target]
-        except KeyError:
-            raise LayoutError(f"unknown device target {target!r}") from None
+        """One target: ``LDEk`` by index, the rest by field (no dict, as
+        dataset building asks once per device per target)."""
+        field_name = _SCALAR_TARGETS.get(target)
+        if field_name is not None:
+            return getattr(self, field_name)
+        digits = target[3:] if target.startswith("LDE") else ""
+        if digits.isdecimal() and str(int(digits)) == digits:
+            index = int(digits)
+            if 1 <= index <= len(self.lde):
+                return self.lde[index - 1]
+        raise LayoutError(f"unknown device target {target!r}")
+
+
+#: :class:`DeviceTargets` fields of the non-LDE device targets.
+_SCALAR_TARGETS = {"SA": "sa", "DA": "da", "SP": "sp", "DP": "dp"}
 
 
 @dataclass

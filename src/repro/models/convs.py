@@ -16,8 +16,6 @@ Conventions:
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from repro.errors import ModelError
@@ -30,8 +28,6 @@ from repro.nn import (
     block_matmul,
     concat,
     gather_rows,
-    get_compute_dtype,
-    is_grad_enabled,
     l2_normalize_rows,
     leaky_relu,
     relu,
@@ -199,7 +195,6 @@ class ParaGraphConv(Module):
         in_dim = 2 * dim if concat_skip else dim
         self.update = Linear(in_dim, dim, rng)
         self.agg_bias = Parameter(nn_init.zeros((dim,)))
-        self._fold: _Fold | None = None
 
     def _group_key(self, edge_type: str) -> str:
         return edge_type if self.group_edge_types else "__shared__"
@@ -216,63 +211,20 @@ class ParaGraphConv(Module):
     def _scores(self, weight: Tensor, names: list[str]) -> Tensor:
         """Attention folded into the type weights: ``W_{t,k} @ a_{t,k}``.
 
-        *weight* is the (F, T*F) stacked type weight.  Returns (2F, T*H):
-        rows ``:F`` hold the destination vectors, rows ``F:`` the source
-        vectors, column ``t*H + k`` type t and head k, so one
-        :func:`block_matmul` of ``[h_dst | h_src]`` gives every edge's
-        attention logit for every head.
+        *weight* is the (F, T*F) stacked type weight.  Returns (F, 2*T*H):
+        columns ``:T*H`` hold the destination vectors, columns ``T*H:``
+        the source vectors, column ``t*H + k`` of each half type t and
+        head k, so ``h @ scores`` gives every node's destination and
+        source score for every type and head (GAT's decomposition of the
+        logit ``a . [W h_dst | W h_src]``).
         """
         dim = weight.shape[0]
         attn = concat(
             self._pieces(self.attn_dst, names) + self._pieces(self.attn_src, names),
             axis=0,
         )
-        products = weight * attn.reshape(2, 1, -1)
-        return products.reshape(2 * dim, -1, dim // self.num_heads).sum(axis=2)
-
-    def _type_weights(
-        self, names: list[str]
-    ) -> tuple[Tensor, Tensor | None, list[slice] | None, list[slice] | None]:
-        """The type weight and attention scores for row blocks *names*.
-
-        Returns ``(weight, scores, weight_columns, score_columns)`` for
-        :func:`block_matmul`; ``scores`` is ``None`` without attention.
-        While a gradient is recorded, the present types' weights are
-        stacked and folded on every forward (columns ``None``, so
-        training is unchanged).  Otherwise the row blocks read their
-        column slices of the layer's :meth:`_folded` full table.
-        """
-        if is_grad_enabled():
-            weight = concat(self._pieces(self.type_weights, names), axis=1)
-            scores = self._scores(weight, names) if self.use_attention else None
-            return weight, scores, None, None
-        fold = self._folded()
-        keys = [self._group_key(name) for name in names]
-        return (
-            fold.weight,
-            fold.scores,
-            [fold.weight_columns[key] for key in keys],
-            [fold.score_columns[key] for key in keys],
-        )
-
-    def _folded(self) -> "_Fold":
-        """The full type table and its attention fold, for this weight
-        generation.
-
-        Every weight write replaces ``param.data`` (optimiser steps,
-        ``load_state_dict``, shared-memory adoption; ``autodiff-bypass``
-        flags in-place writes outside the engine, and
-        ``tests/models/test_fold.py`` pins the rule inside it), so the
-        memo is current while each of its source arrays is still its
-        parameter's array and the compute dtype is unchanged.  It holds
-        one fold, over every type of the layer, however many type subsets
-        are served.
-        """
-        dtype = get_compute_dtype()
-        fold = self._fold
-        if fold is None or not fold.current(dtype):
-            fold = self._fold = _Fold(self, dtype)
-        return fold
+        products = weight.reshape(dim, 1, -1) * attn.reshape(1, 2, -1)
+        return products.reshape(dim, -1, dim // self.num_heads).sum(axis=2)
 
     def _messages(
         self, h: Tensor, inputs: GraphInputs, names: list[str], bounds: np.ndarray
@@ -281,9 +233,11 @@ class ParaGraphConv(Module):
 
         Every edge type's rows are transformed by that type's weight in
         one :func:`block_matmul`; attention (one softmax column per head)
-        or the per-type mean runs over (type, destination) segments.
-        Returns ``(messages, alpha)``; alpha is ``(E, H)``, or ``None``
-        without attention.
+        or the per-type mean runs over (type, destination) segments.  An
+        edge's attention logit is its destination's score for the edge's
+        type plus its source's, both read from one (N, 2*T*H) per-node
+        score table in one gather.  Returns ``(messages, alpha)``; alpha
+        is ``(E, H)``, or ``None`` without attention.
         """
         missing = [
             name for name in names
@@ -291,25 +245,29 @@ class ParaGraphConv(Module):
         ]
         if missing:
             raise ModelError(f"no weights for edge type {missing[0]!r}")
-        src_plan, dst_plan = inputs.merged_plans()
-        h_src = gather_rows(h, inputs.merged_src, plan=src_plan)
-        weight, scores, columns, score_columns = self._type_weights(names)
-        messages = block_matmul(h_src, weight, bounds, columns)
-        if not self.use_attention:
+        src_plan, _ = inputs.merged_plans()
+        weight = concat(self._pieces(self.type_weights, names), axis=1)
+        scores = self._scores(weight, names) if self.use_attention else None
+        messages = block_matmul(
+            gather_rows(h, inputs.merged_src, plan=src_plan), weight, bounds
+        )
+        if scores is None:
             inv_counts = Tensor(inputs.type_dst_inv_counts(h.data.dtype))
             return messages * inv_counts, None
-        h_dst = gather_rows(h, inputs.merged_dst, plan=dst_plan)
+        num_edges, heads = len(inputs.merged_dst), self.num_heads
+        node_scores = (h @ scores).reshape(-1, heads)
         logits = leaky_relu(
-            block_matmul(
-                concat([h_dst, h_src], axis=1), scores, bounds, score_columns
-            ),
+            gather_rows(
+                node_scores, inputs.type_node_rows(), plan=inputs.type_node_plan()
+            )
+            .reshape(2, num_edges, heads)
+            .sum(axis=0),
             self.negative_slope,
         )
         pairs = inputs.type_dst_plan()
         alpha = segment_softmax(
             logits, pairs.segment_ids, pairs.num_segments, plan=pairs
         )
-        num_edges, heads = alpha.shape
         weighted = messages.reshape(num_edges, heads, -1) * alpha.reshape(
             num_edges, heads, 1
         )
@@ -351,50 +309,6 @@ class ParaGraphConv(Module):
         else:
             combined = agg + self.agg_bias
         return relu(self.update(combined))
-
-
-class _Fold:
-    """A ParaGraph layer's weight-only work for one weight generation.
-
-    ``weight`` stacks every type's weight, type-major and head-minor, as
-    one ``(F, T*F)`` table; ``scores`` is :meth:`ParaGraphConv._scores`
-    of it, ``(2F, T*H)``.  Both come from the layer's own per-forward
-    code run over all its types.  A request reads column slices of them,
-    never copies: ``np.dot`` of a strided slice equals that of the same
-    slice of a stack of only the present types.  (The one exception, a
-    float32 one-row block of a one-column score slice, is a type with a
-    single edge: that edge's softmax segment has one member, so its
-    attention is exactly 1 whatever the logit.)
-    """
-
-    def __init__(self, layer: ParaGraphConv, dtype: np.dtype):
-        names, heads = layer.edge_types, layer.num_heads
-        weights = layer._pieces(layer.type_weights, names)
-        attention = (
-            layer._pieces(layer.attn_dst, names) + layer._pieces(layer.attn_src, names)
-            if layer.use_attention else []
-        )
-        self.params = weights + attention
-        self.sources = [param.data for param in self.params]
-        self.dtype = dtype
-        self.weight = concat(weights, axis=1)
-        self.scores = (
-            layer._scores(self.weight, names) if layer.use_attention else None
-        )
-        width = self.weight.shape[0]
-        self.weight_columns = {
-            name: slice(t * width, (t + 1) * width) for t, name in enumerate(names)
-        }
-        self.score_columns = {
-            name: slice(t * heads, (t + 1) * heads) for t, name in enumerate(names)
-        }
-
-    def current(self, dtype: np.dtype) -> bool:
-        """Whether the parameters' arrays and the compute dtype are still
-        the ones this fold was built from."""
-        return dtype == self.dtype and all(
-            map(operator.is_, self.sources, [param.data for param in self.params])
-        )
 
 
 def make_conv(

@@ -333,6 +333,41 @@ class GraphInputs:
 
         return self._cached("type_dst_plan", build)
 
+    def type_node_rows(self) -> np.ndarray:
+        """Rows of a per-node score table for every edge, both ends.
+
+        With T edge types present, a ParaGraph layer's ``(N, 2*T*H)``
+        per-node attention scores (the destination halves of every type,
+        then the source halves) viewed as ``(N*2*T, H)`` hold node
+        ``n``'s destination score for type ``t`` in row ``n*2T + t`` and
+        its source score in row ``n*2T + T + t``.  Returns the ``(2E,)``
+        rows: every merged edge's destination row, then every edge's
+        source row.
+        """
+
+        def build():
+            names, bounds = self.edge_blocks()
+            width = 2 * len(names)
+            types = np.repeat(
+                np.arange(len(names), dtype=np.int64), np.diff(bounds)
+            )
+            return np.concatenate([
+                self.merged_dst * width + types,
+                self.merged_src * width + len(names) + types,
+            ])
+
+        return self._cached("type_node_rows", build)
+
+    def type_node_plan(self) -> SegmentPlan:
+        """Plan over :meth:`type_node_rows` (the score gather's backward)."""
+        return self._cached(
+            "type_node_plan",
+            lambda: SegmentPlan.build(
+                self.type_node_rows(),
+                self.num_nodes * 2 * len(self.edge_blocks()[0]),
+            ),
+        )
+
     def type_dst_inv_counts(self, dtype: "np.dtype | None" = None) -> np.ndarray:
         """Per-edge ``1/count`` of its (type, destination) pair, as (E, 1).
 

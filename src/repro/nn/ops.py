@@ -114,12 +114,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     return Tensor._make(out_data, tuple(tensors), backward)
 
 
-def block_matmul(
-    x: Tensor,
-    weight: Tensor,
-    bounds: np.ndarray,
-    columns: Sequence[slice] | None = None,
-) -> Tensor:
+def block_matmul(x: Tensor, weight: Tensor, bounds: np.ndarray) -> Tensor:
     """Row-blocked matmul: each row block gets its own weight.
 
     ``bounds`` holds ``T + 1`` ascending row offsets (``bounds[0] == 0``,
@@ -127,11 +122,6 @@ def block_matmul(
     ``t`` multiplies row block ``t``, so
 
     ``out[bounds[t]:bounds[t + 1]] = x[bounds[t]:bounds[t + 1]] @ weight[:, t*M:(t+1)*M]``.
-
-    *columns* instead names the column slice each row block multiplies
-    (``T`` slices of one width ``M``; *weight* may be any width, and blocks
-    may share a slice).  A layer whose weight table is wider than the
-    types present passes the present types' slices, with no copy.
 
     This is the per-edge-type transform of a relational layer over a
     type-major edge list, in one tape node however many types there are.
@@ -147,32 +137,20 @@ def block_matmul(
         )
     if (
         num_blocks < 1
+        or weight.shape[1] % num_blocks
         or bounds[0] != 0
         or bounds[-1] != x.shape[0]
         or np.any(np.diff(bounds) < 0)
-        or (columns is None and weight.shape[1] % num_blocks)
     ):
         raise ShapeError(
             f"block bounds {bounds.tolist()} do not tile {x.shape[0]} rows "
             f"into column blocks of a {weight.shape[1]}-wide weight"
         )
-    if columns is None:
-        width = weight.shape[1] // num_blocks
-        columns = [slice(t * width, (t + 1) * width) for t in range(num_blocks)]
-    else:
-        spans = [cols.indices(weight.shape[1]) for cols in columns]
-        width = spans[0][1] - spans[0][0] if spans else 0
-        if len(spans) != num_blocks or any(
-            step != 1 or stop - start != width for start, stop, step in spans
-        ):
-            raise ShapeError(
-                f"block_matmul needs {num_blocks} equal-width column slices "
-                f"of a {weight.shape[1]}-wide weight, got {list(columns)}"
-            )
+    width = weight.shape[1] // num_blocks
     x_data, w_data = x.data, weight.data
     blocks = [
-        (int(lo), int(hi), cols)
-        for lo, hi, cols in zip(bounds[:-1], bounds[1:], columns)
+        (int(lo), int(hi), slice(t * width, (t + 1) * width))
+        for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
     ]
     # np.dot, not matmul: on the thin blocks of a typed edge list (a
     # one-column logit weight, say) matmul leaves BLAS and is ~3x slower.
@@ -185,11 +163,10 @@ def block_matmul(
     def backward(grad: np.ndarray):
         grad = np.ascontiguousarray(grad)
         grad_x = np.empty(x_data.shape, dtype=np.result_type(grad, w_data))
-        # zeros: with *columns*, blocks may share a slice or skip one
-        grad_w = np.zeros_like(w_data)
+        grad_w = np.empty_like(w_data)
         for lo, hi, cols in blocks:
             np.dot(grad[lo:hi], w_data[:, cols].T, out=grad_x[lo:hi])
-            grad_w[:, cols] += np.dot(x_data[lo:hi].T, grad[lo:hi])
+            grad_w[:, cols] = np.dot(x_data[lo:hi].T, grad[lo:hi])
         return grad_x, grad_w
 
     return Tensor._make(out_data, (x, weight), backward)

@@ -110,11 +110,18 @@ def _select(rule_names: "list[str] | None") -> "tuple[list[Rule], bool]":
 
 
 def _relpaths(root: str, paths: "list[str]") -> list[str]:
-    """Repo-relative paths of explicit files (relative ones are taken
-    from *root*); a missing path or a directory is a usage error."""
+    """Repo-relative paths of explicit files; a missing path or a
+    directory is a usage error.
+
+    A relative path is taken from the working directory when it exists
+    there, and from *root* otherwise, so both ``repro check nn/loss.py``
+    run inside ``src/repro`` and the pre-commit hook's root-relative
+    paths name the file they mean.
+    """
     out: list[str] = []
     for path in paths:
-        full = os.path.abspath(path if os.path.isabs(path) else os.path.join(root, path))
+        from_root = not os.path.isabs(path) and not os.path.exists(path)
+        full = os.path.abspath(os.path.join(root, path) if from_root else path)
         if os.path.isdir(full):
             raise StaticCheckError(
                 f"{path}: is a directory; name files, or give no paths "
@@ -192,8 +199,9 @@ def run_lint(
     """Run the per-module lint rules over explicit *paths* (default: every
     module under ``src/repro``).
 
-    *paths* are files, repo-relative or absolute; a missing path or a
-    directory raises :class:`~repro.errors.StaticCheckError`.
+    *paths* are files: absolute, relative to the working directory, or
+    else relative to the repo root; a missing path or a directory raises
+    :class:`~repro.errors.StaticCheckError`.
     ``fork-safety`` analyses the whole program, so selecting it here is
     an error too.  Stale baseline rows are reported only by the full
     check (:func:`run_project`): the baseline also holds rows this run

@@ -49,6 +49,20 @@ class TestTargets:
             net = record.graph.node_name_of[node_id]
             assert value == record.layout.cap_of(net)
 
+    def test_every_target_array_equals_the_layout_dict(self, tiny_bundle):
+        """Field and index lookups give what ``as_dict`` holds, for all 13
+        targets on every circuit."""
+        for record in tiny_bundle.records("train") + tiny_bundle.records("test"):
+            for spec in ALL_TARGETS:
+                ids, values = record.target_arrays(spec)
+                names = [record.graph.node_name_of[i] for i in ids]
+                expected = [
+                    record.layout.cap_of(name) if spec.kind == "net"
+                    else record.layout.device_params[name].as_dict()[spec.name]
+                    for name in names
+                ]
+                np.testing.assert_array_equal(values, expected, err_msg=spec.name)
+
     def test_device_values_positive(self, tiny_bundle):
         record = tiny_bundle.records("train")[0]
         for name in ("LDE1", "SA", "DP"):

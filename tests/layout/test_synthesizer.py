@@ -168,6 +168,21 @@ class TestSynthesizer:
         with pytest.raises(LayoutError):
             targets.value("LDE99")
 
+    @pytest.mark.parametrize(
+        "name", ["LDE0", "LDE01", "LDE", "lde1", "LDE+1", "LDE\uff11", "CAP", "", "sa"]
+    )
+    def test_value_refuses_names_outside_as_dict(self, name):
+        targets = next(iter(synthesize_layout(primitives.inverter()).device_params.values()))
+        assert name not in targets.as_dict()
+        with pytest.raises(LayoutError, match="unknown device target"):
+            targets.value(name)
+
+    def test_value_reads_what_as_dict_holds(self):
+        result = synthesize_layout(primitives.inverter(), seed=0)
+        for targets in result.device_params.values():
+            for name, expected in targets.as_dict().items():
+                assert targets.value(name) == expected
+
     def test_sram_bitline_cap_scales_with_rows(self):
         """Structure->target correlation the CAP model must learn."""
         small = digital.sram_array(rows=2, cols=1, name="s")

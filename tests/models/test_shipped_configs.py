@@ -6,9 +6,10 @@ families x the readout depths {4 (CAP), 2 (device parameters)} x both
 (``num_fc_layers=0``), the four ParaGraph ablations of §V and the 13-head
 shared-trunk model in both precisions.  Each is built and run on a
 circuit holding every node type, so every encoder block is multiplied,
-once with a gradient tape and once under ``no_grad``: the taped forward
-stacks only the edge types present in the graph, while the ``no_grad``
-forward reads ParaGraph's folded table of every type.  The contract:
+once with a gradient tape, once under ``no_grad`` and, for ParaGraph,
+once through the serving :class:`~repro.models.stack.TrunkStack`: the
+taped forwards concatenate only the edge types present in the graph,
+while the stack builds its tables over every type.  The contract:
 
 * every parameter carries the dtype the model was built under (a float32
   weight inside a float64 model still yields float64 outputs);
@@ -29,6 +30,8 @@ from repro.graph.builder import all_edge_type_names
 from repro.graph.features import feature_dim
 from repro.models import GraphInputs, MultiTaskModel, ReadoutHead, SharedTrunk
 from repro.models.convs import GNN_MODEL_NAMES
+from repro.models.stack import TrunkStack, stack_key
+from repro.nn import Tensor
 from repro.nn import compute_dtype, no_grad
 from repro.rng import stream
 
@@ -106,9 +109,15 @@ def check_forward(model: MultiTaskModel, inputs: GraphInputs, dtype: str) -> Non
     for name, param in model.named_parameters():
         assert param.data.dtype == want, f"{name} is {param.data.dtype}, model is {want}"
     node_ids = np.arange(inputs.num_nodes)
-    for taped in (True, False):
-        with compute_dtype(dtype), nullcontext() if taped else no_grad():
-            z = model.trunk(inputs)
+    modes = ["taped", "no_grad"]
+    if stack_key(model.trunk) is not None:
+        modes.append("stack")
+    for mode in modes:
+        with compute_dtype(dtype), nullcontext() if mode == "taped" else no_grad():
+            if mode == "stack":
+                z = Tensor(TrunkStack([model.trunk])(inputs)[:, 0])
+            else:
+                z = model.trunk(inputs)
             for name, head in model.heads.items():
                 out = head(z, node_ids).numpy()
                 assert out.shape == (len(node_ids), 1), (
@@ -279,9 +288,10 @@ def test_heads_must_divide_embedding(config):
         build(with_conv(config, "paragraph", num_heads=7))
 
 
-def test_absent_edge_type_weight_fails_the_folded_forward(circuit):
-    """The taped forward stacks the present edge types only; the no_grad
-    fold stacks every type, so it alone sees an absent type's weight."""
+def test_absent_edge_type_weight_fails_the_stacked_forward(circuit):
+    """The taped forwards concatenate the present edge types only; the
+    stack builds its tables over every type, so it alone sees an absent
+    type's weight."""
     absent = sorted(set(all_edge_type_names()) - set(circuit.edges))
     assert absent, "the circuit holds every edge type"
     model = build(PER_TARGET)
@@ -289,5 +299,7 @@ def test_absent_edge_type_weight_fails_the_folded_forward(circuit):
     set_param(weight, weight.data[:, :-1])
     with compute_dtype("float64"):
         model.trunk(circuit)  # taped: the narrowed block is never read
+        with no_grad():
+            model.trunk(circuit)
     with pytest.raises(ValueError):
         check_forward(model, circuit, "float64")

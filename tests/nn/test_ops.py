@@ -98,66 +98,6 @@ class TestBlockMatmul:
             )
 
 
-class TestBlockMatmulColumns:
-    """*columns* picks each row block's slice of a wider weight table."""
-
-    BOUNDS = np.array([0, 3, 3, 8, 8])
-
-    def test_value_reads_the_named_slices(self):
-        x, w = _rand((8, 3)), _rand((3, 5 * 2), seed=1)
-        columns = [slice(8, 10), slice(0, 2), slice(4, 6), slice(2, 4)]
-        out = nn.block_matmul(Tensor(x), Tensor(w), self.BOUNDS, columns)
-        np.testing.assert_array_equal(out.numpy()[0:3], x[0:3] @ w[:, 8:10])
-        np.testing.assert_array_equal(out.numpy()[3:8], x[3:8] @ w[:, 4:6])
-
-    def test_slices_equal_a_stack_of_the_same_blocks(self):
-        # the present blocks of a wide table give the np.dot results of a
-        # stack of only those blocks
-        for dtype in (np.float32, np.float64):
-            x = _rand((9, 6)).astype(dtype)
-            table = _rand((6, 6 * 4), seed=1).astype(dtype)
-            picked = [5, 1, 3]
-            stack = np.concatenate(
-                [table[:, b * 4:(b + 1) * 4] for b in picked], axis=1
-            )
-            bounds = np.array([0, 1, 5, 9])
-            columns = [slice(b * 4, (b + 1) * 4) for b in picked]
-            wide = nn.block_matmul(Tensor(x), Tensor(table), bounds, columns)
-            narrow = nn.block_matmul(Tensor(x), Tensor(stack), bounds)
-            assert np.array_equal(wide.numpy(), narrow.numpy())
-
-    def test_gradient_accumulates_shared_slices(self):
-        x = Tensor(_rand((8, 3)), requires_grad=True)
-        w = Tensor(_rand((3, 3 * 2), seed=1), requires_grad=True)
-        columns = [slice(2, 4), slice(2, 4), slice(2, 4), slice(0, 2)]
-        assert_gradients_match(
-            lambda: (nn.block_matmul(x, w, self.BOUNDS, columns) ** 2).sum(),
-            [x, w],
-        )
-
-    def test_unused_slices_get_zero_gradient(self):
-        w = Tensor(_rand((3, 3 * 2), seed=1), requires_grad=True)
-        columns = [slice(0, 2)] * 4
-        nn.block_matmul(Tensor(_rand((8, 3))), w, self.BOUNDS, columns).sum().backward()
-        np.testing.assert_array_equal(w.grad[:, 2:6], 0.0)
-
-    @pytest.mark.parametrize(
-        "columns",
-        [
-            [slice(0, 2)] * 3,  # one slice short
-            [slice(0, 2), slice(0, 2), slice(0, 3), slice(0, 2)],  # widths differ
-            [slice(0, 2), slice(0, 2), slice(0, 2), slice(5, 7)],  # past the table
-            [slice(0, 4, 2)] * 4,  # strided
-        ],
-    )
-    def test_bad_columns_raise(self, columns):
-        with pytest.raises(ShapeError):
-            nn.block_matmul(
-                Tensor(np.ones((8, 3))), Tensor(np.ones((3, 6))), self.BOUNDS,
-                columns,
-            )
-
-
 class TestGatherRows:
     def test_value(self):
         x = Tensor(np.arange(6.0).reshape(3, 2))

@@ -95,6 +95,16 @@ class TestCheckCommand:
         assert "no/such/file.py" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_relative_path_from_the_package_directory(self, monkeypatch, capsys):
+        monkeypatch.chdir(os.path.join(repo_root(), "src", "repro"))
+        assert main(["check", "nn/loss.py"]) == 0
+        assert "1 file(s) checked" in capsys.readouterr().out
+
+    def test_root_relative_path_from_elsewhere(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "src/repro/nn/loss.py"]) == 0
+        assert "1 file(s) checked" in capsys.readouterr().out
+
     def test_directory_path_is_usage_error(self, capsys):
         assert main(["check", "src/repro"]) == 2
         err = capsys.readouterr().err

@@ -74,6 +74,19 @@ class TestPragmas:
         index = parse_pragmas("# staticcheck: suppress-everything\n")
         assert index.malformed
 
+    def test_module_without_pragma_text_is_not_tokenized(self, monkeypatch):
+        from repro.staticcheck import pragmas
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tokenize called")
+
+        monkeypatch.setattr(pragmas.tokenize, "generate_tokens", refuse)
+        source = "x = 1  # an ordinary comment\n# staticcheck\n"
+        index = parse_pragmas(source)
+        assert index == pragmas.PragmaIndex()
+        with pytest.raises(AssertionError, match="tokenize called"):
+            parse_pragmas(source + "y = 2  # staticcheck: ignore\n")
+
 
 class _DefAnchorRule(Rule):
     """Test-only rule anchoring a finding on every function definition."""
