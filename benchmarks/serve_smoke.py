@@ -11,7 +11,10 @@ through the strict exposition validator; the smoke additionally fails when
 fleet counters are non-monotonic across the scrapes, when the scraped
 fleet totals disagree with the sum of the per-worker metrics files under
 ``pool.metrics_dir``, or when ``repro obs top --once --json`` does not
-report exactly one row per live worker.
+report exactly one row per live worker.  The pool starts from an
+in-memory float64 predictor and serves at float32, so it also fails
+unless the parent's ``serve.shm_published_bytes`` gauge reads 4 bytes per
+parameter.
 
 Usage::
 
@@ -113,6 +116,25 @@ def check_telemetry(pool, before: dict, after: dict, workers: int) -> list:
     return problems
 
 
+def check_published_bytes(parameters: int) -> list:
+    """The shared segment must hold the weights at the serving float32."""
+    from repro import obs
+
+    published = next(
+        (
+            row["value"] for row in obs.registry().snapshot()
+            if row["name"] == "serve.shm_published_bytes"
+        ),
+        None,
+    )
+    if published != 4 * parameters:
+        return [
+            f"shared weight segment holds {published} bytes for "
+            f"{parameters} parameters, want 4 per parameter (float32)"
+        ]
+    return []
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workers", type=int, default=2)
@@ -150,7 +172,7 @@ def main(argv=None) -> int:
         print(f"serve-smoke: pool failed to start: {error!r}")
         return 2
 
-    failures: list = []
+    failures: list = check_published_bytes(predictor.model.num_parameters())
     statuses: dict = {}
     lock = threading.Lock()
     remaining = list(range(args.requests))

@@ -25,6 +25,7 @@ threads.  Processes, not threads, are the unit of parallel serving
 
 from __future__ import annotations
 
+import copy
 import os
 import threading
 import time
@@ -55,7 +56,9 @@ class EngineConfig:
     """Engine sizing knobs (cache capacity + micro-batching executor).
 
     ``dtype`` is the *serving* compute precision: model weights are cast
-    to it at load and every forward runs under it.  The default is
+    to it once, when the engine is built (a saved model is loaded at it;
+    an in-memory model at another dtype is served as a cast copy), and
+    every forward runs under it.  The default is
     ``float32`` — roughly half the memory traffic of float64 at a ~1e-6
     relative output tolerance (see ``docs/performance.md``); pass
     ``"float64"`` to recover the historical bit-exact behaviour.
@@ -95,7 +98,7 @@ class Engine:
         # loading under the serving policy casts checkpoint weights to the
         # serving dtype once, instead of on every forward
         with precision.compute_dtype(self._dtype):
-            self.registry = _coerce_registry(models)
+            self.registry = _at_dtype(_coerce_registry(models), self._dtype)
         # explicit None test: a freshly injected cache is empty and an
         # empty GraphCache is falsy through __len__
         self.cache = (
@@ -334,7 +337,7 @@ class Engine:
                     predictions[target] = TargetPrediction(
                         target=target,
                         kind=_target_kind(target),
-                        names=tuple(names_of[int(i)] for i in ids),
+                        names=tuple(map(names_of.__getitem__, ids.tolist())),
                         values=values,
                         unit=target_unit(target),
                     )
@@ -434,6 +437,59 @@ def _coerce_registry(models) -> "ModelRegistry":
     return registry
 
 
+def _parameters(model):
+    """The parameters of every GNN leaf of *model* (none for baselines
+    and custom adapters)."""
+    from repro.serve.shm import _leaf_predictors
+
+    for _, predictor in _leaf_predictors(model):
+        if predictor.model is not None:
+            yield from predictor.model.parameters()
+
+
+def _at_dtype(registry: "ModelRegistry", dtype) -> "ModelRegistry":
+    """*registry* with every model's weights at *dtype*.
+
+    Returns *registry* itself when they already are (a saved model loaded
+    under the serving policy, or the pool's adopted shared views).
+    Otherwise returns a new registry, with the same names, paths and
+    versions, that serves a cast copy of each model at another dtype;
+    the caller's registry and models are left as they are.
+    """
+    from repro.serve.registry import ModelRegistry
+
+    entries = list(registry.entries())
+    stale = {
+        entry.name for entry in entries
+        if any(param.data.dtype != dtype for param in _parameters(entry.model))
+    }
+    if not stale:
+        return registry
+    served = ModelRegistry()
+    for entry in entries:
+        served.register(
+            entry.name,
+            _cast_copy(entry.model, dtype) if entry.name in stale else entry.model,
+            path=entry.path,
+            version=entry.version,
+        )
+    return served
+
+
+def _cast_copy(model, dtype):
+    """A deep copy of *model* whose parameters are at *dtype*.
+
+    The copy never holds the originals' arrays: each parameter's data is
+    cast straight into the copy, and gradients are not copied.
+    """
+    memo: dict = {}
+    for param in _parameters(model):
+        memo[id(param.data)] = param.data.astype(dtype)
+        if param.grad is not None:
+            memo[id(param.grad)] = None
+    return copy.deepcopy(model, memo)
+
+
 def create_engine(
     models,
     *,
@@ -502,7 +558,7 @@ def predict_one(model, source, targets: Iterable[str] | None = None) -> Predicti
         target: TargetPrediction(
             target=target,
             kind=_target_kind(target),
-            names=tuple(names_of[int(i)] for i in ids),
+            names=tuple(map(names_of.__getitem__, ids.tolist())),
             values=values,
             unit=target_unit(target),
         )

@@ -157,14 +157,17 @@ class TargetPrediction:
 
     @property
     def named(self) -> dict[str, float]:
-        return {name: float(v) for name, v in zip(self.names, self.values)}
+        return dict(zip(self.names, self._floats()))
 
     def qualified(self) -> dict[str, float]:
         """Kind-qualified view: ``{"net:out": ...}`` / ``{"device:m1": ...}``."""
         return {
-            f"{self.kind}:{name}": float(v)
-            for name, v in zip(self.names, self.values)
+            f"{self.kind}:{name}": v for name, v in zip(self.names, self._floats())
         }
+
+    def _floats(self) -> list[float]:
+        # one conversion for the whole array; each item is float(v)
+        return np.asarray(self.values).tolist()
 
 
 @dataclass

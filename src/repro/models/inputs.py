@@ -108,11 +108,11 @@ class GraphInputs:
         from per-graph inputs is bit-identical, arrays and plans both, to
         one built from a graph-level merge.
 
-        Because the shifted node-id ranges ascend with graph order, every
-        per-edge-type and node-type :class:`~repro.nn.plan.SegmentPlan` of
-        the union is the :meth:`SegmentPlan.concat` of the per-graph plans:
-        the merged cache is pre-seeded from the (memoised) per-graph plans,
-        so repeated batching of cached graphs never re-sorts an edge list.
+        The union's plans are built on first use from its own arrays, like
+        any other inputs' (a forward reads only some of them: the stacked
+        ParaGraph layers never read the self-loop plans).  A stable argsort
+        of the merged ids gives the plan that stitching the per-graph
+        plans would (see :meth:`SegmentPlan.concat`).
         """
         if not inputs:
             raise ValueError("GraphInputs.merge_graphs needs at least one graph")
@@ -126,21 +126,16 @@ class GraphInputs:
         features: dict[str, list[np.ndarray]] = {}
         nodes_of_type: dict[str, list[np.ndarray]] = {}
         edges: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
-        #: per edge/node type: the items contributing arrays, with offsets
-        edge_parts: dict[str, list[tuple["GraphInputs", int]]] = {}
-        type_parts: dict[str, list[tuple["GraphInputs", int]]] = {}
         for item, offset in zip(inputs, offsets):
             for type_name, feats in item.features.items():
                 features.setdefault(type_name, []).append(feats)
                 nodes_of_type.setdefault(type_name, []).append(
                     item.nodes_of_type[type_name] + offset
                 )
-                type_parts.setdefault(type_name, []).append((item, int(offset)))
             for edge_type, (src, dst) in item.edges.items():
                 srcs, dsts = edges.setdefault(edge_type, ([], []))
                 srcs.append(src + offset)
                 dsts.append(dst + offset)
-                edge_parts.setdefault(edge_type, []).append((item, int(offset)))
         merged_edges = {
             t: (np.concatenate(s), np.concatenate(d))
             for t, (s, d) in edges.items()
@@ -164,51 +159,6 @@ class GraphInputs:
             merged_src=merged_src,
             merged_dst=merged_dst,
         )
-        # Pre-seed the union's plan cache from the per-graph plans.  The
-        # per-graph calls memoise on each item, so batch after batch of the
-        # same cached graphs pays for each argsort exactly once.
-        for edge_type, parts in edge_parts.items():
-            merged._cache[("edge_src_plan", edge_type)] = SegmentPlan.concat(
-                [item.edge_plans(edge_type)[0] for item, _ in parts],
-                np.asarray([offset for _, offset in parts], dtype=np.int64),
-                num_nodes,
-            )
-            merged._cache[("edge_dst_plan", edge_type)] = SegmentPlan.concat(
-                [item.edge_plans(edge_type)[1] for item, _ in parts],
-                np.asarray([offset for _, offset in parts], dtype=np.int64),
-                num_nodes,
-            )
-        merged._cache["node_type_plans"] = {
-            type_name: SegmentPlan.concat(
-                [item.node_type_plans()[type_name] for item, _ in parts],
-                np.asarray([offset for _, offset in parts], dtype=np.int64),
-                num_nodes,
-            )
-            for type_name, parts in type_parts.items()
-        }
-        # The homogenised edge list is type-major over the same union, so
-        # its plans are the interleave of the per-edge-type plans just
-        # stitched above, and the self-loop-augmented plans interleave one
-        # identity block on top — no argsort anywhere in a mega-batch.
-        if merged_edges:
-            type_order = sorted(merged_edges)
-            merged_src_plan = SegmentPlan.interleave(
-                [merged._cache[("edge_src_plan", t)] for t in type_order],
-                num_nodes,
-            )
-            merged_dst_plan = SegmentPlan.interleave(
-                [merged._cache[("edge_dst_plan", t)] for t in type_order],
-                num_nodes,
-            )
-            merged._cache["merged_src_plan"] = merged_src_plan
-            merged._cache["merged_dst_plan"] = merged_dst_plan
-            loops = SegmentPlan.identity(num_nodes)
-            merged._cache["loop_src_plan"] = SegmentPlan.interleave(
-                [merged_src_plan, loops], num_nodes
-            )
-            merged._cache["loop_dst_plan"] = SegmentPlan.interleave(
-                [merged_dst_plan, loops], num_nodes
-            )
         return MegaBatch(inputs=merged, offsets=offsets, sizes=sizes)
 
     # ------------------------------------------------------------------
@@ -410,7 +360,7 @@ class MegaBatch:
     """A disjoint union of many graphs, ready for one shared forward pass.
 
     Produced by :meth:`GraphInputs.merge_graphs`.  ``inputs`` is the merged
-    :class:`GraphInputs` (plan cache pre-seeded); ``offsets[k]`` /
+    :class:`GraphInputs`; ``offsets[k]`` /
     ``sizes[k]`` give graph ``k``'s global node-id offset and node count.
     """
 

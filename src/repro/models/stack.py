@@ -15,15 +15,15 @@ call per row block (``np.matmul`` over the model axis makes one gemm per
 model, with the shapes :func:`~repro.nn.ops.block_matmul` uses), the
 same per-node attention scores over the edge types present, and
 reductions that run column by column, so a column's sum does not depend
-on how many columns sit beside it.  Mixed precision follows the taped
-layers too: weights the layers concatenate are cast to the compute dtype
-first, while the dense layers multiply by the parameter's own dtype and
-round the result.
+on how many columns sit beside it.
 
-Weight stacks are built once per weight generation: they stay current
-while every source array is still its parameter's ``data`` and the
-compute dtype is unchanged (every weight write in the library replaces
-``param.data``).  Edge-sized
+Weight stacks are built at the compute dtype, whatever dtype the
+parameters hold, once per weight generation: they stay current while
+every source array is still its parameter's ``data`` and the compute
+dtype is unchanged (every weight write in the library replaces
+``param.data``).  Under a mixed policy (float64 weights in a float32
+block) each model's output therefore equals the taped forward of that
+model cast to the compute dtype.  Edge-sized
 arrays are split along the model axis so that each stays within
 ``_CHUNK_BYTES``; the softmax still runs once per layer.
 
@@ -66,7 +66,6 @@ def stack_key(trunk: SharedTrunk) -> tuple | None:
         first.concat_skip,
         first.negative_slope,
         first.num_heads,
-        first.update.weight.data.dtype,
     )
 
 
@@ -79,8 +78,9 @@ class TrunkStack:
     """M same-shape ParaGraph trunks as one tape-free forward.
 
     ``stack(inputs)`` returns the ``(N, M, F)`` node embeddings;
-    ``[:, m]`` is ``trunks[m](inputs)``, bit for bit.  ``nbytes`` is the
-    trunks' :func:`weight_bytes`.
+    ``[:, m]`` is ``trunks[m](inputs)`` at the compute dtype, bit for bit
+    (of ``trunks[m]`` cast to it, when its weights are at another).
+    ``nbytes`` is the trunks' :func:`weight_bytes`.
     """
 
     def __init__(self, trunks: Sequence[SharedTrunk]):
@@ -133,12 +133,11 @@ class _Tables:
         for name in encoders[0]:
             linears = [encoder[name] for encoder in encoders]
             self.params += [p for lin in linears for p in (lin.weight, lin.bias)]
-            self.encoder[name] = (
-                np.stack([linear.weight.data for linear in linears]),
-                np.stack([linear.bias.data for linear in linears])[:, None, :],
-            )
+            weights = np.stack([lin.weight.data for lin in linears], dtype=dtype)
+            biases = np.stack([lin.bias.data for lin in linears], dtype=dtype)
+            self.encoder[name] = (weights, biases[:, None, :])
         self.layers = [
-            _Layer([trunk.convs[k] for trunk in trunks], self.params)
+            _Layer([trunk.convs[k] for trunk in trunks], self.params, dtype)
             for k in range(len(trunks[0].convs))
         ]
         self.sources = [param.data for param in self.params]
@@ -173,7 +172,7 @@ class _Tables:
 class _Layer:
     """One ParaGraph layer of every trunk (paper Algorithm 1, lines 4-10)."""
 
-    def __init__(self, convs: Sequence[ParaGraphConv], params: list):
+    def __init__(self, convs: Sequence[ParaGraphConv], params: list, dtype: np.dtype):
         first = convs[0]
         self.use_attention = first.use_attention
         self.concat_skip = first.concat_skip
@@ -195,11 +194,17 @@ class _Layer:
                     params += [*conv.attn_dst.values(), *conv.attn_src.values()]
                 params += [conv.agg_bias, conv.update.weight, conv.update.bias]
         self.width = first.update.out_features
+        # the concatenated type weights and scores are at the compute dtype
+        # already, as in the taped layers
         self.weights = np.stack(weights)
         self.scores = np.stack(scores) if scores else None
-        self.agg_bias = np.stack([conv.agg_bias.data for conv in convs])
-        self.update_weight = np.stack([conv.update.weight.data for conv in convs])
-        self.update_bias = np.stack([conv.update.bias.data for conv in convs])
+        self.agg_bias = np.stack([conv.agg_bias.data for conv in convs], dtype=dtype)
+        self.update_weight = np.stack(
+            [conv.update.weight.data for conv in convs], dtype=dtype
+        )
+        self.update_bias = np.stack(
+            [conv.update.bias.data for conv in convs], dtype=dtype
+        )
 
     def _positions(self, names: list[str]) -> list[int]:
         positions = []
@@ -295,14 +300,14 @@ class _Layer:
             else:
                 agg = h[:, models] * h.dtype.type(0.0)  # no edges: zero neighbourhood
             agg += self.agg_bias[models]
-            # one model at a time: under a mixed policy numpy multiplies a
-            # float64 copy of the combined rows
-            for k, m in enumerate(range(*models.indices(h.shape[1]))):
-                combined = (
-                    np.concatenate([h[:, m], agg[:, k]], axis=1)
-                    if self.concat_skip else agg[:, k]
-                )
-                np.matmul(combined, self.update_weight[m], out=h[:, m])
+            combined = (
+                np.concatenate([h[:, models], agg], axis=2) if self.concat_skip else agg
+            )
+            np.matmul(
+                combined.transpose(1, 0, 2),
+                self.update_weight[models],
+                out=h[:, models].transpose(1, 0, 2),
+            )
         h += self.update_bias
         return np.maximum(h, 0.0, out=h)
 

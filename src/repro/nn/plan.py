@@ -151,80 +151,6 @@ class SegmentPlan:
             counts=counts,
         )
 
-    @classmethod
-    def identity(cls, num_segments: int) -> "SegmentPlan":
-        """The plan of ``segment_ids == arange(n)``: one row per segment.
-
-        This is the self-loop block's schedule (``with_self_loops``
-        appends one ``arange`` edge per node), already sorted — every
-        field is the identity permutation and all counts are one.
-        """
-        ids = np.arange(int(num_segments), dtype=np.int64)
-        return cls(
-            segment_ids=ids,
-            num_segments=int(num_segments),
-            order=ids,
-            starts=ids,
-            present=ids,
-            counts=np.ones(int(num_segments), dtype=np.int64),
-        )
-
-    @classmethod
-    def interleave(
-        cls, plans: "list[SegmentPlan]", num_segments: int
-    ) -> "SegmentPlan":
-        """Merge plans over the **same** segment space, bitwise.
-
-        Where :meth:`concat` stitches plans whose segment ranges are
-        disjoint (a disjoint graph union), ``interleave`` stitches plans
-        that all cover ``[0, num_segments)`` and whose *item* blocks are
-        concatenated in order — the layout of a type-major merged edge
-        list (all edges of type A, then type B, ...) or a self-loop
-        append.  A stable argsort of the concatenated segment ids keeps,
-        within each segment, plan 0's rows (in plan-0 order) before
-        plan 1's, so every sorted position is computable from the
-        per-plan schedules alone: the result — and every reduction run
-        through it — is bit-identical to :meth:`build` on the
-        concatenated ids, without re-sorting anything.
-        """
-        for plan in plans:
-            if plan.num_segments != num_segments:
-                raise ShapeError(
-                    f"interleave needs plans over {num_segments} segments, "
-                    f"got one over {plan.num_segments}"
-                )
-        if not plans:
-            return cls.build(np.empty(0, dtype=np.int64), num_segments)
-        total_counts = np.zeros(num_segments, dtype=np.int64)
-        for plan in plans:
-            total_counts += plan.counts
-        # seg_base[s] = first sorted position of segment s in the merge
-        seg_base = np.zeros(num_segments, dtype=np.int64)
-        np.cumsum(total_counts[:-1], out=seg_base[1:])
-        order = np.empty(int(total_counts.sum()), dtype=np.int64)
-        prior = np.zeros(num_segments, dtype=np.int64)  # rows of earlier plans
-        item_offset = 0
-        for plan in plans:
-            if plan.num_items:
-                sorted_ids = plan.segment_ids[plan.order]
-                # within-segment rank of each sorted row inside its plan
-                ranks = np.arange(plan.num_items, dtype=np.int64) - np.repeat(
-                    plan.starts, plan.counts[plan.present]
-                )
-                positions = seg_base[sorted_ids] + prior[sorted_ids] + ranks
-                order[positions] = plan.order + item_offset
-            prior += plan.counts
-            item_offset += plan.num_items
-        present = np.flatnonzero(total_counts)
-        return cls(
-            segment_ids=np.concatenate([plan.segment_ids for plan in plans]),
-            num_segments=int(num_segments),
-            order=order,
-            starts=seg_base[present],
-            present=present,
-            counts=total_counts,
-        )
-
     def compact(self) -> "SegmentPlan":
         """The same schedule over its non-empty segments only.
 

@@ -95,6 +95,20 @@ def arrays_nbytes(obj, _seen: set | None = None, _depth: int = 0) -> int:
     return 0
 
 
+def _graph_nbytes(graph: "HeteroGraph") -> int:
+    """:func:`arrays_nbytes` of a graph, read from the fields that hold
+    its arrays (the name lists and lookup maps hold none)."""
+    arrays = {
+        id(array): array
+        for array in (
+            *graph.nodes_of_type.values(),
+            *graph.features.values(),
+            *(array for pair in graph.edges.values() for array in pair),
+        )
+    }
+    return sum(int(array.nbytes) for array in arrays.values())
+
+
 class CachedGraph:
     """One cache entry: the built graph plus per-scaler scaled inputs.
 
@@ -117,7 +131,7 @@ class CachedGraph:
         self.released = False
         self._inputs: dict[str, GraphInputs] = {}
         self._lock = threading.Lock()
-        self._nbytes = arrays_nbytes(graph)
+        self._nbytes = _graph_nbytes(graph)
         self._on_grow = on_grow
 
     @property

@@ -14,9 +14,9 @@ Architecture (see ``docs/serving.md``):
   worker accepts on the inherited listener.
 * **Weights** — the parent warm-loads the :class:`ModelRegistry` once,
   publishes every parameter into one shared-memory segment
-  (:mod:`repro.serve.shm`) and adopts the read-only views *before*
-  forking, so workers inherit the mapping and per-worker incremental RSS
-  excludes the model entirely.
+  (:mod:`repro.serve.shm`) at the serving dtype and adopts the read-only
+  views *before* forking, so workers inherit the mapping and per-worker
+  incremental RSS excludes the model entirely.
 * **Cache sharding** — circuit content-hashes are placed on a consistent
   hash ring (:class:`HashRing`); each worker's LRU
   :class:`~repro.serve.cache.GraphCache` only admits fingerprints it
@@ -169,7 +169,7 @@ class PoolConfig:
     queue_depth: int = 128
     threads: int = 2
     timeout_s: float | None = None
-    #: serving compute precision (weights cast at load; float32 default)
+    #: serving compute precision (weights published at it; float32 default)
     dtype: str = "float32"
     shard_cache: bool = True
     ring_replicas: int = 64
@@ -370,7 +370,9 @@ class ServerPool:
     ``models`` is anything :func:`repro.api.create_engine` accepts (a
     saved-model directory, a registry, a mapping, one model).  The parent
     never serves traffic itself; it owns the shared weight segment, the
-    listener strategy and the worker lifecycle.
+    listener strategy and the worker lifecycle.  In-memory models are
+    not copied: :meth:`start` swaps their parameters for read-only views
+    of the segment, at the serving dtype.
     """
 
     def __init__(self, models, *, config: PoolConfig | None = None):
@@ -428,8 +430,6 @@ class ServerPool:
         """Load models, publish weights, bind listeners, fork workers."""
         if self._started:
             return self
-        from repro.api.engine import _coerce_registry
-
         if self.config.metrics_dir is None:
             auto = os.path.join(
                 tempfile.gettempdir(), f"repro-obs-{os.getpid()}"
@@ -437,15 +437,7 @@ class ServerPool:
             self.config = replace(self.config, metrics_dir=auto)
             self._owns_metrics_dir = True
         os.makedirs(self.config.metrics_dir, exist_ok=True)
-
-        # load under the pool's serving precision so the shared-memory
-        # weight arrays every worker maps are already the serving dtype
-        with precision.compute_dtype(self.config.dtype):
-            self.registry = _coerce_registry(self._models)
-        self._published = publish_registry_weights(
-            self.registry, generation=self.generation
-        )
-        adopt_weight_arrays(self.registry, self._published.arrays)
+        self._share_weights()
 
         if self._strategy == "inherit":
             self._shared_listener = _make_listener(
@@ -465,6 +457,25 @@ class ServerPool:
             self._spawn(index, self.generation)
         obs.set_gauge("serve.pool_workers", len(self._workers))
         return self
+
+    def _share_weights(self) -> None:
+        """Load the models and move their weights into a new segment.
+
+        Everything runs under the serving precision: saved models load at
+        it, and every parameter is published at it, so the segment every
+        worker maps holds the serving dtype.  The registered models then
+        hold read-only views of it (an in-memory model is not copied: its
+        own parameters are swapped, so no private copy stays behind for
+        the workers to inherit).
+        """
+        from repro.api.engine import _coerce_registry
+
+        with precision.compute_dtype(self.config.dtype):
+            self.registry = _coerce_registry(self._models)
+            self._published = publish_registry_weights(
+                self.registry, generation=self.generation
+            )
+        adopt_weight_arrays(self.registry, self._published.arrays)
 
     def _next_listener(self) -> tuple[socket.socket, bool]:
         """(listener, parent_closes_after_fork) for the next worker."""
@@ -589,17 +600,10 @@ class ServerPool:
             raise ServeError("pool is not running")
         if not force and not self.stale():
             return False
-        from repro.api.engine import _coerce_registry
-
         old_workers = self.workers()
         old_published = self._published
         self.generation += 1
-        with precision.compute_dtype(self.config.dtype):
-            self.registry = _coerce_registry(self._models)
-        self._published = publish_registry_weights(
-            self.registry, generation=self.generation
-        )
-        adopt_weight_arrays(self.registry, self._published.arrays)
+        self._share_weights()
         for index in range(self.config.workers):
             self._spawn(index, self.generation)
         self._retire(old_workers)

@@ -1,8 +1,8 @@
 """Shared-memory model weights: publish once, map read-only everywhere.
 
-A worker pool must not hold N private copies of the float64 weight
-arrays — one set of bytes should back every process (the shared-trunk
-serving economics from the ParaGate line of work).  This module owns that
+A worker pool must not hold N private copies of the weight arrays — one
+set of bytes should back every process (the shared-trunk serving
+economics from the ParaGate line of work).  This module owns that
 lifecycle:
 
 * :func:`publish_arrays` copies a ``{key: ndarray}`` mapping into **one**
@@ -12,16 +12,21 @@ lifecycle:
   needs to map the same bytes.
 * :func:`attach_arrays` maps a manifest into **read-only** numpy views
   (zero copies; writing raises).
-* :func:`registry_weight_arrays` / :func:`adopt_weight_arrays` bridge to
-  the model zoo: walk every leaf :class:`TargetPredictor` of a
-  :class:`~repro.serve.registry.ModelRegistry` entry and swap each
-  parameter's private array for the shared view, so a forked worker's
-  incremental RSS excludes the weights entirely.
+* :func:`registry_weight_arrays` / :func:`publish_registry_weights` /
+  :func:`adopt_weight_arrays` bridge to the model zoo: walk every leaf
+  :class:`TargetPredictor` of a :class:`~repro.serve.registry.ModelRegistry`
+  entry, publish its parameters at the compute dtype (cast while they are
+  copied into the segment) and swap each parameter's private array for
+  the shared view, so a forked worker's incremental RSS excludes the
+  weights entirely.
 
 The pool's usage (see :mod:`repro.serve.pool`) is publish → adopt →
-fork: children inherit the mapping, so they never even re-attach.  The
-publisher owns the segment; call :meth:`PublishedArrays.unlink` exactly
-once when the generation is retired.
+fork, under the serving dtype: the registered models then hold
+read-only views at that dtype (a float64 model served at float32 keeps
+4 bytes per parameter, in one place), and children inherit the mapping,
+so they never even re-attach.  The publisher owns the segment; call
+:meth:`PublishedArrays.unlink` exactly once when the generation is
+retired.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ServeError
+from repro.nn import precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.registry import ModelRegistry
@@ -224,31 +230,44 @@ def publish_arrays(
     """
     if not arrays:
         raise ServeError("no arrays to publish")
+    arrays = {key: np.asarray(array) for key, array in arrays.items()}
+    return _publish(
+        [(key, array, array.dtype) for key, array in arrays.items()],
+        prefix=prefix,
+        generation=generation,
+    )
+
+
+def _publish(
+    items: list[tuple[str, np.ndarray, np.dtype]], *, prefix: str, generation: int
+) -> PublishedArrays:
+    """Lay out ``(key, array, dtype)`` items in one new segment, each
+    array cast to its *dtype* as it is copied in."""
     specs: list[ArraySpec] = []
     offset = 0
-    for key, array in arrays.items():
-        array = np.ascontiguousarray(array)
+    for key, array, dtype in items:
         offset = _aligned(offset)
+        nbytes = int(array.size * dtype.itemsize)
         specs.append(
             ArraySpec(
                 key=key,
-                dtype=array.dtype.str,
+                dtype=dtype.str,
                 shape=tuple(array.shape),
                 offset=offset,
-                nbytes=int(array.nbytes),
+                nbytes=nbytes,
             )
         )
-        offset += array.nbytes
+        offset += nbytes
     name = f"{prefix}-g{generation}-{os.getpid()}-{secrets.token_hex(4)}"
     shm = shared_memory.SharedMemory(name=name, create=True, size=max(offset, 1))
-    for spec, (key, array) in zip(specs, arrays.items()):
+    for spec, (_, array, _) in zip(specs, items):
         view = np.ndarray(
             spec.shape,
             dtype=np.dtype(spec.dtype),
             buffer=shm.buf,
             offset=spec.offset,
         )
-        view[...] = np.ascontiguousarray(array)
+        view[...] = array
     published = PublishedArrays(shm, specs, generation=generation)
     obs.inc("serve.shm_segments_published_total")
     obs.set_gauge("serve.shm_published_bytes", published.nbytes)
@@ -310,14 +329,20 @@ def registry_weight_arrays(registry: "ModelRegistry") -> dict[str, np.ndarray]:
 def publish_registry_weights(
     registry: "ModelRegistry", *, generation: int = 0
 ) -> PublishedArrays:
-    """Publish every registered model's weights into one shared segment."""
+    """Publish every registered model's weights into one shared segment,
+    at the compute dtype (as loading under it would cast them)."""
     arrays = registry_weight_arrays(registry)
     if not arrays:
         raise ServeError(
             "registry holds no shareable weight arrays (unfitted or "
             "baseline-only models?)"
         )
-    return publish_arrays(arrays, generation=generation)
+    dtype = precision.get_compute_dtype()
+    return _publish(
+        [(key, array, dtype) for key, array in arrays.items()],
+        prefix="repro-weights",
+        generation=generation,
+    )
 
 
 def adopt_weight_arrays(
@@ -325,11 +350,12 @@ def adopt_weight_arrays(
 ) -> int:
     """Swap each registry parameter's private array for its shared view.
 
-    Matches by flat key, and refuses shape/dtype mismatches (a manifest
-    from a different artifact generation must not be half-adopted).
-    Returns the number of parameters adopted; the dropped private copies
-    become garbage, so per-process weight memory collapses onto the one
-    shared segment.
+    Matches by flat key, and refuses shape mismatches (a manifest from a
+    different artifact generation must not be half-adopted).  A parameter
+    takes the shared array's dtype, so weights published at the serving
+    dtype are served at it.  Returns the number of parameters adopted; the
+    dropped private copies become garbage, so per-process weight memory
+    collapses onto the one shared segment.
     """
     adopted = 0
     for entry in registry.entries():
@@ -342,15 +368,10 @@ def adopt_weight_arrays(
                 shared = arrays.get(key)
                 if shared is None:
                     continue
-                if (
-                    shared.shape != param.data.shape
-                    or shared.dtype != param.data.dtype
-                ):
+                if shared.shape != param.data.shape:
                     raise ServeError(
-                        f"shared array {key!r} is "
-                        f"{shared.dtype}{shared.shape}, model wants "
-                        f"{param.data.dtype}{param.data.shape} — stale "
-                        "weight generation?"
+                        f"shared array {key!r} is {shared.shape}, model "
+                        f"wants {param.data.shape} — stale weight generation?"
                     )
                 param.data = shared  # staticcheck: ignore[autodiff-bypass] -- inference-only weight swap onto the shared read-only view; no tape exists in serving
                 adopted += 1

@@ -105,6 +105,42 @@ class TestPredict:
         payload = result.to_json_dict()
         assert payload["targets"]["CAP"]["values"] == result.named("CAP")
 
+    def test_response_bytes_of_a_fixed_result(self):
+        """The wire format of values is pinned: a float32 result goes out
+        as the float64 reprs of its float32 values, names in id order."""
+        import json
+
+        from repro.api.types import (
+            ModelProvenance,
+            PredictionResult,
+            PredictionTiming,
+            TargetPrediction,
+        )
+
+        values = np.array([0.1, -2.5e-15, 3e-39, -0.0, 1e30], dtype=np.float32)
+        result = PredictionResult(
+            circuit="ota",
+            fingerprint="f" * 64,
+            targets={
+                "CAP": TargetPrediction(
+                    "CAP", "net", ("out", "n1", "n2", "vdd", "big"), values, "F"
+                ),
+                "SA": TargetPrediction(
+                    "SA", "device", ("m1",), np.array([1.25e-12]), "m^2"
+                ),
+            },
+            provenance=ModelProvenance(name="m", family="predictor", version="v"),
+            timing=PredictionTiming(),
+        )
+        assert json.dumps(result.to_json_dict()["targets"]) == (
+            '{"CAP": {"kind": "net", "unit": "F", "values": {'
+            '"out": 0.10000000149011612, "n1": -2.499999956129175e-15, '
+            '"n2": 3.000000645916e-39, "vdd": -0.0, '
+            '"big": 1.0000000150474662e+30}}, '
+            '"SA": {"kind": "device", "unit": "m^2", "values": {"m1": 1.25e-12}}}'
+        )
+        assert result.flat()["CAP"]["net:out"] == float(values[0])
+
     def test_qualified_keys(self, engine, tiny_bundle):
         record = tiny_bundle.records("test")[0]
         result = engine.predict(record.circuit, model="multi")
@@ -382,6 +418,32 @@ class TestConstruction:
             result = eng.predict(record.circuit)
             assert sorted(result.targets) == ["CAP"]
             assert eng.targets_of() == ("CAP",)
+
+    def test_float64_model_is_served_as_a_float32_copy(
+        self, api_cap_predictor, tiny_bundle, tmp_path
+    ):
+        """An in-memory model at another dtype is served as a cast copy:
+        its answers are those of the model loaded at the serving dtype,
+        and the caller's parameters stay float64."""
+        params = api_cap_predictor.model.parameters()
+        arrays = [param.data for param in params]
+        assert {array.dtype for array in arrays} == {np.dtype(np.float64)}
+        api_cap_predictor.save(tmp_path / "cap.npz")
+        circuits = [r.circuit for r in tiny_bundle.records("test")]
+        with Engine(api_cap_predictor, config=EngineConfig(dtype="float32")) as eng:
+            served = eng.registry.get().model
+            assert served is not api_cap_predictor
+            assert {p.data.dtype for p in served.model.parameters()} == {
+                np.dtype(np.float32)
+            }
+            got = [eng.predict(circuit).named("CAP") for circuit in circuits]
+        assert all(param.data is array for param, array in zip(params, arrays))
+        with create_engine(str(tmp_path / "cap.npz"), dtype="float32") as eng:
+            assert got == [eng.predict(circuit).named("CAP") for circuit in circuits]
+
+    def test_model_at_the_serving_dtype_is_served_as_is(self, api_cap_predictor):
+        with create_engine(api_cap_predictor, dtype="float64") as eng:
+            assert eng.registry.get().model is api_cap_predictor
 
     def test_engine_config_applied(self, api_cap_predictor):
         eng = Engine(

@@ -1,7 +1,7 @@
 """Mega-batch parity: GraphInputs.merge_graphs vs a hetero-graph merge.
 
 The claim of the mega-batched training path is that the disjoint-union
-of per-graph ``GraphInputs`` (with stitched segment plans) is
+of per-graph ``GraphInputs`` (and every segment plan built over it) is
 **bit-identical** to building inputs from a pre-merged ``HeteroGraph`` —
 construction, forward and backward.  The oracle (``merge_graphs`` +
 ``GraphInputs.from_graph``) is built in the test bodies; training only
@@ -82,55 +82,6 @@ class TestSegmentPlanConcat:
             )
 
 
-class TestSegmentPlanInterleave:
-    def test_identity_matches_build_bitwise(self):
-        for n in (0, 1, 9):
-            _assert_plans_equal(
-                SegmentPlan.identity(n),
-                SegmentPlan.build(np.arange(n, dtype=np.int64), n),
-            )
-
-    def test_interleave_matches_build_bitwise(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            num_segments = int(rng.integers(1, 12))
-            blocks = [
-                rng.integers(0, num_segments, size=rng.integers(0, 25)).astype(
-                    np.int64
-                )
-                for _ in range(int(rng.integers(1, 5)))
-            ]
-            merged = SegmentPlan.interleave(
-                [SegmentPlan.build(ids, num_segments) for ids in blocks],
-                num_segments,
-            )
-            rebuilt = SegmentPlan.build(np.concatenate(blocks), num_segments)
-            _assert_plans_equal(merged, rebuilt)
-            values = rng.normal(size=(merged.num_items, 2))
-            np.testing.assert_array_equal(
-                merged.scatter_add(values), rebuilt.scatter_add(values)
-            )
-
-    def test_interleave_with_identity_block(self):
-        # the self-loop shape: merged edge plan + one loop per node
-        rng = np.random.default_rng(4)
-        n = 8
-        ids = rng.integers(0, n, size=21).astype(np.int64)
-        merged = SegmentPlan.interleave(
-            [SegmentPlan.build(ids, n), SegmentPlan.identity(n)], n
-        )
-        rebuilt = SegmentPlan.build(
-            np.concatenate([ids, np.arange(n, dtype=np.int64)]), n
-        )
-        _assert_plans_equal(merged, rebuilt)
-
-    def test_interleave_rejects_segment_mismatch(self):
-        with pytest.raises(ShapeError):
-            SegmentPlan.interleave(
-                [SegmentPlan.build(np.array([0]), 3)], 4
-            )
-
-
 class TestMergeGraphsConstruction:
     @pytest.fixture(scope="class")
     def both(self, tiny_bundle):
@@ -168,29 +119,22 @@ class TestMergeGraphsConstruction:
         np.testing.assert_array_equal(mega.merged_dst, legacy.merged_dst)
 
     def test_preseeded_plans_bitwise_identical(self, both):
+        """Every plan of the mega-batch equals the graph-level merge's."""
         batch, legacy = both
         mega = batch.inputs
         for edge_type in legacy.edges:
-            # seeded by merge_graphs on one side, built lazily on the other
-            for seeded, built in zip(
+            for merged, built in zip(
                 mega.edge_plans(edge_type), legacy.edge_plans(edge_type)
             ):
-                _assert_plans_equal(seeded, built)
+                _assert_plans_equal(merged, built)
         for type_name, built in legacy.node_type_plans().items():
             _assert_plans_equal(mega.node_type_plans()[type_name], built)
-        # type-major interleaving breaks concat, so these are stitched via
-        # SegmentPlan.interleave — still seeded, still bitwise
-        for key in (
-            "merged_src_plan",
-            "merged_dst_plan",
-            "loop_src_plan",
-            "loop_dst_plan",
-        ):
-            assert key in mega._cache
-        for seeded, built in zip(mega.merged_plans(), legacy.merged_plans()):
-            _assert_plans_equal(seeded, built)
-        for seeded, built in zip(mega.loop_plans(), legacy.loop_plans()):
-            _assert_plans_equal(seeded, built)
+        for merged, built in zip(mega.merged_plans(), legacy.merged_plans()):
+            _assert_plans_equal(merged, built)
+        for merged, built in zip(mega.loop_plans(), legacy.loop_plans()):
+            _assert_plans_equal(merged, built)
+        _assert_plans_equal(mega.type_dst_plan(), legacy.type_dst_plan())
+        _assert_plans_equal(mega.type_node_plan(), legacy.type_node_plan())
 
     def test_offsets_and_sizes(self, both, tiny_bundle):
         batch, _ = both
@@ -236,10 +180,10 @@ class TestMergeGraphsConstruction:
         )
         np.testing.assert_array_equal(batch.inputs.merged_src, legacy.merged_src)
         for edge_type in legacy.edges:
-            for seeded, built in zip(
+            for merged, built in zip(
                 batch.inputs.edge_plans(edge_type), legacy.edge_plans(edge_type)
             ):
-                _assert_plans_equal(seeded, built)
+                _assert_plans_equal(merged, built)
 
 
 class TestForwardBackwardParity:

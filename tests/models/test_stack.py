@@ -123,15 +123,26 @@ class TestStackOutputs:
     def test_mixed_precision_follows_the_taped_layers(
         self, graph_inputs, params, policy
     ):
-        """Weights of one dtype under the other policy: the dense layers
-        multiply in the parameters' dtype and round, as the taped ones do."""
+        """Weights of one dtype under the other policy (``predict_one`` on
+        a float64 model in a float32 block): the stack equals the taped
+        forward of each model cast to the policy's dtype, and leaves the
+        models' own weights as they were."""
         models = [_model(params, seed=seed) for seed in range(2)]
+        cast = []
+        for seed, model in enumerate(models):
+            copy = _model(policy, seed=seed + 10)
+            with compute_dtype(policy):
+                copy.load_state_dict(model.state_dict())
+            cast.append(copy)
         stack = TrunkStack([model.trunk for model in models])
         for inputs in graph_inputs[-3:]:
             stacked = _stacked(stack, inputs, policy)
             assert stacked.dtype == np.dtype(policy)
-            for m, model in enumerate(models):
+            for m, model in enumerate(cast):
                 assert np.array_equal(stacked[:, m], _taped(model, inputs, policy))
+        assert {p.data.dtype for m in models for p in m.parameters()} == {
+            np.dtype(params)
+        }
 
     @pytest.mark.parametrize("attention", [True, False])
     @pytest.mark.parametrize("budget", [1, 3 * DIM * 8 * 40])

@@ -126,6 +126,13 @@ class TestByteBudget:
     byte account and must die with an evicted entry (they used to keep
     evicted graphs alive indefinitely)."""
 
+    def test_graph_bytes_are_every_array_of_the_graph(self, tiny_bundle):
+        from repro.serve.cache import CachedGraph, arrays_nbytes
+
+        for record in tiny_bundle.records("train") + tiny_bundle.records("test"):
+            entry = CachedGraph("key", record.graph)
+            assert entry.nbytes == arrays_nbytes(record.graph) > 0
+
     def test_entry_bytes_grow_with_memoised_inputs(self, circuits,
                                                    tiny_bundle):
         cache = GraphCache()
