@@ -99,8 +99,8 @@ class MergedInputsCache:
         """Merged inputs for a record list, built at most once.
 
         Builds per-record :class:`GraphInputs` and disjoint-unions them
-        through :meth:`GraphInputs.merge_graphs` (segment plans stitched
-        from the per-graph plans).
+        through :meth:`GraphInputs.merge_graphs` (the union builds its
+        segment plans on first use, once per cached entry).
         """
         key = self._key(records, scaler)
         split = self._merged.get(key)
