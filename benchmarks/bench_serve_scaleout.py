@@ -20,7 +20,7 @@ refuses to overwrite a committed multi-core artifact — its numbers
 cannot show scaling, so the honest result stays — and
 ``check_results.py`` treats ``cpu_limited`` artifacts' timing drift as
 advisory.  Worker RSS is recorded
-per configuration to show the shared-memory weights doing their job: the
+per configuration to show the copy-on-write weights doing their job: the
 incremental per-worker footprint stays far below a private weight copy.
 """
 

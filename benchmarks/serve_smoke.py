@@ -13,8 +13,8 @@ fleet totals disagree with the sum of the per-worker metrics files under
 ``pool.metrics_dir``, or when ``repro obs top --once --json`` does not
 report exactly one row per live worker.  The pool starts from an
 in-memory float64 predictor and serves at float32, so it also fails
-unless the parent's ``serve.shm_published_bytes`` gauge reads 4 bytes per
-parameter.
+unless every GNN parameter of ``pool.registry`` is a read-only float32
+array, 4 bytes per parameter in all.
 
 Usage::
 
@@ -116,23 +116,35 @@ def check_telemetry(pool, before: dict, after: dict, workers: int) -> list:
     return problems
 
 
-def check_published_bytes(parameters: int) -> list:
-    """The shared segment must hold the weights at the serving float32."""
-    from repro import obs
+def check_served_weights(pool, parameters: int) -> list:
+    """The weights the workers inherit: every GNN parameter of the pool's
+    registry a read-only float32 array, 4 bytes per parameter in all."""
+    import numpy as np
 
-    published = next(
-        (
-            row["value"] for row in obs.registry().snapshot()
-            if row["name"] == "serve.shm_published_bytes"
-        ),
-        None,
-    )
-    if published != 4 * parameters:
-        return [
-            f"shared weight segment holds {published} bytes for "
-            f"{parameters} parameters, want 4 per parameter (float32)"
-        ]
-    return []
+    from repro.api.engine import _parameters
+
+    params = [
+        param
+        for entry in pool.registry.entries()
+        for param in _parameters(entry.model)
+    ]
+    problems = []
+    loose = [
+        param for param in params
+        if param.data.dtype != np.float32 or param.data.flags.writeable
+    ]
+    if loose:
+        problems.append(
+            f"{len(loose)} of {len(params)} served parameters are not "
+            "read-only float32 arrays"
+        )
+    held = sum(param.data.nbytes for param in params)
+    if held != 4 * parameters:
+        problems.append(
+            f"served weights hold {held} bytes for {parameters} "
+            "parameters, want 4 per parameter (float32)"
+        )
+    return problems
 
 
 def main(argv=None) -> int:
@@ -172,7 +184,9 @@ def main(argv=None) -> int:
         print(f"serve-smoke: pool failed to start: {error!r}")
         return 2
 
-    failures: list = check_published_bytes(predictor.model.num_parameters())
+    failures: list = check_served_weights(
+        pool, predictor.model.num_parameters()
+    )
     statuses: dict = {}
     lock = threading.Lock()
     remaining = list(range(args.requests))

@@ -24,14 +24,13 @@ which the same-shape ParaGraph trunks of a call run as one
 
 from __future__ import annotations
 
-import threading
 import weakref
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
-from repro import obs
+from repro import forksafe, obs
 from repro.errors import ApiError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -198,7 +197,7 @@ _stacks: dict[int, tuple[int, OrderedDict]] = {}
 #: A leaf lock, taken inside ``Engine._group_lock``.  Reentrant because
 #: the finalizer may run, from garbage collection, in a thread that
 #: already holds it.
-_stacks_lock = threading.RLock()
+_stacks_lock = forksafe.RLock()
 
 
 def _stack(owner, predictors, trunks) -> "TrunkStack":
@@ -235,15 +234,6 @@ def _stack(owner, predictors, trunks) -> "TrunkStack":
 def _forget_stacks(owner_id: int) -> None:
     with _stacks_lock:
         _stacks.pop(owner_id, None)
-
-
-def _reinit_after_fork() -> None:
-    """A fresh stacks lock in a forked child: a parent thread may have
-    held it at the fork.  The stacks are kept (the child serves the
-    parent's models).  ``ModelRegistry.reinit_after_fork`` calls this
-    while the child is still single-threaded."""
-    global _stacks_lock
-    _stacks_lock = threading.RLock()
 
 
 class PredictorAdapter:

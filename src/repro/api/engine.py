@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import copy
 import os
-import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from repro import obs
+from repro import forksafe, obs
 from repro.api.adapters import GraphWork, make_adapter
 from repro.nn import precision
 from repro.api.types import (
@@ -107,8 +106,8 @@ class Engine:
             else GraphCache(max_entries=self.config.cache_size)
         )
         self._executor: BatchExecutor | None = None
-        self._executor_lock = threading.Lock()
-        self._group_lock = threading.Lock()  # one group at a time
+        self._executor_lock = forksafe.Lock()
+        self._group_lock = forksafe.Lock()  # one group at a time
 
     # ------------------------------------------------------------------
     # Public surface
@@ -437,12 +436,39 @@ def _coerce_registry(models) -> "ModelRegistry":
     return registry
 
 
+def _leaf_predictors(model):
+    """Every GNN :class:`TargetPredictor` of *model*, once each.
+
+    Walks each registered model family: a single predictor (one head or
+    many), a multi-target suite (a predictor answering for several of
+    its targets is yielded once) and a capacitance ensemble.  Families
+    without GNN weights (classical baselines) yield nothing.
+    """
+    from repro.models.trainer import TargetPredictor
+
+    if isinstance(model, TargetPredictor):
+        yield model
+        return
+    predictors = getattr(model, "predictors", None)
+    if isinstance(predictors, dict):  # MultiTargetModel
+        seen: set[int] = set()
+        for target in sorted(predictors):
+            if id(predictors[target]) not in seen:
+                seen.add(id(predictors[target]))
+                yield from _leaf_predictors(predictors[target])
+        return
+    members = getattr(model, "models", None)
+    if isinstance(members, list):  # CapacitanceEnsemble
+        for member in members:
+            predictor = getattr(member, "predictor", None)
+            if predictor is not None:
+                yield from _leaf_predictors(predictor)
+
+
 def _parameters(model):
     """The parameters of every GNN leaf of *model* (none for baselines
     and custom adapters)."""
-    from repro.serve.shm import _leaf_predictors
-
-    for _, predictor in _leaf_predictors(model):
+    for predictor in _leaf_predictors(model):
         if predictor.model is not None:
             yield from predictor.model.parameters()
 
@@ -451,7 +477,7 @@ def _at_dtype(registry: "ModelRegistry", dtype) -> "ModelRegistry":
     """*registry* with every model's weights at *dtype*.
 
     Returns *registry* itself when they already are (a saved model loaded
-    under the serving policy, or the pool's adopted shared views).
+    under the serving policy, or a pool's cast weights).
     Otherwise returns a new registry, with the same names, paths and
     versions, that serves a cast copy of each model at another dtype;
     the caller's registry and models are left as they are.

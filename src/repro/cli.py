@@ -48,12 +48,10 @@ Subcommands::
                           [--baseline FILE] [--no-baseline]
                           [--update-baseline] [--format json]
                           [--verbose] [--list-rules]
-        Run the repo-aware static checks.  With no paths: all six rules,
-        the five AST lint rules over ``src/repro`` plus the whole-program
-        ``fork-safety`` rule.  With paths: the lint rules over those
-        files.  Exit 0 when clean, 1 when there are new findings (or stale
-        baseline entries under ``--fail-stale``), 2 on usage or
-        configuration errors.
+        Run the repo-aware static checks: the five AST lint rules over
+        ``src/repro``, or over the given files.  Exit 0 when clean, 1
+        when there are new findings (or stale baseline entries under
+        ``--fail-stale``), 2 on usage or configuration errors.
 
 Every subcommand additionally accepts ``--trace out.json`` (write a Chrome
 ``trace_event`` file loadable in Perfetto / chrome://tracing) and
@@ -433,15 +431,14 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.errors import StaticCheckError
-    from repro.staticcheck import render_json, render_text, run_lint, run_project
+    from repro.staticcheck import render_json, render_text, run_lint
     from repro.staticcheck.baseline import Baseline, write_baseline
     from repro.staticcheck.runner import default_baseline_path
 
     if args.list_rules:
         from repro.staticcheck import all_rules
-        from repro.staticcheck.fork_safety import ForkSafetyRule
 
-        for rule in [*all_rules(), ForkSafetyRule()]:
+        for rule in all_rules():
             print(f"{rule.name:18s} [{rule.severity.value}] {rule.description}")
         return 0
 
@@ -459,21 +456,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    use_baseline = not args.no_baseline
     try:
-        if paths is None:
-            result = run_project(
-                rule_names=selected,
-                baseline_path=args.baseline,
-                use_baseline=use_baseline,
-            )
-        else:
-            result = run_lint(
-                paths=paths,
-                rule_names=selected,
-                baseline_path=args.baseline,
-                use_baseline=use_baseline,
-            )
+        result = run_lint(
+            paths=paths,
+            rule_names=selected,
+            baseline_path=args.baseline,
+            use_baseline=not args.no_baseline,
+        )
     except StaticCheckError as exc:
         print(f"repro check: {exc}", file=sys.stderr)
         return 2
@@ -620,8 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--workers", type=int, default=2,
                          help="micro-batching executor threads per process")
     p_serve.add_argument("--procs", type=int, default=1,
-                         help="worker processes; >1 forks a shared-memory "
-                              "pool behind one port")
+                         help="worker processes; >1 forks a pool behind "
+                              "one port")
     p_serve.add_argument("--max-batch", type=int, default=16,
                          help="max requests merged into one forward pass")
     p_serve.add_argument("--queue-depth", type=int, default=128,
@@ -655,12 +644,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_check = sub.add_parser(
-        "check", help="run the static analysis rules (lint + fork-safety)"
+        "check", help="run the static analysis lint rules"
     )
     p_check.add_argument("paths", nargs="*",
                          help="specific files to lint (default: all of "
-                              "src/repro, plus the whole-program fork-safety "
-                              "rule)")
+                              "src/repro)")
     p_check.add_argument("--rules", default=None, metavar="R1,R2",
                          help="comma-separated rule names; see --list-rules")
     p_check.add_argument("--baseline", default=None, metavar="FILE",

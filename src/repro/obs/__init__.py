@@ -57,7 +57,7 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "ObsTrainCallback", "SpanRecord", "Tracer", "DEFAULT_BUCKETS",
     "AccessLog", "current_request_id", "new_request_id", "request_context",
-    "enable", "disable", "is_enabled", "reset", "reinit_after_fork",
+    "enable", "disable", "is_enabled", "reset",
     "span", "traced",
     "enable_metrics", "disable_metrics", "metrics_enabled",
     "inc", "set_gauge", "observe", "tracer", "registry",
@@ -128,19 +128,19 @@ def reset() -> None:
     _REGISTRY.reset()
 
 
-def reinit_after_fork() -> None:
-    """Make the obs singletons safe in a freshly forked child process.
+def _forget_mirror() -> None:
+    """Detach an inherited metrics mirror in a forked child.
 
-    The parent may fork while other threads hold the tracer or registry
-    locks — those threads do not exist in the child, so an inherited
-    held lock deadlocks forever; the tracer's ``threading.local`` slot
-    likewise carries the parent's active span stack, and an inherited
-    metrics mirror would double-write the parent's mmap file.  Call this
-    first thing on the child path, while it is still single-threaded
-    (``repro.serve.pool`` does).
+    A mirror writes the parent's mmap metrics file, and two processes
+    writing one file corrupt the merged fleet view; a pool worker
+    attaches its own.  The registry lock is free here: ``repro.forksafe``
+    registered its hook first (``obs.metrics`` imports it), and
+    after-in-child hooks run in registration order.
     """
-    _TRACER.reinit_after_fork()
-    _REGISTRY.reinit_after_fork()
+    _REGISTRY.detach_mirror()
+
+
+os.register_at_fork(after_in_child=_forget_mirror)
 
 
 # ----------------------------------------------------------------------

@@ -13,9 +13,9 @@ threads; reads (``snapshot``/``render``) take the same lock briefly.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
+from repro import forksafe
 from repro.analysis.tables import render_table
 
 #: Default histogram bucket upper bounds (seconds-flavoured but generic).
@@ -128,7 +128,7 @@ class MetricsRegistry:
     """Create-on-first-use store of named metrics."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = forksafe.Lock()
         self._metrics: dict[tuple, object] = {}
         self._mirror = None
 
@@ -151,18 +151,6 @@ class MetricsRegistry:
         with self._lock:
             mirror, self._mirror = self._mirror, None
             return mirror
-
-    def reinit_after_fork(self) -> None:
-        """Make this registry safe in a freshly forked child.
-
-        Replaces the lock (the parent may have forked while another
-        thread held it) and drops any inherited mirror — a mirror wraps
-        the *parent's* mmap metrics file, and two processes writing one
-        file corrupts the merged fleet view; the child attaches its own.
-        Only call while the child is still single-threaded.
-        """
-        self._lock = threading.Lock()
-        self._mirror = None
 
     def _get(self, kind, name: str, labels: dict | None, **kwargs):
         key = (kind.__name__, name, _label_key(labels or {}))

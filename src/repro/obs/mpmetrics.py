@@ -36,10 +36,10 @@ import json
 import math
 import os
 import struct
-import threading
 import time
 from dataclasses import dataclass, field
 
+from repro import forksafe
 from repro.errors import ObsError
 from repro.obs.metrics import Counter, Gauge, Histogram
 
@@ -137,7 +137,7 @@ class MetricsFileWriter:
             self.directory, metrics_file_name(self.pid, self.generation)
         )
         self.dropped = 0  # metrics we could not mirror (full/oversized meta)
-        self._lock = threading.Lock()
+        self._lock = forksafe.Lock()
         self._slots: dict[tuple, int] = {}
         self._seq = 0
         self._closed = False

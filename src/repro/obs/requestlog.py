@@ -20,8 +20,9 @@ import contextvars
 import io
 import json
 import os
-import threading
 import uuid
+
+from repro import forksafe
 
 _REQUEST_ID: contextvars.ContextVar[str | None] = contextvars.ContextVar(
     "repro_request_id", default=None
@@ -65,7 +66,7 @@ class AccessLog:
 
     def __init__(self, sink=None, *, slow_s: float = 0.25):
         self.slow_s = float(slow_s)
-        self._lock = threading.Lock()
+        self._lock = forksafe.Lock()
         self._owns_stream = False
         if sink is None or isinstance(sink, io.IOBase) or hasattr(sink, "write"):
             self._stream = sink

@@ -27,6 +27,7 @@ import time
 import tracemalloc
 from dataclasses import dataclass, field
 
+from repro import forksafe
 from repro.obs.requestlog import current_request_id
 
 try:  # pragma: no cover - resource is POSIX-only
@@ -173,10 +174,10 @@ class Tracer:
         self._enabled = False
         self._memory = False
         self._started_tracemalloc = False
-        self._lock = threading.Lock()
+        self._lock = forksafe.Lock()
         self._spans: list[SpanRecord] = []
         self._next_id = 1
-        self._local = threading.local()
+        self._local = forksafe.local()
 
     # ------------------------------------------------------------------
     def _stack(self) -> list:
@@ -211,19 +212,6 @@ class Tracer:
         with self._lock:
             self._spans = []
             self._next_id = 1
-
-    def reinit_after_fork(self) -> None:
-        """Make this tracer safe in a freshly forked child.
-
-        The child inherits the parent's lock (possibly held by a parent
-        thread that does not exist here — instant deadlock) and the
-        forking thread's ``threading.local`` slot (the parent's *active
-        span stack* — child spans would nest under parent spans).  Both
-        are replaced wholesale.  Only call while the child is still
-        single-threaded.
-        """
-        self._lock = threading.Lock()
-        self._local = threading.local()
 
     # ------------------------------------------------------------------
     def span(self, name: str, **attrs):

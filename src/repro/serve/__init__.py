@@ -7,11 +7,10 @@ graphs + scaled features keyed by circuit content hash),
 backpressure) and :class:`PredictionServer` (stdlib JSON-over-HTTP
 ``/predict`` + ``/healthz`` + ``/metrics``).
 
-Scale-out lives in :mod:`repro.serve.pool` / :mod:`repro.serve.shm`:
-:class:`ServerPool` pre-forks N worker processes behind one port, every
-worker mapping the same published shared-memory weight segment read-only
-and owning one consistent-hash shard of the graph-cache keyspace; see
-``docs/serving.md``.
+Scale-out lives in :mod:`repro.serve.pool`: :class:`ServerPool` pre-forks
+N worker processes behind one port, every worker reading the parent's
+read-only weights copy-on-write and owning one consistent-hash shard of
+the graph-cache keyspace; see ``docs/serving.md``.
 
 Exports resolve lazily (PEP 562); see :mod:`repro.api` for why.
 """
@@ -35,12 +34,6 @@ __all__ = [
     "HashRing",
     "ShardedGraphCache",
     "create_pool",
-    "publish_arrays",
-    "attach_arrays",
-    "publish_registry_weights",
-    "adopt_weight_arrays",
-    "PublishedArrays",
-    "AttachedArrays",
     "ServeError",
     "ServeOverloadedError",
     "ServeTimeoutError",
@@ -63,12 +56,6 @@ _EXPORTS = {
     "HashRing": "repro.serve.pool",
     "ShardedGraphCache": "repro.serve.pool",
     "create_pool": "repro.serve.pool",
-    "publish_arrays": "repro.serve.shm",
-    "attach_arrays": "repro.serve.shm",
-    "publish_registry_weights": "repro.serve.shm",
-    "adopt_weight_arrays": "repro.serve.shm",
-    "PublishedArrays": "repro.serve.shm",
-    "AttachedArrays": "repro.serve.shm",
     "ServeError": "repro.errors",
     "ServeOverloadedError": "repro.errors",
     "ServeTimeoutError": "repro.errors",

@@ -25,13 +25,12 @@ through the ``repro.obs`` counters ``serve.graph_cache_hits_total`` /
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import obs
+from repro import forksafe, obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.types import PredictionRequest
@@ -130,7 +129,7 @@ class CachedGraph:
         self.graph = graph
         self.released = False
         self._inputs: dict[str, GraphInputs] = {}
-        self._lock = threading.Lock()
+        self._lock = forksafe.Lock()
         self._nbytes = _graph_nbytes(graph)
         self._on_grow = on_grow
 
@@ -204,7 +203,7 @@ class GraphCache:
         self.max_bytes = max_bytes
         self._entries: OrderedDict[str, CachedGraph] = OrderedDict()
         self._by_text: OrderedDict[bytes, str] = OrderedDict()
-        self._lock = threading.RLock()
+        self._lock = forksafe.RLock()
         self._bytes = 0
         self.hits = 0
         self.text_hits = 0  # the hits that skipped parse and fingerprint

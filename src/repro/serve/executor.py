@@ -25,7 +25,7 @@ from collections import deque
 from concurrent.futures import Future
 from typing import Any, Callable, Sequence
 
-from repro import obs
+from repro import forksafe, obs
 from repro.errors import ServeError, ServeOverloadedError, ServeTimeoutError
 
 #: Histogram buckets for micro-batch sizes.
@@ -91,7 +91,7 @@ class BatchExecutor:
         self.timeout_s = timeout_s
         self.name = name
         self._queue: deque[_Item] = deque()
-        self._cond = threading.Condition()
+        self._cond = forksafe.Condition()
         self._closed = False
         self._threads = [
             threading.Thread(

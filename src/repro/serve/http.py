@@ -26,6 +26,8 @@ a ``Content-Length`` over :data:`MAX_BODY_BYTES` or more ``items`` than
 the engine's ``queue_depth`` → 413, queue backpressure → 429 (with a
 ``Retry-After`` hint), queued-too-long → 504, anything else → 500.  A body length that is not a non-negative integer, or too large, is
 answered before any of the body is read, and the connection is closed.
+A connection that sits idle, or stalls mid-request, for
+:data:`IDLE_TIMEOUT_S` is closed (a stalled body is answered 408 first).
 Only the standard library is used, so any HTTP client — including
 :mod:`urllib.request` — can drive it.
 """
@@ -41,7 +43,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlsplit
 
-from repro import obs
+from repro import forksafe, obs
 from repro.api.types import PredictionOptions, PredictionRequest
 from repro.errors import (
     ApiError,
@@ -60,6 +62,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Largest ``/predict`` body accepted, in bytes.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+#: Seconds a connection may wait between requests, or for the rest of
+#: one, before it is closed.  Well below a pool's drain timeout, since a
+#: draining worker waits for every open connection's handler thread.
+IDLE_TIMEOUT_S = 5.0
 
 
 def request_from_json(payload: dict) -> PredictionRequest:
@@ -94,6 +100,8 @@ class _Handler(BaseHTTPRequestHandler):
     access_log = None  # an AccessLog, or None
 
     protocol_version = "HTTP/1.1"
+    # the per-connection socket timeout of StreamRequestHandler
+    timeout = IDLE_TIMEOUT_S
     # Responses leave in one write (see _send_body); with Nagle's algorithm
     # off, a small one is not held back waiting for the client's ACK.
     disable_nagle_algorithm = True
@@ -248,7 +256,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(404, ApiError(f"no route {path!r}"))
 
     def _read_body(self) -> bytes | None:
-        """The request body, or None once a bad length has been answered.
+        """The request body, or None once a bad length, or a body that
+        stalls for :data:`IDLE_TIMEOUT_S`, has been answered.
 
         The length is checked before anything is read: a negative one
         would read until the client closes, a huge one would be buffered
@@ -261,8 +270,13 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if 0 <= length <= MAX_BODY_BYTES:
-            return self.rfile.read(length)
-        if length < 0:
+            try:
+                return self.rfile.read(length)
+            except TimeoutError:
+                status, message = 408, (
+                    f"request body not received within {self.timeout:g} s"
+                )
+        elif length < 0:
             status, message = 400, f"invalid Content-Length {raw!r}"
         else:
             status, message = 413, (
@@ -402,7 +416,7 @@ class PredictionServer:
         self._server.daemon_threads = daemon_threads
         self._server.block_on_close = not daemon_threads
         self._thread: threading.Thread | None = None
-        self._lock = threading.Lock()
+        self._lock = forksafe.Lock()
         self._state = "new"  # new -> serving -> closed
 
     @property

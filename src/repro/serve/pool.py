@@ -12,11 +12,14 @@ Architecture (see ``docs/serving.md``):
   own listening socket bound to the same address and the kernel spreads
   accepts across them; elsewhere the parent binds once pre-fork and every
   worker accepts on the inherited listener.
-* **Weights** — the parent warm-loads the :class:`ModelRegistry` once,
-  publishes every parameter into one shared-memory segment
-  (:mod:`repro.serve.shm`) at the serving dtype and adopts the read-only
-  views *before* forking, so workers inherit the mapping and per-worker
-  incremental RSS excludes the model entirely.
+* **Weights** — the parent warm-loads the :class:`ModelRegistry` once
+  and gives every parameter a read-only copy of its array at the serving
+  dtype *before* forking.  Workers inherit those pages copy-on-write and
+  never write them, so all of them read the parent's one copy.
+* **Locks** — every lock and thread-local of the serving stack comes
+  from :mod:`repro.forksafe`, which makes each one free and empty in a
+  forked child, so a worker starts with usable locks whatever the
+  parent's other threads held at the fork.
 * **Cache sharding** — circuit content-hashes are placed on a consistent
   hash ring (:class:`HashRing`); each worker's LRU
   :class:`~repro.serve.cache.GraphCache` only admits fingerprints it
@@ -24,12 +27,11 @@ Architecture (see ``docs/serving.md``):
   keyspace instead of holding N copies.
 * **Drain / reload** — SIGTERM makes a worker stop accepting, finish
   in-flight requests, flush its :class:`BatchExecutor` and exit;
-  :meth:`ServerPool.reload` detects artifact version bumps, publishes a
+  :meth:`ServerPool.reload` detects artifact version bumps, loads a
   new weight generation, starts replacement workers and only then
   retires the old ones (zero dropped requests).
 
-Everything is stdlib: ``os.fork``, ``socket``, ``signal``,
-``multiprocessing.shared_memory``.
+Everything is stdlib: ``os.fork``, ``socket``, ``signal``.
 """
 
 from __future__ import annotations
@@ -45,17 +47,12 @@ import threading
 import time
 from dataclasses import dataclass, replace
 
-from repro import obs
+from repro import forksafe, obs
 from repro.errors import ServeError
 from repro.nn import precision
 from repro.obs import mpmetrics
 from repro.serve.cache import GraphCache
 from repro.serve.registry import ModelRegistry, artifact_version
-from repro.serve.shm import (
-    PublishedArrays,
-    adopt_weight_arrays,
-    publish_registry_weights,
-)
 
 #: Seconds a draining worker gets before SIGKILL.
 DEFAULT_DRAIN_TIMEOUT_S = 15.0
@@ -160,8 +157,6 @@ class PoolConfig:
     workers: int = 2
     host: str = "127.0.0.1"
     port: int = 0
-    #: "auto" | "reuseport" | "inherit"
-    strategy: str = "auto"
     #: per-worker engine sizing (threads = BatchExecutor workers)
     cache_size: int = 256
     cache_bytes: int | None = None
@@ -169,10 +164,8 @@ class PoolConfig:
     queue_depth: int = 128
     threads: int = 2
     timeout_s: float | None = None
-    #: serving compute precision (weights published at it; float32 default)
+    #: serving compute precision (weights cast to it; float32 default)
     dtype: str = "float32"
-    shard_cache: bool = True
-    ring_replicas: int = 64
     drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S
     quiet: bool = True
     #: directory for per-worker mmap metrics files (None = auto temp dir,
@@ -190,16 +183,6 @@ class WorkerInfo:
     pid: int
     generation: int
     listener: socket.socket | None = None  # reuseport: this worker's socket
-
-
-def _resolve_strategy(strategy: str) -> str:
-    if strategy == "auto":
-        return "reuseport" if hasattr(socket, "SO_REUSEPORT") else "inherit"
-    if strategy not in ("reuseport", "inherit"):
-        raise ServeError(f"unknown listener strategy {strategy!r}")
-    if strategy == "reuseport" and not hasattr(socket, "SO_REUSEPORT"):
-        raise ServeError("SO_REUSEPORT is not available on this platform")
-    return strategy
 
 
 def _make_listener(host: str, port: int, *, reuseport: bool) -> socket.socket:
@@ -242,27 +225,20 @@ def _child_main(
         from repro.api.engine import Engine, EngineConfig
         from repro.serve.http import PredictionServer
 
-        # The parent may fork while *other* threads (test harness,
-        # telemetry) hold the obs or registry locks; those threads do not
-        # exist in this child, so every inherited lock / threading.local
-        # must be replaced while we are still single-threaded.  The
-        # `fork-safety` whole-program check verifies this covers every
-        # lock-owning object that crosses the fork.
-        obs.reinit_after_fork()
-        registry.reinit_after_fork()
+        # Inherited locks are free and thread-locals empty here, whatever
+        # the parent's other threads held at the fork (repro.forksafe).
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent drives shutdown
         term_early = {"hit": False}
         signal.signal(
             signal.SIGTERM, lambda *_: term_early.__setitem__("hit", True)
         )
 
-        if config.shard_cache and config.workers > 1:
+        if config.workers > 1:
             cache: GraphCache = ShardedGraphCache(
                 index,
                 config.workers,
                 max_entries=config.cache_size,
                 max_bytes=config.cache_bytes,
-                ring=HashRing(config.workers, replicas=config.ring_replicas),
             )
         else:
             cache = GraphCache(
@@ -369,10 +345,10 @@ class ServerPool:
 
     ``models`` is anything :func:`repro.api.create_engine` accepts (a
     saved-model directory, a registry, a mapping, one model).  The parent
-    never serves traffic itself; it owns the shared weight segment, the
-    listener strategy and the worker lifecycle.  In-memory models are
-    not copied: :meth:`start` swaps their parameters for read-only views
-    of the segment, at the serving dtype.
+    never serves traffic itself; it owns the weights the workers inherit,
+    the listeners and the worker lifecycle.  In-memory models are not
+    copied: :meth:`start` replaces each of their parameters' arrays with
+    a read-only copy at the serving dtype.
     """
 
     def __init__(self, models, *, config: PoolConfig | None = None):
@@ -384,12 +360,13 @@ class ServerPool:
         self._models = models
         self.registry = None  # parent's warm copy, populated by start()
         self.generation = 0
-        self._published: PublishedArrays | None = None
-        self._strategy = _resolve_strategy(self.config.strategy)
+        self._strategy = (
+            "reuseport" if hasattr(socket, "SO_REUSEPORT") else "inherit"
+        )
         self._shared_listener: socket.socket | None = None  # inherit mode
         self._port: int | None = None
         self._workers: list[WorkerInfo] = []
-        self._lock = threading.Lock()
+        self._lock = forksafe.Lock()
         self._started = False
         self._stopped = False
         self._owns_metrics_dir = False
@@ -427,9 +404,10 @@ class ServerPool:
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ServerPool":
-        """Load models, publish weights, bind listeners, fork workers."""
+        """Load models, cast their weights, bind listeners, fork workers."""
         if self._started:
             return self
+        self._share_weights()  # first: a refused registry leaves nothing
         if self.config.metrics_dir is None:
             auto = os.path.join(
                 tempfile.gettempdir(), f"repro-obs-{os.getpid()}"
@@ -437,12 +415,15 @@ class ServerPool:
             self.config = replace(self.config, metrics_dir=auto)
             self._owns_metrics_dir = True
         os.makedirs(self.config.metrics_dir, exist_ok=True)
-        self._share_weights()
 
         if self._strategy == "inherit":
             self._shared_listener = _make_listener(
                 self.config.host, self.config.port, reuseport=False
             )
+            # every worker wakes for each connection; the ones that lose
+            # the accept must return to their serve loop (and see a drain)
+            # instead of blocking in accept
+            self._shared_listener.setblocking(False)
             self._port = self._shared_listener.getsockname()[1]
         else:
             # resolve an ephemeral port once; every worker rebinds it
@@ -459,23 +440,30 @@ class ServerPool:
         return self
 
     def _share_weights(self) -> None:
-        """Load the models and move their weights into a new segment.
+        """Load the models and give every GNN parameter a read-only copy
+        of its array at the serving dtype.
 
-        Everything runs under the serving precision: saved models load at
-        it, and every parameter is published at it, so the segment every
-        worker maps holds the serving dtype.  The registered models then
-        hold read-only views of it (an in-memory model is not copied: its
-        own parameters are swapped, so no private copy stays behind for
-        the workers to inherit).
+        Saved models load under the serving precision.  An in-memory
+        model is not copied: its parameters' arrays are replaced, so no
+        array at another dtype stays behind for the workers to inherit.
+        Workers share these pages copy-on-write, and a stray write raises
+        instead of giving one worker a private copy.  A reload's new
+        arrays replace the old ones, which are freed with their last
+        reference.
         """
-        from repro.api.engine import _coerce_registry
+        from repro.api.engine import _coerce_registry, _parameters
 
-        with precision.compute_dtype(self.config.dtype):
-            self.registry = _coerce_registry(self._models)
-            self._published = publish_registry_weights(
-                self.registry, generation=self.generation
-            )
-        adopt_weight_arrays(self.registry, self._published.arrays)
+        dtype = precision.resolve_dtype(self.config.dtype)
+        with precision.compute_dtype(dtype):
+            registry = _coerce_registry(self._models)
+        if not registry:
+            raise ServeError("ServerPool has no models to serve")
+        for entry in registry.entries():
+            for param in _parameters(entry.model):
+                data = param.data.astype(dtype)
+                data.flags.writeable = False
+                param.data = data  # staticcheck: ignore[autodiff-bypass] -- inference-only weights the workers inherit; no tape exists in serving
+        self.registry = registry
 
     def _next_listener(self) -> tuple[socket.socket, bool]:
         """(listener, parent_closes_after_fork) for the next worker."""
@@ -591,24 +579,21 @@ class ServerPool:
         """Roll the pool onto freshly loaded artifacts.
 
         No-op (returns False) when nothing changed and ``force`` is not
-        set.  Otherwise: load a new registry, publish a new weight
-        generation, start replacement workers, then SIGTERM-drain the old
-        generation and unlink its segment.  Old and new workers overlap
-        briefly, so the pool never stops answering.
+        set.  Otherwise: load a new registry at the serving dtype, start
+        replacement workers, then SIGTERM-drain the old generation.  Old
+        and new workers overlap briefly, so the pool never stops
+        answering.
         """
         if not self._started or self._stopped:
             raise ServeError("pool is not running")
         if not force and not self.stale():
             return False
         old_workers = self.workers()
-        old_published = self._published
         self.generation += 1
         self._share_weights()
         for index in range(self.config.workers):
             self._spawn(index, self.generation)
         self._retire(old_workers)
-        if old_published is not None:
-            old_published.unlink()
         obs.inc("serve.pool_reloads_total")
         obs.set_gauge("serve.pool_workers", len(self.workers()))
         return True
@@ -656,9 +641,6 @@ class ServerPool:
         if first is not None:
             first.close()
             self._first_listener = None
-        if self._published is not None:
-            self._published.unlink()
-            self._published = None
         directory = self.config.metrics_dir
         if directory and os.path.isdir(directory):
             # every worker has exited; drop leftover files (crashed

@@ -27,7 +27,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro import obs
+from repro import forksafe, obs
 from repro.errors import ApiError
 
 #: Hex digits kept from the SHA-256 artifact digest.
@@ -99,7 +99,7 @@ class ModelRegistry:
 
     _entries: dict[str, RegistryEntry] = field(default_factory=dict)
     _lock: threading.RLock = field(
-        default_factory=threading.RLock, repr=False, compare=False
+        default_factory=forksafe.RLock, repr=False, compare=False
     )
 
     # ------------------------------------------------------------------
@@ -215,22 +215,6 @@ class ModelRegistry:
         with self._lock:
             snapshot = [self._entries[name] for name in sorted(self._entries)]
         yield from snapshot
-
-    def reinit_after_fork(self) -> None:
-        """Make this registry safe in a freshly forked child.
-
-        The lock may have been held by a parent thread at fork time;
-        that thread does not exist in the child, so the inherited lock
-        would deadlock on first use.  Entries are shared state by design
-        (the child serves the parent's adopted shared-memory weights)
-        and are kept, and so are their models' trunk stacks, whose lock
-        is renewed too.  Only call while the child is still
-        single-threaded.
-        """
-        from repro.api import adapters
-
-        self._lock = threading.RLock()
-        adapters._reinit_after_fork()
 
     def describe(self) -> list[dict]:
         """JSON-ready summary rows (the ``/healthz`` model inventory)."""

@@ -1,20 +1,16 @@
 """``repro.staticcheck`` — repo-aware static analysis.
 
-Six rules guard the invariants the runtime stack depends on (see
-``docs/static-analysis.md``):
+Five rules guard the invariants the runtime stack depends on (see
+``docs/static-analysis.md``): an AST **lint engine**
+(:mod:`repro.staticcheck.engine`) runs autodiff-bypass, precision-policy,
+determinism, concurrency and api-surface over each module, with per-line
+``# staticcheck: ignore[rule]`` pragmas and a committed baseline for
+grandfathered findings.
 
-* an AST **lint engine** (:mod:`repro.staticcheck.engine`) running five
-  per-module rules — autodiff-bypass, precision-policy, determinism,
-  concurrency, api-surface — with per-line ``# staticcheck: ignore[rule]``
-  pragmas and a committed baseline for grandfathered findings, and
-* one **whole-program rule**, fork-safety
-  (:mod:`repro.staticcheck.fork_safety`), over a project-wide symbol
-  table and call graph (:mod:`repro.staticcheck.project`).
-
-A full-repo ``repro check`` (:func:`run_project`) runs all six over one
-parse of the tree; the ``static-analysis`` CI job runs it.  Exports
-resolve lazily (PEP 562) so importing :mod:`repro` never pays for the
-checker.
+A full-repo ``repro check`` (:func:`run_lint`) runs all five over every
+module under ``src/repro``; the ``static-analysis`` CI job runs it.
+Exports resolve lazily (PEP 562) so importing :mod:`repro` never pays
+for the checker.
 """
 
 from typing import Any
@@ -32,12 +28,10 @@ __all__ = [
     "write_baseline",
     "CheckResult",
     "run_lint",
-    "run_project",
     "iter_source_files",
     "repo_root",
     "render_text",
     "render_json",
-    "ProjectContext",
 ]
 
 _EXPORTS = {
@@ -53,12 +47,10 @@ _EXPORTS = {
     "write_baseline": "repro.staticcheck.baseline",
     "CheckResult": "repro.staticcheck.runner",
     "run_lint": "repro.staticcheck.runner",
-    "run_project": "repro.staticcheck.runner",
     "iter_source_files": "repro.staticcheck.runner",
     "repo_root": "repro.staticcheck.runner",
     "render_text": "repro.staticcheck.reporters",
     "render_json": "repro.staticcheck.reporters",
-    "ProjectContext": "repro.staticcheck.project",
 }
 
 

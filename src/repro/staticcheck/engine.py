@@ -109,8 +109,8 @@ class LintEngine:
             raise StaticCheckError(f"duplicate rule names: {sorted(dupes)}")
         self.rules = list(rules)
         # Rule names that are valid pragma targets even though this engine
-        # does not run them (fork-safety, rules a --rules subset leaves
-        # out): pragmas for those live on source lines this engine parses.
+        # does not run them (rules a --rules subset leaves out): pragmas
+        # for those live on source lines this engine parses.
         self.known_rule_names = frozenset(known_rule_names)
 
     def rule_names(self) -> tuple[str, ...]:

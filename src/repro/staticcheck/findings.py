@@ -1,4 +1,4 @@
-"""Finding and severity types shared by the lint engine and fork-safety."""
+"""Finding and severity types shared by the lint engine, baseline and reporters."""
 
 from __future__ import annotations
 
@@ -23,42 +23,13 @@ class Severity(enum.Enum):
 
 
 @dataclass(frozen=True)
-class RelatedLocation:
-    """A secondary location a whole-program finding depends on.
-
-    The whole-program rule anchors a finding in one file but reasons
-    about code in another — a fork site here, the lock its child
-    inherits defined two modules away.  The related location carries
-    that second site; its ``snippet`` (not its line number) joins the
-    fingerprint so the finding's identity survives line drift in *both*
-    files.
-    """
-
-    path: str
-    line: int = 0
-    snippet: str = ""
-    note: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "snippet": self.snippet,
-            "note": self.note,
-        }
-
-
-@dataclass(frozen=True)
 class Finding:
-    """One static-analysis finding, from a lint rule or fork-safety.
+    """One static-analysis finding.
 
     ``path`` is repo-relative with forward slashes.  ``snippet`` is
     the stripped source line the finding anchors to; the baseline
     fingerprint hashes it instead of the line number so findings survive
-    unrelated edits above them.  ``related`` carries the secondary
-    locations of whole-program findings (the definition of a lock a
-    forked child inherits) — their snippets join the fingerprint, so
-    identity survives line drift across every involved file.
+    unrelated edits above them.
     """
 
     rule: str
@@ -68,21 +39,16 @@ class Finding:
     severity: Severity = Severity.ERROR
     col: int = 0
     snippet: str = ""
-    related: tuple[RelatedLocation, ...] = ()
     suppressed: bool = field(default=False, compare=False)
     baselined: bool = field(default=False, compare=False)
 
     def fingerprint(self) -> str:
         """Stable identity for baseline matching.
 
-        Hashes rule + path + normalised snippet, plus (path, snippet) of
-        every related location — never a line number, so entries survive
-        unrelated edits above any of the involved sites.
+        Hashes rule + path + normalised snippet — never a line number,
+        so entries survive unrelated edits above the finding.
         """
         parts = [self.rule, self.path, " ".join(self.snippet.split())]
-        for loc in self.related:
-            parts.append(loc.path)
-            parts.append(" ".join(loc.snippet.split()))
         payload = "\x1f".join(parts)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -90,7 +56,7 @@ class Finding:
         return f"{self.path}:{self.line}" if self.line else self.path
 
     def as_dict(self) -> dict:
-        row = {
+        return {
             "rule": self.rule,
             "path": self.path,
             "line": self.line,
@@ -102,9 +68,6 @@ class Finding:
             "suppressed": self.suppressed,
             "baselined": self.baselined,
         }
-        if self.related:
-            row["related"] = [loc.as_dict() for loc in self.related]
-        return row
 
     def with_flags(
         self, *, suppressed: bool | None = None, baselined: bool | None = None

@@ -27,11 +27,6 @@ def render_text(result: "CheckResult", *, verbose: bool = False) -> str:
         )
         if finding.snippet:
             lines.append(f"    {finding.snippet}")
-        for rel in finding.related:
-            note = f" ({rel.note})" if rel.note else ""
-            lines.append(f"    see {rel.path}:{rel.line}{note}")
-            if rel.snippet:
-                lines.append(f"        {rel.snippet}")
     lines.append(summary_line(result))
     return "\n".join(lines)
 

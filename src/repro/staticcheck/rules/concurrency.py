@@ -5,9 +5,14 @@ load (HTTP handler threads, the micro-batching executor, instrumented
 training threads).  This rule enforces the repo's locking convention on
 those packages:
 
+* locks and thread-locals come from :mod:`repro.forksafe`, which makes
+  them free and empty in a forked pool worker: a direct
+  ``threading.Lock`` / ``RLock`` / ``Condition`` / ``Semaphore`` /
+  ``BoundedSemaphore`` / ``local`` call (or ``default_factory``, or
+  ``from threading import``) is flagged, at module level as on an
+  attribute;
 * module-level mutable containers must only be mutated inside a
-  ``with <lock>`` block over a module-level ``threading.Lock`` /
-  ``RLock`` / ``Condition``;
+  ``with <lock>`` block over a module-level lock;
 * a class whose instances carry mutable containers (``self.x = {}`` in
   ``__init__``, or a dataclass ``field(default_factory=dict)``) must own
   a lock attribute, and methods must mutate those containers under
@@ -38,15 +43,25 @@ from repro.staticcheck.findings import Finding
 #: Packages under src/repro that serve concurrent traffic.
 THREADED_PACKAGES = ("serve", "obs", "api")
 
+#: The lock factories of :mod:`repro.forksafe`.
+FORKSAFE_LOCKS = ("Lock", "RLock", "Condition")
+
+#: ``threading`` primitives the threaded packages must not build
+#: directly: a forked worker would inherit each as the fork found it.
+THREADING_PRIMITIVES = frozenset(
+    f"threading.{name}"
+    for name in (*FORKSAFE_LOCKS, "Semaphore", "BoundedSemaphore", "local")
+)
+
+#: What counts as a lock when checking ``with`` scopes.  A direct
+#: ``threading`` lock still scopes its ``with`` blocks (it is reported
+#: once, as a direct primitive, not again as a missing lock).
 LOCK_FACTORIES = frozenset(
-    {
-        "threading.Lock",
-        "threading.RLock",
-        "threading.Condition",
-        "threading.Semaphore",
-        "threading.BoundedSemaphore",
-        # the pre-fork pool (repro.serve.pool) guards parent-side state
-        # that may also be touched around fork with process-safe locks
+    {f"forksafe.{name}" for name in FORKSAFE_LOCKS}
+    | (THREADING_PRIMITIVES - {"threading.local"})
+    | {
+        # process-shared locks: a parent thread holding one at the fork
+        # releases it for every process, so they need no factory
         "multiprocessing.Lock",
         "multiprocessing.RLock",
         "multiprocessing.Condition",
@@ -267,8 +282,9 @@ class _MetricValueScanner(ast.NodeVisitor):
 class ConcurrencyRule(Rule):
     name = "concurrency"
     description = (
-        "mutable shared state in serve/obs/api mutated without holding a "
-        "threading lock via `with`; bare .acquire() calls; direct .value "
+        "locks or thread-locals in serve/obs/api not built by "
+        "repro.forksafe; mutable shared state there mutated without "
+        "holding a lock via `with`; bare .acquire() calls; direct .value "
         "writes on obs metric objects outside repro.obs"
     )
 
@@ -277,6 +293,7 @@ class ConcurrencyRule(Rule):
             yield from self._check_metric_objects(ctx)
         if not any(ctx.in_package(pkg) for pkg in THREADED_PACKAGES):
             return
+        yield from self._check_direct_primitives(ctx)
         yield from self._check_bare_acquire(ctx)
         yield from self._check_module_state(ctx)
         for node in ctx.tree.body:
@@ -296,6 +313,26 @@ class ConcurrencyRule(Rule):
                 "obs.set_gauge()/obs.observe() (or the MetricsRegistry "
                 "inc/set/observe helpers) instead",
             )
+
+    # ------------------------------------------------------------------
+    def _check_direct_primitives(self, ctx: ModuleContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "threading":
+                names = [f"threading.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Call):
+                names = [dotted_name(node.func), _field_default_factory(node)]
+            else:
+                continue
+            for name in names:
+                if name in THREADING_PRIMITIVES:
+                    yield self.finding(
+                        ctx,
+                        node,
+                        f"{name} built directly: a forked pool worker "
+                        "inherits it as the fork found it (held, or with "
+                        "the forking thread's values); build locks and "
+                        "thread-locals with repro.forksafe",
+                    )
 
     # ------------------------------------------------------------------
     def _check_bare_acquire(self, ctx: ModuleContext) -> Iterator[Finding]:

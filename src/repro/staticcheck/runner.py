@@ -1,11 +1,9 @@
 """File discovery and check orchestration shared by CLI, CI and tests.
 
-:func:`run_project` is the full-repo ``repro check``: the per-module lint
-rules over every module under ``src/repro`` plus the whole-program
-``fork-safety`` rule, both over one parse of the tree, with the baseline
-applied and its stale rows computed once over all findings.
-:func:`run_lint` runs the per-module rules alone, over explicit files
-(the pre-commit hook) or the whole tree.
+:func:`run_lint` is ``repro check``: the lint rules over every module
+under ``src/repro`` (CI) or over explicit files (the pre-commit hook),
+with the baseline applied.  A full run, every rule over the whole tree,
+also reports the baseline rows no finding matches any more.
 """
 
 from __future__ import annotations
@@ -19,22 +17,10 @@ from repro.staticcheck.baseline import (
     Baseline,
     load_baseline,
 )
-from repro.staticcheck.engine import LintEngine, ModuleContext, Rule
+from repro.staticcheck.engine import LintEngine, ModuleContext
 from repro.staticcheck.findings import Finding, Severity, sort_findings
-from repro.staticcheck.fork_safety import ForkSafetyRule
-from repro.staticcheck.project import ProjectContext
-from repro.staticcheck.rules import all_rules, select_rules
-from repro.staticcheck.rules import rule_names as lint_rule_names
-
-
-def all_rule_names() -> "tuple[str, ...]":
-    """Every rule ``repro check`` runs: the lint rules, then fork-safety.
-
-    All of them stay valid pragma targets under a ``--rules`` subset, so
-    e.g. ``--rules determinism`` doesn't flag every
-    ``ignore[precision-policy]`` in the tree as a typo.
-    """
-    return lint_rule_names() + (ForkSafetyRule.name,)
+from repro.staticcheck.rules import rule_names as known_rule_names
+from repro.staticcheck.rules import select_rules
 
 
 def repo_root() -> str:
@@ -94,21 +80,6 @@ class CheckResult:
         return not self.new_errors()
 
 
-def _select(rule_names: "list[str] | None") -> "tuple[list[Rule], bool]":
-    """The lint rules *rule_names* selects, and whether it selects
-    fork-safety (everything when None)."""
-    if rule_names is None:
-        return all_rules(), True
-    known = all_rule_names()
-    unknown = [name for name in rule_names if name not in known]
-    if unknown:
-        raise StaticCheckError(
-            f"unknown rule(s) {unknown}; available: {sorted(known)}"
-        )
-    lint_names = [name for name in rule_names if name != ForkSafetyRule.name]
-    return select_rules(lint_names), len(lint_names) < len(rule_names)
-
-
 def _relpaths(root: str, paths: "list[str]") -> list[str]:
     """Repo-relative paths of explicit files; a missing path or a
     directory is a usage error.
@@ -142,119 +113,43 @@ def _parse(root: str, relpaths: "list[str]") -> list[ModuleContext]:
     return contexts
 
 
-def _lint(rules: "list[Rule]", contexts: "list[ModuleContext]") -> list[Finding]:
-    engine = LintEngine(rules, known_rule_names=all_rule_names())
-    return [f for ctx in contexts for f in engine.check_context(ctx)]
-
-
-def _fork_safety(contexts: "list[ModuleContext]") -> list[Finding]:
-    """``fork-safety`` findings, each pragma-suppressible on its primary line."""
-    project = ProjectContext(contexts)
-    findings: list[Finding] = []
-    for finding in ForkSafetyRule().check_project(project):
-        if project.by_path[finding.path].ctx.pragmas.suppresses(
-            finding.rule, finding.line
-        ):
-            finding = finding.with_flags(suppressed=True)
-        findings.append(finding)
-    return findings
-
-
-def _result(
-    root: str,
-    findings: "list[Finding]",
-    files_checked: int,
+def run_lint(
     *,
-    baseline: "Baseline | None",
-    baseline_path: "str | os.PathLike | None",
-    use_baseline: bool,
-    compute_stale: bool,
+    root: "str | None" = None,
+    paths: "list[str] | None" = None,
+    rule_names: "list[str] | None" = None,
+    baseline: "Baseline | None" = None,
+    baseline_path: "str | os.PathLike | None" = None,
+    use_baseline: bool = True,
 ) -> CheckResult:
-    """Apply the baseline (loaded from *baseline_path*, default
-    ``<root>/staticcheck-baseline.json``, unless an explicit one or
-    ``use_baseline=False`` is given)."""
-    findings = sort_findings(findings)
+    """Run the lint rules *rule_names* (default: all) over *paths*
+    (default: every module under ``src/repro``).
+
+    *paths* are files: absolute, relative to the working directory, or
+    else relative to the repo root; a missing path or a directory raises
+    :class:`~repro.errors.StaticCheckError`.  The baseline is loaded from
+    *baseline_path* (default ``<root>/staticcheck-baseline.json``) unless
+    an explicit one or ``use_baseline=False`` is given.  Stale baseline
+    rows are reported only by a full run: a run over some files or some
+    rules does not look for the other rows, which would all look stale.
+    """
+    root = root or repo_root()
+    rules = select_rules(rule_names)
+    relpaths = iter_source_files(root) if paths is None else _relpaths(root, paths)
+    contexts = _parse(root, relpaths)
+    # every rule stays a valid pragma target under a --rules subset, so
+    # e.g. --rules determinism doesn't flag ignore[precision-policy]
+    engine = LintEngine(rules, known_rule_names=known_rule_names())
+    findings = sort_findings(
+        [f for ctx in contexts for f in engine.check_context(ctx)]
+    )
     if baseline is None and use_baseline:
         baseline = load_baseline(baseline_path or default_baseline_path(root))
     stale: list[dict] = []
     if baseline is not None:
         findings = baseline.apply(findings)
-        if compute_stale:
+        if paths is None and rule_names is None:
             stale = baseline.stale_entries(findings)
     return CheckResult(
-        findings=findings, files_checked=files_checked, stale_baseline=stale
-    )
-
-
-def run_lint(
-    *,
-    root: "str | None" = None,
-    paths: "list[str] | None" = None,
-    rules: "list[Rule] | None" = None,
-    rule_names: "list[str] | None" = None,
-    baseline: "Baseline | None" = None,
-    baseline_path: "str | os.PathLike | None" = None,
-    use_baseline: bool = True,
-) -> CheckResult:
-    """Run the per-module lint rules over explicit *paths* (default: every
-    module under ``src/repro``).
-
-    *paths* are files: absolute, relative to the working directory, or
-    else relative to the repo root; a missing path or a directory raises
-    :class:`~repro.errors.StaticCheckError`.
-    ``fork-safety`` analyses the whole program, so selecting it here is
-    an error too.  Stale baseline rows are reported only by the full
-    check (:func:`run_project`): the baseline also holds rows this run
-    does not look for.
-    """
-    root = root or repo_root()
-    if rule_names is not None and ForkSafetyRule.name in rule_names:
-        raise StaticCheckError(
-            "fork-safety analyses the whole program, so it runs only "
-            "on a full-repo check (no explicit paths)"
-        )
-    if rules is None:
-        rules, _ = _select(rule_names)
-    relpaths = iter_source_files(root) if paths is None else _relpaths(root, paths)
-    contexts = _parse(root, relpaths)
-    return _result(
-        root,
-        _lint(rules, contexts),
-        len(contexts),
-        baseline=baseline,
-        baseline_path=baseline_path,
-        use_baseline=use_baseline,
-        compute_stale=False,
-    )
-
-
-def run_project(
-    *,
-    root: "str | None" = None,
-    rule_names: "list[str] | None" = None,
-    baseline: "Baseline | None" = None,
-    baseline_path: "str | os.PathLike | None" = None,
-    use_baseline: bool = True,
-) -> CheckResult:
-    """The full-repo check: every module under ``src/repro``, parsed once,
-    through the lint rules and ``fork-safety``.
-
-    *rule_names* selects a subset of :func:`all_rule_names`.  Stale
-    baseline rows are computed only when every rule runs: under a subset
-    the rows of the rules left out would all look stale.
-    """
-    root = root or repo_root()
-    rules, fork = _select(rule_names)
-    contexts = _parse(root, iter_source_files(root))
-    findings = _lint(rules, contexts)
-    if fork:
-        findings += _fork_safety(contexts)
-    return _result(
-        root,
-        findings,
-        len(contexts),
-        baseline=baseline,
-        baseline_path=baseline_path,
-        use_baseline=use_baseline,
-        compute_stale=rule_names is None,
+        findings=findings, files_checked=len(contexts), stale_baseline=stale
     )

@@ -18,6 +18,7 @@ from repro.api import (
     create_engine,
     predict_one,
 )
+from repro.api.engine import _parameters
 from repro.errors import ApiError
 
 
@@ -487,6 +488,50 @@ class TestConstruction:
         assert args.procs == 3
         default = build_parser().parse_args(["serve", "--models", "x"])
         assert default.procs == 1
+
+
+class TestParameters:
+    """The leaf walk behind serving-dtype casts: every GNN parameter of
+    each model family, each exactly once."""
+
+    @staticmethod
+    def _ids(params):
+        return [id(param) for param in params]
+
+    def test_every_parameter_of_a_predictor(self, api_cap_predictor):
+        assert self._ids(_parameters(api_cap_predictor)) == self._ids(
+            api_cap_predictor.model.parameters()
+        )
+
+    def test_a_suite_yields_each_predictor_once(
+        self, api_cap_predictor, api_sa_predictor
+    ):
+        from repro.flows import MultiTargetModel
+
+        # one predictor answering for two targets, as a shared trunk does
+        suite = MultiTargetModel(predictors={
+            "CAP": api_cap_predictor,
+            "CAP_AGAIN": api_cap_predictor,
+            "SA": api_sa_predictor,
+        })
+        expected = self._ids(api_cap_predictor.model.parameters()) + self._ids(
+            api_sa_predictor.model.parameters()
+        )
+        got = self._ids(_parameters(suite))
+        assert got == expected
+        assert len(set(got)) == len(got)
+
+    def test_every_member_of_an_ensemble(self, api_ensemble_model):
+        expected = [
+            id(param)
+            for member in api_ensemble_model.models
+            for param in member.predictor.model.parameters()
+        ]
+        assert len(api_ensemble_model.models) == 2
+        assert self._ids(_parameters(api_ensemble_model)) == expected
+
+    def test_baselines_have_none(self, api_baseline_model):
+        assert list(_parameters(api_baseline_model)) == []
 
 
 class TestCoerceRequest:

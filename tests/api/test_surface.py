@@ -32,7 +32,6 @@ API_SURFACE = [
 ]
 
 SERVE_SURFACE = [
-    "AttachedArrays",
     "BatchExecutor",
     "CachedGraph",
     "GraphCache",
@@ -40,21 +39,16 @@ SERVE_SURFACE = [
     "ModelRegistry",
     "PoolConfig",
     "PredictionServer",
-    "PublishedArrays",
     "RegistryEntry",
     "ServeError",
     "ServeOverloadedError",
     "ServeTimeoutError",
     "ServerPool",
     "ShardedGraphCache",
-    "adopt_weight_arrays",
     "artifact_version",
-    "attach_arrays",
     "circuit_fingerprint",
     "create_pool",
     "load_model",
-    "publish_arrays",
-    "publish_registry_weights",
     "request_from_json",
     "scaler_fingerprint",
 ]

@@ -281,9 +281,11 @@ class TestStackLifetime:
         )
 
     def test_adopt_weight_arrays_invalidates(self, tiny_bundle, tmp_path):
+        """Replacing every parameter's array, as a pool does when it casts
+        the weights its workers inherit, rebuilds the stacks."""
         from repro.api import create_engine
+        from repro.api.engine import _parameters
         from repro.models import TargetPredictor, TrainConfig
-        from repro.serve.shm import adopt_weight_arrays, registry_weight_arrays
 
         predictor = TargetPredictor(
             "paragraph", "CAP",
@@ -292,11 +294,8 @@ class TestStackLifetime:
         circuit = tiny_bundle.records("test")[0].circuit
         with create_engine({"cap": predictor}, dtype="float64") as engine:
             first = engine.predict(circuit).targets["CAP"].values
-            scaled = {
-                key: array * 1.5
-                for key, array in registry_weight_arrays(engine.registry).items()
-            }
-            assert adopt_weight_arrays(engine.registry, scaled) == len(scaled)
+            for param in _parameters(engine.registry.get("cap").model):
+                param.data = param.data * 1.5
             adopted = engine.predict(circuit).targets["CAP"].values
         predictor.save(tmp_path / "scaled.npz")
         reloaded = TargetPredictor.load(tmp_path / "scaled.npz")
@@ -514,13 +513,3 @@ class TestModelStacks:
         gc.collect()
         assert key not in adapters._stacks
         assert stack_ref() is None
-
-    def test_registry_fork_reinit_renews_the_stacks_lock(self, suite):
-        from repro.api import adapters
-        from repro.serve.registry import ModelRegistry
-
-        registry = ModelRegistry()
-        registry.register("suite", suite)
-        lock = adapters._stacks_lock
-        registry.reinit_after_fork()
-        assert adapters._stacks_lock is not lock

@@ -296,6 +296,16 @@ class TestBodyLength:
         assert "Connection: close" in head
         assert payload["error"] == "ApiError"
 
+    def test_body_that_never_arrives_is_answered_and_closed(
+        self, served, monkeypatch
+    ):
+        # the idle timeout, shortened: the handler reads it per connection
+        monkeypatch.setattr("repro.serve.http._Handler.timeout", 0.3)
+        got, head, payload = _raw_post_headers(served, b"100")
+        assert got == 408
+        assert "Connection: close" in head
+        assert "0.3 s" in payload["message"]
+
 
 class TestCliServeBuild:
     def test_serve_build_wires_registry_and_server(self, tmp_path,

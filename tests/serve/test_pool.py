@@ -1,12 +1,16 @@
 """Multi-process serving: hash ring, sharded cache, pool lifecycle."""
 
+import gc
+import http.client
 import json
 import os
 import signal
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 
 import numpy as np
 import pytest
@@ -166,8 +170,8 @@ class TestServerPool:
 
     def test_worker_rss_excludes_private_weight_copies(self, pool, artifact):
         # shared weights: per-worker RSS must not differ by the weight bytes
-        # times the worker count; both workers map the same segment, so
-        # their RSS should be near-identical.
+        # times the worker count; both workers read the parent's weight
+        # pages copy-on-write, so their RSS should be near-identical.
         sizes = []
         for pid in pool.pids():
             with open(f"/proc/{pid}/status") as status:
@@ -246,8 +250,8 @@ class TestServerPool:
 
 
 class TestSharedTrunkPool:
-    """A shared-trunk (multi-head) predictor publishes its weights like
-    any other model and serves every head from the worker."""
+    """A shared-trunk (multi-head) predictor shares its weights like any
+    other model and serves every head from the worker."""
 
     @pytest.fixture(scope="class")
     def shared(self, tiny_bundle):
@@ -278,9 +282,10 @@ class TestSharedTrunkPool:
 
 
 class TestServingDtype:
-    """An in-memory float64 model is served at the pool's float32: the
-    segment holds 4 bytes per parameter, and the caller's own parameters
-    become read-only views of it (no float64 copy stays behind)."""
+    """An in-memory float64 model is served at the pool's float32: each
+    of the caller's own parameters becomes a read-only float32 copy of
+    its array, 4 bytes per parameter, and no float64 array stays behind
+    for the workers to inherit."""
 
     @pytest.fixture(scope="class")
     def model(self, tiny_bundle):
@@ -299,12 +304,12 @@ class TestServingDtype:
         assert {p.data.dtype for p in params} == {np.dtype(np.float64)}
         config = PoolConfig(workers=1, port=0, drain_timeout_s=10.0)
         with ServerPool({"CAP": model}, config=config) as running:
-            published = running._published
-            assert {spec.dtype for spec in published.specs} == {"<f4"}
-            assert published.nbytes == 4 * sum(p.data.size for p in params)
+            assert running.registry.get("CAP").model is model
             for param in params:
                 assert param.data.dtype == np.float32
                 assert not param.data.flags.writeable
+            held = sum(param.data.nbytes for param in params)
+            assert held == 4 * model.model.num_parameters()
             status, _, body = _post(
                 running.url + "/predict", {"netlist": netlist_text}
             )
@@ -313,12 +318,39 @@ class TestServingDtype:
             expected = engine.predict(netlist_text).named("CAP")
         assert body["targets"]["CAP"]["values"] == expected
 
+    def test_save_and_predict_after_serving(self, model, tiny_bundle, tmp_path):
+        """``save`` writes the served float32 weights, upcast to float64
+        on disk, and ``predict_one`` and the taped ``predict`` run them at
+        the ambient policy."""
+        from repro.api import predict_one
+        from repro.models import TargetPredictor
+
+        with ServerPool({"CAP": model}, config=PoolConfig(workers=1)):
+            pass
+        served = [param.data for param in model.model.parameters()]
+        assert all(
+            array.dtype == np.float32 and not array.flags.writeable
+            for array in served
+        )
+        model.save(tmp_path / "served.npz")
+        saved = TargetPredictor.load(tmp_path / "served.npz")
+        for array, param in zip(served, saved.model.parameters()):
+            assert param.data.dtype == np.float64
+            assert np.array_equal(param.data, array)
+        record = tiny_bundle.records("test")[0]
+        assert predict_one(model, record).named("CAP") == predict_one(
+            saved, record
+        ).named("CAP")
+        np.testing.assert_array_equal(
+            model.predict(record)[0], saved.predict(record)[0]
+        )
+
     def test_fit_after_adoption_trains_at_float64_from_a_fresh_init(
         self, model, tiny_bundle
     ):
-        """Refitting the adopted model never continues from the rounded
-        float32 views: it trains at its config's dtype from a fresh init,
-        as a new predictor would."""
+        """Refitting a model a pool served never continues from its
+        rounded float32 arrays: it trains at its config's dtype from a
+        fresh init, as a new predictor would."""
         from repro.models import TargetPredictor
 
         with ServerPool({"CAP": model}, config=PoolConfig(workers=1)):
@@ -338,13 +370,93 @@ class TestPoolConfig:
         with pytest.raises(ServeError, match="at least one"):
             ServerPool(os.fspath(artifact), config=PoolConfig(workers=0))
 
-    def test_rejects_unknown_strategy(self):
-        from repro.serve.pool import _resolve_strategy
-
-        with pytest.raises(ServeError, match="unknown"):
-            _resolve_strategy("carrier-pigeon")
+    def test_rejects_an_empty_registry(self):
+        with pytest.raises(ServeError):
+            ServerPool({}).start()
 
     def test_port_before_start_raises(self, artifact):
         pool = ServerPool(os.fspath(artifact))
         with pytest.raises(ServeError, match="not started"):
             pool.port
+
+
+class TestListeners:
+    def test_inherited_listener_without_reuseport(
+        self, artifact, netlist_text, monkeypatch
+    ):
+        """Where the platform has no SO_REUSEPORT, every worker accepts
+        on one listener the parent bound before forking, and a worker
+        that lost an accept still drains promptly."""
+        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
+        config = PoolConfig(workers=2, port=0, drain_timeout_s=10.0)
+        running = ServerPool(os.fspath(artifact), config=config).start()
+        try:
+            assert running.strategy == "inherit"
+            status, _, body = _post(
+                running.url + "/predict",
+                {"netlist": netlist_text, "model": "CAP"},
+            )
+        finally:
+            started = time.monotonic()
+            running.stop()
+        assert time.monotonic() - started < config.drain_timeout_s / 2
+        assert status == 200
+        assert "CAP" in body["targets"]
+
+
+class TestBaselinePool:
+    def test_baseline_only_registry_is_served(self, tiny_bundle, netlist_text):
+        from repro.models.baselines import BaselinePredictor
+
+        model = BaselinePredictor("linear", "CAP").fit(tiny_bundle)
+        config = PoolConfig(workers=1, port=0, drain_timeout_s=10.0)
+        with ServerPool({"CAP": model}, config=config) as running:
+            status, _, body = _post(
+                running.url + "/predict", {"netlist": netlist_text}
+            )
+        assert status == 200
+        assert body["targets"]["CAP"]["values"]
+
+
+class TestReloadLifecycle:
+    def test_reload_frees_the_old_weights(self, artifact):
+        from repro.models import TargetPredictor
+
+        model = TargetPredictor.load(artifact)
+        config = PoolConfig(workers=1, port=0, drain_timeout_s=10.0)
+        with ServerPool({"CAP": model}, config=config) as running:
+            first = weakref.ref(model.model.parameters()[0].data)
+            for _ in range(3):
+                assert running.reload(force=True) is True
+            gc.collect()
+            assert first() is None
+            with open("/proc/self/maps") as maps:
+                assert "repro-weights" not in maps.read()
+            assert running.generation == 3
+
+    def test_idle_keep_alive_client_does_not_hold_a_reload(
+        self, artifact, netlist_text
+    ):
+        """A draining worker joins its handler threads, and a keep-alive
+        connection left open holds one; the idle timeout ends it, so the
+        drain never waits for the pool's SIGKILL deadline."""
+        config = PoolConfig(workers=1, port=0)
+        with ServerPool(os.fspath(artifact), config=config) as running:
+            conn = http.client.HTTPConnection(
+                running.host, running.port, timeout=30.0
+            )
+            try:
+                conn.request(
+                    "POST", "/predict",
+                    body=json.dumps({"netlist": netlist_text}).encode(),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+                started = time.monotonic()
+                assert running.reload(force=True) is True
+                elapsed = time.monotonic() - started
+            finally:
+                conn.close()
+        assert elapsed < config.drain_timeout_s / 2

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from repro.cli import main
-from repro.staticcheck import run_lint, run_project
+from repro.staticcheck import run_lint
 from repro.staticcheck.runner import iter_source_files, repo_root
 
 
@@ -26,17 +26,17 @@ class TestRunner:
 
 
 class TestRepoIsClean:
-    """The acceptance gate: the full check (every lint rule plus
-    fork-safety, as CI runs it) has zero non-baselined findings."""
+    """The acceptance gate: the full check (every rule over the whole
+    tree, as CI runs it) has zero non-baselined findings."""
 
     def test_lint_is_clean_with_baseline(self):
-        result = run_project()
+        result = run_lint()
         assert result.new_errors() == [], "\n".join(
             f"{f.location()}: [{f.rule}] {f.message}" for f in result.new_errors()
         )
 
     def test_baseline_has_no_stale_entries(self):
-        result = run_project()
+        result = run_lint()
         assert result.stale_baseline == []
 
 
@@ -73,21 +73,13 @@ class TestCheckCommand:
 
     def test_rules_subset_skips_stale_detection(self):
         # a subset run can't tell a stale entry from an unselected rule's
-        result = run_project(rule_names=["determinism"])
+        result = run_lint(rule_names=["determinism"])
         assert result.stale_baseline == []
 
-    def test_project_rules_subset_is_clean(self, capsys):
-        code = main(["check", "--rules", "fork-safety"])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "invalid-pragma" not in out
-        assert "stale" not in out
-
-    def test_fork_safety_with_paths_is_usage_error(self, capsys):
-        # the whole-program rule cannot run on a file list
-        assert main(["check", "--rules", "fork-safety",
-                     "src/repro/serve/pool.py"]) == 2
-        assert "fork-safety" in capsys.readouterr().err
+    def test_paths_skip_stale_detection(self):
+        # nor can a run over some files tell one from another file's
+        result = run_lint(paths=["src/repro/nn/loss.py"])
+        assert result.stale_baseline == []
 
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["check", "no/such/file.py"]) == 2
@@ -141,7 +133,7 @@ class TestCheckCommand:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == [
             "autodiff-bypass", "precision-policy", "determinism",
-            "concurrency", "api-surface", "fork-safety",
+            "concurrency", "api-surface",
         ]
 
 
@@ -163,8 +155,8 @@ class TestCISeededViolation:
     def test_fork_gap_in_pool_fails_plain_check(
         self, tmp_path, monkeypatch, capsys
     ):
-        # a copy of the library whose forked worker no longer
-        # re-initialises the registry's inherited lock
+        # a copy of the library whose registry lock, which every forked
+        # pool worker inherits, is a bare threading.RLock
         shutil.copytree(
             os.path.join(repo_root(), "src", "repro"),
             tmp_path / "src" / "repro",
@@ -173,19 +165,22 @@ class TestCISeededViolation:
         shutil.copy(
             os.path.join(repo_root(), "staticcheck-baseline.json"), tmp_path
         )
-        pool = tmp_path / "src" / "repro" / "serve" / "pool.py"
-        source = pool.read_text()
-        assert source.count("registry.reinit_after_fork()") == 1
-        pool.write_text(source.replace("registry.reinit_after_fork()", "pass"))
+        registry = tmp_path / "src" / "repro" / "serve" / "registry.py"
+        source = registry.read_text()
+        factory = "default_factory=forksafe.RLock"
+        assert source.count(factory) == 1
+        registry.write_text(
+            source.replace(factory, "default_factory=threading.RLock")
+        )
         monkeypatch.setattr(
             "repro.staticcheck.runner.repo_root", lambda: str(tmp_path)
         )
         assert main(["check"]) == 1
         out = capsys.readouterr().out
         assert "1 new error(s)" in out
-        assert "src/repro/serve/pool.py" in out
-        assert "[fork-safety]" in out
-        assert "src/repro/serve/registry.py" in out  # the lock's definition
+        assert "src/repro/serve/registry.py" in out
+        assert "[concurrency]" in out
+        assert "threading.RLock" in out
 
 
 @pytest.mark.skipif(shutil.which("mypy") is None, reason="mypy not installed")

@@ -119,10 +119,10 @@ class TestConcurrency:
 
     def test_locked_mutation_passes(self):
         source = (
-            "import threading\n"
+            "from repro import forksafe\n"
             "class Registry:\n"
             "    def __init__(self):\n"
-            "        self._lock = threading.RLock()\n"
+            "        self._lock = forksafe.RLock()\n"
             "        self._entries = {}\n"
             "    def register(self, name, entry):\n"
             "        with self._lock:\n"
@@ -134,10 +134,10 @@ class TestConcurrency:
 
     def test_mutation_outside_lock_names_the_lock(self):
         source = (
-            "import threading\n"
+            "from repro import forksafe\n"
             "class Registry:\n"
             "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
+            "        self._lock = forksafe.Lock()\n"
             "        self._entries = {}\n"
             "    def register(self, name, entry):\n"
             "        self._entries[name] = entry\n"
@@ -150,8 +150,8 @@ class TestConcurrency:
 
     def test_flags_bare_acquire(self):
         source = (
-            "import threading\n"
-            "LOCK = threading.Lock()\n"
+            "from repro import forksafe\n"
+            "LOCK = forksafe.Lock()\n"
             "def touch():\n"
             "    LOCK.acquire()\n"
             "    LOCK.release()\n"
@@ -160,6 +160,59 @@ class TestConcurrency:
             lint(source, "src/repro/obs/foo.py"), "concurrency"
         )
         assert len(findings) == 1
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # a module-level lock
+            "import threading\nLOCK = threading.RLock()\n",
+            # a lock or thread-local on an attribute
+            "import threading\n"
+            "class Tracer:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n",
+            "import threading\n"
+            "class Tracer:\n"
+            "    def __init__(self):\n"
+            "        self._local = threading.local()\n",
+            # a dataclass field
+            "import threading\n"
+            "from dataclasses import dataclass, field\n"
+            "@dataclass\n"
+            "class Registry:\n"
+            "    _lock: object = field(default_factory=threading.RLock)\n",
+            # an import that hides the module name
+            "from threading import Condition\nCOND = Condition()\n",
+            "import threading\nGATE = threading.BoundedSemaphore(2)\n",
+        ],
+    )
+    def test_flags_threading_primitives_built_directly(self, source):
+        (finding,) = by_rule(
+            lint(source, "src/repro/serve/foo.py"), "concurrency"
+        )
+        assert "repro.forksafe" in finding.message
+
+    def test_factory_locks_and_thread_locals_pass(self):
+        source = (
+            "from dataclasses import dataclass, field\n"
+            "from repro import forksafe\n"
+            "LOCK = forksafe.RLock()\n"
+            "@dataclass\n"
+            "class Registry:\n"
+            "    _entries: dict = field(default_factory=dict)\n"
+            "    _lock: object = field(default_factory=forksafe.RLock)\n"
+            "    def register(self, name, entry):\n"
+            "        with self._lock:\n"
+            "            self._entries[name] = entry\n"
+            "class Tracer:\n"
+            "    def __init__(self):\n"
+            "        self._local = forksafe.local()\n"
+        )
+        assert not by_rule(lint(source, "src/repro/obs/foo.py"), "concurrency")
+
+    def test_threading_outside_the_threaded_packages_is_exempt(self):
+        source = "import threading\nLOCK = threading.Lock()\n"
+        assert not lint(source, "src/repro/flows/foo.py")
 
     def test_flags_module_global_mutation(self):
         source = (
