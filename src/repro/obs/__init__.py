@@ -129,15 +129,10 @@ def reset() -> None:
 
 
 def _forget_mirror() -> None:
-    """Detach an inherited metrics mirror in a forked child.
-
-    A mirror writes the parent's mmap metrics file, and two processes
-    writing one file corrupt the merged fleet view; a pool worker
-    attaches its own.  The registry lock is free here: ``repro.forksafe``
-    registered its hook first (``obs.metrics`` imports it), and
-    after-in-child hooks run in registration order.
-    """
-    _REGISTRY.detach_mirror()
+    """Drop an inherited metrics mirror in a forked child: it writes the
+    parent's mmap metrics file, and two processes writing one file
+    corrupt the merged fleet view (a pool worker attaches its own)."""
+    _REGISTRY._mirror = None
 
 
 os.register_at_fork(after_in_child=_forget_mirror)

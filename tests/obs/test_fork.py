@@ -43,11 +43,8 @@ def test_child_spans_do_not_nest_under_the_forking_span():
 
 
 class _Mirror:
-    def __init__(self):
-        self.writes = 0
-
     def write(self, metric):
-        self.writes += 1
+        pass
 
 
 def test_mirror_attached_before_the_fork_is_gone_in_the_child():
