@@ -33,6 +33,7 @@ import urllib.request
 from benchmarks._util import RESULTS_DIR, emit, emit_json
 from repro import obs
 from repro.analysis.tables import render_table
+from repro.api.engine import _parameters
 from repro.circuits.spice import write_spice
 from repro.models import TargetPredictor, TrainConfig
 from repro.serve.pool import PoolConfig, ServerPool
@@ -181,7 +182,11 @@ def test_serve_scaleout(bundle):
             config = PoolConfig(workers=workers, port=0, drain_timeout_s=10.0)
             with ServerPool({"CAP": predictor}, config=config) as pool:
                 if weight_bytes is None:
-                    weight_bytes = pool._published.nbytes
+                    weight_bytes = sum(
+                        param.data.nbytes
+                        for entry in pool.registry.entries()
+                        for param in _parameters(entry.model)
+                    )
                 predict_url = pool.url + "/predict"
                 for _ in range(5):  # warm every worker's path
                     assert _post(predict_url, body) == 200

@@ -436,18 +436,20 @@ def _coerce_registry(models) -> "ModelRegistry":
     return registry
 
 
-def _leaf_predictors(model):
-    """Every GNN :class:`TargetPredictor` of *model*, once each.
+def _parameters(model):
+    """The parameters of every GNN :class:`TargetPredictor` of *model*.
 
     Walks each registered model family: a single predictor (one head or
     many), a multi-target suite (a predictor answering for several of
-    its targets is yielded once) and a capacitance ensemble.  Families
-    without GNN weights (classical baselines) yield nothing.
+    its targets is walked once) and a capacitance ensemble.  Families
+    without GNN weights (classical baselines, custom adapters) yield
+    nothing.
     """
     from repro.models.trainer import TargetPredictor
 
     if isinstance(model, TargetPredictor):
-        yield model
+        if model.model is not None:
+            yield from model.model.parameters()
         return
     predictors = getattr(model, "predictors", None)
     if isinstance(predictors, dict):  # MultiTargetModel
@@ -455,22 +457,14 @@ def _leaf_predictors(model):
         for target in sorted(predictors):
             if id(predictors[target]) not in seen:
                 seen.add(id(predictors[target]))
-                yield from _leaf_predictors(predictors[target])
+                yield from _parameters(predictors[target])
         return
     members = getattr(model, "models", None)
     if isinstance(members, list):  # CapacitanceEnsemble
         for member in members:
             predictor = getattr(member, "predictor", None)
             if predictor is not None:
-                yield from _leaf_predictors(predictor)
-
-
-def _parameters(model):
-    """The parameters of every GNN leaf of *model* (none for baselines
-    and custom adapters)."""
-    for predictor in _leaf_predictors(model):
-        if predictor.model is not None:
-            yield from predictor.model.parameters()
+                yield from _parameters(predictor)
 
 
 def _at_dtype(registry: "ModelRegistry", dtype) -> "ModelRegistry":

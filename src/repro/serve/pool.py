@@ -58,6 +58,8 @@ from repro.serve.registry import ModelRegistry, artifact_version
 DEFAULT_DRAIN_TIMEOUT_S = 15.0
 #: Seconds to wait for a forked worker's readiness handshake.
 READY_TIMEOUT_S = 60.0
+#: Virtual points each shard owns on the :class:`HashRing`.
+RING_REPLICAS = 64
 
 
 # ----------------------------------------------------------------------
@@ -66,22 +68,19 @@ READY_TIMEOUT_S = 60.0
 class HashRing:
     """Consistent hashing of content-hash keys onto worker shards.
 
-    Each shard owns ``replicas`` virtual points on a 64-bit ring; a key
-    belongs to the first point clockwise from its own hash.  Adding or
-    removing one shard moves only ~1/N of the keyspace, so a rolling
-    resize does not invalidate every worker's cache at once.
+    Each shard owns :data:`RING_REPLICAS` virtual points on a 64-bit
+    ring; a key belongs to the first point clockwise from its own hash.
+    Adding or removing one shard moves only ~1/N of the keyspace, so a
+    rolling resize does not invalidate every worker's cache at once.
     """
 
-    def __init__(self, shards: int, *, replicas: int = 64):
+    def __init__(self, shards: int):
         if shards < 1:
             raise ValueError("need at least one shard")
-        if replicas < 1:
-            raise ValueError("need at least one replica per shard")
         self.shards = shards
-        self.replicas = replicas
         points: list[tuple[int, int]] = []
         for shard in range(shards):
-            for replica in range(replicas):
+            for replica in range(RING_REPLICAS):
                 points.append((self._hash(f"shard-{shard}-{replica}"), shard))
         points.sort()
         self._points = [point for point, _ in points]
@@ -117,13 +116,12 @@ class ShardedGraphCache(GraphCache):
         *,
         max_entries: int = 256,
         max_bytes: int | None = None,
-        ring: HashRing | None = None,
     ):
         super().__init__(max_entries=max_entries, max_bytes=max_bytes)
         if not 0 <= shard < shards:
             raise ValueError(f"shard {shard} outside 0..{shards - 1}")
         self.shard = shard
-        self.ring = ring or HashRing(shards)
+        self.ring = HashRing(shards)
         self.foreign = 0  # lookups for fingerprints another shard owns
 
     def admits(self, fingerprint: str) -> bool:

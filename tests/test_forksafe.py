@@ -5,6 +5,7 @@ hold any lock of the serving stack; the factory's at-fork hook must make
 each of them usable in the child.
 """
 
+import gc
 import os
 import signal
 import threading
@@ -69,6 +70,10 @@ def test_fork_with_every_factory_lock_held(api_multi_model, tiny_bundle, tmp_pat
                 lock.release()
 
         holder = threading.Thread(target=hold, daemon=True)
+        # while the helper holds every lock, a collection could run a
+        # finalizer that takes one (``adapters._forget_stacks``) on this
+        # thread and block it
+        gc.disable()
         holder.start()
         try:
             assert holding.wait(30.0)
@@ -84,6 +89,7 @@ def test_fork_with_every_factory_lock_held(api_multi_model, tiny_bundle, tmp_pat
         finally:
             release.set()
             holder.join(30.0)
+            gc.enable()
         assert not holder.is_alive()
         assert code == 0
     finally:
