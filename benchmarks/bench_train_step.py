@@ -162,7 +162,12 @@ def multitask_setup(bundle):
     prepared = {}
     for spec in ALL_TARGETS:
         inputs, ids, values = cache.merged_target(records, bundle.scaler, spec)
-        scaler, fc = resolve_target_scaler(spec, values, cfg)
+        scaler, fc = resolve_target_scaler(
+            spec,
+            values,
+            max_v=cfg.max_v,
+            log_device_targets=cfg.log_device_targets,
+        )
         prepared[spec.name] = (
             ids,
             Tensor(scaler.transform(values).reshape(-1, 1)),

@@ -11,7 +11,10 @@ through the strict exposition validator; the smoke additionally fails when
 fleet counters are non-monotonic across the scrapes, when the scraped
 fleet totals disagree with the sum of the per-worker metrics files under
 ``pool.metrics_dir``, or when ``repro obs top --once --json`` does not
-report exactly one row per live worker.  The pool starts from an
+report exactly one row per live worker.  Every worker caches the
+circuits it serves, so the smoke also fails unless the fleet's graph-cache
+hits plus misses between the scrapes equal the requests sent and no
+worker missed the replayed body more than once.  The pool starts from an
 in-memory float64 predictor and serves at float32, so it also fails
 unless every GNN parameter of ``pool.registry`` is a read-only float32
 array, 4 bytes per parameter in all.
@@ -53,7 +56,9 @@ def scrape_prom(url: str):
     return series
 
 
-def check_telemetry(pool, before: dict, after: dict, workers: int) -> list:
+def check_telemetry(
+    pool, before: dict, after: dict, workers: int, requests: int
+) -> list:
     """Fleet-telemetry acceptance checks; returns failure strings."""
     from repro.cli import main as cli_main
     from repro.obs.mpmetrics import load_snapshots, merge_snapshots
@@ -95,6 +100,26 @@ def check_telemetry(pool, before: dict, after: dict, workers: int) -> list:
     total = merged.get("serve.http_responses_total")
     if total is None or total["value"] <= 0:
         problems.append("no serve.http_responses_total in the fleet merge")
+
+    # one body replayed: every lookup is a hit or a miss, and a worker
+    # misses it at most once (the replay is the only traffic that builds
+    # graphs, so each worker's file holds its replay lookups)
+    def advanced(name):
+        key = (f"repro_serve_graph_cache_{name}_total", ())
+        return after.get(key, 0) - before.get(key, 0)
+
+    hits, misses = advanced("hits"), advanced("misses")
+    if hits + misses != requests:
+        problems.append(
+            f"graph cache counted {hits:g} hits + {misses:g} misses "
+            f"for {requests} requests"
+        )
+    for snap in snaps:
+        missed = snap.value("serve.graph_cache_misses_total")
+        if missed > 1:
+            problems.append(
+                f"worker {snap.worker} missed the replayed body {missed:g} times"
+            )
 
     # the dashboard must report exactly one row per live worker
     stdout = io.StringIO()
@@ -236,7 +261,9 @@ def main(argv=None) -> int:
             try:
                 after = scrape_prom(pool.url)
                 failures.extend(
-                    check_telemetry(pool, before, after, args.workers)
+                    check_telemetry(
+                        pool, before, after, args.workers, args.requests
+                    )
                 )
             except Exception as error:  # noqa: BLE001 - recorded below
                 failures.append(f"telemetry checks failed: {error!r}")

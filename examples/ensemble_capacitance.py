@@ -11,6 +11,7 @@ Run:  python examples/ensemble_capacitance.py
 import numpy as np
 
 from repro.analysis.metrics import mape
+from repro.api import collect
 from repro.data import build_bundle
 from repro.data.targets import CAP_TARGET
 from repro.ensemble import DEFAULT_MAX_V, train_capacitance_ensemble
@@ -57,11 +58,11 @@ def main() -> None:
             if member.max_v == float("inf")
             else f"max_v={to_femto(member.max_v):g}fF"
         )
-        truth, pred = member.predictor.collect(records)
+        truth, pred = collect(member.predictor, records)
         decade_report(label, truth, pred)
 
     print("\nAlgorithm 2 ensemble:")
-    truth, pred = ensemble.collect(records)
+    truth, pred = collect(ensemble, records)
     decade_report("ensemble", truth, pred)
     print(
         f"\nensemble MAE {to_femto(np.abs(truth - pred).mean()):.3f} fF, "

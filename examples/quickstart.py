@@ -8,7 +8,7 @@ seen — the paper's core pre-layout workflow.
 Run:  python examples/quickstart.py
 """
 
-from repro.api import predict_one
+from repro.api import evaluate, predict_one
 from repro.circuits.generators.analog import two_stage_opamp
 from repro.data import build_bundle
 from repro.data.dataset import CircuitRecord
@@ -33,7 +33,7 @@ def main() -> None:
     predictor.fit(bundle)
     print(f"   final training loss: {predictor.history.final_loss:.5f}")
 
-    metrics = predictor.evaluate(bundle.records("test"))
+    metrics = evaluate(predictor, bundle.records("test"))
     print(
         f"   held-out circuits: R2={metrics['r2']:.3f}, "
         f"MAPE={100 * metrics['mape']:.1f}%"

@@ -94,16 +94,17 @@ def error_breakdown(
 
 
 def breakdown_for_predictor(predictor, records) -> ErrorBreakdown:
-    """Convenience: breakdown of a net-target predictor over records."""
-    truths, preds, fanouts = [], [], []
-    for record in records:
-        ids, truth = record.target_arrays(predictor.spec)
-        _, pred = predictor.predict(record)
-        truths.append(truth)
-        preds.append(pred)
-        for node_id in ids:
-            net = record.graph.node_name_of[node_id]
-            fanouts.append(record.circuit.fanout(net))
-    return error_breakdown(
-        np.concatenate(truths), np.concatenate(preds), np.asarray(fanouts)
-    )
+    """Convenience: breakdown of a one-target net predictor over records
+    (any model family :func:`repro.api.collect` serves)."""
+    from repro.api import collect, make_adapter
+    from repro.data.targets import target_by_name
+
+    truth, prediction = collect(predictor, records)
+    (target,) = make_adapter(predictor).targets
+    spec = target_by_name(target)
+    fanouts = [
+        record.circuit.fanout(record.graph.node_name_of[node_id])
+        for record in records
+        for node_id in spec.node_ids(record.graph)
+    ]
+    return error_breakdown(truth, prediction, np.asarray(fanouts))

@@ -3,7 +3,9 @@
 Each ``experiment_*`` function reproduces one artefact (Table IV, Fig. 5,
 Fig. 6, Fig. 7, Fig. 8, Table V, plus the layer-depth and ingredient
 ablations) and returns a structured result with a ``render()`` method that
-prints paper-style rows.  Benchmarks in ``benchmarks/`` call these drivers;
+prints paper-style rows.  Every evaluation goes through
+:func:`repro.api.collect`, so the numbers come from the adapters that serve
+the models.  Benchmarks in ``benchmarks/`` call these drivers;
 the ``PARAGRAPH_BENCH_SCALE`` environment variable scales dataset size and
 epoch counts (1.0 = the defaults used for EXPERIMENTS.md).
 """
@@ -24,15 +26,11 @@ from repro.analysis.metrics import (
 )
 from repro.analysis.tables import format_percent, render_table
 from repro.analysis.tsne import neighborhood_label_agreement, tsne
+from repro.api import collect
 from repro.circuits.devices import DEVICE_TYPES
 from repro.data import build_bundle, target_by_name
 from repro.data.dataset import DatasetBundle
-from repro.ensemble import (
-    DEFAULT_MAX_V,
-    CapacitanceEnsemble,
-    RangeModel,
-    train_capacitance_ensemble,
-)
+from repro.ensemble import DEFAULT_MAX_V, train_capacitance_ensemble
 from repro.layout import synthesize_layout
 from repro.models import BaselinePredictor, TargetPredictor, TrainConfig
 from repro.sim import (
@@ -155,7 +153,7 @@ def experiment_fig5(
     )
     result = Fig5Result()
     for member in ensemble.models:
-        truth, pred = _collect_predictor(member.predictor, test_records)
+        truth, pred = collect(member.predictor, test_records)
         label = (
             "full-range"
             if member.max_v == float("inf")
@@ -169,7 +167,7 @@ def experiment_fig5(
                 "decade_mape": _decade_mapes(truth, pred),
             }
         )
-    truth, pred = ensemble.collect(test_records)
+    truth, pred = collect(ensemble, test_records)
     result.ensemble_row = {
         "name": "ensemble",
         "mae": float(np.abs(truth - pred).mean()),
@@ -177,18 +175,6 @@ def experiment_fig5(
         "decade_mape": _decade_mapes(truth, pred),
     }
     return result
-
-
-def _collect_predictor(predictor, records) -> tuple[np.ndarray, np.ndarray]:
-    truths, preds = [], []
-    for record in records:
-        from repro.data.targets import CAP_TARGET
-
-        _, truth = record.target_arrays(CAP_TARGET)
-        _, pred = predictor.predict(record)
-        truths.append(truth)
-        preds.append(pred)
-    return np.concatenate(truths), np.concatenate(preds)
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +241,7 @@ def experiment_fig6(
                     model, target, config, run, cap_max_v
                 )
                 predictor.fit(bundle)
-                truth, pred = predictor.collect(test_records)
+                truth, pred = collect(predictor, test_records)
                 keep = truth <= cap_max_v if target == "CAP" else np.ones(len(truth), bool)
                 r2_runs.append(r_squared(truth[keep], pred[keep]))
                 mae_runs.append(float(np.abs(truth[keep] - pred[keep]).mean()))
@@ -320,14 +306,14 @@ def experiment_fig7(
                     epochs=config.epochs, run_seed=config.dataset_seed
                 ),
             )
-            truth, pred = ensemble.collect(test_records)
+            truth, pred = collect(ensemble, test_records)
         else:
             predictor = TargetPredictor(
                 "paragraph", target,
                 TrainConfig(epochs=config.epochs, run_seed=config.dataset_seed),
             )
             predictor.fit(bundle)
-            truth, pred = predictor.collect(test_records)
+            truth, pred = collect(predictor, test_records)
         result.rows.append(
             {
                 "target": target,
@@ -524,7 +510,7 @@ def experiment_layer_sweep(
             ),
         )
         predictor.fit(bundle)
-        truth, pred = predictor.collect(test_records)
+        truth, pred = collect(predictor, test_records)
         keep = truth <= 10e-15
         result.rows.append(
             {
@@ -558,7 +544,7 @@ def experiment_attention_heads(
             ),
         )
         predictor.fit(bundle)
-        truth, pred = predictor.collect(test_records)
+        truth, pred = collect(predictor, test_records)
         keep = truth <= 10e-15
         result.rows.append(
             {
@@ -595,7 +581,7 @@ def experiment_resistance(
     }
     for name, predictor in predictors.items():
         predictor.fit(bundle)
-        truth, pred = predictor.collect(test_records)
+        truth, pred = collect(predictor, test_records)
         # RES spans decades and its largest values (longest wires) are the
         # least predictable for every model; log-space R2 measures the
         # relative accuracy that matters for RC delay estimation.
@@ -640,7 +626,7 @@ def experiment_corner_robustness(
             scale=config.dataset_scale,
             tech=make_corner(name),
         )
-        truth, pred = predictor.collect(corner_bundle.records("test"))
+        truth, pred = collect(predictor, corner_bundle.records("test"))
         result.rows.append(
             {
                 "variant": name,
@@ -679,7 +665,7 @@ def experiment_ingredients(
             ),
         )
         predictor.fit(bundle)
-        truth, pred = predictor.collect(test_records)
+        truth, pred = collect(predictor, test_records)
         keep = truth <= max_v if max_v else np.ones(len(truth), bool)
         result.rows.append(
             {

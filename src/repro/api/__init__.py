@@ -9,8 +9,9 @@ One contract for every model family::
     result.named("CAP")                        # {"out": 1.2e-15, ...}
     results = engine.predict_batch(requests)   # micro-batched, in order
 
-Request/response types live in :mod:`repro.api.types`; the engine and the
-single-shot :func:`predict_one` helper in :mod:`repro.api.engine`; the
+Request/response types live in :mod:`repro.api.types`; the engine, the
+single-shot :func:`predict_one` helper and the dataset evaluation calls
+:func:`collect` / :func:`evaluate` in :mod:`repro.api.engine`; the
 model-family adapters in :mod:`repro.api.adapters`.
 
 Exports resolve lazily (PEP 562) to keep import costs and cycles at bay —
@@ -25,6 +26,8 @@ __all__ = [
     "EngineConfig",
     "create_engine",
     "predict_one",
+    "collect",
+    "evaluate",
     "coerce_request",
     "PredictionRequest",
     "PredictionOptions",
@@ -44,6 +47,8 @@ _EXPORTS = {
     "EngineConfig": "repro.api.engine",
     "create_engine": "repro.api.engine",
     "predict_one": "repro.api.engine",
+    "collect": "repro.api.engine",
+    "evaluate": "repro.api.engine",
     "coerce_request": "repro.api.engine",
     "PredictionRequest": "repro.api.types",
     "PredictionOptions": "repro.api.types",

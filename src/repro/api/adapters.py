@@ -295,7 +295,13 @@ class MultiTargetAdapter:
 
 
 class EnsembleAdapter:
-    """The §IV :class:`~repro.ensemble.CapacitanceEnsemble` (CAP only)."""
+    """The §IV :class:`~repro.ensemble.CapacitanceEnsemble` (CAP only).
+
+    The one place Algorithm 2 is applied and counted: every member's CAP
+    head runs through :func:`_forward`, then each graph's member
+    predictions are combined (``ensemble.predictions_total`` counts the
+    combined nets, ``ensemble.range_selected`` the member each one kept).
+    """
 
     family = "ensemble"
 
@@ -339,6 +345,7 @@ class EnsembleAdapter:
                     raise ModelError("ensemble members disagree on node ids")
                 predictions.append(values)
             combined, sources = combine_with_sources(predictions, max_vs)
+            obs.inc("ensemble.predictions_total", len(combined))
             if obs.is_enabled():
                 counts = np.bincount(sources, minlength=len(members))
                 for member, count in zip(members, counts):

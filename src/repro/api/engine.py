@@ -21,6 +21,10 @@ hand-off wakes the other thread; serialised, the same requests cost less
 CPU and their latency depends far less on how fast the host wakes
 threads.  Processes, not threads, are the unit of parallel serving
 (:mod:`repro.serve.pool`).
+
+Without an engine, :func:`predict_one` answers one circuit and
+:func:`collect` / :func:`evaluate` score a model over dataset records,
+through the same adapters.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import os
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro import forksafe, obs
 from repro.api.adapters import GraphWork, make_adapter
@@ -204,11 +210,6 @@ class Engine:
                 "max_entries": self.cache.max_entries,
                 "max_bytes": self.cache.max_bytes,
                 "bytes": self.cache.current_bytes(),
-                **(
-                    {"shard": self.cache.describe_shard()}
-                    if hasattr(self.cache, "describe_shard")
-                    else {}
-                ),
             },
             "executor": {
                 "started": executor is not None,
@@ -527,8 +528,8 @@ def create_engine(
     warm-loaded), a ``{name: model}`` mapping, a
     :class:`~repro.serve.registry.ModelRegistry`, or a single model object
     (registered as ``"default"``).  A pre-built
-    :class:`~repro.serve.cache.GraphCache` (e.g. the pool's sharded
-    variant) may be injected via *cache*; it wins over *cache_size*.
+    :class:`~repro.serve.cache.GraphCache` (e.g. one bounded by bytes) may
+    be injected via *cache*; it wins over *cache_size*.
     *dtype* sets the serving compute precision (float32 by default; pass
     ``dtype="float64"`` for bit-exact parity with training).
     """
@@ -595,3 +596,39 @@ def predict_one(model, source, targets: Iterable[str] | None = None) -> Predicti
             total_s=inference_s, inference_s=inference_s, batch_size=1
         ),
     )
+
+
+def collect(model, records, target: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(ground truth, prediction) of one target, pooled over dataset records.
+
+    The model answers through its serving adapter (:func:`make_adapter`),
+    one ``predict_works`` call per record on that record's own uncached
+    graph, at the caller's ambient compute precision: evaluation runs the
+    code that serves the model.  *target* may be omitted when the model
+    predicts exactly one target.
+    """
+    from repro.data.targets import target_by_name
+
+    adapter = make_adapter(model)
+    if target is None:
+        if len(adapter.targets) != 1:
+            raise ApiError(
+                f"model predicts {sorted(adapter.targets)}; name a target"
+            )
+        (target,) = adapter.targets
+    spec = target_by_name(target)
+    truths, predictions = [], []
+    for record in records:
+        truths.append(record.target_arrays(spec)[1])
+        work = GraphWork.local(record.graph)
+        predictions.append(adapter.predict_works([work], (target,))[0][target][1])
+    return np.concatenate(truths), np.concatenate(predictions)
+
+
+def evaluate(
+    model, records, target: str | None = None, *, mape_eps: float = 0.0
+) -> dict[str, float]:
+    """Pooled R²/MAE/MAPE of one target over dataset records (:func:`collect`)."""
+    from repro.analysis.metrics import summarize
+
+    return summarize(*collect(model, records, target), mape_eps=mape_eps)

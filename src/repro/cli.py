@@ -90,6 +90,7 @@ def _runtime_from_args(args: argparse.Namespace):
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from repro.api import evaluate
     from repro.data import build_bundle
     from repro.flows import TrainPlan, train
     from repro.models import TrainConfig
@@ -110,7 +111,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     print(f"training {args.conv}/{args.target} for {args.epochs} epochs...")
     predictor = train(bundle, plan).model.predictor(args.target)
-    metrics = predictor.evaluate(bundle.records("test"))
+    metrics = evaluate(predictor, bundle.records("test"))
     print(
         f"held-out: R2={metrics['r2']:.3f} MAE={metrics['mae']:.3e} "
         f"MAPE={100 * metrics['mape']:.1f}%"
@@ -121,6 +122,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_all(args: argparse.Namespace) -> int:
+    from repro.api import evaluate
     from repro.data import ALL_TARGETS, build_bundle
     from repro.flows import MultiTargetModel, TrainPlan, train
     from repro.models import TrainConfig
@@ -152,7 +154,7 @@ def _cmd_train_all(args: argparse.Namespace) -> int:
         # one predictor answering for every target, saved once
         model = MultiTargetModel({name: model for name in model.target_names})
     for name, predictor in model.predictors.items():
-        metrics = predictor.evaluate(bundle.records("test"), name)
+        metrics = evaluate(predictor, bundle.records("test"), name)
         print(f"  {name}: R2={metrics['r2']:.3f}")
     model.save_dir(args.out_dir)
     print(f"saved {len(model.predictors)} models to {args.out_dir}")

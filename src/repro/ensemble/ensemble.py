@@ -15,15 +15,12 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro import obs
-from repro.data.dataset import CircuitRecord, DatasetBundle
-from repro.data.targets import CAP_TARGET
+from repro.data.dataset import DatasetBundle
 from repro.errors import ModelError
-from repro.analysis.metrics import summarize
 from repro.flows.runtime import MergedInputsCache, RuntimeConfig
 from repro.models.trainer import TargetPredictor, TrainConfig
 
@@ -31,18 +28,12 @@ from repro.models.trainer import TargetPredictor, TrainConfig
 DEFAULT_MAX_V = (1e-15, 10e-15, 100e-15)
 
 
-class CapPredictor(Protocol):
-    """Anything that predicts per-net capacitance for a record."""
-
-    def predict(self, record: CircuitRecord) -> tuple[np.ndarray, np.ndarray]: ...
-
-
 @dataclass
 class RangeModel:
     """One ensemble member: a predictor trained with ceiling ``max_v``."""
 
     max_v: float  # inf for the full-range model
-    predictor: CapPredictor
+    predictor: TargetPredictor
 
 
 def combine_with_sources(
@@ -88,7 +79,13 @@ def combine_predictions(
 
 @dataclass
 class CapacitanceEnsemble:
-    """The full §IV ensemble: K range models + Algorithm 2 selection."""
+    """The full §IV ensemble: K range models + Algorithm 2 selection.
+
+    It predicts through its serving adapter,
+    :class:`~repro.api.adapters.EnsembleAdapter` (``predict_one``,
+    ``collect``/``evaluate`` in :mod:`repro.api`, an ``Engine``), which
+    applies Algorithm 2 to the members' CAP predictions.
+    """
 
     models: list[RangeModel] = field(default_factory=list)
 
@@ -96,51 +93,6 @@ class CapacitanceEnsemble:
         ceilings = [m.max_v for m in self.models]
         if ceilings != sorted(ceilings):
             raise ModelError("RangeModels must be ordered by ascending max_v")
-
-    def predict(self, record: CircuitRecord) -> tuple[np.ndarray, np.ndarray]:
-        """(net node_ids, combined capacitance predictions)."""
-        if not self.models:
-            raise ModelError("ensemble has no models")
-        ids_ref: np.ndarray | None = None
-        predictions = []
-        with obs.span("ensemble.predict", circuit=getattr(record, "name", "")):
-            for member in self.models:
-                label = "inf" if math.isinf(member.max_v) else f"{member.max_v:g}"
-                with obs.span("ensemble.member_predict", max_v=label):
-                    ids, pred = member.predictor.predict(record)
-                if ids_ref is None:
-                    ids_ref = ids
-                elif not np.array_equal(ids, ids_ref):
-                    raise ModelError("ensemble members disagree on node ids")
-                predictions.append(pred)
-            combined, sources = combine_with_sources(
-                predictions, [m.max_v for m in self.models]
-            )
-        obs.inc("ensemble.predictions_total", len(combined))
-        if obs.is_enabled():
-            counts = np.bincount(sources, minlength=len(self.models))
-            for member, count in zip(self.models, counts):
-                if count:
-                    label = "inf" if math.isinf(member.max_v) else f"{member.max_v:g}"
-                    obs.inc("ensemble.range_selected", int(count), max_v=label)
-        return ids_ref, combined
-
-    def evaluate(
-        self, records: list[CircuitRecord], mape_eps: float = 0.0
-    ) -> dict[str, float]:
-        truths, preds = self.collect(records)
-        return summarize(truths, preds, mape_eps=mape_eps)
-
-    def collect(
-        self, records: list[CircuitRecord]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        truths, preds = [], []
-        for record in records:
-            _, truth = record.target_arrays(CAP_TARGET)
-            _, pred = self.predict(record)
-            truths.append(truth)
-            preds.append(pred)
-        return np.concatenate(truths), np.concatenate(preds)
 
     # ------------------------------------------------------------------
     # Persistence

@@ -11,19 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuits import devices as dev
-from repro.data.dataset import CircuitRecord, DatasetBundle
-from repro.data.normalize import (
-    FeatureScaler,
-    TargetScaler,
-    log_scaler_from_values,
-    scaler_from_std,
-)
+from repro.data.dataset import DatasetBundle
+from repro.data.normalize import FeatureScaler, TargetScaler
 from repro.data.targets import TargetSpec, target_by_name
 from repro.errors import ModelError
-from repro.analysis.metrics import summarize
 from repro.graph.hetero import HeteroGraph
 from repro.models.gbdt import GradientBoostedTrees
 from repro.models.linreg import RidgeRegression
+from repro.models.trainer import resolve_target_scaler
 
 
 def baseline_features(
@@ -45,7 +40,11 @@ def baseline_features(
 
 
 class BaselinePredictor:
-    """XGBoost-style or linear baseline with the GNN predictor's interface.
+    """XGBoost-style or linear baseline, served like the GNN predictor.
+
+    It answers through :mod:`repro.api` (``predict_one``,
+    ``collect``/``evaluate``, an ``Engine``), whose baseline adapter calls
+    :meth:`predict_graph`.
 
     Parameters
     ----------
@@ -94,15 +93,12 @@ class BaselinePredictor:
             if not keep.any():
                 raise ModelError(f"max_v={self.max_v} removed every sample")
             X, y = X[keep], y[keep]
-        if self.spec.name == "CAP":
-            scale = self.max_v if self.max_v is not None else float(y.max())
-            self.target_scaler = TargetScaler(scale)
-        elif self.spec.kind == "net":
-            self.target_scaler = log_scaler_from_values(y)  # RES extension
-        elif self.log_device_targets:
-            self.target_scaler = log_scaler_from_values(y)
-        else:
-            self.target_scaler = scaler_from_std(y)
+        self.target_scaler, _ = resolve_target_scaler(
+            self.spec,
+            y,
+            max_v=self.max_v,
+            log_device_targets=self.log_device_targets,
+        )
         if self.kind == "xgb":
             self.model = GradientBoostedTrees(seed=self.seed, **self.model_kwargs)
         else:
@@ -118,24 +114,3 @@ class BaselinePredictor:
         ids, X = baseline_features(graph, self._scaler, self.spec)
         scaled = self.model.predict(X)
         return ids, np.maximum(self.target_scaler.inverse(scaled), 0.0)
-
-    def predict(self, record: CircuitRecord) -> tuple[np.ndarray, np.ndarray]:
-        """(node_ids, SI-unit predictions), clamped at zero."""
-        return self.predict_graph(record.graph)
-
-    def evaluate(
-        self, records: list[CircuitRecord], mape_eps: float = 0.0
-    ) -> dict[str, float]:
-        truths, preds = self.collect(records)
-        return summarize(truths, preds, mape_eps=mape_eps)
-
-    def collect(
-        self, records: list[CircuitRecord]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        truths, preds = [], []
-        for record in records:
-            _, truth = record.target_arrays(self.spec)
-            _, pred = self.predict(record)
-            truths.append(truth)
-            preds.append(pred)
-        return np.concatenate(truths), np.concatenate(preds)

@@ -145,10 +145,11 @@ class MultiTaskModel(Module):
     def forward(
         self, inputs: GraphInputs, target: str, node_ids: np.ndarray
     ) -> Tensor:
-        """Scaled predictions of one head (single-graph inference path).
+        """Scaled predictions of one head on one graph, taped.
 
-        Batch callers run the trunk once and apply every head to the
-        shared embeddings instead.
+        Predictions are served by ``repro.api`` (which runs ParaGraph
+        trunks stacked, and returns exactly what this computes); this
+        taped forward is what the core benchmarks time.
         """
         if target not in self.heads:
             raise ModelError(

@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.analysis.metrics import summarize
 from repro.circuits.devices import NODE_TYPES
 from repro.data.dataset import CircuitRecord, DatasetBundle
 from repro.data.normalize import (
@@ -37,7 +36,6 @@ from repro.data.targets import TargetSpec, target_by_name
 from repro.errors import ModelError
 from repro.flows.runtime import (
     CallbackList,
-    ConsoleProgressReporter,
     EpochMetrics,
     MergedInputsCache,
     RuntimeConfig,
@@ -65,7 +63,6 @@ class TrainConfig:
     run_seed: int = 0
     max_v: float | None = None  # §IV training clamp (CAP only), in farads
     conv_kwargs: dict = field(default_factory=dict)
-    log_every: int = 0
     #: The paper trains without L2 ("training sets sufficiently large"); at
     #: this reproduction's much smaller dataset scale a little decay keeps
     #: the high-capacity relational models from memorising layout noise.
@@ -107,23 +104,28 @@ class TrainHistory:
 
 
 def resolve_target_scaler(
-    spec: TargetSpec, values: np.ndarray, cfg: TrainConfig
+    spec: TargetSpec,
+    values: np.ndarray,
+    *,
+    max_v: float | None,
+    log_device_targets: bool,
 ) -> tuple[TargetScaler, int]:
     """(target scaler, paper-default readout depth) for one target.
 
     The §IV ensemble semantics (CAP linear with a ``max_v`` ceiling) and
-    the log-space device targets live here.
+    the log-space device targets live here, for the GNN trainer and the
+    classical baselines alike.
     """
     if spec.name == "CAP":
         # CAP must train linearly: the §IV ensemble phenomenon (Fig. 5)
         # depends on small values drowning in a full-range model's error.
-        scale = cfg.max_v if cfg.max_v is not None else float(values.max())
+        scale = max_v if max_v is not None else float(values.max())
         return TargetScaler(scale), 4
     if spec.kind == "net":
         # other net targets (RES extension) span decades with no
         # ensemble semantics: log space keeps small nets accurate
         return log_scaler_from_values(values), 4
-    if cfg.log_device_targets:
+    if log_device_targets:
         return log_scaler_from_values(values), 2
     return scaler_from_std(values), 2
 
@@ -173,6 +175,10 @@ class TargetPredictor:
         Optional per-target weights for the summed loss; unlisted targets
         weigh 1.0.  The total loss is ``sum_t w_t * mse_t`` — no implicit
         normalisation, so weights are directly comparable across runs.
+
+    A fitted predictor answers through :mod:`repro.api` (``predict_one``,
+    ``collect``/``evaluate``, an ``Engine``), the serving path of every
+    model family.
     """
 
     def __init__(
@@ -307,7 +313,12 @@ class TargetPredictor:
                         )
                     # boolean indexing copies; cached arrays stay untouched
                     ids, values = ids[keep], values[keep]
-                scaler, default_fc = resolve_target_scaler(spec, values, cfg)
+                scaler, default_fc = resolve_target_scaler(
+                    spec,
+                    values,
+                    max_v=cfg.max_v,
+                    log_device_targets=cfg.log_device_targets,
+                )
                 self.target_scalers[spec.name] = scaler
                 # an explicit num_fc_layers (including 0 = linear readout)
                 # is always honoured; only None falls back to the paper
@@ -371,13 +382,7 @@ class TargetPredictor:
     ) -> "TargetPredictor":
         cfg = self.config
         tag = self.tag
-        callbacks = rt.build_callbacks()
-        if cfg.log_every and not any(
-            isinstance(cb, ConsoleProgressReporter) for cb in callbacks
-        ):
-            # legacy knob: route the old ad-hoc print through the reporter
-            callbacks.append(ConsoleProgressReporter(every=cfg.log_every))
-        emit = CallbackList(callbacks)
+        emit = CallbackList(rt.build_callbacks())
 
         inputs, prepared = self._prepare(bundle, cache)
         weights = {
@@ -549,30 +554,6 @@ class TargetPredictor:
         capacitances and geometries are physical quantities."""
         return np.maximum(self.target_scalers[target].inverse(scaled), 0.0)
 
-    def predict_graph(
-        self, graph, target: str | None = None, inputs: GraphInputs | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(node_ids, SI-unit predictions) of one head for a graph.
-
-        *target* may be omitted on a one-head predictor.  ``inputs`` may
-        carry pre-scaled :class:`GraphInputs` for *graph*; when omitted
-        they are built here.
-        """
-        model = self._require_fit()
-        spec = self._spec(target)
-        if inputs is None:
-            inputs = GraphInputs.from_graph(graph, self._scaler)
-        ids = spec.node_ids(graph)
-        with no_grad():
-            scaled = model(inputs, spec.name, ids).numpy().ravel()
-        return ids, self._to_si(spec.name, scaled)
-
-    def predict(
-        self, record: CircuitRecord, target: str | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(node_ids, predictions in SI units) for one dataset record."""
-        return self.predict_graph(record.graph, target)
-
     def attention_report(
         self, record: CircuitRecord, layer: int = 0
     ) -> list[tuple[str, str, str, float]]:
@@ -625,28 +606,6 @@ class TargetPredictor:
         with no_grad():
             z = model.trunk(inputs).numpy()
         return ids, z[ids]
-
-    def collect(
-        self, records: list[CircuitRecord], target: str | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(ground truth, prediction) arrays of one head pooled over records."""
-        spec = self._spec(target)
-        truths, preds = [], []
-        for record in records:
-            _, truth = record.target_arrays(spec)
-            _, pred = self.predict(record, spec.name)
-            truths.append(truth)
-            preds.append(pred)
-        return np.concatenate(truths), np.concatenate(preds)
-
-    def evaluate(
-        self,
-        records: list[CircuitRecord],
-        target: str | None = None,
-        mape_eps: float = 0.0,
-    ) -> dict[str, float]:
-        """Pooled R²/MAE/MAPE of one head over several circuits."""
-        return summarize(*self.collect(records, target), mape_eps=mape_eps)
 
     # ------------------------------------------------------------------
     # Persistence

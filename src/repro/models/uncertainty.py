@@ -62,20 +62,22 @@ class SeedEnsemblePredictor:
         return self
 
     def predict_with_uncertainty(self, record: CircuitRecord) -> UncertainPrediction:
-        """Mean and member-spread (std) per node."""
+        """Mean and member-spread (std) per node, every member served
+        through its adapter on one shared graph."""
+        from repro.api import GraphWork, make_adapter
+
         if not self.members:
             raise ModelError("seed ensemble is not fitted")
-        ids_ref = None
-        stacked = []
-        for member in self.members:
-            ids, pred = member.predict(record)
-            if ids_ref is None:
-                ids_ref = ids
-            stacked.append(pred)
-        matrix = np.vstack(stacked)
+        work = GraphWork.local(record.graph)
+        answers = [
+            make_adapter(member).predict_works([work], (self.target,))[0][self.target]
+            for member in self.members
+        ]
+        ids = answers[0][0]
+        matrix = np.vstack([values for _, values in answers])
         return UncertainPrediction(
-            node_ids=ids_ref,
+            node_ids=ids,
             mean=matrix.mean(axis=0),
             std=matrix.std(axis=0),
-            names=[record.graph.node_name_of[i] for i in ids_ref],
+            names=[record.graph.node_name_of[i] for i in ids],
         )

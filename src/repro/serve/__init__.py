@@ -9,8 +9,8 @@ backpressure) and :class:`PredictionServer` (stdlib JSON-over-HTTP
 
 Scale-out lives in :mod:`repro.serve.pool`: :class:`ServerPool` pre-forks
 N worker processes behind one port, every worker reading the parent's
-read-only weights copy-on-write and owning one consistent-hash shard of
-the graph-cache keyspace; see ``docs/serving.md``.
+read-only weights copy-on-write and keeping its own graph cache; see
+``docs/serving.md``.
 
 Exports resolve lazily (PEP 562); see :mod:`repro.api` for why.
 """
@@ -31,8 +31,6 @@ __all__ = [
     "request_from_json",
     "ServerPool",
     "PoolConfig",
-    "HashRing",
-    "ShardedGraphCache",
     "create_pool",
     "ServeError",
     "ServeOverloadedError",
@@ -53,8 +51,6 @@ _EXPORTS = {
     "request_from_json": "repro.serve.http",
     "ServerPool": "repro.serve.pool",
     "PoolConfig": "repro.serve.pool",
-    "HashRing": "repro.serve.pool",
-    "ShardedGraphCache": "repro.serve.pool",
     "create_pool": "repro.serve.pool",
     "ServeError": "repro.errors",
     "ServeOverloadedError": "repro.errors",

@@ -183,12 +183,8 @@ class GraphCache:
     footprint).  Evicted entries are :meth:`CachedGraph.release`-d so the
     memo dict and plan caches die with the entry.
 
-    Subclasses can veto admission per fingerprint via :meth:`admits` —
-    the pool's sharded cache partitions the keyspace this way so N
-    workers hold N disjoint cache slices instead of N copies.
-
     The text index maps :func:`text_key` of a request to the fingerprint
-    of an entry this cache admitted for it.  Parsing and fingerprinting
+    of an entry this cache holds for it.  Parsing and fingerprinting
     are pure, so a key never maps to a wrong fingerprint; a key whose
     entry was evicted misses.  The index is an LRU of at most
     ``TEXT_KEYS_PER_ENTRY * max_entries`` keys.
@@ -219,19 +215,6 @@ class GraphCache:
         with self._lock:
             return self._bytes
 
-    def admits(self, fingerprint: str) -> bool:
-        """Admission policy hook; the base cache admits every fingerprint."""
-        return True
-
-    def owns(self, fingerprint: str) -> bool:
-        """Whether this cache's shard owns a fingerprint.
-
-        Side-effect-free (unlike :meth:`admits`, which counts foreign
-        lookups) so the access log can report shard ownership without
-        perturbing the stats.  The unsharded base cache owns everything.
-        """
-        return True
-
     def get(
         self, source: "Circuit | PredictionRequest", use_cache: bool = True
     ) -> CachedGraph:
@@ -251,9 +234,7 @@ class GraphCache:
 
         ``use_cache=False`` builds a fresh throwaway entry without touching
         the LRU state or the text index — for one-shot circuits that
-        should not evict hot entries.  Fingerprints rejected by
-        :meth:`admits` are served the same way (built, never admitted or
-        indexed).
+        should not evict hot entries.
         """
         request = source if hasattr(source, "resolve_circuit") else None
         key = None
@@ -272,8 +253,7 @@ class GraphCache:
                     return entry, True
         circuit = request.resolve_circuit() if request is not None else source
         fingerprint = circuit_fingerprint(circuit)
-        admit = use_cache and self.admits(fingerprint)
-        if admit:
+        if use_cache:
             with self._lock:
                 entry = self._entries.get(fingerprint)
                 if entry is not None:
@@ -287,7 +267,7 @@ class GraphCache:
         from repro.graph.builder import build_graph
 
         graph = build_graph(circuit)
-        if not admit:
+        if not use_cache:
             return CachedGraph(fingerprint, graph), False
         entry = CachedGraph(fingerprint, graph, on_grow=self._note_growth)
         with self._lock:
@@ -302,7 +282,7 @@ class GraphCache:
         return entry, False
 
     def _index(self, key: bytes | None, fingerprint: str) -> None:
-        """Map a text key to an admitted fingerprint.  Caller holds the lock."""
+        """Map a text key to a cached fingerprint.  Caller holds the lock."""
         if key is None:
             return
         self._by_text[key] = fingerprint

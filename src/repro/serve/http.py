@@ -330,7 +330,6 @@ class _Handler(BaseHTTPRequestHandler):
                     queue_s=timing.queue_s,
                     graph_s=round(timing.graph_s, 6),
                     inference_s=round(timing.inference_s, 6),
-                    shard_owned=self.engine.cache.owns(result.fingerprint),
                 )
                 self._send_json(200, result.to_json_dict())
         except ServeOverloadedError as error:

@@ -20,11 +20,11 @@ Architecture (see ``docs/serving.md``):
   from :mod:`repro.forksafe`, which makes each one free and empty in a
   forked child, so a worker starts with usable locks whatever the
   parent's other threads held at the fork.
-* **Cache sharding** — circuit content-hashes are placed on a consistent
-  hash ring (:class:`HashRing`); each worker's LRU
-  :class:`~repro.serve.cache.GraphCache` only admits fingerprints it
-  owns (:class:`ShardedGraphCache`), so N workers partition the cache
-  keyspace instead of holding N copies.
+* **Caches** — each worker keeps its own LRU
+  :class:`~repro.serve.cache.GraphCache`, bounded by the pool's
+  ``cache_size``/``cache_bytes``.  The kernel spreads connections by
+  address, not by circuit, so any worker may see any circuit, and each
+  one caches what it serves.
 * **Drain / reload** — SIGTERM makes a worker stop accepting, finish
   in-flight requests, flush its :class:`BatchExecutor` and exit;
   :meth:`ServerPool.reload` detects artifact version bumps, loads a
@@ -36,8 +36,6 @@ Everything is stdlib: ``os.fork``, ``socket``, ``signal``.
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import os
 import selectors
 import signal
@@ -58,91 +56,6 @@ from repro.serve.registry import ModelRegistry, artifact_version
 DEFAULT_DRAIN_TIMEOUT_S = 15.0
 #: Seconds to wait for a forked worker's readiness handshake.
 READY_TIMEOUT_S = 60.0
-#: Virtual points each shard owns on the :class:`HashRing`.
-RING_REPLICAS = 64
-
-
-# ----------------------------------------------------------------------
-# Consistent-hash sharding
-# ----------------------------------------------------------------------
-class HashRing:
-    """Consistent hashing of content-hash keys onto worker shards.
-
-    Each shard owns :data:`RING_REPLICAS` virtual points on a 64-bit
-    ring; a key belongs to the first point clockwise from its own hash.
-    Adding or removing one shard moves only ~1/N of the keyspace, so a
-    rolling resize does not invalidate every worker's cache at once.
-    """
-
-    def __init__(self, shards: int):
-        if shards < 1:
-            raise ValueError("need at least one shard")
-        self.shards = shards
-        points: list[tuple[int, int]] = []
-        for shard in range(shards):
-            for replica in range(RING_REPLICAS):
-                points.append((self._hash(f"shard-{shard}-{replica}"), shard))
-        points.sort()
-        self._points = [point for point, _ in points]
-        self._owners = [shard for _, shard in points]
-
-    @staticmethod
-    def _hash(key: str) -> int:
-        return int.from_bytes(
-            hashlib.sha256(key.encode()).digest()[:8], "big"
-        )
-
-    def shard_for(self, key: str) -> int:
-        """Owning shard index for a key (a circuit fingerprint)."""
-        index = bisect.bisect_right(self._points, self._hash(key))
-        if index == len(self._points):
-            index = 0
-        return self._owners[index]
-
-
-class ShardedGraphCache(GraphCache):
-    """A :class:`GraphCache` that only admits fingerprints its shard owns.
-
-    Foreign-shard circuits are still *served* (the graph is built, used
-    and discarded) — the admission veto just keeps each worker's LRU a
-    disjoint slice of the keyspace, so the pool's aggregate cache is N
-    partitions rather than N replicas.
-    """
-
-    def __init__(
-        self,
-        shard: int,
-        shards: int,
-        *,
-        max_entries: int = 256,
-        max_bytes: int | None = None,
-    ):
-        super().__init__(max_entries=max_entries, max_bytes=max_bytes)
-        if not 0 <= shard < shards:
-            raise ValueError(f"shard {shard} outside 0..{shards - 1}")
-        self.shard = shard
-        self.ring = HashRing(shards)
-        self.foreign = 0  # lookups for fingerprints another shard owns
-
-    def admits(self, fingerprint: str) -> bool:
-        owned = self.owns(fingerprint)
-        if not owned:
-            # plain int increment: GIL-atomic, stats-only
-            self.foreign += 1
-            obs.inc("serve.shard_foreign_total")
-        return owned
-
-    def owns(self, fingerprint: str) -> bool:
-        """Ring lookup without the foreign-counter side effect."""
-        return self.ring.shard_for(fingerprint) == self.shard
-
-    def describe_shard(self) -> dict:
-        """JSON-ready shard identity for ``/metrics``."""
-        return {
-            "shard": self.shard,
-            "shards": self.ring.shards,
-            "foreign_lookups": self.foreign,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -231,17 +144,9 @@ def _child_main(
             signal.SIGTERM, lambda *_: term_early.__setitem__("hit", True)
         )
 
-        if config.workers > 1:
-            cache: GraphCache = ShardedGraphCache(
-                index,
-                config.workers,
-                max_entries=config.cache_size,
-                max_bytes=config.cache_bytes,
-            )
-        else:
-            cache = GraphCache(
-                max_entries=config.cache_size, max_bytes=config.cache_bytes
-            )
+        cache = GraphCache(
+            max_entries=config.cache_size, max_bytes=config.cache_bytes
+        )
         engine = Engine(
             registry,
             config=EngineConfig(

@@ -80,6 +80,13 @@ class TestDrivers:
         }
 
 
+    def test_corner_robustness(self, config, bundle):
+        result = exp.experiment_corner_robustness(config, bundle)
+        assert [row["variant"] for row in result.rows] == ["typ", "cmin", "cmax"]
+        assert all(np.isfinite(row["r2"]) for row in result.rows)
+        assert "Corner robustness" in result.render()
+
+
 class TestConfig:
     def test_from_env_scaling(self, monkeypatch):
         monkeypatch.setenv("PARAGRAPH_BENCH_SCALE", "0.5")

@@ -1,8 +1,10 @@
 """Engine behaviour: one contract over every model family.
 
-The load-bearing property is equivalence: whatever the old per-family
-entry points returned, the unified engine returns the same values — and
-its merged-batch forward passes agree with serial prediction to within
+The load-bearing property is equivalence: one graph served through the
+adapters returns exactly the values of the model's own taped forward
+(the ``taped`` fixture), for every model family, and so does dataset
+evaluation (:func:`repro.api.collect`), which runs the same adapters.
+Merged-batch forward passes agree with serial prediction to within
 floating-point roundoff (BLAS kernels are row-count dependent, so exact
 bit-identity across different merge shapes is not guaranteed).
 """
@@ -15,7 +17,9 @@ from repro.api import (
     EngineConfig,
     PredictionRequest,
     coerce_request,
+    collect,
     create_engine,
+    evaluate,
     predict_one,
 )
 from repro.api.engine import _parameters
@@ -25,9 +29,9 @@ from repro.errors import ApiError
 @pytest.fixture
 def engine(api_cap_predictor, api_sa_predictor, api_multi_model,
            api_ensemble_model, api_baseline_model):
-    # float64: the legacy-parity tests below compare bit-for-bit against
-    # the historical predict paths (serving defaults to float32; the
-    # cross-precision behaviour is covered by tests/api/test_backends.py)
+    # float64: the parity tests below compare bit-for-bit against the
+    # taped forward (serving defaults to float32; the cross-precision
+    # behaviour is covered by tests/api/test_backends.py)
     eng = create_engine(
         {
             "cap": api_cap_predictor,
@@ -42,15 +46,23 @@ def engine(api_cap_predictor, api_sa_predictor, api_multi_model,
     eng.close()
 
 
+def _taped_ensemble(taped, ensemble, record):
+    """Algorithm 2 over the members' taped CAP answers."""
+    from repro.ensemble.ensemble import combine_with_sources
+
+    predictions = [taped(member.predictor, record)[1] for member in ensemble.models]
+    return combine_with_sources(predictions, [m.max_v for m in ensemble.models])[0]
+
+
 class TestPredict:
     def test_matches_legacy_predict_named(self, engine, tiny_bundle,
-                                          api_cap_predictor):
+                                          api_cap_predictor, taped):
         record = tiny_bundle.records("test")[0]
-        ids, values = api_cap_predictor.predict(record)
+        ids, values = taped(api_cap_predictor, record)
         names = record.graph.node_name_of
-        legacy = {names[int(i)]: float(v) for i, v in zip(ids, values)}
+        reference = {names[int(i)]: float(v) for i, v in zip(ids, values)}
         result = engine.predict(record.circuit, model="cap")
-        assert result.named("CAP") == legacy
+        assert result.named("CAP") == reference
 
     def test_device_target_keys_are_instance_names(self, engine, tiny_bundle):
         record = tiny_bundle.records("test")[0]
@@ -71,19 +83,19 @@ class TestPredict:
         assert sorted(result.targets) == ["SA"]
 
     def test_ensemble_matches_legacy_predict(self, engine, tiny_bundle,
-                                             api_ensemble_model):
+                                             api_ensemble_model, taped):
         record = tiny_bundle.records("test")[0]
-        _, legacy_values = api_ensemble_model.predict(record)
+        reference = _taped_ensemble(taped, api_ensemble_model, record)
         result = engine.predict(record.circuit, model="ens")
-        assert np.array_equal(result.targets["CAP"].values, legacy_values)
+        assert np.array_equal(result.targets["CAP"].values, reference)
         assert result.provenance.family == "ensemble"
 
     def test_baseline_matches_legacy_predict(self, engine, tiny_bundle,
                                              api_baseline_model):
         record = tiny_bundle.records("test")[0]
-        _, legacy_values = api_baseline_model.predict(record)
+        _, reference = api_baseline_model.predict_graph(record.graph)
         result = engine.predict(record.circuit, model="base")
-        assert np.array_equal(result.targets["CAP"].values, legacy_values)
+        assert np.array_equal(result.targets["CAP"].values, reference)
 
     def test_unknown_model_raises(self, engine, tiny_bundle):
         record = tiny_bundle.records("test")[0]
@@ -467,17 +479,18 @@ class TestConstruction:
 
     def test_injected_cache_is_used_and_reported(self, api_cap_predictor,
                                                  tiny_bundle):
-        from repro.serve.pool import ShardedGraphCache
+        from repro.serve.cache import GraphCache
 
-        cache = ShardedGraphCache(0, 2, max_entries=8)
+        cache = GraphCache(max_entries=8, max_bytes=1 << 30)
         with create_engine(api_cap_predictor, cache=cache) as eng:
             assert eng.cache is cache
             record = tiny_bundle.records("test")[0]
             eng.predict(record.circuit)
             stats = eng.stats()["graph_cache"]
-            assert stats["shard"]["shard"] == 0
-            assert stats["shard"]["shards"] == 2
-            assert "bytes" in stats
+            assert stats["max_entries"] == 8
+            assert stats["max_bytes"] == 1 << 30
+            assert stats["misses"] == 1 and stats["entries"] == 1
+            assert stats["bytes"] == cache.current_bytes() > 0
 
     def test_cli_procs_flag_defaults_to_single_process(self):
         from repro.cli import build_parser
@@ -579,3 +592,135 @@ class TestPredictOne:
         result = predict_one(api_cap_predictor, record.graph)
         assert result.fingerprint == "unhashed"
         assert result.named("CAP")
+
+
+def _fit(bundle, conv="paragraph", targets="CAP", **overrides):
+    """One epoch at the default dims: at F=32, L=5 a merged or stacked
+    pass that rounds differently shows in the last ulp."""
+    from repro.models import TargetPredictor, TrainConfig
+
+    config = TrainConfig(**{"epochs": 1, "run_seed": 0, **overrides})
+    return TargetPredictor(conv, targets, config).fit(bundle)
+
+
+#: (conv, conv_kwargs) of every trunk the taped parity covers: ParaGraph
+#: with each ingredient ablated, two heads, and the other four convs.
+_TRUNKS = {
+    "paragraph": ("paragraph", {}),
+    "no-attention": ("paragraph", {"use_attention": False}),
+    "no-grouping": ("paragraph", {"group_edge_types": False}),
+    "no-skip": ("paragraph", {"concat_skip": False}),
+    "two-heads": ("paragraph", {"num_heads": 2}),
+    "gat": ("gat", {}),
+    "gcn": ("gcn", {}),
+    "sage": ("sage", {}),
+    "rgcn": ("rgcn", {}),
+}
+
+
+class TestCollect:
+    """``collect`` serves each record through the model's adapter, and
+    returns exactly what the model's own layers compute, record by record."""
+
+    @staticmethod
+    def _reference(records, spec, answer):
+        truths, values = [], []
+        for record in records:
+            ids, truth = record.target_arrays(spec)
+            got_ids, got = answer(record)
+            assert np.array_equal(got_ids, ids)
+            truths.append(truth)
+            values.append(got)
+        return np.concatenate(truths), np.concatenate(values)
+
+    def _assert_taped(self, taped, model, records, target):
+        from repro.data import target_by_name
+
+        truth, pred = collect(model, records, target)
+        ref_truth, ref_pred = self._reference(
+            records,
+            target_by_name(target),
+            lambda record: taped(model, record, target),
+        )
+        assert np.array_equal(truth, ref_truth)
+        assert pred.dtype == ref_pred.dtype
+        assert np.array_equal(pred, ref_pred)
+
+    @pytest.mark.parametrize("target", ["CAP", "SA"])
+    @pytest.mark.parametrize("trunk", sorted(_TRUNKS))
+    def test_every_trunk_matches_the_taped_forward(
+        self, tiny_bundle, taped, trunk, target
+    ):
+        conv, kwargs = _TRUNKS[trunk]
+        predictor = _fit(tiny_bundle, conv, target, conv_kwargs=dict(kwargs))
+        self._assert_taped(taped, predictor, tiny_bundle.records("test"), target)
+
+    def test_a_float32_trained_model_matches_the_taped_forward(
+        self, tiny_bundle, taped
+    ):
+        predictor = _fit(tiny_bundle, targets="SA", dtype="float32")
+        self._assert_taped(taped, predictor, tiny_bundle.records("test"), "SA")
+
+    def test_every_head_of_a_shared_trunk_matches_the_taped_forward(
+        self, tiny_bundle, taped
+    ):
+        shared = _fit(tiny_bundle, targets=["CAP", "SA", "LDE1"])
+        records = tiny_bundle.records("test")
+        for target in ("CAP", "SA", "LDE1"):
+            self._assert_taped(taped, shared, records, target)
+        with pytest.raises(ApiError, match="name a target"):
+            collect(shared, records)
+
+    def test_the_ensemble_is_algorithm_2_over_taped_members(
+        self, tiny_bundle, taped
+    ):
+        from repro.data.targets import CAP_TARGET
+        from repro.ensemble import train_capacitance_ensemble
+        from repro.models import TrainConfig
+
+        ensemble = train_capacitance_ensemble(
+            tiny_bundle, config=TrainConfig(epochs=1)
+        )
+        assert len(ensemble.models) == 4
+        records = tiny_bundle.records("test")
+        truth, pred = collect(ensemble, records)
+        ref_truth, ref_pred = self._reference(
+            records,
+            CAP_TARGET,
+            lambda record: (
+                CAP_TARGET.node_ids(record.graph),
+                _taped_ensemble(taped, ensemble, record),
+            ),
+        )
+        assert np.array_equal(truth, ref_truth)
+        assert np.array_equal(pred, ref_pred)
+        for member in ensemble.models:
+            self._assert_taped(taped, member.predictor, records, "CAP")
+
+    @pytest.mark.parametrize("kind", ["xgb", "linear"])
+    def test_baselines_match_their_graph_predictions(self, tiny_bundle, kind):
+        from repro.models.baselines import BaselinePredictor
+
+        baseline = BaselinePredictor(kind, "SA").fit(tiny_bundle)
+        records = tiny_bundle.records("test")
+        truth, pred = collect(baseline, records)
+        ref_truth, ref_pred = self._reference(
+            records,
+            baseline.spec,
+            lambda record: baseline.predict_graph(record.graph),
+        )
+        assert np.array_equal(truth, ref_truth)
+        assert np.array_equal(pred, ref_pred)
+
+    def test_evaluate_summarises_collect(self, api_cap_predictor, tiny_bundle):
+        from repro.analysis.metrics import summarize
+
+        records = tiny_bundle.records("test")
+        truth, pred = collect(api_cap_predictor, records)
+        assert evaluate(api_cap_predictor, records, mape_eps=1e-18) == summarize(
+            truth, pred, mape_eps=1e-18
+        )
+
+    def test_unknown_target_raises(self, api_cap_predictor, tiny_bundle):
+        with pytest.raises(ApiError, match="does not predict"):
+            collect(api_cap_predictor, tiny_bundle.records("test"), "SA")

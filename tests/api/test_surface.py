@@ -25,7 +25,9 @@ API_SURFACE = [
     "PredictionTiming",
     "TargetPrediction",
     "coerce_request",
+    "collect",
     "create_engine",
+    "evaluate",
     "make_adapter",
     "predict_one",
     "target_unit",
@@ -35,7 +37,6 @@ SERVE_SURFACE = [
     "BatchExecutor",
     "CachedGraph",
     "GraphCache",
-    "HashRing",
     "ModelRegistry",
     "PoolConfig",
     "PredictionServer",
@@ -44,7 +45,6 @@ SERVE_SURFACE = [
     "ServeOverloadedError",
     "ServeTimeoutError",
     "ServerPool",
-    "ShardedGraphCache",
     "artifact_version",
     "circuit_fingerprint",
     "create_pool",
@@ -181,6 +181,12 @@ class TestSignatureSnapshot:
     def test_predict_one(self):
         assert self._params(repro.api.predict_one) == [
             "model", "source", "targets",
+        ]
+
+    def test_collect_and_evaluate(self):
+        assert self._params(repro.api.collect) == ["model", "records", "target"]
+        assert self._params(repro.api.evaluate) == [
+            "model", "records", "target", "mape_eps",
         ]
 
     def test_prediction_request_fields(self):

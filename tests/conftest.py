@@ -69,3 +69,27 @@ def api_baseline_model(tiny_bundle):
     from repro.models.baselines import BaselinePredictor
 
     return BaselinePredictor("linear", "CAP").fit(tiny_bundle)
+
+
+@pytest.fixture(scope="session")
+def taped():
+    """The taped reference forward of one GNN head on one record.
+
+    ``taped(predictor, record, target=None)`` returns ``(ids, values)``
+    from ``_to_si(heads[t](trunk(inputs), ids))`` under ``no_grad``:
+    the model's own layers, one graph, no stacking and no merging.
+    Served and evaluated answers (``repro.api``) are pinned against it.
+    """
+    from repro.models.inputs import GraphInputs
+    from repro.nn import no_grad
+
+    def forward(predictor, record, target=None):
+        spec = predictor._spec(target)
+        model = predictor.model
+        inputs = GraphInputs.from_graph(record.graph, predictor._scaler)
+        ids = spec.node_ids(record.graph)
+        with no_grad():
+            scaled = model.heads[spec.name](model.trunk(inputs), ids)
+        return ids, predictor._to_si(spec.name, scaled.numpy().ravel())
+
+    return forward

@@ -1,9 +1,11 @@
 """Tests for ensemble modeling (paper §IV, Algorithm 2)."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.data.dataset import CircuitRecord
+from repro.api import collect, evaluate, predict_one
 from repro.ensemble import (
     CapacitanceEnsemble,
     RangeModel,
@@ -52,58 +54,53 @@ class TestCombine:
             combine_predictions([np.ones(2), np.ones(2)], [2.0, 1.0])
 
 
-class _FakePredictor:
-    """Returns fixed predictions for any record."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64)
-
-    def predict(self, record):
-        return np.arange(len(self.values)), self.values
-
-
-class _FakeRecord:
-    pass
+class _Unsaveable:
+    """A member that is not a fitted predictor."""
 
 
 class TestEnsembleObject:
+    """The ensemble predicts through its adapter (``repro.api``), which
+    applies Algorithm 2 to every member's CAP answer."""
+
     def test_unordered_models_rejected(self):
         with pytest.raises(ModelError):
             CapacitanceEnsemble(
                 models=[
-                    RangeModel(10e-15, _FakePredictor([1.0])),
-                    RangeModel(1e-15, _FakePredictor([1.0])),
+                    RangeModel(10e-15, _Unsaveable()),
+                    RangeModel(1e-15, _Unsaveable()),
                 ]
             )
 
-    def test_empty_ensemble_rejected(self):
+    def test_empty_ensemble_rejected(self, tiny_bundle):
         ens = CapacitanceEnsemble(models=[])
-        with pytest.raises(ModelError):
-            ens.predict(_FakeRecord())
+        with pytest.raises(ModelError, match="no models"):
+            collect(ens, tiny_bundle.records("test")[:1])
 
-    def test_mismatched_ids_rejected(self):
-        class _Short:
-            def predict(self, record):
-                return np.arange(2), np.ones(2)
+    def test_mismatched_ids_rejected(self, api_ensemble_model, tiny_bundle):
+        from repro.data.targets import TargetSpec
 
+        low, full = (member.predictor for member in api_ensemble_model.models)
+        # a CAP head read off the device population instead of the nets
+        devices = copy.copy(low)
+        devices.specs = [TargetSpec("CAP", "device")]
         ens = CapacitanceEnsemble(
             models=[
-                RangeModel(1e-15, _FakePredictor([1.0, 1.0, 1.0])),
-                RangeModel(float("inf"), _Short()),
+                RangeModel(1e-15, devices),
+                RangeModel(float("inf"), full),
             ]
         )
-        with pytest.raises(ModelError):
-            ens.predict(_FakeRecord())
+        with pytest.raises(ModelError, match="disagree on node ids"):
+            collect(ens, tiny_bundle.records("test")[:1])
 
-    def test_predict_combines(self):
-        ens = CapacitanceEnsemble(
-            models=[
-                RangeModel(1e-15, _FakePredictor([0.5e-15, 0.9e-15])),
-                RangeModel(float("inf"), _FakePredictor([0.7e-15, 6e-15])),
-            ]
+    def test_predict_combines(self, api_ensemble_model, tiny_bundle):
+        records = tiny_bundle.records("test")
+        _, combined = collect(api_ensemble_model, records)
+        members = api_ensemble_model.models
+        expected = combine_predictions(
+            [collect(member.predictor, records)[1] for member in members],
+            [member.max_v for member in members],
         )
-        _, combined = ens.predict(_FakeRecord())
-        np.testing.assert_allclose(combined, [0.5e-15, 6e-15])
+        np.testing.assert_array_equal(combined, expected)
 
 
 class TestTrainedEnsemble:
@@ -122,8 +119,6 @@ class TestTrainedEnsemble:
         assert ceilings[-1] == float("inf")
 
     def test_predict_named_covers_nets(self, trained, tiny_bundle):
-        from repro.api import predict_one
-
         record = tiny_bundle.records("test")[0]
         named = predict_one(trained, record).named("CAP")
         assert set(named) == {n.name for n in record.circuit.signal_nets()}
@@ -132,19 +127,9 @@ class TestTrainedEnsemble:
         self, trained, tiny_bundle
     ):
         """§IV's claim, restricted to the small-cap population."""
-        from repro.data.targets import CAP_TARGET
-
         records = tiny_bundle.records("test")
-        truth, combined = trained.collect(records)
-        full = trained.models[-1].predictor
-        truths, fulls = [], []
-        for record in records:
-            _, t = record.target_arrays(CAP_TARGET)
-            _, p = full.predict(record)
-            truths.append(t)
-            fulls.append(p)
-        truth_full = np.concatenate(truths)
-        pred_full = np.concatenate(fulls)
+        truth, combined = collect(trained, records)
+        truth_full, pred_full = collect(trained.models[-1].predictor, records)
         small = truth < 1e-15
         if small.sum() >= 5:
             err_ens = np.abs(combined[small] - truth[small]).mean()
@@ -152,7 +137,7 @@ class TestTrainedEnsemble:
             assert err_ens <= err_full * 1.5
 
     def test_evaluate_keys(self, trained, tiny_bundle):
-        metrics = trained.evaluate(tiny_bundle.records("test"))
+        metrics = evaluate(trained, tiny_bundle.records("test"))
         assert set(metrics) == {"r2", "mae", "mape"}
 
 
@@ -170,9 +155,9 @@ class TestEnsemblePersistence:
         trained.save_dir(directory)
         loaded = CapacitanceEnsemble.load_dir(directory)
         record = tiny_bundle.records("test")[0]
-        ids_a, a = trained.predict(record)
-        ids_b, b = loaded.predict(record)
-        np.testing.assert_array_equal(ids_a, ids_b)
+        names_a, a = predict_one(trained, record).arrays("CAP")
+        names_b, b = predict_one(loaded, record).arrays("CAP")
+        assert names_a == names_b
         np.testing.assert_allclose(a, b)
 
     def test_ceilings_and_max_v_restored(self, trained, tiny_bundle, tmp_path):
@@ -204,7 +189,7 @@ class TestEnsemblePersistence:
 
     def test_save_unsaveable_member_raises(self, tmp_path):
         ens = CapacitanceEnsemble(
-            models=[RangeModel(float("inf"), _FakePredictor([1.0]))]
+            models=[RangeModel(float("inf"), _Unsaveable())]
         )
         with pytest.raises(ModelError):
             ens.save_dir(tmp_path / "x")

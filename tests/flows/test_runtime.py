@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import collect
 from repro.ensemble import train_capacitance_ensemble
 from repro.errors import ModelError
 from repro.flows import TrainPlan, train
@@ -69,8 +70,8 @@ class TestMergedInputsCache:
             tiny_bundle, inputs_cache=MergedInputsCache()
         )
         record = tiny_bundle.records("test")[0]
-        _, a = plain.predict(record)
-        _, b = cached.predict(record)
+        _, a = collect(plain, [record])
+        _, b = collect(cached, [record])
         np.testing.assert_array_equal(a, b)
 
     def test_max_v_filter_does_not_corrupt_cache(self, tiny_bundle):
@@ -130,12 +131,6 @@ class TestInstrumentation:
         assert "epoch 4/4" in out
         assert "done:" in out
 
-    def test_legacy_log_every_still_prints(self, tiny_bundle, capsys):
-        TargetPredictor(
-            "paragraph", "CAP", _quick_config(epochs=4, log_every=2)
-        ).fit(tiny_bundle)
-        assert "epoch 2/4" in capsys.readouterr().out
-
     def test_console_reporter_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             ConsoleProgressReporter(every=0)
@@ -178,8 +173,8 @@ class TestDivergenceGuard:
             tiny_bundle, runtime=RuntimeConfig(callbacks=[poison], max_retries=1)
         )
         record = tiny_bundle.records("test")[0]
-        _, a = baseline.predict(record)
-        _, b = retried.predict(record)
+        _, a = collect(baseline, [record])
+        _, b = collect(retried, [record])
         # The retried attempt initialised from a different substream.
         assert not np.array_equal(a, b)
 
@@ -278,8 +273,8 @@ class TestParallelTraining:
         assert set(parallel.predictors) == {"CAP", "SA"}
         record = tiny_bundle.records("test")[0]
         for name in ("CAP", "SA"):
-            _, a = serial.predictor(name).predict(record)
-            _, b = parallel.predictor(name).predict(record)
+            _, a = collect(serial.predictor(name), [record], name)
+            _, b = collect(parallel.predictor(name), [record], name)
             np.testing.assert_array_equal(a, b)
 
     def test_parallel_with_picklable_metrics_writer(self, tiny_bundle, tmp_path):

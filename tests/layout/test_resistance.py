@@ -77,11 +77,12 @@ class TestResTarget:
         assert all(spec.name != "RES" for spec in ALL_TARGETS)
 
     def test_res_model_trains(self, tiny_bundle):
+        from repro.api import evaluate
         from repro.models import TargetPredictor, TrainConfig
 
         predictor = TargetPredictor(
             "paragraph", "RES",
             TrainConfig(epochs=6, embed_dim=8, num_layers=2),
         ).fit(tiny_bundle)
-        metrics = predictor.evaluate(tiny_bundle.records("test"))
+        metrics = evaluate(predictor, tiny_bundle.records("test"))
         assert np.isfinite(metrics["r2"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import collect, evaluate
 from repro.errors import ModelError
 from repro.models import (
     BaselinePredictor,
@@ -134,7 +135,7 @@ class TestBaselinePredictor:
 
     def test_unfitted_predict_raises(self, tiny_bundle):
         with pytest.raises(ModelError):
-            BaselinePredictor("xgb", "CAP").predict(tiny_bundle.records("test")[0])
+            collect(BaselinePredictor("xgb", "CAP"), tiny_bundle.records("test")[:1])
 
     def test_cap_features_are_fanout_only(self, tiny_bundle):
         record = tiny_bundle.records("test")[0]
@@ -156,9 +157,9 @@ class TestBaselinePredictor:
     @pytest.mark.parametrize("kind", ["xgb", "linear"])
     def test_fit_predict_evaluate(self, tiny_bundle, kind):
         predictor = BaselinePredictor(kind, "SA").fit(tiny_bundle)
-        metrics = predictor.evaluate(tiny_bundle.records("test"))
+        metrics = evaluate(predictor, tiny_bundle.records("test"))
         assert np.isfinite(metrics["r2"])
-        _, values = predictor.predict(tiny_bundle.records("test")[0])
+        _, values = collect(predictor, tiny_bundle.records("test")[:1])
         assert (values >= 0).all()
 
     def test_max_v_clamp(self, tiny_bundle):
@@ -172,4 +173,4 @@ class TestBaselinePredictor:
         xgb = BaselinePredictor("xgb", "SA").fit(tiny_bundle)
         lin = BaselinePredictor("linear", "SA").fit(tiny_bundle)
         records = tiny_bundle.records("test")
-        assert xgb.evaluate(records)["mae"] <= lin.evaluate(records)["mae"] * 1.1
+        assert evaluate(xgb, records)["mae"] <= evaluate(lin, records)["mae"] * 1.1

@@ -162,18 +162,19 @@ class TestTraining:
         assert clamped.target_scalers["CAP"].scale == 1e-15
 
     def test_predict_and_evaluate(self, fitted, tiny_bundle):
-        record = tiny_bundle.records("test")[0]
-        ids, values = fitted.predict(record, "SA")
-        assert len(ids) == len(values)
-        assert (values >= 0).all()
-        from repro.api import predict_one
+        from repro.api import collect, evaluate, predict_one
+        from repro.errors import ApiError
 
+        record = tiny_bundle.records("test")[0]
+        truth, values = collect(fitted, [record], "SA")
+        assert len(truth) == len(values)
+        assert (values >= 0).all()
         everything = predict_one(fitted, record.graph)
         np.testing.assert_array_equal(everything.arrays("SA")[1], values)
-        metrics = fitted.evaluate(tiny_bundle.records("test"), "SA")
+        metrics = evaluate(fitted, tiny_bundle.records("test"), "SA")
         assert set(metrics) >= {"r2", "mae"}
-        with pytest.raises(ModelError):
-            fitted.predict(record, "DA")  # no such head
+        with pytest.raises(ApiError):
+            collect(fitted, [record], "DA")  # no such head
 
     def test_unfitted_raises(self):
         with pytest.raises(ModelError):
@@ -182,6 +183,8 @@ class TestTraining:
 
 class TestCheckpointAndPersistence:
     def test_save_load_roundtrip(self, tiny_bundle, tmp_path):
+        from repro.api import collect
+
         fitted = _quick_predictor().fit(tiny_bundle)
         path = tmp_path / "multitask.npz"
         fitted.save(path)
@@ -190,8 +193,8 @@ class TestCheckpointAndPersistence:
         assert loaded._fc_layers == fitted._fc_layers
         record = tiny_bundle.records("test")[0]
         for target in fitted.target_names:
-            _, a = fitted.predict(record, target)
-            _, b = loaded.predict(record, target)
+            _, a = collect(fitted, [record], target)
+            _, b = collect(loaded, [record], target)
             np.testing.assert_array_equal(a, b)
 
     def test_checkpoint_resume_bitwise(self, tiny_bundle, tmp_path):
@@ -237,7 +240,7 @@ class TestCheckpointAndPersistence:
 
 
 class TestAdapter:
-    def test_multitask_adapter_batches(self, tiny_bundle):
+    def test_multitask_adapter_batches(self, tiny_bundle, taped):
         from repro.api.adapters import GraphWork, PredictorAdapter, make_adapter
 
         fitted = _quick_predictor().fit(tiny_bundle)
@@ -251,11 +254,11 @@ class TestAdapter:
         for record, slot in zip(records, batched):
             for target in ("CAP", "SA"):
                 ids, values = slot[target]
-                ref_ids, ref_values = fitted.predict(record, target)
+                ref_ids, ref_values = taped(fitted, record, target)
                 np.testing.assert_array_equal(ids, ref_ids)
                 np.testing.assert_allclose(values, ref_values, rtol=1e-12)
 
-    def test_single_work_short_circuit(self, tiny_bundle):
+    def test_single_work_short_circuit(self, tiny_bundle, taped):
         from repro.api.adapters import GraphWork, make_adapter
 
         fitted = _quick_predictor().fit(tiny_bundle)
@@ -263,7 +266,7 @@ class TestAdapter:
         record = tiny_bundle.records("test")[0]
         (slot,) = adapter.predict_works([GraphWork.local(record.graph)], ["CAP"])
         ids, values = slot["CAP"]
-        ref_ids, ref_values = fitted.predict(record, "CAP")
+        ref_ids, ref_values = taped(fitted, record, "CAP")
         np.testing.assert_array_equal(ids, ref_ids)
         np.testing.assert_array_equal(values, ref_values)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import predict_one
+from repro.api import collect, predict_one
 from repro.circuits.generators.analog import two_stage_opamp
 from repro.errors import ModelError
 from repro.models import TargetPredictor, TrainConfig
@@ -21,8 +21,8 @@ class TestSaveLoad:
         fitted.save(path)
         loaded = TargetPredictor.load(path)
         record = tiny_bundle.records("test")[0]
-        _, original = fitted.predict(record)
-        _, restored = loaded.predict(record)
+        _, original = collect(fitted, [record])
+        _, restored = collect(loaded, [record])
         np.testing.assert_allclose(original, restored)
 
     def test_loaded_metadata(self, fitted, tmp_path):
@@ -48,8 +48,8 @@ class TestSaveLoad:
         predictor.save(path)
         loaded = TargetPredictor.load(path)
         record = tiny_bundle.records("test")[0]
-        _, a = predictor.predict(record)
-        _, b = loaded.predict(record)
+        _, a = collect(predictor, [record])
+        _, b = collect(loaded, [record])
         np.testing.assert_allclose(a, b)
 
     def test_device_target_roundtrip(self, tiny_bundle, tmp_path):
@@ -59,8 +59,8 @@ class TestSaveLoad:
         predictor.save(path)
         loaded = TargetPredictor.load(path)
         record = tiny_bundle.records("test")[0]
-        _, a = predictor.predict(record)
-        _, b = loaded.predict(record)
+        _, a = collect(predictor, [record])
+        _, b = collect(loaded, [record])
         np.testing.assert_allclose(a, b)
 
     def test_max_v_restored(self, tiny_bundle, tmp_path):
@@ -107,8 +107,8 @@ class TestSaveLoad:
         loaded = TargetPredictor.load(path)
         assert len(loaded.model.heads["CAP"].readout.layers) == 1
         record = tiny_bundle.records("test")[0]
-        _, a = predictor.predict(record)
-        _, b = loaded.predict(record)
+        _, a = collect(predictor, [record])
+        _, b = collect(loaded, [record])
         np.testing.assert_allclose(a, b)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import predict_one
+from repro.api import collect, evaluate, predict_one
 from repro.circuits.devices import NODE_TYPES
 from repro.errors import ModelError
 from repro.graph.builder import all_edge_type_names
@@ -31,7 +31,7 @@ class TestTargetPredictor:
     def test_unfitted_predict_raises(self, tiny_bundle):
         predictor = TargetPredictor("paragraph", "CAP", _quick_config())
         with pytest.raises(ModelError):
-            predictor.predict(tiny_bundle.records("test")[0])
+            collect(predictor, tiny_bundle.records("test")[:1])
 
     def test_loss_decreases(self, tiny_bundle):
         predictor = TargetPredictor("paragraph", "CAP", _quick_config(epochs=20))
@@ -79,16 +79,16 @@ class TestTargetPredictor:
         a = TargetPredictor("paragraph", "CAP", _quick_config()).fit(tiny_bundle)
         b = TargetPredictor("paragraph", "CAP", _quick_config()).fit(tiny_bundle)
         record = tiny_bundle.records("test")[0]
-        _, pa = a.predict(record)
-        _, pb = b.predict(record)
+        _, pa = collect(a, [record])
+        _, pb = collect(b, [record])
         np.testing.assert_allclose(pa, pb)
 
     def test_different_run_seed_changes_model(self, tiny_bundle):
         a = TargetPredictor("paragraph", "CAP", _quick_config(run_seed=1)).fit(tiny_bundle)
         b = TargetPredictor("paragraph", "CAP", _quick_config(run_seed=2)).fit(tiny_bundle)
         record = tiny_bundle.records("test")[0]
-        _, pa = a.predict(record)
-        _, pb = b.predict(record)
+        _, pa = collect(a, [record])
+        _, pb = collect(b, [record])
         # values are O(fF): compare with a tolerance matched to that scale
         assert not np.allclose(pa, pb, rtol=1e-3, atol=1e-20)
 
@@ -102,13 +102,13 @@ class TestTargetPredictor:
 
     def test_evaluate_returns_metrics(self, tiny_bundle):
         predictor = TargetPredictor("paragraph", "CAP", _quick_config()).fit(tiny_bundle)
-        metrics = predictor.evaluate(tiny_bundle.records("test"))
+        metrics = evaluate(predictor, tiny_bundle.records("test"))
         assert set(metrics) == {"r2", "mae", "mape"}
 
     @pytest.mark.parametrize("conv", ["gcn", "sage", "rgcn", "gat"])
     def test_all_convs_trainable(self, tiny_bundle, conv):
         predictor = TargetPredictor(conv, "CAP", _quick_config(epochs=4)).fit(tiny_bundle)
-        metrics = predictor.evaluate(tiny_bundle.records("test"))
+        metrics = evaluate(predictor, tiny_bundle.records("test"))
         assert np.isfinite(metrics["r2"])
 
 
@@ -119,7 +119,7 @@ class TestLearningSignal:
             "paragraph", "CAP",
             TrainConfig(epochs=60, embed_dim=16, num_layers=3, run_seed=0),
         ).fit(tiny_bundle)
-        metrics = predictor.evaluate(tiny_bundle.records("test"))
+        metrics = evaluate(predictor, tiny_bundle.records("test"))
         assert metrics["r2"] > 0.3  # mean-prediction would give <= 0
 
     def test_sa_prediction_learns_quickly(self, tiny_bundle):
@@ -128,7 +128,7 @@ class TestLearningSignal:
             "paragraph", "SA",
             TrainConfig(epochs=60, embed_dim=16, num_layers=3, run_seed=0),
         ).fit(tiny_bundle)
-        metrics = predictor.evaluate(tiny_bundle.records("train")[:4])
+        metrics = evaluate(predictor, tiny_bundle.records("train")[:4])
         assert metrics["r2"] > 0.5
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import collect
 from repro.errors import ModelError
 from repro.models import GradientBoostedTrees, SeedEnsemblePredictor, TrainConfig
 
@@ -47,7 +48,7 @@ class TestSeedEnsemble:
         record = tiny_bundle.records("test")[0]
         result = fitted.predict_with_uncertainty(record)
         manual = np.mean(
-            [member.predict(record)[1] for member in fitted.members], axis=0
+            [collect(member, [record])[1] for member in fitted.members], axis=0
         )
         np.testing.assert_allclose(result.mean, manual)
 

@@ -111,7 +111,7 @@ class TestModelsUnderFloat32:
             load_module(layer32, path)
             assert all(p.data.dtype == np.float32 for p in layer32.parameters())
 
-    def test_float32_training_parity(self, tiny_bundle):
+    def test_float32_training_parity(self, tiny_bundle, taped):
         """float32 opt-in trains to within tolerance of float64 (same seed)."""
         from repro.models import TargetPredictor, TrainConfig
 
@@ -128,8 +128,8 @@ class TestModelsUnderFloat32:
         losses32 = np.array(p32.history.losses)
         np.testing.assert_allclose(losses32, losses64, rtol=1e-2)
         record = tiny_bundle.records("test")[0]
-        ids64, pred64 = p64.predict(record)
-        ids32, pred32 = p32.predict(record)
+        ids64, pred64 = taped(p64, record)
+        ids32, pred32 = taped(p32, record)
         np.testing.assert_array_equal(ids64, ids32)
         np.testing.assert_allclose(pred32, pred64, rtol=5e-2, atol=1e-18)
         # saved parameters are float64 under either policy

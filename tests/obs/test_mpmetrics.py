@@ -131,6 +131,7 @@ class TestCrashTolerance:
             "registry = MetricsRegistry()\n"
             "writer = MetricsFileWriter(sys.argv[1], worker=0, generation=1)\n"
             "registry.attach_mirror(writer)\n"
+            "registry.inc('spin_total')\n"  # one finished write before ready
             "print('ready', flush=True)\n"
             "while True:\n"
             "    registry.inc('spin_total')\n"

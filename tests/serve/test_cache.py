@@ -314,25 +314,6 @@ class TestTextIndex:
         _, hit = cache.lookup(self._request(other, name="o"))
         assert not hit and cache.text_hits == 0 and parses == [1, 1, 1]
 
-    def test_sharded_cache_never_indexes_a_foreign_fingerprint(
-        self, circuits, monkeypatch
-    ):
-        from repro.serve.pool import ShardedGraphCache
-
-        owner = ShardedGraphCache(0, 2)
-        text = write_spice(circuits[0])
-        names = [f"c{index}" for index in range(16)]
-        foreign = next(
-            name for name in names
-            if not owner.owns(circuit_fingerprint(read_spice(text, name=name)))
-        )
-        parses = self._count_parses(monkeypatch)
-        for _ in range(2):
-            _, hit = owner.lookup(self._request(text, foreign))
-            assert not hit
-        assert parses == [1, 1] and len(owner._by_text) == 0
-        assert owner.foreign == 2
-
     def test_unparseable_netlist_is_never_indexed(self, monkeypatch):
         from repro.errors import NetlistError
 

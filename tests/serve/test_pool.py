@@ -1,4 +1,4 @@
-"""Multi-process serving: hash ring, sharded cache, pool lifecycle."""
+"""Multi-process serving: the pool's lifecycle, caches and weights."""
 
 import gc
 import http.client
@@ -17,81 +17,7 @@ import pytest
 
 from repro.circuits.spice import write_spice
 from repro.errors import ServeError
-from repro.serve import circuit_fingerprint
-from repro.serve.pool import (
-    HashRing,
-    PoolConfig,
-    ServerPool,
-    ShardedGraphCache,
-)
-
-
-# ----------------------------------------------------------------------
-# Consistent hashing
-# ----------------------------------------------------------------------
-class TestHashRing:
-    def test_deterministic(self):
-        first, second = HashRing(4), HashRing(4)
-        keys = [f"circuit-{i}" for i in range(200)]
-        assert [first.shard_for(k) for k in keys] == [
-            second.shard_for(k) for k in keys
-        ]
-
-    def test_partitions_are_reasonably_balanced(self):
-        ring = HashRing(4)
-        keys = [f"fingerprint-{i:04d}" for i in range(2000)]
-        counts = [0, 0, 0, 0]
-        for key in keys:
-            counts[ring.shard_for(key)] += 1
-        assert sum(counts) == len(keys)
-        for count in counts:
-            assert 0.05 * len(keys) < count < 0.60 * len(keys)
-
-    def test_adding_a_shard_moves_a_minority_of_keys(self):
-        before, after = HashRing(4), HashRing(5)
-        keys = [f"fingerprint-{i:04d}" for i in range(2000)]
-        moved = sum(
-            1 for k in keys if before.shard_for(k) != after.shard_for(k)
-        )
-        # consistent hashing: ~1/5 of the keyspace moves, never most of it
-        assert moved < 0.45 * len(keys)
-
-    def test_rejects_degenerate_shapes(self):
-        with pytest.raises(ValueError):
-            HashRing(0)
-
-
-class TestShardedGraphCache:
-    @pytest.fixture
-    def circuits(self, tiny_bundle):
-        return [record.circuit for record in tiny_bundle.records("test")]
-
-    def test_shards_partition_the_keyspace(self, circuits):
-        shards = 3
-        caches = [ShardedGraphCache(i, shards) for i in range(shards)]
-        for circuit in circuits:
-            fingerprint = circuit_fingerprint(circuit)
-            owners = [c.admits(fingerprint) for c in caches]
-            assert sum(owners) == 1  # exactly one shard owns each circuit
-
-    def test_foreign_circuits_served_but_never_cached(self, circuits):
-        cache = ShardedGraphCache(0, 2)
-        owned = foreign = 0
-        for circuit in circuits:
-            entry, hit = cache.lookup(circuit)
-            assert entry.graph is not None
-            assert not hit
-            if cache.ring.shard_for(circuit_fingerprint(circuit)) == 0:
-                owned += 1
-            else:
-                foreign += 1
-        assert owned and foreign  # the bundle spans both shards
-        assert len(cache) == owned
-        assert cache.describe_shard()["foreign_lookups"] >= foreign
-
-    def test_bad_shard_index_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedGraphCache(2, 2)
+from repro.serve.pool import PoolConfig, ServerPool
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +87,38 @@ class TestServerPool:
             if len(seen) == 2:
                 break
         assert seen == {"0", "1"}
+
+    def test_every_worker_caches_the_circuits_it_serves(self, pool, netlist_text):
+        """The kernel spreads connections by address, not by circuit, so
+        each worker caches what it serves: every lookup is a hit or a
+        miss, and a repeated circuit misses at most once per worker."""
+        from repro.obs.mpmetrics import load_snapshots
+
+        def lookups():
+            return {
+                snap.worker: (
+                    snap.value("serve.graph_cache_hits_total"),
+                    snap.value("serve.graph_cache_misses_total"),
+                )
+                for snap in load_snapshots(pool.metrics_dir)
+            }
+
+        before = lookups()
+        requests = 40
+        for _ in range(requests):
+            status, _, _ = _post(
+                pool.url + "/predict", {"netlist": netlist_text, "model": "CAP"}
+            )
+            assert status == 200
+        after = lookups()
+        assert len(after) == 2
+        hits = sum(h for h, _ in after.values()) - sum(h for h, _ in before.values())
+        misses = {
+            worker: m - before.get(worker, (0, 0))[1]
+            for worker, (_, m) in after.items()
+        }
+        assert hits + sum(misses.values()) == requests
+        assert all(m <= 1 for m in misses.values())
 
     def test_worker_rss_excludes_private_weight_copies(self, pool, artifact):
         # shared weights: per-worker RSS must not differ by the weight bytes
@@ -312,9 +270,11 @@ class TestServingDtype:
             expected = engine.predict(netlist_text).named("CAP")
         assert body["targets"]["CAP"]["values"] == expected
 
-    def test_save_and_predict_after_serving(self, model, tiny_bundle, tmp_path):
+    def test_save_and_predict_after_serving(
+        self, model, tiny_bundle, tmp_path, taped
+    ):
         """``save`` writes the served float32 weights, upcast to float64
-        on disk, and ``predict_one`` and the taped ``predict`` run them at
+        on disk, and ``predict_one`` and the taped forward run them at
         the ambient policy."""
         from repro.api import predict_one
         from repro.models import TargetPredictor
@@ -335,9 +295,8 @@ class TestServingDtype:
         assert predict_one(model, record).named("CAP") == predict_one(
             saved, record
         ).named("CAP")
-        np.testing.assert_array_equal(
-            model.predict(record)[0], saved.predict(record)[0]
-        )
+        for got, want in zip(taped(model, record), taped(saved, record)):
+            np.testing.assert_array_equal(got, want)
 
     def test_fit_after_adoption_trains_at_float64_from_a_fresh_init(
         self, model, tiny_bundle
