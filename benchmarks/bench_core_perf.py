@@ -70,7 +70,6 @@ def test_perf_layout_synthesis(benchmark, perf_circuit):
 def test_perf_paragraph_forward(benchmark, perf_inputs):
     inputs, graph = perf_inputs
     model = _cap_model(stream(0, "perf"))
-    model.eval()
     ids = graph.nodes_of_type["net"]
     out = benchmark(lambda: model(inputs, "CAP", ids))
     assert out.shape == (len(ids), 1)

@@ -21,8 +21,8 @@ cannot collide); the :meth:`PredictionResult.flat` view uses kind-qualified
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Mapping
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -112,10 +112,6 @@ class PredictionRequest:
         else:
             self.circuit = read_spice(self.netlist_text, name=self.circuit_name)
         return self.circuit
-
-    def with_options(self, **changes) -> "PredictionRequest":
-        """Copy of this request with updated :class:`PredictionOptions`."""
-        return replace(self, options=replace(self.options, **changes))
 
 
 @dataclass(frozen=True)
@@ -237,20 +233,3 @@ class PredictionResult:
                 for name, tp in self.targets.items()
             },
         }
-
-
-def result_from_predictions(
-    circuit_name: str,
-    fingerprint: str,
-    predictions: Mapping[str, TargetPrediction],
-    provenance: ModelProvenance,
-    timing: PredictionTiming,
-) -> PredictionResult:
-    """Assemble a :class:`PredictionResult` (adapter-facing constructor)."""
-    return PredictionResult(
-        circuit=circuit_name,
-        fingerprint=fingerprint,
-        targets=dict(predictions),
-        provenance=provenance,
-        timing=timing,
-    )

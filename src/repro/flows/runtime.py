@@ -35,7 +35,7 @@ from repro.data.normalize import FeatureScaler
 from repro.data.targets import TargetSpec
 from repro.errors import ModelError
 from repro.nn.module import Module
-from repro.nn.optim import Optimizer
+from repro.nn.optim import Adam
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards, typing only
     from repro.models.inputs import GraphInputs
@@ -432,7 +432,7 @@ class Checkpoint:
 def save_checkpoint(
     path: str | os.PathLike,
     model: Module,
-    optimizer: Optimizer,
+    optimizer: Adam,
     *,
     epoch: int,
     attempt: int,

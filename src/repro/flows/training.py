@@ -45,12 +45,25 @@ class MultiTargetModel:
 
     @classmethod
     def load_dir(cls, directory: str | os.PathLike) -> "MultiTargetModel":
-        """Load every ``*.npz`` predictor from a directory."""
+        """Load every ``*.npz`` predictor from a directory.
+
+        Raises
+        ------
+        ModelError
+            When no file holds a predictor, or two files answer one target.
+        """
         model = cls()
+        source: dict[str, str] = {}
         for entry in sorted(os.listdir(directory)):
             if entry.endswith(".npz"):
                 predictor = TargetPredictor.load(os.path.join(directory, entry))
                 for name in predictor.target_names:
+                    if name in source:
+                        raise ModelError(
+                            f"target {name!r} is answered by both "
+                            f"{source[name]!r} and {entry!r} in {directory}"
+                        )
+                    source[name] = entry
                     model.predictors[name] = predictor
         if not model.predictors:
             raise ModelError(f"no .npz models found in {directory}")

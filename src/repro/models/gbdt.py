@@ -117,12 +117,19 @@ class RegressionTree:
             raise ModelError("RegressionTree is not fitted")
         X = np.asarray(X, dtype=np.float64)
         out = np.empty(len(X), dtype=np.float64)
-        # iterative traversal per row (tree depth is tiny)
-        for i, row in enumerate(X):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
+
+        # all rows at once: each split divides the indices of the rows
+        # that reach it (NaN compares False and goes right)
+        def route(node: _Node, rows: np.ndarray) -> None:
+            if node.left is None or node.right is None:  # a leaf
+                out[rows] = node.value
+                return
+            left = X[rows, node.feature] <= node.threshold
+            route(node.left, rows[left])
+            route(node.right, rows[~left])
+
+        if len(X):  # an empty query may come as a 1-D array
+            route(self.root, np.arange(len(X)))
         return out
 
 

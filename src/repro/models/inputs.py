@@ -367,24 +367,7 @@ class MegaBatch:
     inputs: GraphInputs
     offsets: np.ndarray  #: (G,) int64 node-id offset per graph
     sizes: np.ndarray  #: (G,) int64 node count per graph
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_graphs(self) -> int:
         return len(self.offsets)
-
-    def graph_of_node(self) -> np.ndarray:
-        """Per-graph readout segments: merged node id -> graph index."""
-        segments = self._cache.get("graph_of_node")
-        if segments is None:
-            segments = np.repeat(
-                np.arange(self.num_graphs, dtype=np.int64), self.sizes
-            )
-            self._cache["graph_of_node"] = segments
-        return segments
-
-    def global_ids(self, graph_index: int, node_ids: np.ndarray) -> np.ndarray:
-        """Shift one graph's local node ids into the merged id space."""
-        return np.asarray(node_ids, dtype=np.int64) + int(
-            self.offsets[graph_index]
-        )

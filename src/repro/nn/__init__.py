@@ -11,12 +11,11 @@ Public surface::
 
 from repro.nn import precision
 from repro.nn.layers import MLP, Linear, get_activation
-from repro.nn.loss import huber_loss, mae_loss, mse_loss
+from repro.nn.loss import mse_loss
 from repro.nn.module import Module, Parameter
 from repro.nn.ops import (
     block_matmul,
     concat,
-    dropout,
     gather_rows,
     l2_normalize_rows,
     leaky_relu,
@@ -25,22 +24,10 @@ from repro.nn.ops import (
     segment_mean,
     segment_softmax,
     segment_sum,
-    sigmoid,
-    tanh,
 )
 from repro.nn.plan import SegmentPlan
 from repro.nn.precision import compute_dtype, get_compute_dtype, set_compute_dtype
-from repro.nn.optim import (
-    SGD,
-    Adam,
-    CosineLR,
-    Optimizer,
-    RMSprop,
-    StepLR,
-    clip_grad_norm,
-    global_grad_norm,
-)
-from repro.nn.serialize import load_module, save_module
+from repro.nn.optim import Adam, global_grad_norm
 from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled, no_grad
 
 __all__ = [
@@ -52,14 +39,11 @@ __all__ = [
     "precision",
     "set_compute_dtype",
     "get_activation",
-    "huber_loss",
-    "mae_loss",
     "mse_loss",
     "Module",
     "Parameter",
     "block_matmul",
     "concat",
-    "dropout",
     "gather_rows",
     "l2_normalize_rows",
     "leaky_relu",
@@ -68,18 +52,8 @@ __all__ = [
     "segment_mean",
     "segment_softmax",
     "segment_sum",
-    "sigmoid",
-    "tanh",
-    "SGD",
     "Adam",
-    "CosineLR",
-    "Optimizer",
-    "RMSprop",
-    "StepLR",
-    "clip_grad_norm",
     "global_grad_norm",
-    "load_module",
-    "save_module",
     "Tensor",
     "as_tensor",
     "is_grad_enabled",

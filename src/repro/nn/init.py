@@ -21,17 +21,6 @@ def xavier_uniform(
     return draw.astype(precision.get_compute_dtype(), copy=False)
 
 
-def kaiming_uniform(
-    shape: tuple[int, ...], rng: np.random.Generator, negative_slope: float = 0.0
-) -> np.ndarray:
-    """He/Kaiming uniform initialisation for (leaky-)ReLU networks."""
-    fan_in, _ = _fans(shape)
-    gain = np.sqrt(2.0 / (1.0 + negative_slope**2))
-    limit = gain * np.sqrt(3.0 / fan_in)
-    draw = rng.uniform(-limit, limit, size=shape)
-    return draw.astype(precision.get_compute_dtype(), copy=False)
-
-
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """All-zero initialisation (biases)."""
     return np.zeros(shape, dtype=precision.get_compute_dtype())

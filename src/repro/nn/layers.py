@@ -53,8 +53,6 @@ class Linear(Module):
 _ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
     "relu": ops.relu,
     "leaky_relu": ops.leaky_relu,
-    "sigmoid": ops.sigmoid,
-    "tanh": ops.tanh,
     "identity": lambda x: x,
 }
 

@@ -1,8 +1,4 @@
-"""Regression losses.
-
-The paper regresses every target with MSE; MAE and Huber are provided for
-ablations and diagnostics.
-"""
+"""The regression loss: the paper regresses every target with MSE."""
 
 from __future__ import annotations
 
@@ -24,20 +20,3 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     pred, target = _check(pred, target)
     diff = pred - target
     return (diff * diff).mean()
-
-
-def mae_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error."""
-    pred, target = _check(pred, target)
-    return (pred - target).abs().mean()
-
-
-def huber_loss(pred: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Huber loss — quadratic near zero, linear in the tails."""
-    pred, target = _check(pred, target)
-    diff = (pred - target).abs()
-    quadratic = diff.clip_min(0.0)  # diff is already non-negative
-    small = Tensor((diff.data <= delta).astype(diff.data.dtype))
-    large = Tensor(1.0) - small
-    loss = small * (quadratic * quadratic * 0.5) + large * (diff * delta - 0.5 * delta**2)
-    return loss.mean()

@@ -32,9 +32,6 @@ class Module:
     find them recursively in deterministic (attribute insertion) order.
     """
 
-    def __init__(self):
-        self.training = True
-
     # Subclasses implement forward(); __call__ delegates to it.
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -71,26 +68,6 @@ class Module:
         """Clear gradients on every parameter."""
         for param in self.parameters():
             param.zero_grad()
-
-    def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively."""
-        self.training = mode
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                value.train(mode)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        item.train(mode)
-            elif isinstance(value, dict):
-                for item in value.values():
-                    if isinstance(item, Module):
-                        item.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        """Set inference mode recursively."""
-        return self.train(False)
 
     def num_parameters(self) -> int:
         """Total number of scalar parameters."""

@@ -72,28 +72,6 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic sigmoid."""
-    x = as_tensor(x)
-    out_data = 1.0 / (1.0 + np.exp(-x.data))
-
-    def backward(grad: np.ndarray):
-        return (grad * out_data * (1.0 - out_data),)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def tanh(x: Tensor) -> Tensor:
-    """Hyperbolic tangent."""
-    x = as_tensor(x)
-    out_data = np.tanh(x.data)
-
-    def backward(grad: np.ndarray):
-        return (grad * (1.0 - out_data**2),)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     """Concatenate tensors along *axis* (GraphSage-style skip connection)."""
     tensors = [as_tensor(t) for t in tensors]
@@ -331,13 +309,3 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     x = as_tensor(x)
     norms = (x * x).sum(axis=1, keepdims=True).clip_min(eps).sqrt()
     return x / norms
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout.  The paper trains without dropout; provided for ablations."""
-    if not training or rate <= 0.0:
-        return as_tensor(x)
-    x = as_tensor(x)
-    keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
-    return x * Tensor(mask)

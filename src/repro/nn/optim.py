@@ -1,4 +1,4 @@
-"""Optimisers: SGD (with momentum) and Adam.
+"""The optimiser: Adam.
 
 The paper trains every model with ADAM at learning rate 0.01.
 """
@@ -12,143 +12,6 @@ import numpy as np
 from repro.nn.module import Parameter
 
 
-class Optimizer:
-    """Base optimiser holding a parameter list."""
-
-    def __init__(self, params: Sequence[Parameter]):
-        self.params = list(params)
-        if not self.params:
-            raise ValueError("optimizer received no parameters")
-
-    def zero_grad(self) -> None:
-        """Clear all parameter gradients."""
-        for param in self.params:
-            param.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # State serialization (checkpoint/resume support)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Copy the optimiser's internal state as named arrays.
-
-        Subclasses with per-parameter slots (momentum, Adam moments)
-        override :meth:`_state_slots`; parameter order is the registration
-        order, which is deterministic for :class:`~repro.nn.module.Module`.
-        """
-        state: dict[str, np.ndarray] = {}
-        for slot_name, slot in self._state_slots().items():
-            if isinstance(slot, list):
-                for i, array in enumerate(slot):
-                    state[f"{slot_name}.{i}"] = np.array(array, copy=True)
-            else:
-                state[slot_name] = np.asarray(slot, dtype=np.float64)  # staticcheck: ignore[precision-policy] -- optimizer state is float64-canonical on disk
-        return state
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore state produced by :meth:`state_dict` (exact round-trip)."""
-        for slot_name, slot in self._state_slots().items():
-            if isinstance(slot, list):
-                for i, array in enumerate(slot):
-                    key = f"{slot_name}.{i}"
-                    if key not in state:
-                        raise KeyError(f"missing optimizer state {key!r}")
-                    incoming = np.asarray(state[key], dtype=array.dtype)
-                    if incoming.shape != array.shape:
-                        raise ValueError(
-                            f"shape mismatch for optimizer state {key!r}: "
-                            f"expected {array.shape}, got {incoming.shape}"
-                        )
-                    array[...] = incoming
-            else:
-                if slot_name not in state:
-                    raise KeyError(f"missing optimizer state {slot_name!r}")
-                self._set_scalar_slot(slot_name, state[slot_name])
-
-    def _state_slots(self) -> dict[str, "list[np.ndarray] | float | int"]:
-        """Named internal state; stateless optimisers have none."""
-        return {}
-
-    def _set_scalar_slot(self, name: str, value: np.ndarray) -> None:
-        raise KeyError(f"unknown scalar optimizer state {name!r}")
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            param.data = param.data - self.lr * grad
-
-    def _state_slots(self):
-        return {"velocity": self._velocity}
-
-
-class RMSprop(Optimizer):
-    """RMSprop with optional momentum."""
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 0.01,
-        alpha: float = 0.99,
-        eps: float = 1e-8,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params)
-        self.lr = lr
-        self.alpha = alpha
-        self.eps = eps
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._sq = [np.zeros_like(p.data) for p in self.params]
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, sq, velocity in zip(self.params, self._sq, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            sq *= self.alpha
-            sq += (1.0 - self.alpha) * grad**2
-            update = grad / (np.sqrt(sq) + self.eps)
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += update
-                update = velocity
-            param.data = param.data - self.lr * update
-
-    def _state_slots(self):
-        return {"sq": self._sq, "velocity": self._velocity}
-
-
 def global_grad_norm(params: Sequence[Parameter]) -> float:
     """Global L2 norm of all parameter gradients (``None`` grads skipped)."""
     total = 0.0
@@ -158,72 +21,7 @@ def global_grad_norm(params: Sequence[Parameter]) -> float:
     return total**0.5
 
 
-def clip_grad_norm(params: Sequence[Parameter], max_norm: float) -> float:
-    """Scale gradients so their global L2 norm is at most *max_norm*.
-
-    Returns the pre-clipping norm.  Parameters without gradients are
-    skipped.
-    """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    total = 0.0
-    for param in params:
-        if param.grad is not None:
-            total += float((param.grad**2).sum())
-    norm = total**0.5
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for param in params:
-            if param.grad is not None:
-                param.grad = param.grad * scale
-    return norm
-
-
-class StepLR:
-    """Multiplies an optimizer's learning rate by *gamma* every *step_size* epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5):
-        if step_size < 1:
-            raise ValueError("step_size must be >= 1")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> None:
-        """Advance one epoch; decay when the boundary is crossed."""
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-
-    @property
-    def lr(self) -> float:
-        return self.optimizer.lr
-
-
-class CosineLR:
-    """Cosine annealing from the initial lr to *eta_min* over *t_max* epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0):
-        if t_max < 1:
-            raise ValueError("t_max must be >= 1")
-        self.optimizer = optimizer
-        self.t_max = t_max
-        self.eta_min = eta_min
-        self._base_lr = optimizer.lr
-        self._epoch = 0
-
-    def step(self) -> None:
-        self._epoch = min(self._epoch + 1, self.t_max)
-        cosine = 0.5 * (1.0 + np.cos(np.pi * self._epoch / self.t_max))
-        self.optimizer.lr = self.eta_min + (self._base_lr - self.eta_min) * cosine
-
-    @property
-    def lr(self) -> float:
-        return self.optimizer.lr
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba 2015) with bias correction."""
 
     def __init__(
@@ -234,7 +32,9 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        super().__init__(params)
+        self.params = list(params)
+        if not self.params:
+            raise ValueError("optimizer received no parameters")
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
@@ -242,6 +42,11 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def zero_grad(self) -> None:
+        """Clear all parameter gradients."""
+        for param in self.params:
+            param.zero_grad()
 
     def step(self) -> None:
         self._step_count += 1
@@ -261,11 +66,34 @@ class Adam(Optimizer):
             v_hat = v / bias2
             param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def _state_slots(self):
-        return {"step_count": self._step_count, "m": self._m, "v": self._v}
+    # ------------------------------------------------------------------
+    # State serialization (checkpoint/resume support)
+    # ------------------------------------------------------------------
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Copy the optimiser's state as named arrays: ``step_count``
+        (float64) and the moments ``m.<i>``/``v.<i>`` in parameter order,
+        which is the deterministic registration order of
+        :class:`~repro.nn.module.Module`."""
+        state = {"step_count": np.asarray(self._step_count, dtype=np.float64)}  # staticcheck: ignore[precision-policy] -- optimizer state is float64-canonical on disk
+        for slot, arrays in (("m", self._m), ("v", self._v)):
+            for i, array in enumerate(arrays):
+                state[f"{slot}.{i}"] = np.array(array, copy=True)
+        return state
 
-    def _set_scalar_slot(self, name: str, value: np.ndarray) -> None:
-        if name == "step_count":
-            self._step_count = int(np.asarray(value).item())
-        else:
-            super()._set_scalar_slot(name, value)
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Restore state produced by :meth:`state_dict` (exact round-trip)."""
+        if "step_count" not in state:
+            raise KeyError("missing optimizer state 'step_count'")
+        for slot, arrays in (("m", self._m), ("v", self._v)):
+            for i, array in enumerate(arrays):
+                key = f"{slot}.{i}"
+                if key not in state:
+                    raise KeyError(f"missing optimizer state {key!r}")
+                incoming = np.asarray(state[key], dtype=array.dtype)
+                if incoming.shape != array.shape:
+                    raise ValueError(
+                        f"shape mismatch for optimizer state {key!r}: "
+                        f"expected {array.shape}, got {incoming.shape}"
+                    )
+                array[...] = incoming
+        self._step_count = int(np.asarray(state["step_count"]).item())

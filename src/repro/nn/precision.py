@@ -75,13 +75,3 @@ def compute_dtype(dtype: "str | np.dtype | type") -> Iterator[np.dtype]:
         yield resolved
     finally:
         _state.dtype = previous
-
-
-def tiny(dtype: "np.dtype | None" = None) -> float:
-    """Smallest positive normal number of *dtype* (denominator guards).
-
-    A fixed guard like ``1e-300`` silently flushes to zero in float32
-    (``float32(1e-300) == 0.0``); dtype-aware guards stay meaningful under
-    any policy.
-    """
-    return float(np.finfo(dtype if dtype is not None else get_compute_dtype()).tiny)

@@ -127,10 +127,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but cut from the graph."""
-        return Tensor(self.data)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -344,52 +340,14 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def transpose(self) -> "Tensor":
-        out_data = self.data.T
-
-        def backward(grad: np.ndarray):
-            return (grad.T,)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    @property
-    def T(self) -> "Tensor":  # noqa: N802 - numpy-style alias
-        return self.transpose()
-
     # ------------------------------------------------------------------
     # Elementwise nonlinearities used across models
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(grad: np.ndarray):
-            return (grad * out_data,)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-        self_data = self.data
-
-        def backward(grad: np.ndarray):
-            return (grad / self_data,)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
 
         def backward(grad: np.ndarray):
             return (grad * 0.5 / out_data,)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def abs(self) -> "Tensor":
-        out_data = np.abs(self.data)
-        sign = np.sign(self.data)
-
-        def backward(grad: np.ndarray):
-            return (grad * sign,)
 
         return Tensor._make(out_data, (self,), backward)
 

@@ -161,7 +161,7 @@ def render_registry_rows(rows: list[dict], *, worker: int | None = None) -> str:
     return expo.render()
 
 
-def render_fleet(snapshots, *, gauge_strategy: str = "last") -> str:
+def render_fleet(snapshots) -> str:
     """Exposition of the merged fleet view from worker metrics files.
 
     Counters and histograms are fleet-wide sums over the live snapshots;
@@ -173,7 +173,7 @@ def render_fleet(snapshots, *, gauge_strategy: str = "last") -> str:
     from repro.obs.mpmetrics import merge_snapshots
 
     expo = _Exposition()
-    merged = merge_snapshots(snapshots, gauge_strategy=gauge_strategy)
+    merged = merge_snapshots(snapshots)
     for row in merged:
         if row["kind"] != "gauge":
             _add_row(expo, row)
@@ -244,7 +244,7 @@ def _parse_value(text: str) -> float:
     return float(text)
 
 
-def parse_exposition(text: str) -> tuple[dict, dict]:
+def validate_exposition(text: str) -> tuple[dict, dict]:
     """Strictly parse exposition text.
 
     Returns ``(families, series)`` where *families* maps family name →
@@ -351,8 +351,3 @@ def _validate_histograms(families: dict, series: dict) -> None:
             raise ObsError(
                 f"{base}: +Inf bucket {pairs[-1][1]} != _count {count}"
             )
-
-
-def validate_exposition(text: str) -> tuple[dict, dict]:
-    """Alias of :func:`parse_exposition`, named for intent at call sites."""
-    return parse_exposition(text)

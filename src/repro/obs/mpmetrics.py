@@ -501,22 +501,15 @@ def _merge_key(row: dict) -> tuple:
     return (row["kind"], row["name"], labels)
 
 
-def merge_snapshots(
-    snapshots: list[WorkerSnapshot],
-    *,
-    gauge_strategy: str = "last",
-) -> list[dict]:
+def merge_snapshots(snapshots: list[WorkerSnapshot]) -> list[dict]:
     """Fold per-worker rows into one fleet view.
 
     Counters and histogram buckets/sums/counts are summed; histogram
-    min/max take the extremes; gauges resolve per *gauge_strategy* —
-    ``"last"`` (newest write timestamp wins) or ``"max"``.  The output
-    rows have the same shape as
+    min/max take the extremes; a gauge takes the value of its newest
+    write.  The output rows have the same shape as
     :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` rows, plus a
     ``workers`` count per row.
     """
-    if gauge_strategy not in ("last", "max"):
-        raise ObsError(f"unknown gauge merge strategy {gauge_strategy!r}")
     merged: dict[tuple, dict] = {}
     for snapshot in snapshots:
         for row in snapshot.rows:
@@ -544,10 +537,7 @@ def merge_snapshots(
             if row["kind"] == "counter":
                 into["value"] += row["value"]
             elif row["kind"] == "gauge":
-                if gauge_strategy == "max":
-                    if math.isnan(into["value"]) or row["value"] > into["value"]:
-                        into["value"] = row["value"]
-                elif row.get("updated", 0.0) >= into["updated"]:
+                if row.get("updated", 0.0) >= into["updated"]:
                     into["value"] = row["value"]
                     into["updated"] = row.get("updated", 0.0)
             else:

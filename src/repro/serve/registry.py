@@ -147,31 +147,29 @@ class ModelRegistry:
     def discover(cls, root: str | os.PathLike) -> "ModelRegistry":
         """Scan *root* for saved models and warm-load every one.
 
-        Children of *root* are registered under their basename (without the
-        ``.npz`` suffix for single predictors).  A *root* that is itself a
-        single artifact registers one entry named after it.
+        A *root* that is itself one artifact registers one entry named
+        after it: a single ``.npz``, an ensemble directory, or a directory
+        of ``.npz`` files and no subdirectory, which is what
+        :meth:`MultiTargetModel.save_dir` (``repro train-all``) writes and
+        loads as one model answering every target.  Otherwise each
+        ``.npz`` file and subdirectory of *root* is registered under its
+        basename (without the ``.npz`` suffix).
         """
         root = os.fspath(root)
         registry = cls()
         if not os.path.exists(root):
             raise ApiError(f"model root {root!r} does not exist")
-        candidates: list[tuple[str, str]] = []
-        if os.path.isfile(root) or os.path.exists(
-            os.path.join(root, "ensemble.json")
-        ):
+        children = [] if os.path.isfile(root) else sorted(os.listdir(root))
+        subdirs = {c for c in children if os.path.isdir(os.path.join(root, c))}
+        if not subdirs or "ensemble.json" in children:  # one artifact
             base = os.path.basename(root.rstrip(os.sep))
-            candidates.append((_entry_name(base), root))
+            candidates = [(_entry_name(base), root)]
         else:
-            for child in sorted(os.listdir(root)):
-                full = os.path.join(root, child)
-                if os.path.isfile(full) and child.endswith(".npz"):
-                    candidates.append((_entry_name(child), full))
-                elif os.path.isdir(full):
-                    candidates.append((_entry_name(child), full))
-            if not candidates and any(
-                entry.endswith(".npz") for entry in os.listdir(root)
-            ):  # pragma: no cover - defensive; .npz children caught above
-                candidates.append((os.path.basename(root), root))
+            candidates = [
+                (_entry_name(child), os.path.join(root, child))
+                for child in children
+                if child.endswith(".npz") or child in subdirs
+            ]
         for name, path in candidates:
             try:
                 registry.load(name, path)

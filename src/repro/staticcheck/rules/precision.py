@@ -4,8 +4,7 @@ The engine's compute dtype is a thread-local policy
 (:mod:`repro.nn.precision`); a literal ``np.float64`` / ``np.float32`` /
 ``dtype="float32"`` in compute-path code silently pins one precision and
 breaks float32 training (or silently upcasts it).  Only ``precision.py``
-itself and ``serialize.py`` (checkpoints are float64-canonical on disk)
-may name a float dtype.  Integer dtypes (indices) are never flagged.
+itself may name a float dtype.  Integer dtypes (indices) are never flagged.
 
 Legitimate float64-canonical sites — raw dataset feature storage,
 Algorithm 2 combination in SI units, checkpoint history arrays — carry a
@@ -21,7 +20,7 @@ from typing import Iterable, Iterator
 from repro.staticcheck.engine import ModuleContext, Rule, dotted_name
 from repro.staticcheck.findings import Finding
 
-ALLOWED_MODULES = ("nn/precision.py", "nn/serialize.py")
+ALLOWED_MODULES = ("nn/precision.py",)
 
 #: Attribute spellings that pin a float precision.
 FLOAT_ATTRS = frozenset(
@@ -54,7 +53,7 @@ class PrecisionPolicyRule(Rule):
     name = "precision-policy"
     description = (
         "hard-coded np.float64/np.float32/dtype= float literal outside "
-        "repro/nn/{precision,serialize}.py"
+        "repro/nn/precision.py"
     )
 
     def check_module(self, ctx: ModuleContext) -> Iterable[Finding]:

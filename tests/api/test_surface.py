@@ -10,6 +10,7 @@ import repro
 import repro.api
 import repro.flows
 import repro.models
+import repro.nn
 import repro.serve
 
 API_SURFACE = [
@@ -95,6 +96,38 @@ MODELS_SURFACE = [
     "make_conv",
 ]
 
+#: The engine holds what the paper's models train and serve with: Adam,
+#: the MSE loss, relu/leaky relu, Linear/MLP and the segment kernels.
+NN_SURFACE = [
+    "Adam",
+    "Linear",
+    "MLP",
+    "Module",
+    "Parameter",
+    "SegmentPlan",
+    "Tensor",
+    "as_tensor",
+    "block_matmul",
+    "compute_dtype",
+    "concat",
+    "gather_rows",
+    "get_activation",
+    "get_compute_dtype",
+    "global_grad_norm",
+    "is_grad_enabled",
+    "l2_normalize_rows",
+    "leaky_relu",
+    "mse_loss",
+    "no_grad",
+    "precision",
+    "relu",
+    "scatter_rows",
+    "segment_mean",
+    "segment_softmax",
+    "segment_sum",
+    "set_compute_dtype",
+]
+
 TOP_LEVEL_SURFACE = [
     "ApiError",
     "BatchExecutor",
@@ -139,13 +172,20 @@ class TestSurfaceSnapshot:
     def test_models_all(self):
         assert sorted(repro.models.__all__) == MODELS_SURFACE
 
+    def test_nn_all(self):
+        assert sorted(repro.nn.__all__) == NN_SURFACE
+
     def test_every_exported_name_resolves(self):
-        for module in (repro, repro.api, repro.flows, repro.models, repro.serve):
+        for module in (
+            repro, repro.api, repro.flows, repro.models, repro.nn, repro.serve
+        ):
             for name in module.__all__:
                 assert getattr(module, name) is not None, (module.__name__, name)
 
     def test_dir_covers_all(self):
-        for module in (repro, repro.api, repro.flows, repro.models, repro.serve):
+        for module in (
+            repro, repro.api, repro.flows, repro.models, repro.nn, repro.serve
+        ):
             assert set(module.__all__) <= set(dir(module))
 
     def test_unknown_attribute_raises(self):

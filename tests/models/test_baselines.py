@@ -174,3 +174,46 @@ class TestBaselinePredictor:
         lin = BaselinePredictor("linear", "SA").fit(tiny_bundle)
         records = tiny_bundle.records("test")
         assert evaluate(xgb, records)["mae"] <= evaluate(lin, records)["mae"] * 1.1
+
+
+def _walk_each_row(tree, X):
+    """The per-row traversal: one root-to-leaf walk per row."""
+    out = np.empty(len(X))
+    for i, row in enumerate(X):
+        node = tree.root
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        out[i] = node.value
+    return out
+
+
+def _internal_nodes(node):
+    if node.is_leaf:
+        return []
+    return [node, *_internal_nodes(node.left), *_internal_nodes(node.right)]
+
+
+class TestTreeRouting:
+    def test_predict_equals_per_row_walk(self):
+        """Routing every row at once answers exactly what walking each
+        row does, on threshold ties and NaN rows too."""
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 4, size=(300, 3)).astype(float)
+        y = X[:, 0] * 2.0 - X[:, 1] + rng.normal(0.0, 0.1, 300)
+        gbdt = GradientBoostedTrees(n_estimators=20, max_depth=4).fit(X, y)
+        thresholds = [
+            node.threshold
+            for tree in gbdt.trees_
+            for node in _internal_nodes(tree.root)
+        ]
+        queries = rng.normal(1.5, 1.5, size=(200, 3))
+        queries[:20] = np.array(thresholds[:20])[:, None]  # ties
+        queries[20:40, 1] = np.nan
+        queries[40:50] = np.nan
+        for tree in gbdt.trees_:
+            for rows in (X, queries, queries[:0], np.empty(0)):
+                assert np.array_equal(tree.predict(rows), _walk_each_row(tree, rows))
+        oracle = np.full(len(queries), gbdt.base_)
+        for tree in gbdt.trees_:
+            oracle += gbdt.learning_rate * _walk_each_row(tree, queries)
+        assert np.array_equal(gbdt.predict(queries), oracle)

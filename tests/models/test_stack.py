@@ -19,7 +19,7 @@ from repro.graph.features import feature_dim
 from repro.models import GraphInputs, MultiTaskModel, ReadoutHead, SharedTrunk
 from repro.models import stack as stack_module
 from repro.models.stack import TrunkStack, stack_key
-from repro.nn import SGD, Adam, Tensor, compute_dtype, mse_loss, no_grad, ops
+from repro.nn import Adam, Tensor, compute_dtype, mse_loss, no_grad, ops
 from repro.rng import stream
 
 DIM = 8
@@ -311,7 +311,7 @@ class TestWriteRule:
     replaces ``param.data``; an in-place optimiser would fail here
     instead of serving stale stacks."""
 
-    @pytest.mark.parametrize("optimizer_cls", [Adam, SGD])
+    @pytest.mark.parametrize("optimizer_cls", [Adam])
     def test_optimiser_step_replaces_param_data(self, optimizer_cls):
         model = _model("float64")
         params = model.parameters()

@@ -107,16 +107,6 @@ def leaky_relu(data, negative_slope=0.2):
     return data * scale, lambda grad: grad * scale
 
 
-def sigmoid(data):
-    out = 1.0 / (1.0 + np.exp(-data))
-    return out, lambda grad: grad * out * (1.0 - out)
-
-
-def tanh(data):
-    out = np.tanh(data)
-    return out, lambda grad: grad * (1.0 - out**2)
-
-
 def l2_normalize_rows(data, eps=1e-12):
     """``x / sqrt(max(sum(x * x), eps))`` and the chain rule of that chain."""
     squares = np.sum(data * data, axis=1, keepdims=True)

@@ -52,8 +52,6 @@ def _cases(ids, num_segments, plan):
         ),
         "relu": ("values", ops.relu, oracle.relu),
         "leaky_relu": ("values", ops.leaky_relu, oracle.leaky_relu),
-        "sigmoid": ("values", ops.sigmoid, oracle.sigmoid),
-        "tanh": ("values", ops.tanh, oracle.tanh),
         "l2_normalize_rows": (
             "values", ops.l2_normalize_rows, oracle.l2_normalize_rows
         ),

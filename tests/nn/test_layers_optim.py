@@ -1,11 +1,11 @@
-"""Tests for Linear/MLP layers, optimisers, losses, module traversal, serialization."""
+"""Tests for Linear/MLP layers, Adam, the MSE loss and module traversal."""
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.errors import ShapeError
-from repro.nn import Adam, MLP, Linear, Module, Parameter, SGD, Tensor
+from repro.nn import Adam, MLP, Linear, Module, Parameter, Tensor
 
 from tests.nn.gradcheck import assert_gradients_match
 
@@ -63,7 +63,7 @@ class TestMLP:
             mlp(Tensor(np.ones((1, 2))))
 
     def test_gradcheck_through_depth(self):
-        mlp = MLP([3, 4, 1], _rng(), activation="tanh")
+        mlp = MLP([3, 4, 1], _rng(), activation="leaky_relu")
         x = Tensor(_rng(1).standard_normal((5, 3)))
         assert_gradients_match(lambda: (mlp(x) ** 2).sum(), mlp.parameters())
 
@@ -72,18 +72,6 @@ class TestLosses:
     def test_mse_value(self):
         loss = nn.mse_loss(Tensor([1.0, 3.0]), Tensor([0.0, 0.0]))
         np.testing.assert_allclose(loss.item(), 5.0)
-
-    def test_mae_value(self):
-        loss = nn.mae_loss(Tensor([1.0, -3.0]), Tensor([0.0, 0.0]))
-        np.testing.assert_allclose(loss.item(), 2.0)
-
-    def test_huber_quadratic_region(self):
-        loss = nn.huber_loss(Tensor([0.5]), Tensor([0.0]), delta=1.0)
-        np.testing.assert_allclose(loss.item(), 0.125)
-
-    def test_huber_linear_region(self):
-        loss = nn.huber_loss(Tensor([3.0]), Tensor([0.0]), delta=1.0)
-        np.testing.assert_allclose(loss.item(), 2.5)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -97,7 +85,7 @@ class TestLosses:
 
 class TestOptimizers:
     def _quadratic_descent(self, make_optimizer, steps, tol):
-        """Minimise ||x - c||^2; both optimisers must converge."""
+        """Minimise ||x - c||^2; the optimiser must converge."""
         target = np.array([1.0, -2.0, 3.0])
         x = Parameter(np.zeros(3))
         opt = make_optimizer([x])
@@ -108,14 +96,6 @@ class TestOptimizers:
             opt.step()
         np.testing.assert_allclose(x.data, target, atol=tol)
 
-    def test_sgd_converges(self):
-        self._quadratic_descent(lambda p: SGD(p, lr=0.1), steps=200, tol=1e-6)
-
-    def test_sgd_momentum_converges(self):
-        self._quadratic_descent(
-            lambda p: SGD(p, lr=0.05, momentum=0.9), steps=300, tol=1e-5
-        )
-
     def test_adam_converges(self):
         self._quadratic_descent(lambda p: Adam(p, lr=0.1), steps=400, tol=1e-4)
 
@@ -125,7 +105,7 @@ class TestOptimizers:
 
     def test_weight_decay_shrinks_weights(self):
         x = Parameter(np.array([10.0]))
-        opt = SGD([x], lr=0.1, weight_decay=1.0)
+        opt = Adam([x], lr=0.1, weight_decay=1.0)
         opt.zero_grad()
         (x * 0.0).sum().backward()
         opt.step()
@@ -162,14 +142,6 @@ class TestModule:
         # 4 Linear layers x 2 params + scale
         assert len(names) == 9
 
-    def test_train_eval_recursion(self):
-        module = _Nested()
-        module.eval()
-        assert not module.training
-        assert not module.blocks[0].training
-        module.train()
-        assert module.by_name["a"].training
-
     def test_num_parameters(self):
         module = Linear(3, 4, _rng())
         assert module.num_parameters() == 3 * 4 + 4
@@ -201,14 +173,3 @@ class TestModule:
         assert module.weight.grad is not None
         module.zero_grad()
         assert module.weight.grad is None
-
-
-class TestSerialization:
-    def test_save_load_roundtrip(self, tmp_path):
-        module = MLP([3, 4, 1], _rng())
-        path = tmp_path / "model.npz"
-        nn.save_module(module, path)
-        fresh = MLP([3, 4, 1], _rng(99))
-        nn.load_module(fresh, path)
-        x = Tensor(np.ones((2, 3)))
-        np.testing.assert_allclose(module(x).numpy(), fresh(x).numpy())

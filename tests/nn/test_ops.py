@@ -25,19 +25,10 @@ class TestActivations:
         out = nn.leaky_relu(Tensor([-1.0, 2.0]), negative_slope=0.2)
         np.testing.assert_allclose(out.numpy(), [-0.2, 2.0])
 
-    def test_sigmoid_range_and_midpoint(self):
-        out = nn.sigmoid(Tensor([0.0, 100.0, -100.0]))
-        np.testing.assert_allclose(out.numpy(), [0.5, 1.0, 0.0], atol=1e-12)
-
-    def test_tanh_value(self):
-        np.testing.assert_allclose(nn.tanh(Tensor([0.0])).numpy(), [0.0])
-
     def test_activation_gradients(self):
         x = Tensor(_rand((3, 3)) + 0.1, requires_grad=True)  # avoid kinks at 0
         assert_gradients_match(lambda: (nn.relu(x) ** 2).sum(), [x])
         assert_gradients_match(lambda: (nn.leaky_relu(x) ** 2).sum(), [x])
-        assert_gradients_match(lambda: (nn.sigmoid(x) ** 2).sum(), [x])
-        assert_gradients_match(lambda: (nn.tanh(x) ** 2).sum(), [x])
 
 
 class TestConcat:
@@ -174,7 +165,7 @@ class TestSegmentOps:
         np.testing.assert_allclose(out.sum(), 1.0)
 
 
-class TestNormalizeDropout:
+class TestL2Normalize:
     def test_l2_normalize_rows_unit_norm(self):
         x = Tensor(_rand((4, 3)) * 10)
         out = nn.l2_normalize_rows(x).numpy()
@@ -188,20 +179,6 @@ class TestNormalizeDropout:
     def test_l2_normalize_gradient(self):
         x = Tensor(_rand((3, 4)) + 2.0, requires_grad=True)
         assert_gradients_match(lambda: (nn.l2_normalize_rows(x) ** 2).sum(), [x])
-
-    def test_dropout_off_in_eval(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones((4, 4)))
-        out = nn.dropout(x, 0.5, rng, training=False)
-        np.testing.assert_allclose(out.numpy(), x.numpy())
-
-    def test_dropout_scales_kept_activations(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones((200, 10)))
-        out = nn.dropout(x, 0.5, rng, training=True).numpy()
-        kept = out[out > 0]
-        np.testing.assert_allclose(kept, 2.0)
-        assert 0.3 < (out > 0).mean() < 0.7
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,13 +5,11 @@ import math
 import pytest
 
 from repro.errors import ObsError
-from repro.obs import expo
 from repro.obs.expo import (
     CONTENT_TYPE,
     escape_label_value,
     format_value,
     mangle_name,
-    parse_exposition,
     render_fleet,
     render_registry_rows,
     validate_exposition,
@@ -65,7 +63,7 @@ class TestRenderRegistry:
 
     def test_histogram_buckets_are_cumulative(self):
         text = render_registry_rows(self.make_rows())
-        _, series = parse_exposition(text)
+        _, series = validate_exposition(text)
         bucket = lambda le: series[
             ("repro_serve_request_seconds_bucket", (("le", le),))
         ]
@@ -85,7 +83,7 @@ class TestRenderRegistry:
         registry = MetricsRegistry()
         registry.inc("hits_total")
         text = render_registry_rows(registry.snapshot(), worker=2)
-        _, series = parse_exposition(text)
+        _, series = validate_exposition(text)
         assert series[("repro_hits_total", (("worker", "2"),))] == 1.0
 
     def test_nan_gauge_skipped(self):
@@ -139,7 +137,7 @@ class TestRenderFleet:
 
     def test_worker_up_series_carry_identity(self, tmp_path):
         text = render_fleet(self.make_snapshots(tmp_path))
-        _, series = parse_exposition(text)
+        _, series = validate_exposition(text)
         up = {
             key: value for key, value in series.items()
             if key[0] == "repro_worker_up"
@@ -153,33 +151,33 @@ class TestRenderFleet:
 
     def test_merged_histogram_count_matches(self, tmp_path):
         text = render_fleet(self.make_snapshots(tmp_path))
-        _, series = parse_exposition(text)
+        _, series = validate_exposition(text)
         assert series[("repro_serve_request_seconds_count", ())] == 2.0
 
 
 class TestStrictParser:
     def test_rejects_sample_without_type(self):
         with pytest.raises(ObsError, match="no preceding # TYPE"):
-            parse_exposition("orphan 1\n")
+            validate_exposition("orphan 1\n")
 
     def test_rejects_duplicate_type(self):
         text = "# TYPE a counter\n# TYPE a counter\n"
         with pytest.raises(ObsError, match="declared twice"):
-            parse_exposition(text)
+            validate_exposition(text)
 
     def test_rejects_unknown_type(self):
         with pytest.raises(ObsError, match="unknown metric type"):
-            parse_exposition("# TYPE a exotic\n")
+            validate_exposition("# TYPE a exotic\n")
 
     def test_rejects_duplicate_series(self):
         text = "# TYPE a counter\na 1\na 2\n"
         with pytest.raises(ObsError, match="duplicate series"):
-            parse_exposition(text)
+            validate_exposition(text)
 
     def test_rejects_malformed_labels(self):
         text = '# TYPE a counter\na{b=unquoted} 1\n'
         with pytest.raises(ObsError, match="malformed"):
-            parse_exposition(text)
+            validate_exposition(text)
 
     def test_rejects_non_cumulative_buckets(self):
         text = (
@@ -190,12 +188,12 @@ class TestStrictParser:
             "h_count 3\n"
         )
         with pytest.raises(ObsError, match="not cumulative"):
-            parse_exposition(text)
+            validate_exposition(text)
 
     def test_rejects_missing_inf_bucket(self):
         text = '# TYPE h histogram\nh_bucket{le="0.5"} 1\nh_count 1\n'
         with pytest.raises(ObsError, match=r"\+Inf"):
-            parse_exposition(text)
+            validate_exposition(text)
 
     def test_rejects_inf_bucket_count_mismatch(self):
         text = (
@@ -204,7 +202,7 @@ class TestStrictParser:
             "h_count 4\n"
         )
         with pytest.raises(ObsError, match="!= _count"):
-            parse_exposition(text)
+            validate_exposition(text)
 
     def test_accepts_help_comments_and_timestamps(self):
         text = (
@@ -212,16 +210,12 @@ class TestStrictParser:
             "# TYPE a counter\n"
             "a 1 1700000000\n"
         )
-        families, series = parse_exposition(text)
+        families, series = validate_exposition(text)
         assert families == {"a": "counter"}
         assert series[("a", ())] == 1.0
 
     def test_label_values_unescaped(self):
         text = '# TYPE a counter\na{p="x\\"y\\\\z\\nw"} 1\n'
-        _, series = parse_exposition(text)
+        _, series = validate_exposition(text)
         ((_, labels),) = series.keys()
         assert dict(labels)["p"] == 'x"y\\z\nw'
-
-    def test_validate_alias(self):
-        assert validate_exposition is expo.validate_exposition
-        assert validate_exposition("# TYPE a gauge\na 1\n")

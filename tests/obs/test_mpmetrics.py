@@ -242,7 +242,7 @@ class TestMerge:
         assert hist["max"] == pytest.approx(0.3)
         assert hist["p50"] is not None
 
-    def test_gauge_strategies(self, tmp_path):
+    def test_gauge_newest_write_wins(self, tmp_path):
         for worker, value in enumerate((9.0, 2.0)):
             registry = MetricsRegistry()
             writer = MetricsFileWriter(
@@ -253,12 +253,9 @@ class TestMerge:
             writer.close()
             time.sleep(0.01)  # distinct write timestamps
         snaps = load_snapshots(tmp_path, live_only=False)
-        (last,) = merge_snapshots(snaps, gauge_strategy="last")
-        assert last["value"] == 2.0  # newest write wins
-        (peak,) = merge_snapshots(snaps, gauge_strategy="max")
-        assert peak["value"] == 9.0
-        with pytest.raises(ObsError):
-            merge_snapshots(snaps, gauge_strategy="median")
+        (gauge,) = merge_snapshots(snaps)
+        assert gauge["value"] == 2.0  # the newer, not the larger, value
+        assert gauge["workers"] == 2
 
     def test_concurrent_load_sum_matches(self, tmp_path):
         """Fleet total must equal the per-worker sum while writers are

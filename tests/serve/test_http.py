@@ -319,7 +319,10 @@ class TestCliServeBuild:
             server.start()
             status, payload = _get(server.url + "/healthz")
             assert status == 200
-            assert payload["models"][0]["name"] == "CAP"
+            # a directory of .npz files is one multi-target model
+            (model,) = payload["models"]
+            assert model["name"] == tmp_path.name
+            assert model["targets"] == ["CAP"]
         finally:
             server.shutdown()
 

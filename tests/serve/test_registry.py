@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.api import predict_one
-from repro.errors import ApiError
+from repro.api import create_engine, predict_one
+from repro.errors import ApiError, ModelError
 from repro.serve import ModelRegistry, artifact_version, load_model
 
 
@@ -70,6 +70,17 @@ class TestLoadModel:
                 got.arrays(target)[1], want.arrays(target)[1]
             )
 
+    def test_two_files_for_one_target_raise(self, api_cap_predictor, tmp_path):
+        from repro.flows.training import MultiTargetModel
+
+        api_cap_predictor.save(tmp_path / "CAP.npz")
+        api_cap_predictor.save(tmp_path / "CAP-retrained.npz")
+        both = r"'CAP-retrained\.npz' and 'CAP\.npz'"
+        with pytest.raises(ModelError, match=both):
+            MultiTargetModel.load_dir(tmp_path)
+        with pytest.raises(ModelError, match=both):
+            ModelRegistry.discover(tmp_path)
+
     def test_rejects_junk(self, tmp_path):
         with pytest.raises(ApiError, match="no loadable model"):
             load_model(tmp_path / "missing")
@@ -112,6 +123,33 @@ class TestDiscovery:
         assert rows["multi"].targets == ("CAP", "SA")
         for entry in rows.values():
             assert len(entry.version) == 12
+
+    def test_discover_train_all_output_is_one_model(self, tiny_bundle,
+                                                    tmp_path):
+        from repro.flows import TrainPlan, train
+        from repro.models import TrainConfig
+
+        # what `repro train-all --out-dir D` writes: one file per target
+        plan = TrainPlan(
+            targets=("CAP", "SA"),
+            config=TrainConfig(epochs=1, embed_dim=8, num_layers=2),
+        )
+        suite_dir = tmp_path / "models"
+        train(tiny_bundle, plan).model.save_dir(suite_dir)
+        assert sorted(os.listdir(suite_dir)) == ["CAP.npz", "SA.npz"]
+        (entry,) = ModelRegistry.discover(suite_dir).entries()
+        assert entry.name == suite_dir.name
+        assert entry.family == "multi_target"
+        assert sorted(entry.targets) == ["CAP", "SA"]
+        record = tiny_bundle.records("test")[0]
+        with create_engine(os.fspath(suite_dir), dtype="float64") as engine:
+            got = engine.predict(record.circuit)  # no model name given
+        want = predict_one(load_model(suite_dir), record.circuit)
+        assert sorted(got.targets) == ["CAP", "SA"]
+        for target in ("CAP", "SA"):
+            assert np.array_equal(
+                got.targets[target].values, want.targets[target].values
+            )
 
     def test_discover_single_artifact_root(self, model_root):
         registry = ModelRegistry.discover(model_root / "CAP.npz")

@@ -66,6 +66,12 @@ class TestPrecisionPolicy:
         source = "import numpy as np\nDEFAULT = np.dtype(np.float64)\n"
         assert not lint(source, "src/repro/nn/precision.py")
 
+    def test_only_the_precision_module_is_exempt(self):
+        source = "import numpy as np\nDEFAULT = np.dtype(np.float64)\n"
+        for path in ("src/repro/nn/serialize.py", "src/repro/nn/optim.py"):
+            (finding,) = by_rule(lint(source, path), "precision-policy")
+            assert finding.line == 2
+
     def test_index_dtypes_pass(self):
         source = "import numpy as np\nidx = np.zeros(3, dtype=np.int64)\n"
         assert not by_rule(
