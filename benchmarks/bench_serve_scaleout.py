@@ -199,7 +199,6 @@ def test_serve_scaleout(bundle):
                 results.append(
                     {
                         "workers": workers,
-                        "strategy": pool.strategy,
                         "capacity_rps": capacity_rps,
                         "capacity_rps_per_worker": capacity_rps / workers,
                         "worker_rss_kb": _worker_rss_kb(pool),
@@ -231,12 +230,11 @@ def test_serve_scaleout(bundle):
     assert (rss_4 - rss_1) * 1024 < 8 * weight_bytes + 32 * 1024 * 1024
 
     table = render_table(
-        ["workers", "strategy", "capacity rps", "offered rps",
+        ["workers", "capacity rps", "offered rps",
          "p50 ms", "p95 ms", "p99 ms", "max RSS MB"],
         [
             [
                 row["workers"],
-                row["strategy"],
                 row["capacity_rps"],
                 row["offered_rps"],
                 row["p50_s"] * 1e3,

@@ -2,8 +2,8 @@
 
 The acceptance bar for the unified prediction API: ``Engine.predict_batch``
 over 64 cached-graph circuits must beat a naive ``predict_one`` loop by
-at least 3x, with the graph-cache hit rate and executor queue depth
-observable through ``repro.obs``.
+at least 3x, with the graph-cache hit rate and the queue bound
+observable through ``repro.obs`` and ``Engine.stats()``.
 
 The same artifact also records the end-to-end per-request p50 latency of
 the float32 serving default against a float64 engine over the identical
@@ -45,7 +45,7 @@ def test_serve_throughput_vs_naive_loop(benchmark, bundle):
 
     obs.enable()
     try:
-        with create_engine(predictor, max_batch=16, workers=2) as engine:
+        with create_engine(predictor, max_batch=16) as engine:
             for circuit in circuits:  # warm the graph cache
                 engine.predict(circuit)
 
@@ -72,7 +72,7 @@ def test_serve_throughput_vs_naive_loop(benchmark, bundle):
         path = os.path.join(tmp, "cap_model.npz")
         predictor.save(path)
         for dtype in ("float64", "float32"):
-            with create_engine(path, max_batch=16, workers=2, dtype=dtype) as eng:
+            with create_engine(path, max_batch=16, dtype=dtype) as eng:
                 for circuit in circuits:  # warm graph cache
                     eng.predict(circuit)
                 samples = []
@@ -110,7 +110,6 @@ def test_serve_throughput_vs_naive_loop(benchmark, bundle):
             "num_requests": NUM_REQUESTS,
             "distinct_circuits": len(circuits),
             "max_batch": 16,
-            "workers": 2,
         },
         metrics={
             "naive_s": naive_seconds,
@@ -119,7 +118,7 @@ def test_serve_throughput_vs_naive_loop(benchmark, bundle):
             "cache_hit_rate": hit_rate,
             "cache_hits": stats["graph_cache"]["hits"],
             "cache_misses": stats["graph_cache"]["misses"],
-            "queue_depth": stats["executor"]["queue_depth"],
+            "queue_depth": stats["queue"]["queue_depth"],
             "max_batch_size": max(r.timing.batch_size for r in results),
             "precision": precision_rows,
             "float32_p50_speedup": p50_speedup,

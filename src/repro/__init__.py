@@ -41,7 +41,6 @@ __all__ = [
     # serving layer (repro.serve)
     "ModelRegistry",
     "GraphCache",
-    "BatchExecutor",
     "PredictionServer",
     # error taxonomy
     "ReproError",
@@ -63,7 +62,6 @@ _EXPORTS = {
     "ModelProvenance": "repro.api",
     "ModelRegistry": "repro.serve",
     "GraphCache": "repro.serve",
-    "BatchExecutor": "repro.serve",
     "PredictionServer": "repro.serve",
     "ReproError": "repro.errors",
     "ApiError": "repro.errors",

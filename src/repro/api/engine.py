@@ -1,26 +1,26 @@
 """The inference engine behind the unified prediction API.
 
-:class:`Engine` owns three things:
+:class:`Engine` owns two things:
 
 * a :class:`~repro.serve.registry.ModelRegistry` of warm-loaded models
-  (every family answers through the same adapter contract),
+  (every family answers through the same adapter contract), and
 * a :class:`~repro.serve.cache.GraphCache` so repeated predictions on the
-  same circuit skip ``build_graph`` + ``FeatureScaler`` work entirely, and
-* a lazily started :class:`~repro.serve.executor.BatchExecutor` that
-  groups concurrent ``predict_batch`` items into merged-graph forward
-  passes (disjoint-component batching — bit-identical to serial results).
+  same circuit skip ``build_graph`` + ``FeatureScaler`` work entirely.
 
-``Engine.predict`` runs synchronously in the calling thread;
-``Engine.predict_batch`` fans out through the executor and preserves
-request order.  Both return :class:`~repro.api.types.PredictionResult`.
+``Engine.predict`` and ``Engine.predict_batch`` answer in the calling
+thread, through one path: the requests are admitted against
+``queue_depth``, then answered in order, in chunks of at most
+``max_batch`` merged into one forward pass per model (disjoint-component
+batching).  Both return :class:`~repro.api.types.PredictionResult`.
 
 An engine answers one group at a time, whichever thread calls it.  Two
 forwards running at once in one process only pass the GIL back and forth
 at every numpy call that releases it (hundreds per request), and each
 hand-off wakes the other thread; serialised, the same requests cost less
 CPU and their latency depends far less on how fast the host wakes
-threads.  Processes, not threads, are the unit of parallel serving
-(:mod:`repro.serve.pool`).
+threads.  The wait for the group lock is each answer's
+``timing.queue_s``.  Processes, not threads, are the unit of parallel
+serving (:mod:`repro.serve.pool`).
 
 Without an engine, :func:`predict_one` answers one circuit and
 :func:`collect` / :func:`evaluate` score a model over dataset records,
@@ -48,17 +48,21 @@ from repro.api.types import (
     TargetPrediction,
     target_unit,
 )
-from repro.errors import ApiError
+from repro.errors import ApiError, ServeOverloadedError, ServeTimeoutError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.cache import GraphCache
-    from repro.serve.executor import BatchExecutor
     from repro.serve.registry import ModelRegistry, RegistryEntry
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Engine sizing knobs (cache capacity + micro-batching executor).
+    """Engine sizing knobs.
+
+    ``max_batch`` is the most requests merged into one group;
+    ``queue_depth`` bounds the requests admitted and not yet answered (one
+    more raises :class:`~repro.errors.ServeOverloadedError`); ``timeout_s``
+    is the default deadline for the wait before a request runs.
 
     ``dtype`` is the *serving* compute precision: model weights are cast
     to it once, when the engine is built (a saved model is loaded at it;
@@ -72,7 +76,6 @@ class EngineConfig:
     cache_size: int = 256
     max_batch: int = 16
     queue_depth: int = 128
-    workers: int = 2
     timeout_s: float | None = None
     dtype: str = "float32"
 
@@ -99,6 +102,8 @@ class Engine:
         from repro.serve.cache import GraphCache
 
         self.config = config or EngineConfig()
+        if self.config.max_batch < 1 or self.config.queue_depth < 1:
+            raise ValueError("max_batch and queue_depth must be >= 1")
         self._dtype = precision.resolve_dtype(self.config.dtype)
         # loading under the serving policy casts checkpoint weights to the
         # serving dtype once, instead of on every forward
@@ -111,9 +116,9 @@ class Engine:
             if cache is not None
             else GraphCache(max_entries=self.config.cache_size)
         )
-        self._executor: BatchExecutor | None = None
-        self._executor_lock = forksafe.Lock()
         self._group_lock = forksafe.Lock()  # one group at a time
+        self._queue_lock = forksafe.Lock()  # guards _pending
+        self._pending = 0  # requests admitted and not yet answered
 
     # ------------------------------------------------------------------
     # Public surface
@@ -126,16 +131,19 @@ class Engine:
         model: str | None = None,
         use_cache: bool = True,
     ) -> PredictionResult:
-        """Predict for one circuit, synchronously in the calling thread.
+        """Predict for one circuit, in the calling thread.
 
         *request* may be a :class:`PredictionRequest` or anything
         :func:`coerce_request` understands (a ``Circuit``, a dataset
-        record, a netlist path or raw netlist text).
+        record, a netlist path or raw netlist text).  Raises
+        :class:`~repro.errors.ServeOverloadedError` when the queue is full
+        and :class:`~repro.errors.ServeTimeoutError` when the request's
+        deadline passed before it ran.
         """
         req = coerce_request(
             request, targets=targets, model=model, use_cache=use_cache
         )
-        result = self._predict_group([req])[0]
+        (result,) = self._answer([req])
         if isinstance(result, Exception):
             raise result
         return result
@@ -146,15 +154,16 @@ class Engine:
         *,
         timeout_s: float | None = None,
     ) -> list[PredictionResult]:
-        """Predict for many circuits through the micro-batching executor.
+        """Predict for many circuits, in the calling thread.
 
-        Results come back in request order.  Raises
-        :class:`~repro.errors.ApiError`, before anything is queued, when
+        Results come back in request order; consecutive chunks of at most
+        ``max_batch`` requests each run as one group.  *timeout_s* is the
+        deadline of every request that sets none of its own.  Raises
+        :class:`~repro.errors.ApiError`, before anything is admitted, when
         the batch holds more requests than the queue does (no retry could
-        succeed), :class:`~repro.errors.ServeOverloadedError` when the
-        queue rejects a request and :class:`~repro.errors.ServeTimeoutError`
-        when one exceeds its deadline; other per-request failures re-raise
-        their original exception when that result is collected.
+        succeed), and :class:`~repro.errors.ServeOverloadedError` when the
+        queue cannot take them all; otherwise the first failed request in
+        order re-raises its own exception.
         """
         reqs = [coerce_request(r) for r in requests]
         if not reqs:
@@ -164,27 +173,10 @@ class Engine:
                 f"batch of {len(reqs)} requests exceeds the serving "
                 f"queue depth of {self.config.queue_depth}; split it"
             )
-        executor = self._ensure_executor()
-        obs.inc("serve.requests_total", len(reqs))
-        futures = [
-            executor.submit(
-                req, timeout_s=(
-                    req.options.timeout_s
-                    if req.options.timeout_s is not None
-                    else timeout_s
-                )
-            )
-            for req in reqs
-        ]
-        results = []
-        for future in futures:
-            result = future.result()
-            # queue wait is measured by the executor when a worker claims
-            # the item; surface it on the result's timing breakdown
-            wait = getattr(future, "queue_wait_s", None)
-            if wait is not None and hasattr(result, "timing"):
-                result.timing.queue_s = wait
-            results.append(result)
+        results = self._answer(reqs, timeout_s)
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
         return results
 
     def targets_of(self, model: str | None = None) -> tuple[str, ...]:
@@ -197,7 +189,8 @@ class Engine:
 
     def stats(self) -> dict:
         """JSON-ready operational snapshot (the ``/metrics`` body)."""
-        executor = self._executor
+        with self._queue_lock:
+            pending = self._pending
         return {
             "compute": self.compute_info(),
             "models": self.registry.describe(),
@@ -211,22 +204,17 @@ class Engine:
                 "max_bytes": self.cache.max_bytes,
                 "bytes": self.cache.current_bytes(),
             },
-            "executor": {
-                "started": executor is not None,
-                "pending": executor.pending() if executor is not None else 0,
+            "queue": {
+                "pending": pending,
                 "max_batch": self.config.max_batch,
                 "queue_depth": self.config.queue_depth,
-                "workers": self.config.workers,
             },
         }
 
     def close(self) -> None:
-        """Shut down the executor (idempotent; the engine stays queryable
-        via :meth:`predict`, which never uses the executor)."""
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown()
+        """Release the graph cache's entries (idempotent; the engine stays
+        usable and refills its cache on demand)."""
+        self.cache.clear()
 
     def __enter__(self) -> "Engine":
         return self
@@ -237,19 +225,78 @@ class Engine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _ensure_executor(self) -> "BatchExecutor":
-        with self._executor_lock:
-            if self._executor is None:
-                from repro.serve.executor import BatchExecutor
+    def _queue(self, delta: int) -> None:
+        """Add *delta* to the requests admitted and not yet answered.
 
-                self._executor = BatchExecutor(
-                    self._predict_group,
-                    max_batch=self.config.max_batch,
-                    queue_depth=self.config.queue_depth,
-                    workers=self.config.workers,
-                    timeout_s=self.config.timeout_s,
-                )
-            return self._executor
+        Admission (a positive *delta*) raises
+        :class:`~repro.errors.ServeOverloadedError` instead when the
+        count would pass ``queue_depth``.  The ``serve.queue_depth`` gauge
+        is set under the lock, so it never lands out of order.
+        """
+        with self._queue_lock:
+            pending = self._pending + delta
+            full = delta > 0 and pending > self.config.queue_depth
+            if not full:
+                self._pending = pending
+                obs.set_gauge("serve.queue_depth", pending)
+        if full:
+            obs.inc("serve.rejected_total", delta)
+            raise ServeOverloadedError(
+                f"serving queue full ({pending - delta} pending)",
+                queue_depth=self.config.queue_depth,
+            )
+
+    def _answer(
+        self,
+        requests: Sequence[PredictionRequest],
+        timeout_s: float | None = None,
+    ) -> list:
+        """Answer *requests* in order; failed requests become Exceptions.
+
+        Admits them all (see :meth:`_queue`) until the call returns, and
+        runs consecutive chunks of at most ``max_batch`` under the group
+        lock at the serving dtype.  A request whose deadline passed while
+        it waited fails with :class:`~repro.errors.ServeTimeoutError`
+        without running; the deadline is its own ``options.timeout_s``,
+        else *timeout_s*, else the engine's.  The others' wait is their
+        ``timing.queue_s``.
+        """
+        obs.inc("serve.requests_total", len(requests))
+        default = timeout_s if timeout_s is not None else self.config.timeout_s
+        limits = [
+            default if req.options.timeout_s is None else req.options.timeout_s
+            for req in requests
+        ]
+        admitted = time.monotonic()
+        self._queue(len(requests))
+        results: list = []
+        try:
+            step = self.config.max_batch
+            for start in range(0, len(requests), step):
+                chunk = requests[start:start + step]
+                with self._group_lock, precision.compute_dtype(self._dtype):
+                    wait = time.monotonic() - admitted
+                    late = [
+                        limit is not None and wait > limit
+                        for limit in limits[start:start + step]
+                    ]
+                    live = [req for req, too_late in zip(chunk, late) if not too_late]
+                    outcomes = iter(self._predict_group(live) if live else ())
+                for too_late in late:
+                    if too_late:
+                        obs.inc("serve.timeouts_total")
+                        results.append(ServeTimeoutError(
+                            f"request waited {wait:.3f} s, past its deadline"
+                        ))
+                        continue
+                    result = next(outcomes)
+                    if not isinstance(result, Exception):
+                        result.timing.queue_s = wait
+                    obs.observe("serve.queue_wait_seconds", wait)
+                    results.append(result)
+        finally:
+            self._queue(-len(requests))
+        return results
 
     def _predict_group(
         self, requests: Sequence[PredictionRequest]
@@ -257,17 +304,10 @@ class Engine:
         """Answer a group of requests; failed items become Exceptions.
 
         Items sharing a model and target set are merged into one batched
-        forward pass; the rest fall back to singleton batches.  Runs
-        under the engine's serving precision (thread-local, so caller
-        threads keep their own policy), one group at a time (see the
-        module docstring).
+        forward pass; the rest fall back to singleton batches.  Called by
+        :meth:`_answer` under the group lock, at the serving precision
+        (thread-local, so caller threads keep their own policy).
         """
-        with self._group_lock, precision.compute_dtype(self._dtype):
-            return self._predict_group_inner(requests)
-
-    def _predict_group_inner(
-        self, requests: Sequence[PredictionRequest]
-    ) -> list:
         prepared: list[tuple | Exception] = []
         for req in requests:
             t0 = time.perf_counter()
@@ -517,7 +557,7 @@ def create_engine(
     cache_size: int = 256,
     max_batch: int = 16,
     queue_depth: int = 128,
-    workers: int = 2,
+    workers: int | None = None,
     timeout_s: float | None = None,
     dtype: str = "float32",
     cache=None,
@@ -531,7 +571,8 @@ def create_engine(
     :class:`~repro.serve.cache.GraphCache` (e.g. one bounded by bytes) may
     be injected via *cache*; it wins over *cache_size*.
     *dtype* sets the serving compute precision (float32 by default; pass
-    ``dtype="float64"`` for bit-exact parity with training).
+    ``dtype="float64"`` for bit-exact parity with training).  *workers* is
+    accepted and ignored: an engine answers in the calling thread.
     """
     return Engine(
         models,
@@ -539,7 +580,6 @@ def create_engine(
             cache_size=cache_size,
             max_batch=max_batch,
             queue_depth=queue_depth,
-            workers=workers,
             timeout_s=timeout_s,
             dtype=dtype,
         ),

@@ -50,7 +50,11 @@ class PredictionOptions:
         Look up (and populate) the engine's graph/feature cache.  Disable
         for one-shot circuits that should not evict hot entries.
     timeout_s:
-        Per-request deadline when going through the batching executor.
+        Seconds this request may wait for the engine before it runs; one
+        that waited longer fails with
+        :class:`~repro.errors.ServeTimeoutError` (HTTP 504) without
+        running.  ``None`` falls back to the call's, then the engine's,
+        deadline.
     """
 
     use_cache: bool = True
@@ -131,7 +135,7 @@ class PredictionTiming:
     total_s: float = 0.0
     graph_s: float = 0.0  # build_graph + feature-scaling work (0 on cache hit)
     inference_s: float = 0.0
-    queue_s: float = 0.0  # time spent waiting in the batching queue
+    queue_s: float = 0.0  # wait for the engine's group lock before running
     cache_hit: bool = False
     batch_size: int = 1  # >1 when served by a merged-batch forward pass
 

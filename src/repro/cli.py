@@ -29,12 +29,15 @@ Subcommands::
         single ``.npz``, a multi-target directory, or an ensemble directory.
 
     python -m repro serve      --models models/ [--host H] [--port P]
-                               [--max-batch 16] [--queue-depth 128]
-                               [--workers 2] [--cache-size 256]
+                               [--procs 1] [--max-batch 16]
+                               [--queue-depth 128] [--cache-size 256]
                                [--timeout-s T] [--precision float32]
         Discover saved models under ``--models`` and answer predictions over
         stdlib JSON/HTTP: ``POST /predict``, ``GET /healthz``,
-        ``GET /metrics``.
+        ``GET /metrics``.  Each process answers one group of at most
+        ``--max-batch`` requests at a time; ``--queue-depth`` bounds the
+        requests it holds (429 beyond), and ``--timeout-s`` fails one that
+        waited longer (504).
 
     python -m repro experiment {table4,fig5,fig6,fig7,fig8,table5,layers,ingredients}
         Run one paper experiment and print its table (honours
@@ -222,7 +225,6 @@ def _serve_build(args: argparse.Namespace):
         cache_size=args.cache_size,
         max_batch=args.max_batch,
         queue_depth=args.queue_depth,
-        workers=args.workers,
         timeout_s=args.timeout_s,
         dtype=args.precision,
     )
@@ -264,7 +266,6 @@ def _cmd_serve_pool(args: argparse.Namespace) -> int:
         cache_size=args.cache_size,
         max_batch=args.max_batch,
         queue_depth=args.queue_depth,
-        threads=args.workers,
         timeout_s=args.timeout_s,
         dtype=args.precision,
         quiet=not args.verbose,
@@ -275,7 +276,7 @@ def _cmd_serve_pool(args: argparse.Namespace) -> int:
         names = ", ".join(pool.registry.names())
         print(
             f"serving {len(pool.registry)} model(s) [{names}] at {pool.url} "
-            f"across {args.procs} workers ({pool.strategy})"
+            f"across {args.procs} workers"
         )
         print("endpoints: POST /predict, GET /healthz, GET /metrics "
               "(?format=prom for Prometheus)")
@@ -608,19 +609,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8080,
                          help="TCP port (0 binds an ephemeral port)")
-    p_serve.add_argument("--workers", type=int, default=2,
-                         help="micro-batching executor threads per process")
     p_serve.add_argument("--procs", type=int, default=1,
                          help="worker processes; >1 forks a pool behind "
                               "one port")
     p_serve.add_argument("--max-batch", type=int, default=16,
                          help="max requests merged into one forward pass")
     p_serve.add_argument("--queue-depth", type=int, default=128,
-                         help="queued requests before 429 backpressure")
+                         help="requests held per process before 429 "
+                              "backpressure")
     p_serve.add_argument("--cache-size", type=int, default=256,
                          help="graph/feature cache entries")
     p_serve.add_argument("--timeout-s", type=float, default=None,
-                         help="per-request deadline while queued")
+                         help="per-request deadline for the wait before "
+                              "it runs (504 after)")
     p_serve.add_argument("--precision", default="float32",
                          choices=["float32", "float64"],
                          help="serving compute precision (default float32; "

@@ -82,7 +82,7 @@ class ServeOverloadedError(ServeError):
 
 
 class ServeTimeoutError(ServeError):
-    """Raised when a queued request exceeds its per-request timeout."""
+    """Raised when a request waits past its deadline before it runs."""
 
 
 class ObsError(ReproError):

@@ -99,8 +99,8 @@ class MergedInputsCache:
         """Merged inputs for a record list, built at most once.
 
         Builds per-record :class:`GraphInputs` and disjoint-unions them
-        through :meth:`GraphInputs.merge_graphs` (the union builds its
-        segment plans on first use, once per cached entry).
+        through :meth:`GraphInputs.merge` (the union builds its segment
+        plans on first use, once per cached entry).
         """
         key = self._key(records, scaler)
         split = self._merged.get(key)
@@ -115,11 +115,11 @@ class MergedInputsCache:
         from repro.models.inputs import GraphInputs
 
         with obs.span("cache.merge_inputs", records=len(records)):
-            batch = GraphInputs.merge_graphs(
+            inputs, offsets = GraphInputs.merge(
                 [GraphInputs.from_record(record, scaler) for record in records]
             )
             split = MergedSplit(
-                inputs=batch.inputs, offsets=batch.offsets, records=list(records)
+                inputs=inputs, offsets=offsets, records=list(records)
             )
         self._merged[key] = split
         return split

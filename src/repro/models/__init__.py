@@ -12,7 +12,7 @@ from repro.models.convs import (
 )
 from repro.models.encoder import NodeTypeEncoder
 from repro.models.gbdt import GradientBoostedTrees, RegressionTree
-from repro.models.inputs import GraphInputs, MegaBatch
+from repro.models.inputs import GraphInputs
 from repro.models.linreg import RidgeRegression
 from repro.models.multitask import MultiTaskModel, ReadoutHead, SharedTrunk
 from repro.models.trainer import TargetPredictor, TrainConfig, TrainHistory
@@ -32,7 +32,6 @@ __all__ = [
     "GradientBoostedTrees",
     "RegressionTree",
     "GraphInputs",
-    "MegaBatch",
     "MultiTaskModel",
     "ReadoutHead",
     "SharedTrunk",

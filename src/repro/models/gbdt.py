@@ -73,27 +73,33 @@ class RegressionTree:
         total_sum = y.sum()
         total_sq = (y * y).sum()
         parent_sse = total_sq - total_sum**2 / n
+        # candidate i sends the first i sorted rows left, keeping at least
+        # min_samples_leaf rows on each side
+        left_n = np.arange(
+            self.min_samples_leaf, min(n - self.min_samples_leaf + 1, n)
+        )
         best = None
         best_gain = self.min_gain
+        if not len(left_n):
+            return best
         for feature in range(d):
             order = np.argsort(X[:, feature], kind="stable")
             xs = X[order, feature]
             ys = y[order]
-            csum = np.cumsum(ys)
-            csq = np.cumsum(ys * ys)
-            for i in range(self.min_samples_leaf, n - self.min_samples_leaf + 1):
-                if i < n and xs[i - 1] == xs[i]:
-                    continue  # cannot split between equal values
-                if i >= n:
-                    break
-                left_sse = csq[i - 1] - csum[i - 1] ** 2 / i
-                right_n = n - i
-                right_sum = total_sum - csum[i - 1]
-                right_sse = (total_sq - csq[i - 1]) - right_sum**2 / right_n
-                gain = parent_sse - left_sse - right_sse
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (feature, (xs[i - 1] + xs[i]) / 2.0, gain)
+            left_sum = np.cumsum(ys)[left_n - 1]
+            left_sq = np.cumsum(ys * ys)[left_n - 1]
+            left_sse = left_sq - left_sum**2 / left_n
+            right_sum = total_sum - left_sum
+            right_sse = (total_sq - left_sq) - right_sum**2 / (n - left_n)
+            gains = parent_sse - left_sse - right_sse
+            # cannot split between equal values
+            gains[xs[left_n - 1] == xs[left_n]] = -np.inf
+            # the first maximum of a feature; a later feature must beat it
+            k = int(np.argmax(gains))
+            if gains[k] > best_gain:
+                best_gain = gains[k]
+                i = left_n[k]
+                best = (feature, (xs[i - 1] + xs[i]) / 2.0, gains[k])
         return best
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:

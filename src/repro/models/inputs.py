@@ -82,31 +82,22 @@ class GraphInputs:
     def merge(
         cls, inputs: "list[GraphInputs]"
     ) -> "tuple[GraphInputs, np.ndarray]":
-        """Concatenate several graphs' inputs into one disjoint batch.
+        """Disjoint-union several graphs' inputs into one batch.
 
         Returns ``(merged, offsets)`` where ``offsets[k]`` is the global
-        node-id offset of graph ``k``.  The graphs stay disjoint components,
-        so a forward pass over the merged inputs produces bit-identical
-        per-node outputs to running each graph alone — this is the batched
-        inference path of :class:`repro.api.Engine`.  Thin wrapper over
-        :meth:`merge_graphs`, kept for the established call sites.
-        """
-        batch = cls.merge_graphs(inputs)
-        return batch.inputs, batch.offsets
+        node-id offset of graph ``k``.  The graphs stay disjoint
+        components, so a forward pass over the merged inputs gives each
+        graph's nodes what running that graph alone gives: this is the
+        batched path of :class:`repro.api.Engine` and of training.
 
-    @classmethod
-    def merge_graphs(cls, inputs: "list[GraphInputs]") -> "MegaBatch":
-        """Disjoint-union many graphs into one mega-batch.
-
-        Node ids of graph ``k`` are shifted by ``offsets[k]``; per-type
-        feature matrices, node-id lists and COO edge arrays are concatenated
-        in graph order; the homogenised edge list is rebuilt **type-major**
-        (all edges of the lexicographically first type across every graph,
-        then the next type, ...), matching exactly what
-        :meth:`from_graph` produces for a pre-merged
-        :class:`~repro.graph.hetero.HeteroGraph` — so a mega-batch built
-        from per-graph inputs is bit-identical, arrays and plans both, to
-        one built from a graph-level merge.
+        Per-type feature matrices, node-id lists and COO edge arrays are
+        concatenated in graph order; the homogenised edge list is rebuilt
+        **type-major** (all edges of the lexicographically first type
+        across every graph, then the next type, ...), matching exactly
+        what :meth:`from_graph` produces for a pre-merged
+        :class:`~repro.graph.hetero.HeteroGraph` — so the union built from
+        per-graph inputs is bit-identical, arrays and plans both, to one
+        built from a graph-level merge.
 
         The union's plans are built on first use from its own arrays, like
         any other inputs' (a forward reads only some of them: the stacked
@@ -115,12 +106,9 @@ class GraphInputs:
         plans would (see :meth:`SegmentPlan.concat`).
         """
         if not inputs:
-            raise ValueError("GraphInputs.merge_graphs needs at least one graph")
-        sizes = np.asarray([item.num_nodes for item in inputs], dtype=np.int64)
+            raise ValueError("GraphInputs.merge needs at least one graph")
         if len(inputs) == 1:
-            return MegaBatch(
-                inputs=inputs[0], offsets=np.zeros(1, dtype=np.int64), sizes=sizes
-            )
+            return inputs[0], np.zeros(1, dtype=np.int64)
         offsets = np.cumsum([0] + [item.num_nodes for item in inputs[:-1]])
         num_nodes = int(offsets[-1] + inputs[-1].num_nodes)
         features: dict[str, list[np.ndarray]] = {}
@@ -159,7 +147,7 @@ class GraphInputs:
             merged_src=merged_src,
             merged_dst=merged_dst,
         )
-        return MegaBatch(inputs=merged, offsets=offsets, sizes=sizes)
+        return merged, offsets
 
     # ------------------------------------------------------------------
     # Cached graph compute plan
@@ -244,7 +232,7 @@ class GraphInputs:
 
         ``merged_src``/``merged_dst`` are type-major: all edges of the
         first type in sorted order, then the next type, and so on (both
-        :meth:`from_graph` and :meth:`merge_graphs` lay them out that
+        :meth:`from_graph` and :meth:`merge` lay them out that
         way).  Returns ``(names, bounds)`` over the types that have edges:
         type ``names[t]`` owns rows ``bounds[t]:bounds[t + 1]``.
         """
@@ -353,21 +341,3 @@ class GraphInputs:
             return (1.0 / np.sqrt(np.maximum(degree, 1.0))).astype(dtype).reshape(-1, 1)
 
         return self._cached(("gcn_inv_sqrt", dtype), build)
-
-
-@dataclass
-class MegaBatch:
-    """A disjoint union of many graphs, ready for one shared forward pass.
-
-    Produced by :meth:`GraphInputs.merge_graphs`.  ``inputs`` is the merged
-    :class:`GraphInputs`; ``offsets[k]`` /
-    ``sizes[k]`` give graph ``k``'s global node-id offset and node count.
-    """
-
-    inputs: GraphInputs
-    offsets: np.ndarray  #: (G,) int64 node-id offset per graph
-    sizes: np.ndarray  #: (G,) int64 node count per graph
-
-    @property
-    def num_graphs(self) -> int:
-        return len(self.offsets)

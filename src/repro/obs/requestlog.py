@@ -2,8 +2,8 @@
 
 A request ID is minted (or adopted from an ``X-Request-ID`` header) at
 the HTTP edge and carried through the serving stack in a
-:mod:`contextvars` variable, so the batch executor, engine, cache, and
-any :func:`repro.obs.span` opened underneath automatically pick it up —
+:mod:`contextvars` variable, so the engine, cache, and any
+:func:`repro.obs.span` opened underneath automatically pick it up —
 no parameter threading through call signatures that predate serving.
 
 :class:`AccessLog` writes one JSON line per request.  It is

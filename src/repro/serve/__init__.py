@@ -2,10 +2,9 @@
 
 The deployment-side subsystem: :class:`ModelRegistry` (discover, warm-load
 and content-hash-version saved models), :class:`GraphCache` (LRU of built
-graphs + scaled features keyed by circuit content hash),
-:class:`BatchExecutor` (micro-batching worker pool with typed
-backpressure) and :class:`PredictionServer` (stdlib JSON-over-HTTP
-``/predict`` + ``/healthz`` + ``/metrics``).
+graphs + scaled features keyed by circuit content hash) and
+:class:`PredictionServer` (stdlib JSON-over-HTTP ``/predict`` +
+``/healthz`` + ``/metrics``).
 
 Scale-out lives in :mod:`repro.serve.pool`: :class:`ServerPool` pre-forks
 N worker processes behind one port, every worker reading the parent's
@@ -26,7 +25,6 @@ __all__ = [
     "CachedGraph",
     "circuit_fingerprint",
     "scaler_fingerprint",
-    "BatchExecutor",
     "PredictionServer",
     "request_from_json",
     "ServerPool",
@@ -46,7 +44,6 @@ _EXPORTS = {
     "CachedGraph": "repro.serve.cache",
     "circuit_fingerprint": "repro.serve.cache",
     "scaler_fingerprint": "repro.serve.cache",
-    "BatchExecutor": "repro.serve.executor",
     "PredictionServer": "repro.serve.http",
     "request_from_json": "repro.serve.http",
     "ServerPool": "repro.serve.pool",

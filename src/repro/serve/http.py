@@ -3,8 +3,8 @@
 Endpoints:
 
 * ``POST /predict`` — body ``{"netlist": "<spice text>", "name": ...,
-  "targets": [...], "model": ...}`` for one circuit, or
-  ``{"items": [<request>, ...]}`` for a micro-batched group.  Responds with
+  "targets": [...], "model": ..., "timeout_s": ...}`` for one circuit, or
+  ``{"items": [<request>, ...]}`` for a batch.  Responds with
   a :meth:`PredictionResult.to_json_dict` dump (or ``{"results": [...]}``).
 * ``GET /healthz`` — liveness plus the model inventory and the serving
   ``compute`` policy (precision dtype); pool workers
@@ -23,9 +23,11 @@ structured access log when one is configured.
 
 Error mapping: bad request body/netlist → 400, unknown model/target → 404,
 a ``Content-Length`` over :data:`MAX_BODY_BYTES` or more ``items`` than
-the engine's ``queue_depth`` → 413, queue backpressure → 429 (with a
-``Retry-After`` hint), queued-too-long → 504, anything else → 500.  A body length that is not a non-negative integer, or too large, is
-answered before any of the body is read, and the connection is closed.
+the engine's ``queue_depth`` → 413, a full queue → 429 (with a
+``Retry-After`` hint), a ``timeout_s`` that passed before the request ran
+→ 504, anything else → 500.  A body length that is not a non-negative
+integer, or too large, is answered before any of the body is read, and
+the connection is closed.
 A connection that sits idle, or stalls mid-request, for
 :data:`IDLE_TIMEOUT_S` is closed (a stalled body is answered 408 first).
 Only the standard library is used, so any HTTP client — including
@@ -77,6 +79,11 @@ def request_from_json(payload: dict) -> PredictionRequest:
     targets = payload.get("targets")
     if targets is not None and not isinstance(targets, (list, tuple)):
         raise ApiError('"targets" must be a list of target names')
+    timeout_s = payload.get("timeout_s")
+    if timeout_s is not None and (
+        isinstance(timeout_s, bool) or not isinstance(timeout_s, (int, float))
+    ):
+        raise ApiError('"timeout_s" must be a number of seconds')
     return PredictionRequest(
         netlist_text=str(payload["netlist"]),
         name=payload.get("name"),
@@ -84,7 +91,7 @@ def request_from_json(payload: dict) -> PredictionRequest:
         model=payload.get("model"),
         options=PredictionOptions(
             use_cache=bool(payload.get("use_cache", True)),
-            timeout_s=payload.get("timeout_s"),
+            timeout_s=timeout_s,
         ),
     )
 
@@ -322,7 +329,6 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 request = request_from_json(payload)
                 request.request_id = self._request_id
-                obs.inc("serve.requests_total")
                 result = self.engine.predict(request)
                 timing = result.timing
                 self._log_fields.update(
@@ -357,10 +363,10 @@ class PredictionServer:
     :attr:`port` / :attr:`url`).  Use :meth:`start` for a daemon-thread
     server in tests, or :meth:`serve_forever` to block (the CLI path).
 
-    A pre-bound listening socket can be injected via ``socket`` — the pool
-    workers pass their SO_REUSEPORT / inherited listeners this way — in
-    which case host/port are taken from the socket and the server never
-    binds.  ``daemon_threads=False`` makes :meth:`shutdown` join in-flight
+    A pre-bound listening socket can be injected via ``socket`` — pool
+    workers pass the listener they inherit this way — in which case
+    host/port are taken from the socket and the server never binds.
+    ``daemon_threads=False`` makes :meth:`shutdown` join in-flight
     handler threads, which is how a draining pool worker guarantees zero
     failed in-flight requests.
 
@@ -452,7 +458,8 @@ class PredictionServer:
         self._server.serve_forever()
 
     def shutdown(self) -> None:
-        """Stop serving, release the socket, drain the engine (idempotent)."""
+        """Stop serving, release the socket and the engine's cache
+        (idempotent)."""
         with self._lock:
             state, self._state = self._state, "closed"
         if state == "closed":

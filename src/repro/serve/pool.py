@@ -8,10 +8,10 @@ weight bytes.
 
 Architecture (see ``docs/serving.md``):
 
-* **Listeners** — with ``SO_REUSEPORT`` (Linux/BSD) every worker owns its
-  own listening socket bound to the same address and the kernel spreads
-  accepts across them; elsewhere the parent binds once pre-fork and every
-  worker accepts on the inherited listener.
+* **Listener** — the parent binds one non-blocking listening socket
+  before forking, and every worker of every generation accepts on it.  A
+  worker that retires closes only its own descriptor, so the connections
+  queued on the socket wait for the others.
 * **Weights** — the parent warm-loads the :class:`ModelRegistry` once
   and gives every parameter a read-only copy of its array at the serving
   dtype *before* forking.  Workers inherit those pages copy-on-write and
@@ -22,14 +22,14 @@ Architecture (see ``docs/serving.md``):
   parent's other threads held at the fork.
 * **Caches** — each worker keeps its own LRU
   :class:`~repro.serve.cache.GraphCache`, bounded by the pool's
-  ``cache_size``/``cache_bytes``.  The kernel spreads connections by
-  address, not by circuit, so any worker may see any circuit, and each
-  one caches what it serves.
+  ``cache_size``/``cache_bytes``.  Whichever worker wins the accept
+  takes a connection, so any worker may see any circuit, and each one
+  caches what it serves.
 * **Drain / reload** — SIGTERM makes a worker stop accepting, finish
-  in-flight requests, flush its :class:`BatchExecutor` and exit;
-  :meth:`ServerPool.reload` detects artifact version bumps, loads a
-  new weight generation, starts replacement workers and only then
-  retires the old ones (zero dropped requests).
+  in-flight requests and exit; :meth:`ServerPool.reload` detects
+  artifact version bumps, loads a new weight generation, starts
+  replacement workers and only then retires the old ones (zero dropped
+  requests).
 
 Everything is stdlib: ``os.fork``, ``socket``, ``signal``.
 """
@@ -68,12 +68,11 @@ class PoolConfig:
     workers: int = 2
     host: str = "127.0.0.1"
     port: int = 0
-    #: per-worker engine sizing (threads = BatchExecutor workers)
+    #: per-worker engine sizing
     cache_size: int = 256
     cache_bytes: int | None = None
     max_batch: int = 16
     queue_depth: int = 128
-    threads: int = 2
     timeout_s: float | None = None
     #: serving compute precision (weights cast to it; float32 default)
     dtype: str = "float32"
@@ -93,17 +92,18 @@ class WorkerInfo:
     index: int
     pid: int
     generation: int
-    listener: socket.socket | None = None  # reuseport: this worker's socket
 
 
-def _make_listener(host: str, port: int, *, reuseport: bool) -> socket.socket:
+def _make_listener(host: str, port: int) -> socket.socket:
+    """The pool's one listening socket, non-blocking: every worker wakes
+    for each connection, and the ones that lose the accept must return to
+    their serve loop (and see a drain) instead of blocking in accept."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if reuseport:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         sock.bind((host, port))
         sock.listen(128)
+        sock.setblocking(False)
     except BaseException:
         sock.close()
         raise
@@ -153,7 +153,6 @@ def _child_main(
                 cache_size=config.cache_size,
                 max_batch=config.max_batch,
                 queue_depth=config.queue_depth,
-                workers=config.threads,
                 timeout_s=config.timeout_s,
                 dtype=config.dtype,
             ),
@@ -177,11 +176,6 @@ def _child_main(
                         obs.set_gauge("proc.rss_kb", _process_rss_kb())
                         obs.set_gauge(
                             "proc.uptime_s", time.monotonic() - started
-                        )
-                        executor = engine._executor
-                        obs.set_gauge(
-                            "serve.queue_depth",
-                            executor.pending() if executor is not None else 0,
                         )
                     except Exception:  # pragma: no cover - telemetry only
                         pass
@@ -221,7 +215,7 @@ def _child_main(
         if not term_early["hit"]:
             server.serve_forever()
         # Drain epilogue: stop accepting (already done), join in-flight
-        # handler threads, flush the BatchExecutor queue, release sockets.
+        # handler threads, close this worker's copy of the listener.
         server.shutdown()
         if writer is not None:
             # graceful exit: retire this worker's metrics file so the
@@ -249,7 +243,7 @@ class ServerPool:
     ``models`` is anything :func:`repro.api.create_engine` accepts (a
     saved-model directory, a registry, a mapping, one model).  The parent
     never serves traffic itself; it owns the weights the workers inherit,
-    the listeners and the worker lifecycle.  In-memory models are not
+    the listener and the worker lifecycle.  In-memory models are not
     copied: :meth:`start` replaces each of their parameters' arrays with
     a read-only copy at the serving dtype.
     """
@@ -263,10 +257,7 @@ class ServerPool:
         self._models = models
         self.registry = None  # parent's warm copy, populated by start()
         self.generation = 0
-        self._strategy = (
-            "reuseport" if hasattr(socket, "SO_REUSEPORT") else "inherit"
-        )
-        self._shared_listener: socket.socket | None = None  # inherit mode
+        self._listener: socket.socket | None = None
         self._port: int | None = None
         self._workers: list[WorkerInfo] = []
         self._lock = forksafe.Lock()
@@ -290,10 +281,6 @@ class ServerPool:
         return f"http://{self.host}:{self.port}"
 
     @property
-    def strategy(self) -> str:
-        return self._strategy
-
-    @property
     def metrics_dir(self) -> str | None:
         """Directory holding the per-worker metrics files (after start)."""
         return self.config.metrics_dir
@@ -307,7 +294,7 @@ class ServerPool:
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ServerPool":
-        """Load models, cast their weights, bind listeners, fork workers."""
+        """Load models, cast their weights, bind the listener, fork workers."""
         if self._started:
             return self
         self._share_weights()  # first: a refused registry leaves nothing
@@ -319,23 +306,8 @@ class ServerPool:
             self._owns_metrics_dir = True
         os.makedirs(self.config.metrics_dir, exist_ok=True)
 
-        if self._strategy == "inherit":
-            self._shared_listener = _make_listener(
-                self.config.host, self.config.port, reuseport=False
-            )
-            # every worker wakes for each connection; the ones that lose
-            # the accept must return to their serve loop (and see a drain)
-            # instead of blocking in accept
-            self._shared_listener.setblocking(False)
-            self._port = self._shared_listener.getsockname()[1]
-        else:
-            # resolve an ephemeral port once; every worker rebinds it
-            probe = _make_listener(
-                self.config.host, self.config.port, reuseport=True
-            )
-            self._port = probe.getsockname()[1]
-            self._first_listener: socket.socket | None = probe
-
+        self._listener = _make_listener(self.config.host, self.config.port)
+        self._port = self._listener.getsockname()[1]
         self._started = True
         for index in range(self.config.workers):
             self._spawn(index, self.generation)
@@ -368,29 +340,14 @@ class ServerPool:
                 param.data = data  # staticcheck: ignore[autodiff-bypass] -- inference-only weights the workers inherit; no tape exists in serving
         self.registry = registry
 
-    def _next_listener(self) -> tuple[socket.socket, bool]:
-        """(listener, parent_closes_after_fork) for the next worker."""
-        if self._strategy == "inherit":
-            assert self._shared_listener is not None
-            return self._shared_listener, False
-        first = getattr(self, "_first_listener", None)
-        if first is not None:
-            self._first_listener = None
-            return first, True
-        return (
-            _make_listener(self.config.host, self.port, reuseport=True),
-            True,
-        )
-
     def _spawn(self, index: int, generation: int) -> WorkerInfo:
-        listener, close_after_fork = self._next_listener()
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:
             # -- child ------------------------------------------------
             os.close(read_fd)
             _child_main(
-                index, self.config, self.registry, listener, write_fd,
+                index, self.config, self.registry, self._listener, write_fd,
                 generation,
             )
             os._exit(1)  # pragma: no cover - _child_main never returns
@@ -400,16 +357,7 @@ class ServerPool:
             self._await_ready(read_fd, pid, index)
         finally:
             os.close(read_fd)
-        info = WorkerInfo(
-            index=index,
-            pid=pid,
-            generation=generation,
-            listener=listener if close_after_fork else None,
-        )
-        if close_after_fork:
-            # the child owns its copy; the parent's would only leak
-            listener.close()
-            info.listener = None
+        info = WorkerInfo(index=index, pid=pid, generation=generation)
         with self._lock:
             self._workers.append(info)
         obs.inc("serve.pool_workers_spawned_total")
@@ -537,13 +485,9 @@ class ServerPool:
             return
         self._stopped = True
         self._retire(self.workers())
-        if self._shared_listener is not None:
-            self._shared_listener.close()
-            self._shared_listener = None
-        first = getattr(self, "_first_listener", None)
-        if first is not None:
-            first.close()
-            self._first_listener = None
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
         directory = self.config.metrics_dir
         if directory and os.path.isdir(directory):
             # every worker has exited; drop leftover files (crashed

@@ -1,8 +1,8 @@
 """``concurrency``: shared mutable state in the threaded subsystems.
 
 ``repro.serve``, ``repro.obs`` and ``repro.api`` run under concurrent
-load (HTTP handler threads, the micro-batching executor, instrumented
-training threads).  This rule enforces the repo's locking convention on
+load (HTTP handler threads sharing one engine, instrumented training
+threads).  This rule enforces the repo's locking convention on
 those packages:
 
 * locks and thread-locals come from :mod:`repro.forksafe`, which makes

@@ -22,7 +22,7 @@ CROSS_PRECISION_RTOL = 1e-3
 def _engine_values(predictor, circuits, *, dtype):
     """{target: [values per circuit]} from a fresh engine."""
     requests = [PredictionRequest(circuit=c) for c in circuits]
-    with create_engine(predictor, dtype=dtype, workers=1) as engine:
+    with create_engine(predictor, dtype=dtype) as engine:
         results = engine.predict_batch(requests)
     return [
         {t: r.targets[t].values for t in sorted(r.targets)} for r in results

@@ -353,8 +353,8 @@ class TestPredictBatch:
         with create_engine(api_cap_predictor, queue_depth=2) as eng:
             with pytest.raises(ApiError, match="queue depth of 2"):
                 eng.predict_batch([circuit] * 3)
-            # nothing was queued, parsed or cached
-            assert not eng.stats()["executor"]["started"]
+            # nothing was admitted, parsed or cached
+            assert eng.stats()["queue"]["pending"] == 0
             assert len(eng.cache) == 0 and eng.cache.misses == 0
             assert len(eng.predict_batch([circuit] * 2)) == 2
 
@@ -371,13 +371,13 @@ class TestPredictBatch:
 class TestOneGroupAtATime:
     def test_concurrent_callers_never_overlap(self, api_cap_predictor,
                                               tiny_bundle, monkeypatch):
-        """predict() threads and executor threads take turns: no two
+        """predict() and predict_batch() callers take turns: no two
         forwards of one engine ever run at once."""
         import threading
         import time
 
         circuits = [r.circuit for r in tiny_bundle.records("test")]
-        with create_engine(api_cap_predictor, workers=2) as eng:
+        with create_engine(api_cap_predictor, max_batch=2) as eng:
             adapter = eng.registry.get().adapter
             forward = adapter.predict_works
             guard = threading.Lock()
@@ -424,6 +424,304 @@ class TestOneGroupAtATime:
             assert running == {"now": 0, "peak": 1}
 
 
+def _spy_forwards(monkeypatch, eng, model=None):
+    """Record the number of works of every forward *model*'s adapter runs
+    on the calling thread (one on another thread records ``"elsewhere"``)."""
+    import threading
+
+    adapter = eng.registry.get(model).adapter
+    forward = adapter.predict_works
+    caller = threading.get_ident()
+    calls = []
+
+    def spy(works, targets):
+        here = threading.get_ident() == caller
+        calls.append(len(works) if here else "elsewhere")
+        return forward(works, targets)
+
+    monkeypatch.setattr(adapter, "predict_works", spy)
+    return calls
+
+
+class TestQueue:
+    """Every request waits for the group lock in its calling thread: it
+    counts against ``queue_depth``, a deadline bounds the wait, and the
+    wait is its ``timing.queue_s``."""
+
+    @pytest.fixture
+    def metrics(self):
+        from repro import obs
+
+        obs.enable_metrics()
+        obs.registry().reset()
+        yield obs.registry()
+        obs.disable_metrics()
+        obs.registry().reset()
+
+    def test_a_waiting_request_counts_in_the_queue(
+        self, api_cap_predictor, tiny_bundle, metrics, start_waiting
+    ):
+        from repro.errors import ServeOverloadedError
+
+        circuit = tiny_bundle.records("test")[0].circuit
+        with create_engine(api_cap_predictor, queue_depth=1) as eng:
+            with eng._group_lock:
+                thread, outcome = start_waiting(eng, lambda: eng.predict(circuit))
+                assert eng.stats()["queue"]["pending"] == 1
+                assert metrics.gauge("serve.queue_depth").value == 1
+                with pytest.raises(ServeOverloadedError) as info:
+                    eng.predict(circuit)
+                assert info.value.queue_depth == 1
+            thread.join(10.0)
+            assert outcome["result"].named("CAP")
+            assert eng.stats()["queue"]["pending"] == 0
+            assert metrics.gauge("serve.queue_depth").value == 0
+            assert metrics.counter("serve.rejected_total").value == 1
+
+    def test_a_full_queue_rejects(
+        self, api_cap_predictor, tiny_bundle, metrics, start_waiting
+    ):
+        """A batch is admitted whole or not at all."""
+        from repro.errors import ServeOverloadedError
+
+        circuit = tiny_bundle.records("test")[0].circuit
+        with create_engine(api_cap_predictor, queue_depth=2) as eng:
+            with eng._group_lock:
+                first, one = start_waiting(eng, lambda: eng.predict(circuit))
+                with pytest.raises(ServeOverloadedError):
+                    eng.predict_batch([circuit, circuit])  # 1 + 2 > 2
+                assert eng.stats()["queue"]["pending"] == 1
+                second, two = start_waiting(
+                    eng, lambda: eng.predict(circuit), pending=2
+                )
+                with pytest.raises(ServeOverloadedError):
+                    eng.predict(circuit)
+            first.join(10.0)
+            second.join(10.0)
+            assert one["result"].named("CAP") == two["result"].named("CAP")
+            assert metrics.counter("serve.rejected_total").value == 3
+            assert len(eng.predict_batch([circuit, circuit])) == 2
+
+    def test_a_request_past_its_deadline_never_runs(
+        self, api_cap_predictor, tiny_bundle, monkeypatch, metrics, start_waiting
+    ):
+        import time
+
+        from repro.api.types import PredictionOptions
+        from repro.errors import ServeTimeoutError
+
+        circuit = tiny_bundle.records("test")[0].circuit
+        late = PredictionRequest(
+            circuit=circuit, options=PredictionOptions(timeout_s=0.01)
+        )
+        with create_engine(api_cap_predictor) as eng:
+            forwards = _spy_forwards(monkeypatch, eng)
+            with eng._group_lock:
+                thread, outcome = start_waiting(eng, lambda: eng.predict(late))
+                time.sleep(0.05)
+            thread.join(10.0)
+            assert isinstance(outcome["error"], ServeTimeoutError)
+            assert forwards == [] and eng.cache.misses == 0
+            assert metrics.counter("serve.timeouts_total").value == 1
+            assert eng.stats()["queue"]["pending"] == 0
+
+    @pytest.mark.parametrize(
+        "own,call,config,runs",
+        [
+            (30.0, None, 0.01, True),  # the request's own deadline wins
+            (None, 0.01, 30.0, False),  # then the call's
+            (None, None, 0.01, False),  # then the engine's
+        ],
+    )
+    def test_deadline_precedence(
+        self, api_cap_predictor, tiny_bundle, start_waiting, own, call, config, runs
+    ):
+        import time
+
+        from repro.api.types import PredictionOptions
+        from repro.errors import ServeTimeoutError
+
+        request = PredictionRequest(
+            circuit=tiny_bundle.records("test")[0].circuit,
+            options=PredictionOptions(timeout_s=own),
+        )
+        with create_engine(api_cap_predictor, timeout_s=config) as eng:
+            with eng._group_lock:
+                thread, outcome = start_waiting(
+                    eng, lambda: eng.predict_batch([request], timeout_s=call)
+                )
+                time.sleep(0.05)
+            thread.join(10.0)
+        if runs:
+            assert outcome["result"][0].named("CAP")
+        else:
+            assert isinstance(outcome["error"], ServeTimeoutError)
+
+    def test_the_wait_is_the_answers_queue_s(
+        self, api_cap_predictor, tiny_bundle, metrics, start_waiting
+    ):
+        import time
+
+        circuit = tiny_bundle.records("test")[0].circuit
+        with create_engine(api_cap_predictor) as eng:
+            assert eng.predict(circuit).timing.queue_s < 0.05
+            with eng._group_lock:
+                thread, outcome = start_waiting(eng, lambda: eng.predict(circuit))
+                time.sleep(0.05)
+            thread.join(10.0)
+        assert outcome["result"].timing.queue_s >= 0.05
+        waits = metrics.histogram("serve.queue_wait_seconds")
+        assert waits.count == 2 and waits.max >= 0.05
+
+    def test_a_batch_within_max_batch_runs_as_one_group(
+        self, api_cap_predictor, tiny_bundle, monkeypatch
+    ):
+        circuits = [r.circuit for r in tiny_bundle.records("test")]
+        with create_engine(api_cap_predictor, max_batch=len(circuits)) as eng:
+            forwards = _spy_forwards(monkeypatch, eng)
+            results = eng.predict_batch(circuits)
+        assert forwards == [len(circuits)]
+        assert [r.timing.batch_size for r in results] == [len(circuits)] * len(circuits)
+
+    def test_a_longer_batch_runs_in_chunks_of_max_batch(
+        self, api_cap_predictor, tiny_bundle, monkeypatch
+    ):
+        circuits = [r.circuit for r in tiny_bundle.records("test")] * 2
+        with create_engine(api_cap_predictor, max_batch=3) as eng:
+            forwards = _spy_forwards(monkeypatch, eng)
+            results = eng.predict_batch(circuits)
+        # 8 requests: chunks of 3, 3 and 2 distinct circuits
+        assert forwards == [3, 3, 2]
+        assert [r.timing.batch_size for r in results] == [3] * 6 + [2] * 2
+
+    def test_chunks_run_in_request_order(
+        self, api_cap_predictor, tiny_bundle, monkeypatch
+    ):
+        import threading
+
+        circuits = [r.circuit for r in tiny_bundle.records("test")]
+        order = circuits[::-1] + circuits
+        caller = threading.get_ident()
+        with create_engine(api_cap_predictor, max_batch=3) as eng:
+            group = eng._predict_group
+            chunks = []
+
+            def spy(requests):
+                names = [r.circuit.name for r in requests]
+                chunks.append(names if threading.get_ident() == caller else "elsewhere")
+                return group(requests)
+
+            monkeypatch.setattr(eng, "_predict_group", spy)
+            results = eng.predict_batch(order)
+        names = [circuit.name for circuit in order]
+        assert chunks == [names[0:3], names[3:6], names[6:8]]
+        assert [result.circuit for result in results] == names
+
+    def test_a_failed_request_fails_alone(
+        self, engine, tiny_bundle, monkeypatch
+    ):
+        from repro.errors import NetlistError
+
+        record = tiny_bundle.records("test")[0]
+        good = PredictionRequest(circuit=record.circuit, model="cap")
+        bad = PredictionRequest(netlist_text="M1 a b\n", name="bad", model="cap")
+        forwards = _spy_forwards(monkeypatch, engine, "cap")
+        with pytest.raises(NetlistError):
+            engine.predict_batch([bad, good])
+        # the good request of the same group still ran
+        assert forwards == [1]
+
+    def test_a_model_that_raises_fails_only_its_group(
+        self, engine, tiny_bundle, monkeypatch
+    ):
+        record = tiny_bundle.records("test")[0]
+
+        def broken(works, targets):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(
+            engine.registry.get("cap").adapter, "predict_works", broken
+        )
+        forwards = _spy_forwards(monkeypatch, engine, "base")
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.predict_batch([
+                PredictionRequest(circuit=record.circuit, model="base"),
+                PredictionRequest(circuit=record.circuit, model="cap"),
+            ])
+        assert forwards == [1]
+        assert engine.predict(record.circuit, model="base").named("CAP")
+
+    def test_callers_past_capacity_are_answered_or_refused(
+        self, api_cap_predictor, tiny_bundle, monkeypatch, metrics
+    ):
+        """Threads push far past ``queue_depth`` with tight deadlines:
+        each call answers, is refused or times out, the counters agree,
+        and the queue drains to empty."""
+        import threading
+        import time
+
+        from repro.api.types import PredictionOptions
+        from repro.errors import ServeOverloadedError, ServeTimeoutError
+
+        circuits = [r.circuit for r in tiny_bundle.records("test")]
+        with create_engine(
+            api_cap_predictor, queue_depth=3, timeout_s=0.02
+        ) as eng:
+            adapter = eng.registry.get().adapter
+            forward = adapter.predict_works
+
+            def slow(works, targets):
+                time.sleep(0.002)
+                return forward(works, targets)
+
+            monkeypatch.setattr(adapter, "predict_works", slow)
+            outcomes = {"ok": 0, "refused": 0, "late": 0}
+            guard = threading.Lock()
+
+            def caller(seed):
+                for i in range(12):
+                    request = PredictionRequest(
+                        circuit=circuits[(seed + i) % len(circuits)],
+                        options=PredictionOptions(
+                            timeout_s=None if i % 3 else 5.0
+                        ),
+                    )
+                    try:
+                        eng.predict(request)
+                        key = "ok"
+                    except ServeOverloadedError:
+                        key = "refused"
+                    except ServeTimeoutError:
+                        key = "late"
+                    with guard:
+                        outcomes[key] += 1
+
+            threads = [threading.Thread(target=caller, args=(t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert sum(outcomes.values()) == 6 * 12
+            assert outcomes["ok"] > 0
+            assert metrics.counter("serve.rejected_total").value == outcomes["refused"]
+            assert metrics.counter("serve.timeouts_total").value == outcomes["late"]
+            assert eng.stats()["queue"]["pending"] == 0
+            assert metrics.gauge("serve.queue_depth").value == 0
+
+    def test_close_is_idempotent_and_releases_the_cache(
+        self, api_cap_predictor, tiny_bundle
+    ):
+        circuit = tiny_bundle.records("test")[0].circuit
+        eng = create_engine(api_cap_predictor)
+        eng.predict(circuit)
+        assert len(eng.cache) == 1 and eng.cache.current_bytes() > 0
+        eng.close()
+        eng.close()
+        assert len(eng.cache) == 0 and eng.cache.current_bytes() == 0
+        assert not eng.predict(circuit).timing.cache_hit
+
+
 class TestConstruction:
     def test_single_model_becomes_default(self, api_cap_predictor, tiny_bundle):
         record = tiny_bundle.records("test")[0]
@@ -461,19 +759,19 @@ class TestConstruction:
     def test_engine_config_applied(self, api_cap_predictor):
         eng = Engine(
             api_cap_predictor,
-            config=EngineConfig(cache_size=2, max_batch=4, workers=1),
+            config=EngineConfig(cache_size=2, max_batch=4, queue_depth=8),
         )
         assert eng.cache.max_entries == 2
-        stats = eng.stats()
-        assert stats["executor"]["max_batch"] == 4
-        assert not stats["executor"]["started"]
+        assert eng.stats()["queue"] == {
+            "pending": 0, "max_batch": 4, "queue_depth": 8,
+        }
         eng.close()
 
     def test_stats_shape(self, engine, tiny_bundle):
         record = tiny_bundle.records("test")[0]
         engine.predict(record.circuit, model="cap")
         stats = engine.stats()
-        assert {"models", "graph_cache", "executor"} <= set(stats)
+        assert {"models", "graph_cache", "queue"} <= set(stats)
         assert stats["graph_cache"]["misses"] >= 1
         assert any(row["name"] == "cap" for row in stats["models"])
 

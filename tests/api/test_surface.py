@@ -35,7 +35,6 @@ API_SURFACE = [
 ]
 
 SERVE_SURFACE = [
-    "BatchExecutor",
     "CachedGraph",
     "GraphCache",
     "ModelRegistry",
@@ -77,7 +76,6 @@ MODELS_SURFACE = [
     "GNN_MODEL_NAMES",
     "GradientBoostedTrees",
     "GraphInputs",
-    "MegaBatch",
     "MultiTaskModel",
     "NodeTypeEncoder",
     "ParaGraphConv",
@@ -130,7 +128,6 @@ NN_SURFACE = [
 
 TOP_LEVEL_SURFACE = [
     "ApiError",
-    "BatchExecutor",
     "Engine",
     "EngineConfig",
     "GraphCache",
@@ -243,8 +240,7 @@ class TestSignatureSnapshot:
 
         names = [f.name for f in dataclasses.fields(repro.api.EngineConfig)]
         assert names == [
-            "cache_size", "max_batch", "queue_depth", "workers", "timeout_s",
-            "dtype",
+            "cache_size", "max_batch", "queue_depth", "timeout_s", "dtype",
         ]
 
     def test_flows_train(self):

@@ -93,3 +93,34 @@ def taped():
         return ids, predictor._to_si(spec.name, scaled.numpy().ravel())
 
     return forward
+
+
+@pytest.fixture
+def start_waiting():
+    """``start_waiting(engine, call, pending=1)`` runs *call* on a thread
+    that waits for ``engine._group_lock``, which the test holds.
+
+    Returns ``(thread, outcome)`` once the engine counts *pending*
+    requests admitted; ``outcome`` then gets ``"result"`` or ``"error"``.
+    """
+    import threading
+    import time
+
+    def start(engine, call, pending=1):
+        outcome = {}
+
+        def run():
+            try:
+                outcome["result"] = call()
+            except Exception as error:
+                outcome["error"] = error
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 10.0
+        while engine.stats()["queue"]["pending"] < pending:
+            assert time.monotonic() < deadline, "request never admitted"
+            time.sleep(0.002)
+        return thread, outcome
+
+    return start

@@ -32,15 +32,13 @@ class TestMergedInputsCache:
         from repro.models.inputs import GraphInputs
 
         calls = {"merge": 0}
-        real_merge = GraphInputs.merge_graphs.__func__
+        real_merge = GraphInputs.merge.__func__
 
         def counting_merge(cls, items):
             calls["merge"] += 1
             return real_merge(cls, items)
 
-        monkeypatch.setattr(
-            GraphInputs, "merge_graphs", classmethod(counting_merge)
-        )
+        monkeypatch.setattr(GraphInputs, "merge", classmethod(counting_merge))
         cache = MergedInputsCache()
         train(
             tiny_bundle,

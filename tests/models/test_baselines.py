@@ -217,3 +217,76 @@ class TestTreeRouting:
         for tree in gbdt.trees_:
             oracle += gbdt.learning_rate * _walk_each_row(tree, queries)
         assert np.array_equal(gbdt.predict(queries), oracle)
+
+
+def _best_split_loop(tree, X, y):
+    """The per-candidate scan ``RegressionTree._best_split`` replaced,
+    kept as the oracle of the split it chooses: the first maximum within
+    a feature, and a strictly larger gain across features."""
+    n, d = X.shape
+    total_sum = y.sum()
+    total_sq = (y * y).sum()
+    parent_sse = total_sq - total_sum**2 / n
+    best = None
+    best_gain = tree.min_gain
+    for feature in range(d):
+        order = np.argsort(X[:, feature], kind="stable")
+        xs = X[order, feature]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        for i in range(tree.min_samples_leaf, n - tree.min_samples_leaf + 1):
+            if i < n and xs[i - 1] == xs[i]:
+                continue
+            if i >= n:
+                break
+            left_sse = csq[i - 1] - csum[i - 1] ** 2 / i
+            right_sum = total_sum - csum[i - 1]
+            right_sse = (total_sq - csq[i - 1]) - right_sum**2 / (n - i)
+            gain = parent_sse - left_sse - right_sse
+            if gain > best_gain:
+                best_gain = gain
+                best = (feature, (xs[i - 1] + xs[i]) / 2.0, gain)
+    return best
+
+
+class TestSplitSearch:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_chooses_the_per_candidate_scans_split(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 120))
+        X = rng.integers(0, 6, size=(n, 5)).astype(float)  # equal neighbours
+        X[:, 1] = 3.0  # a constant feature has no candidate
+        X[:, 3] = X[:, 0]  # a tie across features goes to the first
+        y = rng.integers(-3, 4, size=n).astype(float)  # ties within one
+        for leaf in (1, 3, 5):
+            tree = RegressionTree(min_samples_leaf=leaf)
+            got, want = tree._best_split(X, y), _best_split_loop(tree, X, y)
+            if want is None:
+                assert got is None
+                continue
+            # integer data: every sum and square is exact in both scans
+            assert got == want
+            assert got[0] not in (1, 3)
+
+    def test_grows_the_trees_the_per_candidate_scan_grows(self, monkeypatch):
+        """Boosted on real-valued data, the two scans choose the same
+        splits; a stored gain may differ in the last place, since a numpy
+        scalar squares through ``pow`` and an array exactly."""
+        X, y = _toy_regression(n=300, seed=3)
+        X[:, 2] = np.round(X[:, 2], 1)  # equal neighbours
+        fast = GradientBoostedTrees(n_estimators=15, max_depth=4).fit(X, y)
+        monkeypatch.setattr(RegressionTree, "_best_split", _best_split_loop)
+        slow = GradientBoostedTrees(n_estimators=15, max_depth=4).fit(X, y)
+        for got, want in zip(fast.trees_, slow.trees_):
+            pairs = [(got.root, want.root)]
+            while pairs:
+                a, b = pairs.pop()
+                assert (a.feature, a.threshold, a.value) == (
+                    b.feature, b.threshold, b.value
+                )
+                assert a.gain == pytest.approx(b.gain, rel=1e-12, abs=0.0)
+                assert a.is_leaf == b.is_leaf
+                if not a.is_leaf:
+                    pairs += [(a.left, b.left), (a.right, b.right)]
+        assert np.array_equal(fast.predict(X), slow.predict(X))

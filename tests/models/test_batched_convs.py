@@ -48,9 +48,9 @@ def graphs(tiny_bundle):
     records = tiny_bundle.records("train")
     scaler = tiny_bundle.scaler
     single = GraphInputs.from_record(records[0], scaler)
-    mega = GraphInputs.merge_graphs(
+    mega, _ = GraphInputs.merge(
         [GraphInputs.from_record(record, scaler) for record in records[:6]]
-    ).inputs
+    )
     empty_type = sorted(set(all_edge_type_names()) - set(single.edges))[0]
     none = np.empty(0, dtype=np.int64)
     with_empty = GraphInputs(
@@ -255,9 +255,9 @@ class TestEdgeBlocks:
     def test_mega_batch_plan_matches_graph_merge(self, tiny_bundle):
         records = tiny_bundle.records("train")[:5]
         scaler = tiny_bundle.scaler
-        mega = GraphInputs.merge_graphs(
+        mega, _ = GraphInputs.merge(
             [GraphInputs.from_record(record, scaler) for record in records]
-        ).inputs
+        )
         legacy = GraphInputs.from_graph(
             merge_graphs([record.graph for record in records]), scaler
         )

@@ -1,4 +1,4 @@
-"""Mega-batch parity: GraphInputs.merge_graphs vs a hetero-graph merge.
+"""Mega-batch parity: GraphInputs.merge vs a hetero-graph merge.
 
 The claim of the mega-batched training path is that the disjoint-union
 of per-graph ``GraphInputs`` (and every segment plan built over it) is
@@ -14,7 +14,6 @@ import pytest
 from repro.errors import ModelError, ShapeError
 from repro.graph.hetero import merge_graphs
 from repro.models import GraphInputs, TargetPredictor, TrainConfig
-from repro.models.inputs import MegaBatch
 from repro.nn.plan import SegmentPlan
 
 
@@ -87,7 +86,7 @@ class TestMergeGraphsConstruction:
     def both(self, tiny_bundle):
         records = tiny_bundle.records("train")
         scaler = tiny_bundle.scaler
-        batch = GraphInputs.merge_graphs(
+        batch = GraphInputs.merge(
             [GraphInputs.from_record(record, scaler) for record in records]
         )
         legacy = GraphInputs.from_graph(
@@ -96,8 +95,7 @@ class TestMergeGraphsConstruction:
         return batch, legacy
 
     def test_arrays_bitwise_identical(self, both):
-        batch, legacy = both
-        mega = batch.inputs
+        (mega, _), legacy = both
         assert mega.num_nodes == legacy.num_nodes
         assert set(mega.features) == set(legacy.features)
         for type_name in legacy.features:
@@ -120,8 +118,7 @@ class TestMergeGraphsConstruction:
 
     def test_preseeded_plans_bitwise_identical(self, both):
         """Every plan of the mega-batch equals the graph-level merge's."""
-        batch, legacy = both
-        mega = batch.inputs
+        (mega, _), legacy = both
         for edge_type in legacy.edges:
             for merged, built in zip(
                 mega.edge_plans(edge_type), legacy.edge_plans(edge_type)
@@ -137,28 +134,22 @@ class TestMergeGraphsConstruction:
         _assert_plans_equal(mega.type_node_plan(), legacy.type_node_plan())
 
     def test_offsets_and_sizes(self, both, tiny_bundle):
-        batch, _ = both
-        records = tiny_bundle.records("train")
-        assert batch.num_graphs == len(records)
-        np.testing.assert_array_equal(
-            batch.sizes, [r.graph.num_nodes for r in records]
-        )
-        np.testing.assert_array_equal(
-            batch.offsets, np.cumsum([0] + [r.graph.num_nodes for r in records[:-1]])
-        )
-        assert batch.sizes.sum() == batch.inputs.num_nodes
+        (mega, offsets), _ = both
+        sizes = [r.graph.num_nodes for r in tiny_bundle.records("train")]
+        np.testing.assert_array_equal(offsets, np.cumsum([0] + sizes[:-1]))
+        assert offsets.dtype == np.int64
+        assert sum(sizes) == mega.num_nodes
 
     def test_single_graph_short_circuit(self, tiny_bundle):
         record = tiny_bundle.records("train")[0]
         inputs = GraphInputs.from_record(record, tiny_bundle.scaler)
-        batch = GraphInputs.merge_graphs([inputs])
-        assert batch.inputs is inputs
-        assert batch.num_graphs == 1
-        np.testing.assert_array_equal(batch.offsets, [0])
+        merged, offsets = GraphInputs.merge([inputs])
+        assert merged is inputs
+        np.testing.assert_array_equal(offsets, [0])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            GraphInputs.merge_graphs([])
+            GraphInputs.merge([])
 
     def test_ragged_batch(self, tiny_bundle):
         # graphs of very different sizes, deliberately not sorted by size
@@ -166,16 +157,16 @@ class TestMergeGraphsConstruction:
             tiny_bundle.records("train"), key=lambda r: r.graph.num_nodes
         )
         ragged = [records[-1], records[0], records[len(records) // 2]]
-        batch = GraphInputs.merge_graphs(
+        mega, _ = GraphInputs.merge(
             [GraphInputs.from_record(r, tiny_bundle.scaler) for r in ragged]
         )
         legacy = GraphInputs.from_graph(
             merge_graphs([r.graph for r in ragged]), tiny_bundle.scaler
         )
-        np.testing.assert_array_equal(batch.inputs.merged_src, legacy.merged_src)
+        np.testing.assert_array_equal(mega.merged_src, legacy.merged_src)
         for edge_type in legacy.edges:
             for merged, built in zip(
-                batch.inputs.edge_plans(edge_type), legacy.edge_plans(edge_type)
+                mega.edge_plans(edge_type), legacy.edge_plans(edge_type)
             ):
                 _assert_plans_equal(merged, built)
 
@@ -191,18 +182,18 @@ class TestForwardBackwardParity:
 
         records = tiny_bundle.records("train")[:4]
         scaler = tiny_bundle.scaler
-        batch = GraphInputs.merge_graphs(
+        mega, _ = GraphInputs.merge(
             [GraphInputs.from_record(r, scaler) for r in records]
         )
         legacy = GraphInputs.from_graph(
             merge_graphs([r.graph for r in records]), scaler
         )
-        ids = np.arange(0, batch.inputs.num_nodes, 7)
+        ids = np.arange(0, mega.num_nodes, 7)
         targets_np = np.linspace(-1.0, 1.0, len(ids)).reshape(-1, 1)
 
         grads = {}
         preds = {}
-        for label, inputs in (("mega", batch.inputs), ("graph", legacy)):
+        for label, inputs in (("mega", mega), ("graph", legacy)):
             rng = stream(0, "model", conv, "parity")
             trunk = SharedTrunk(
                 conv=conv,

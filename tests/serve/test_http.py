@@ -16,9 +16,7 @@ from repro.errors import ApiError
 
 @pytest.fixture(scope="module")
 def served(api_cap_predictor, api_multi_model):
-    engine = create_engine(
-        {"CAP": api_cap_predictor, "multi": api_multi_model}, workers=1
-    )
+    engine = create_engine({"CAP": api_cap_predictor, "multi": api_multi_model})
     with PredictionServer(engine, port=0) as server:
         yield server
 
@@ -109,8 +107,8 @@ class TestEndpoints:
         assert status == 200
         stats = payload["serve"]
         assert stats["graph_cache"]["hits"] + stats["graph_cache"]["misses"] > 0
-        assert stats["executor"]["queue_depth"] > 0
-        assert "pending" in stats["executor"]
+        assert stats["queue"]["queue_depth"] > 0
+        assert stats["queue"]["pending"] == 0
 
 
 class TestErrorMapping:
@@ -160,7 +158,53 @@ class TestErrorMapping:
         assert code == 413
         assert f"queue depth of {depth}" in payload["message"]
         assert engine.cache.misses == misses
-        assert engine.stats()["executor"]["pending"] == 0
+        assert engine.stats()["queue"]["pending"] == 0
+
+    def test_a_full_queue_is_429(
+        self, api_cap_predictor, netlist_text, start_waiting
+    ):
+        engine = create_engine({"CAP": api_cap_predictor}, queue_depth=1)
+        body = {"netlist": netlist_text}
+        with PredictionServer(engine, port=0) as server:
+            with engine._group_lock:
+                thread, outcome = start_waiting(
+                    engine, lambda: _post(server.url + "/predict", body)
+                )
+                try:
+                    _post(server.url + "/predict", body)
+                except urllib.error.HTTPError as error:
+                    code, headers = error.code, error.headers
+                    payload = json.loads(error.read())
+            thread.join(10.0)
+        assert code == 429 and headers["Retry-After"] == "1"
+        assert payload["error"] == "ServeOverloadedError"
+        assert outcome["result"][0] == 200
+
+    def test_a_request_past_its_deadline_is_504(
+        self, api_cap_predictor, netlist_text, start_waiting
+    ):
+        engine = create_engine({"CAP": api_cap_predictor})
+        with PredictionServer(engine, port=0) as server:
+            with engine._group_lock:
+                thread, outcome = start_waiting(
+                    engine,
+                    lambda: _post_error(
+                        server.url + "/predict",
+                        {"netlist": netlist_text, "timeout_s": 0.01},
+                    ),
+                )
+                time.sleep(0.05)
+            thread.join(10.0)
+            code, payload = outcome["result"]
+            assert code == 504 and payload["error"] == "ServeTimeoutError"
+            assert engine.cache.misses == 0  # it never ran
+
+    def test_a_non_numeric_timeout_is_400(self, served, netlist_text):
+        code, payload = _post_error(
+            served.url + "/predict",
+            {"netlist": netlist_text, "model": "CAP", "timeout_s": "soon"},
+        )
+        assert code == 400 and "timeout_s" in payload["message"]
 
     def test_unparseable_netlist_is_400_on_every_repeat(self, served):
         for _ in range(2):
@@ -218,7 +262,7 @@ class TestKeepAliveWrites:
             ("POST", "/predict", b"{not json", 400),
             ("GET", "/nowhere", None, 404),
         ]
-        engine = create_engine(api_cap_predictor, workers=1)
+        engine = create_engine(api_cap_predictor)
         with PredictionServer(engine, port=0) as server:
             handler = server._server.RequestHandlerClass
 
@@ -332,7 +376,7 @@ class TestLifecycle:
     leak the listening socket (EADDRINUSE) or hang in shutdown."""
 
     def _engine(self, api_cap_predictor):
-        return create_engine({"CAP": api_cap_predictor}, workers=1)
+        return create_engine({"CAP": api_cap_predictor})
 
     def test_restart_on_same_fixed_port(self, api_cap_predictor):
         first = PredictionServer(self._engine(api_cap_predictor), port=0)
@@ -424,7 +468,7 @@ class TestTelemetry:
             assert response.headers["X-Request-ID"]
 
     def test_healthz_reports_worker_identity(self, api_cap_predictor):
-        engine = create_engine({"CAP": api_cap_predictor}, workers=1)
+        engine = create_engine({"CAP": api_cap_predictor})
         with PredictionServer(
             engine, port=0, worker_id=3, generation=2
         ) as server:
@@ -496,7 +540,7 @@ class TestTelemetry:
         obs.enable_metrics()
         writer = MetricsFileWriter(tmp_path, worker=0, generation=1)
         obs.registry().attach_mirror(writer)
-        engine = create_engine({"CAP": api_cap_predictor}, workers=1)
+        engine = create_engine({"CAP": api_cap_predictor})
         try:
             with PredictionServer(
                 engine, port=0, worker_id=0, generation=1,
@@ -527,7 +571,7 @@ class TestTelemetry:
         from repro.obs.requestlog import AccessLog
 
         log_path = tmp_path / "access.jsonl"
-        engine = create_engine({"CAP": api_cap_predictor}, workers=1)
+        engine = create_engine({"CAP": api_cap_predictor})
         with PredictionServer(
             engine, port=0, access_log=AccessLog(log_path, slow_s=30.0)
         ) as server:

@@ -35,7 +35,7 @@ def test_fork_with_every_factory_lock_held(api_multi_model, tiny_bundle, tmp_pat
     from repro.obs.requestlog import AccessLog
 
     circuit = tiny_bundle.records("test")[0].circuit
-    engine = create_engine({"suite": api_multi_model}, dtype="float64", workers=1)
+    engine = create_engine({"suite": api_multi_model}, dtype="float64")
     writer = MetricsFileWriter(tmp_path, worker=0)
     access_log = AccessLog(str(tmp_path / "access.jsonl"))
     try:
@@ -46,7 +46,7 @@ def test_fork_with_every_factory_lock_held(api_multi_model, tiny_bundle, tmp_pat
             "adapters._stacks_lock": adapters._stacks_lock,
             "ModelRegistry._lock": engine.registry._lock,
             "Engine._group_lock": engine._group_lock,
-            "Engine._executor_lock": engine._executor_lock,
+            "Engine._queue_lock": engine._queue_lock,
             "GraphCache._lock": engine.cache._lock,
             "CachedGraph._lock": entry._lock,
             "Tracer._lock": obs.tracer()._lock,
