@@ -59,6 +59,8 @@ def aggregate_runs(
         results.append(outcome)
     stats = RunStatistics(n_runs=len(seeds))
     for metric in results[0]:
+        # staticcheck: ignore[precision-policy] -- run statistics accumulate
+        # in float64 whatever dtype the runs trained at
         values = np.array([r[metric] for r in results], dtype=np.float64)
         stats.metrics[metric] = {
             "mean": float(values.mean()),

@@ -68,6 +68,8 @@ def tsne(
         If there are fewer than ``3 * perplexity`` points (the conditional
         distributions would be degenerate).
     """
+    # staticcheck: ignore[precision-policy] -- Fig. 8's t-SNE is analysis
+    # output and optimises in float64, whatever dtype produced the rows
     X = np.asarray(X, dtype=np.float64)
     n = len(X)
     if n < 4:
@@ -115,7 +117,10 @@ def neighborhood_label_agreement(
     points.  Returns ``1 - knn_diff / random_diff``: 0 means no structure,
     values toward 1 mean neighbours share labels (well-separated colours).
     """
+    # staticcheck: ignore[precision-policy] -- Fig. 8's separation score
+    # is a float64 statistic
     embedding = np.asarray(embedding, dtype=np.float64)
+    # staticcheck: ignore[precision-policy] -- as above
     labels = np.asarray(labels, dtype=np.float64).ravel()
     n = len(embedding)
     if n != len(labels):

@@ -47,14 +47,12 @@ Subcommands::
         Print the per-stage time/memory summary of a trace written with
         ``--trace`` or ``--obs-jsonl``.
 
-    python -m repro check [paths...] [--rules r1,r2] [--fail-stale]
-                          [--baseline FILE] [--no-baseline]
-                          [--update-baseline] [--format json]
+    python -m repro check [paths...] [--rules r1,r2] [--format json]
                           [--verbose] [--list-rules]
-        Run the repo-aware static checks: the five AST lint rules over
+        Run the repo-aware static checks: the four AST lint rules over
         ``src/repro``, or over the given files.  Exit 0 when clean, 1
-        when there are new findings (or stale baseline entries under
-        ``--fail-stale``), 2 on usage or configuration errors.
+        when there are new findings (a pragma that suppresses nothing is
+        one), 2 on usage or configuration errors.
 
 Every subcommand additionally accepts ``--trace out.json`` (write a Chrome
 ``trace_event`` file loadable in Perfetto / chrome://tracing) and
@@ -435,8 +433,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.errors import StaticCheckError
     from repro.staticcheck import render_json, render_text, run_lint
-    from repro.staticcheck.baseline import Baseline, write_baseline
-    from repro.staticcheck.runner import default_baseline_path
 
     if args.list_rules:
         from repro.staticcheck import all_rules
@@ -450,39 +446,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.rules
         else None
     )
-    paths = args.paths or None
-    if args.update_baseline and (paths is not None or selected is not None):
-        # the rewrite replaces every row, so it needs every finding
-        print(
-            "repro check: --update-baseline rewrites the whole baseline "
-            "and needs a full run of every rule (no paths, no --rules)",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        result = run_lint(
-            paths=paths,
-            rule_names=selected,
-            baseline_path=args.baseline,
-            use_baseline=not args.no_baseline,
-        )
+        result = run_lint(paths=args.paths or None, rule_names=selected)
     except StaticCheckError as exc:
         print(f"repro check: {exc}", file=sys.stderr)
         return 2
-
-    if args.update_baseline:
-        target = args.baseline or default_baseline_path()
-        write_baseline(target, Baseline.from_findings(result.findings))
-        kept = sum(1 for f in result.findings if not f.suppressed)
-        print(f"wrote {kept} finding(s) to {target}")
-        return 0
 
     if args.format == "json":
         print(render_json(result))
     else:
         print(render_text(result, verbose=args.verbose))
-    if args.fail_stale and result.stale_baseline:
-        return 1
     return 0 if result.ok() else 1
 
 
@@ -654,21 +627,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "src/repro)")
     p_check.add_argument("--rules", default=None, metavar="R1,R2",
                          help="comma-separated rule names; see --list-rules")
-    p_check.add_argument("--baseline", default=None, metavar="FILE",
-                         help="baseline file (default: "
-                              "<repo>/staticcheck-baseline.json)")
-    p_check.add_argument("--no-baseline", action="store_true",
-                         help="report grandfathered findings too")
-    p_check.add_argument("--fail-stale", action="store_true",
-                         help="exit non-zero when baseline entries no "
-                              "longer match any finding (baseline may "
-                              "only shrink)")
-    p_check.add_argument("--update-baseline", action="store_true",
-                         help="rewrite the baseline from the current findings")
     p_check.add_argument("--format", choices=["text", "json"],
                          default="text")
     p_check.add_argument("--verbose", action="store_true",
-                         help="also list suppressed and baselined findings")
+                         help="also list pragma-suppressed findings")
     p_check.add_argument("--list-rules", action="store_true",
                          help="print the rule catalogue and exit")
     p_check.set_defaults(func=_cmd_check)

@@ -90,5 +90,5 @@ class ObsError(ReproError):
 
 
 class StaticCheckError(ReproError):
-    """Raised for static-analysis configuration failures (bad baseline,
-    unknown rule name, unparseable target file)."""
+    """Raised for static-analysis configuration failures (unknown rule
+    name, missing or unparseable target file)."""

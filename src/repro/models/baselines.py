@@ -36,6 +36,8 @@ def baseline_features(
         row_index = int(np.searchsorted(members, node_id))
         onehot = [1.0, 0.0] if type_name == dev.TRANSISTOR else [0.0, 1.0]
         rows.append(np.concatenate([scaled[type_name][row_index], onehot]))
+    # staticcheck: ignore[precision-policy] -- the classical baselines
+    # (Fig. 6) fit and predict in float64, outside the GNN precision policy
     return ids, np.asarray(rows, dtype=np.float64)
 
 

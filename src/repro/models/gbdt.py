@@ -9,31 +9,21 @@ alone").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import ModelError
 
 
-@dataclass
-class _Node:
-    """A tree node; leaves carry ``value``, internal nodes a split."""
-
-    value: float = 0.0
-    feature: int = -1
-    threshold: float = 0.0
-    gain: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
 class RegressionTree:
-    """CART regression tree with exact greedy splits."""
+    """CART regression tree with exact greedy splits.
+
+    A fitted tree is six flat arrays indexed by node, in pre-order (node 0
+    is the root): the ``feature`` and ``threshold`` of each split, its
+    ``left`` and ``right`` child, the ``value`` (the mean target of the
+    training rows that reach the node) and the split's ``gain`` (its
+    variance reduction).  A leaf is its own left and right child, with
+    feature 0 and gain 0, so a row that reaches one stays there.
+    """
 
     def __init__(
         self,
@@ -44,27 +34,38 @@ class RegressionTree:
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.min_gain = min_gain
-        self.root: _Node | None = None
+        self.feature: np.ndarray | None = None
+        self.threshold: np.ndarray | None = None
+        self.left: np.ndarray | None = None
+        self.right: np.ndarray | None = None
+        self.value: np.ndarray | None = None
+        self.gain: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
+        # staticcheck: ignore[precision-policy] -- the XGBoost baseline
+        # (Fig. 6) fits and predicts in float64, outside the GNN policy
         X = np.asarray(X, dtype=np.float64)
+        # staticcheck: ignore[precision-policy] -- as X
         y = np.asarray(y, dtype=np.float64).ravel()
-        self.root = self._grow(X, y, depth=0)
+        nodes: list[tuple] = []
+        self._grow(X, y, 0, nodes)
+        feature, threshold, left, right, value, gain = zip(*nodes)
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.value = np.array(value)
+        self.gain = np.array(gain)
         return self
+
+    def _fitted(self) -> None:
+        if self.value is None:
+            raise ModelError("RegressionTree is not fitted")
 
     def feature_gains(self, num_features: int) -> np.ndarray:
         """Total variance-reduction gain per feature (importance)."""
-        gains = np.zeros(num_features)
-
-        def walk(node: _Node | None) -> None:
-            if node is None or node.is_leaf:
-                return
-            gains[node.feature] += node.gain
-            walk(node.left)
-            walk(node.right)
-
-        walk(self.root)
-        return gains
+        self._fitted()
+        return np.bincount(self.feature, weights=self.gain, minlength=num_features)
 
     def _best_split(
         self, X: np.ndarray, y: np.ndarray
@@ -102,41 +103,39 @@ class RegressionTree:
                 best = (feature, (xs[i - 1] + xs[i]) / 2.0, gains[k])
         return best
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        node = _Node(value=float(y.mean()))
+    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int, nodes: list) -> int:
+        """Append the subtree grown on these rows to *nodes* in pre-order
+        and return the index of its root."""
+        index = len(nodes)
+        value = float(y.mean())
+        nodes.append((0, 0.0, index, index, value, 0.0))
         if depth >= self.max_depth or len(y) < 2 * self.min_samples_leaf:
-            return node
+            return index
         split = self._best_split(X, y)
         if split is None:
-            return node
+            return index
         feature, threshold, gain = split
         mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.gain = gain
-        node.left = self._grow(X[mask], y[mask], depth + 1)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1)
-        return node
+        left = self._grow(X[mask], y[mask], depth + 1, nodes)
+        right = self._grow(X[~mask], y[~mask], depth + 1, nodes)
+        nodes[index] = (feature, threshold, left, right, value, gain)
+        return index
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.root is None:
-            raise ModelError("RegressionTree is not fitted")
+        self._fitted()
+        # staticcheck: ignore[precision-policy] -- as in fit
         X = np.asarray(X, dtype=np.float64)
-        out = np.empty(len(X), dtype=np.float64)
-
-        # all rows at once: each split divides the indices of the rows
-        # that reach it (NaN compares False and goes right)
-        def route(node: _Node, rows: np.ndarray) -> None:
-            if node.left is None or node.right is None:  # a leaf
-                out[rows] = node.value
-                return
-            left = X[rows, node.feature] <= node.threshold
-            route(node.left, rows[left])
-            route(node.right, rows[~left])
-
-        if len(X):  # an empty query may come as a 1-D array
-            route(self.root, np.arange(len(X)))
-        return out
+        # every row moves one level per step; a leaf keeps the rows that
+        # reach it (NaN compares False and goes right)
+        node = np.zeros(len(X), dtype=np.intp)
+        # an empty query may come as a 1-D array, and a tree fitted on no
+        # features is one leaf, whose column 0 such rows lack
+        if X.size:
+            rows = np.arange(len(X))
+            for _ in range(self.max_depth):
+                goes_left = X[rows, self.feature[node]] <= self.threshold[node]
+                node = np.where(goes_left, self.left[node], self.right[node])
+        return self.value[node]
 
 
 class GradientBoostedTrees:
@@ -163,7 +162,9 @@ class GradientBoostedTrees:
         self.trees_: list[RegressionTree] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
+        # staticcheck: ignore[precision-policy] -- as RegressionTree.fit
         X = np.asarray(X, dtype=np.float64)
+        # staticcheck: ignore[precision-policy] -- as X
         y = np.asarray(y, dtype=np.float64).ravel()
         if X.ndim != 2 or len(X) != len(y):
             raise ModelError(f"bad GBDT inputs: X{X.shape}, y{y.shape}")
@@ -191,6 +192,7 @@ class GradientBoostedTrees:
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not self.trees_:
             raise ModelError("GradientBoostedTrees is not fitted")
+        # staticcheck: ignore[precision-policy] -- as RegressionTree.fit
         X = np.asarray(X, dtype=np.float64)
         out = np.full(len(X), self.base_)
         for tree in self.trees_:

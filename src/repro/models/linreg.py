@@ -24,7 +24,10 @@ class RidgeRegression:
         self.intercept_: float = 0.0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RidgeRegression":
+        # staticcheck: ignore[precision-policy] -- the ridge baseline (Fig. 6)
+        # solves its normal equations in float64
         X = np.asarray(X, dtype=np.float64)
+        # staticcheck: ignore[precision-policy] -- as X
         y = np.asarray(y, dtype=np.float64).ravel()
         if X.ndim != 2 or len(X) != len(y):
             raise ModelError(f"bad ridge inputs: X{X.shape}, y{y.shape}")
@@ -40,4 +43,5 @@ class RidgeRegression:
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.coef_ is None:
             raise ModelError("RidgeRegression is not fitted")
+        # staticcheck: ignore[precision-policy] -- predicts at the fit's float64
         return np.asarray(X, dtype=np.float64) @ self.coef_ + self.intercept_

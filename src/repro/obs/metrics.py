@@ -7,7 +7,7 @@ Low-cardinality dimensions go in ``labels``
 (``ensemble.range_selected{max_v=1e-15}``), never in the metric name.
 
 All mutation is lock-protected, so metrics can be bumped from worker
-threads; reads (``snapshot``/``render``) take the same lock briefly.
+threads; reads (``snapshot``) take the same lock briefly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 from repro import forksafe
-from repro.analysis.tables import render_table
 
 #: Default histogram bucket upper bounds (seconds-flavoured but generic).
 DEFAULT_BUCKETS = (
@@ -233,20 +232,3 @@ class MetricsRegistry:
             rows.append(row)
         rows.sort(key=lambda r: (r["name"], sorted(r["labels"].items())))
         return rows
-
-    def render(self) -> str:
-        """Plain-text metric table (counters/gauges + histogram summaries)."""
-        rows = []
-        for row in self.snapshot():
-            labels = ",".join(f"{k}={v}" for k, v in sorted(row["labels"].items()))
-            name = f"{row['name']}{{{labels}}}" if labels else row["name"]
-            if row["kind"] == "histogram":
-                rows.append(
-                    [name, "histogram",
-                     f"n={row['count']} mean={row['mean']:.4g} "
-                     f"min={row['min']:.4g} max={row['max']:.4g}"
-                     if row["count"] else "n=0"]
-                )
-            else:
-                rows.append([name, row["kind"], f"{row['value']:.6g}"])
-        return render_table(["metric", "kind", "value"], rows, title="Metrics")

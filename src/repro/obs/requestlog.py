@@ -6,11 +6,10 @@ the HTTP edge and carried through the serving stack in a
 :func:`repro.obs.span` opened underneath automatically pick it up —
 no parameter threading through call signatures that predate serving.
 
-:class:`AccessLog` writes one JSON line per request.  It is
-**tail-sampled**: the cheap summary fields (id, worker, status, timing
-breakdown) are always logged, but the expensive ``detail`` payload
-(per-request span tree, error text) is attached only when the request
-was slow or failed — the requests an operator actually greps for.
+:class:`AccessLog` writes one JSON line per request: id, worker,
+status, timing breakdown and, for a failed request, the error text.  A
+request that was slow or failed — the requests an operator actually
+greps for — is marked ``"sampled": true``.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ def request_context(request_id: str | None = None):
 
 
 class AccessLog:
-    """Line-per-request JSON access log with tail-based detail sampling.
+    """Line-per-request JSON access log that marks slow and failed requests.
 
     Parameters
     ----------
@@ -60,8 +59,8 @@ class AccessLog:
         every call is a cheap no-op so the server can hold one
         unconditionally).
     slow_s:
-        Requests at or above this wall time are "slow" and get the
-        ``detail`` payload attached (alongside every status >= 400).
+        Requests at or above this wall time are "slow" and marked
+        ``sampled`` (alongside every status >= 400).
     """
 
     def __init__(self, sink=None, *, slow_s: float = 0.25):
@@ -84,15 +83,11 @@ class AccessLog:
         request_id: str,
         status: int,
         duration_s: float,
-        detail_fn=None,
         **fields,
     ) -> dict | None:
         """Write one access-log line; returns the record (None if disabled).
 
-        ``detail_fn`` is a zero-argument callable producing the expensive
-        detail payload; it runs only when this request samples in
-        (status >= 400 or duration >= ``slow_s``) so the fast path never
-        pays for span serialization.
+        Fields that are None are left out.
         """
         if self._stream is None:
             return None
@@ -103,14 +98,8 @@ class AccessLog:
             "duration_s": round(float(duration_s), 6),
         }
         record.update({k: v for k, v in fields.items() if v is not None})
-        sampled = status >= 400 or duration_s >= self.slow_s
-        if sampled:
+        if status >= 400 or duration_s >= self.slow_s:
             record["sampled"] = True
-            if detail_fn is not None:
-                try:
-                    record["detail"] = detail_fn()
-                except Exception as error:  # detail must never kill serving
-                    record["detail_error"] = repr(error)
         line = json.dumps(record, default=str)
         with self._lock:
             try:

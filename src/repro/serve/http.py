@@ -3,7 +3,8 @@
 Endpoints:
 
 * ``POST /predict`` — body ``{"netlist": "<spice text>", "name": ...,
-  "targets": [...], "model": ..., "timeout_s": ...}`` for one circuit, or
+  "targets": [...], "model": ..., "timeout_s": ..., "use_cache": true}``
+  for one circuit, or
   ``{"items": [<request>, ...]}`` for a batch.  Responds with
   a :meth:`PredictionResult.to_json_dict` dump (or ``{"results": [...]}``).
 * ``GET /healthz`` — liveness plus the model inventory and the serving
@@ -84,15 +85,15 @@ def request_from_json(payload: dict) -> PredictionRequest:
         isinstance(timeout_s, bool) or not isinstance(timeout_s, (int, float))
     ):
         raise ApiError('"timeout_s" must be a number of seconds')
+    use_cache = payload.get("use_cache", True)
+    if not isinstance(use_cache, bool):
+        raise ApiError('"use_cache" must be true or false')
     return PredictionRequest(
         netlist_text=str(payload["netlist"]),
         name=payload.get("name"),
         targets=tuple(targets) if targets is not None else None,
         model=payload.get("model"),
-        options=PredictionOptions(
-            use_cache=bool(payload.get("use_cache", True)),
-            timeout_s=timeout_s,
-        ),
+        options=PredictionOptions(use_cache=use_cache, timeout_s=timeout_s),
     )
 
 
@@ -187,19 +188,8 @@ class _Handler(BaseHTTPRequestHandler):
                         worker=self.worker_id,
                         method=method_name,
                         path=path,
-                        detail_fn=self._span_detail,
                         **self._log_fields,
                     )
-
-    def _span_detail(self) -> dict:
-        """Span rows for this request (tail-sampled: slow/error only)."""
-        rid = self._request_id
-        rows = [
-            span.as_row()
-            for span in obs.tracer().spans()[-256:]
-            if span.attrs.get("request_id") == rid
-        ]
-        return {"spans": rows}
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         self._dispatch("GET", self._handle_get)

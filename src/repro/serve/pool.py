@@ -20,9 +20,9 @@ Architecture (see ``docs/serving.md``):
   from :mod:`repro.forksafe`, which makes each one free and empty in a
   forked child, so a worker starts with usable locks whatever the
   parent's other threads held at the fork.
-* **Caches** — each worker keeps its own LRU
-  :class:`~repro.serve.cache.GraphCache`, bounded by the pool's
-  ``cache_size``/``cache_bytes``.  Whichever worker wins the accept
+* **Caches** — each worker's engine keeps its own LRU
+  :class:`~repro.serve.cache.GraphCache` of at most the pool's
+  ``cache_size`` circuits.  Whichever worker wins the accept
   takes a connection, so any worker may see any circuit, and each one
   caches what it serves.
 * **Drain / reload** — SIGTERM makes a worker stop accepting, finish
@@ -49,7 +49,6 @@ from repro import forksafe, obs
 from repro.errors import ServeError
 from repro.nn import precision
 from repro.obs import mpmetrics
-from repro.serve.cache import GraphCache
 from repro.serve.registry import ModelRegistry, artifact_version
 
 #: Seconds a draining worker gets before SIGKILL.
@@ -70,7 +69,6 @@ class PoolConfig:
     port: int = 0
     #: per-worker engine sizing
     cache_size: int = 256
-    cache_bytes: int | None = None
     max_batch: int = 16
     queue_depth: int = 128
     timeout_s: float | None = None
@@ -144,9 +142,6 @@ def _child_main(
             signal.SIGTERM, lambda *_: term_early.__setitem__("hit", True)
         )
 
-        cache = GraphCache(
-            max_entries=config.cache_size, max_bytes=config.cache_bytes
-        )
         engine = Engine(
             registry,
             config=EngineConfig(
@@ -156,7 +151,6 @@ def _child_main(
                 timeout_s=config.timeout_s,
                 dtype=config.dtype,
             ),
-            cache=cache,
         )
 
         # Fleet telemetry: collect metrics (bounded state, no spans) and

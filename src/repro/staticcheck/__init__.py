@@ -1,13 +1,13 @@
 """``repro.staticcheck`` — repo-aware static analysis.
 
-Five rules guard the invariants the runtime stack depends on (see
+Four rules guard the invariants the runtime stack depends on (see
 ``docs/static-analysis.md``): an AST **lint engine**
 (:mod:`repro.staticcheck.engine`) runs autodiff-bypass, precision-policy,
-determinism, concurrency and api-surface over each module, with per-line
-``# staticcheck: ignore[rule]`` pragmas and a committed baseline for
-grandfathered findings.
+determinism and concurrency over each module.  A deliberate exception
+carries a ``# staticcheck: ignore[rule] -- reason`` pragma on its line,
+and a pragma that no longer suppresses anything is itself an error.
 
-A full-repo ``repro check`` (:func:`run_lint`) runs all five over every
+A full-repo ``repro check`` (:func:`run_lint`) runs all four over every
 module under ``src/repro``; the ``static-analysis`` CI job runs it.
 Exports resolve lazily (PEP 562) so importing :mod:`repro` never pays
 for the checker.
@@ -23,9 +23,6 @@ __all__ = [
     "LintEngine",
     "all_rules",
     "rule_names",
-    "Baseline",
-    "load_baseline",
-    "write_baseline",
     "CheckResult",
     "run_lint",
     "iter_source_files",
@@ -42,9 +39,6 @@ _EXPORTS = {
     "LintEngine": "repro.staticcheck.engine",
     "all_rules": "repro.staticcheck.rules",
     "rule_names": "repro.staticcheck.rules",
-    "Baseline": "repro.staticcheck.baseline",
-    "load_baseline": "repro.staticcheck.baseline",
-    "write_baseline": "repro.staticcheck.baseline",
     "CheckResult": "repro.staticcheck.runner",
     "run_lint": "repro.staticcheck.runner",
     "iter_source_files": "repro.staticcheck.runner",

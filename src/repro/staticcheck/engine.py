@@ -3,20 +3,22 @@
 A :class:`Rule` inspects one parsed module (:class:`ModuleContext`) and
 yields :class:`~repro.staticcheck.findings.Finding` objects.  The
 :class:`LintEngine` parses each file once, runs every rule over it,
-applies ``# staticcheck: ignore[...]`` pragmas, and validates that
-pragmas reference real rule names (a typo'd pragma would otherwise
-silently suppress nothing while looking load-bearing).
+applies ``# staticcheck: ignore[...]`` pragmas, and reports the pragmas
+that cannot be load-bearing: one naming a rule that does not exist
+(``invalid-pragma``) and, when the engine runs every rule, one that
+suppresses no finding (``unused-pragma``).  Either would otherwise
+silently excuse nothing while looking as if it did.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import StaticCheckError
 from repro.staticcheck.findings import Finding, Severity, sort_findings
-from repro.staticcheck.pragmas import PragmaIndex, parse_pragmas
+from repro.staticcheck.pragmas import Pragma, PragmaIndex, parse_pragmas
 
 
 @dataclass
@@ -62,8 +64,8 @@ class Rule:
     """Base class for lint rules.
 
     Subclasses set ``name`` / ``severity`` / ``description`` and implement
-    :meth:`check_module`.  ``name`` is the identity used by pragmas, the
-    baseline, CLI ``--rules`` filters and reports.
+    :meth:`check_module`.  ``name`` is the identity used by pragmas,
+    CLI ``--rules`` filters and reports.
     """
 
     name: str = ""
@@ -112,6 +114,9 @@ class LintEngine:
         # does not run them (rules a --rules subset leaves out): pragmas
         # for those live on source lines this engine parses.
         self.known_rule_names = frozenset(known_rule_names)
+        # Only an engine that runs every rule it knows can tell a pragma
+        # that suppresses nothing from one whose rule did not run.
+        self.judges_pragmas = self.known_rule_names <= set(names)
 
     def rule_names(self) -> tuple[str, ...]:
         return tuple(rule.name for rule in self.rules)
@@ -124,56 +129,66 @@ class LintEngine:
     def check_context(self, ctx: ModuleContext) -> list[Finding]:
         """Lint one parsed module."""
         findings: list[Finding] = []
+        # (pragma, the name in it that matched: the rule, or "*")
+        used: set[tuple[Pragma, str]] = set()
         for rule in self.rules:
             for finding in rule.check_module(ctx):
-                if ctx.pragmas.suppresses(finding.rule, finding.line):
-                    finding = finding.with_flags(suppressed=True)
+                pragmas = ctx.pragmas.suppressing(finding.rule, finding.line)
+                if pragmas:
+                    finding = replace(finding, suppressed=True)
+                for pragma in pragmas:
+                    name = finding.rule if finding.rule in pragma.rules else "*"
+                    used.add((pragma, name))
                 findings.append(finding)
-        findings.extend(self._pragma_findings(ctx))
+        findings.extend(self._pragma_findings(ctx, used))
         return sort_findings(findings)
 
     # ------------------------------------------------------------------
-    def _pragma_findings(self, ctx: ModuleContext) -> Iterator[Finding]:
-        """Report malformed pragmas and pragmas naming unknown rules."""
+    def _pragma_findings(
+        self, ctx: ModuleContext, used: "set[tuple[Pragma, str]]"
+    ) -> Iterator[Finding]:
+        """Report malformed pragmas, pragmas naming unknown rules and,
+        when every rule ran, the rule names that suppressed nothing."""
         known = set(self.rule_names()) | self.known_rule_names
-        unknown = ctx.pragmas.rules_mentioned() - known
-        if unknown:
-            # anchor on the first line that mentions an unknown rule
-            for lineno, rules in sorted(ctx.pragmas.by_line.items()):
-                bad = sorted(set(rules) & unknown)
-                if bad:
-                    yield Finding(
-                        rule="invalid-pragma",
-                        path=ctx.path,
-                        line=lineno,
-                        message=(
-                            f"pragma suppresses unknown rule(s) {bad}; "
-                            f"known rules: {sorted(known)}"
-                        ),
-                        severity=Severity.ERROR,
-                        snippet=ctx.line_at(lineno),
-                    )
-            bad_file_wide = sorted(ctx.pragmas.file_wide & unknown)
-            if bad_file_wide:
-                yield Finding(
-                    rule="invalid-pragma",
-                    path=ctx.path,
-                    line=1,
-                    message=(
-                        f"ignore-file pragma names unknown rule(s) "
-                        f"{bad_file_wide}; known rules: {sorted(known)}"
-                    ),
-                    severity=Severity.ERROR,
-                    snippet=ctx.line_at(1),
+
+        def finding(rule: str, line: int, message: str) -> Finding:
+            return Finding(
+                rule=rule,
+                path=ctx.path,
+                line=line,
+                message=message,
+                severity=Severity.ERROR,
+                snippet=ctx.line_at(line),
+            )
+
+        for pragma in ctx.pragmas.pragmas:
+            unknown = sorted(pragma.rules - known - {"*"})
+            if unknown:
+                kind = "ignore-file pragma" if pragma.covers is None else "pragma"
+                yield finding(
+                    "invalid-pragma",
+                    pragma.line,
+                    f"{kind} names unknown rule(s) {unknown}; "
+                    f"known rules: {sorted(known)}",
+                )
+            if not self.judges_pragmas:
+                continue
+            idle = sorted(
+                name
+                for name in pragma.rules - set(unknown)
+                if (pragma, name) not in used
+            )
+            if idle:
+                what = "any rule" if idle == ["*"] else f"rule(s) {idle}"
+                yield finding(
+                    "unused-pragma",
+                    pragma.line,
+                    f"pragma suppresses no finding of {what}; delete it, "
+                    "or the rule names that no longer fire",
                 )
         for lineno, text in ctx.pragmas.malformed:
-            yield Finding(
-                rule="invalid-pragma",
-                path=ctx.path,
-                line=lineno,
-                message=f"unparseable staticcheck pragma: {text!r}",
-                severity=Severity.ERROR,
-                snippet=ctx.line_at(lineno),
+            yield finding(
+                "invalid-pragma", lineno, f"unparseable staticcheck pragma: {text!r}"
             )
 
 

@@ -2,7 +2,7 @@
 
 Syntax (anywhere in a comment)::
 
-    x = foo()  # staticcheck: ignore[precision-policy]
+    x = foo()  # staticcheck: ignore[precision-policy] -- justification
     y = bar()  # staticcheck: ignore[rule-a,rule-b] -- justification
     z = baz()  # staticcheck: ignore  (suppresses every rule on the line)
 
@@ -14,8 +14,9 @@ multi-line statements can carry a suppression above them.  Above a
 decorated ``def``/``class`` the coverage extends through the decorator
 stack to the definition line, where such findings anchor.
 ``ignore-file`` applies to the whole module and is parsed anywhere, by
-convention near the top.  Unknown rule names in a pragma are reported by
-the engine as ``invalid-pragma`` findings rather than silently ignored.
+convention near the top.  The engine reports a pragma that names an
+unknown rule as ``invalid-pragma`` and, when every rule runs, one that
+suppresses no finding as ``unused-pragma``.
 """
 
 from __future__ import annotations
@@ -34,31 +35,32 @@ _PRAGMA_RE = re.compile(
 )
 
 
+@dataclass(frozen=True)
+class Pragma:
+    """One ``ignore`` comment: its line, the rules it names ("*" = every
+    rule) and the lines it covers (None for ``ignore-file``: all)."""
+
+    line: int
+    rules: frozenset[str]
+    covers: "frozenset[int] | None" = None
+
+    def suppresses(self, rule: str, line: int) -> bool:
+        return ("*" in self.rules or rule in self.rules) and (
+            self.covers is None or line in self.covers
+        )
+
+
 @dataclass
 class PragmaIndex:
     """Parsed suppressions for one module."""
 
-    #: line number -> rule names suppressed there ("*" = all)
-    by_line: dict[int, frozenset[str]] = field(default_factory=dict)
-    #: module-wide suppressed rule names ("*" = all)
-    file_wide: frozenset[str] = field(default_factory=frozenset)
+    pragmas: list[Pragma] = field(default_factory=list)
     #: (line, pragma text) pairs whose rule list failed to parse
     malformed: list[tuple[int, str]] = field(default_factory=list)
 
-    def suppresses(self, rule: str, line: int) -> bool:
-        if "*" in self.file_wide or rule in self.file_wide:
-            return True
-        rules = self.by_line.get(line)
-        return rules is not None and ("*" in rules or rule in rules)
-
-    def rules_mentioned(self) -> set[str]:
-        """Every explicit rule name used in a pragma (for validation)."""
-        names: set[str] = set()
-        for rules in self.by_line.values():
-            names.update(rules)
-        names.update(self.file_wide)
-        names.discard("*")
-        return names
+    def suppressing(self, rule: str, line: int) -> list[Pragma]:
+        """The pragmas that suppress *rule* on *line*."""
+        return [p for p in self.pragmas if p.suppresses(rule, line)]
 
 
 def _parse_rules(raw: "str | None") -> frozenset[str]:
@@ -88,6 +90,31 @@ def _iter_comments(source: str) -> "list[tuple[int, int, str]]":
     return out
 
 
+def _covered_lines(lines: "list[str]", lineno: int, col: int) -> frozenset[int]:
+    """The pragma's own line and, for a comment-only line, the next code
+    line (skipping blank lines and the rest of a wrapped justification
+    comment), so statements can carry the suppression above them.
+    Decorator lines are skipped through as well: findings on a decorated
+    ``def``/``class`` anchor at the definition line, so a pragma above
+    the decorator stack must reach it."""
+    covered = [lineno]
+    if col == 0 or not lines[lineno - 1][:col].strip():
+        cursor = lineno + 1
+        in_decorators = False
+        while cursor <= len(lines):
+            stripped = lines[cursor - 1].strip()
+            covered.append(cursor)
+            if stripped.startswith("@"):
+                in_decorators = True
+            elif stripped and not stripped.startswith("#"):
+                if not in_decorators or stripped.startswith(
+                    ("def ", "async def ", "class ")
+                ):
+                    break
+            cursor += 1
+    return frozenset(covered)
+
+
 def parse_pragmas(source: str) -> PragmaIndex:
     """Extract the pragma index from a module's source text.
 
@@ -97,6 +124,7 @@ def parse_pragmas(source: str) -> PragmaIndex:
     index = PragmaIndex()
     if "staticcheck:" not in source:
         return index
+    lines = source.splitlines()
     for lineno, col, text in _iter_comments(source):
         match = _PRAGMA_RE.search(text)
         if match is None:
@@ -104,32 +132,10 @@ def parse_pragmas(source: str) -> PragmaIndex:
                 index.malformed.append((lineno, text.strip()))
             continue
         rules = _parse_rules(match.group("rules"))
-        if match.group("kind") == "ignore-file":
-            index.file_wide = index.file_wide | rules
-            continue
-        covered = [lineno]
-        # A pragma-only comment line also shields the next code line
-        # (skipping blank lines and the rest of a wrapped justification
-        # comment), so statements can carry the suppression above them.
-        # Decorator lines are skipped through as well: findings on a
-        # decorated ``def``/``class`` anchor at the definition line, so a
-        # pragma above the decorator stack must reach it.
-        lines = source.splitlines()
-        if col == 0 or not lines[lineno - 1][:col].strip():
-            cursor = lineno + 1
-            in_decorators = False
-            while cursor <= len(lines):
-                stripped = lines[cursor - 1].strip()
-                covered.append(cursor)
-                if stripped.startswith("@"):
-                    in_decorators = True
-                elif stripped and not stripped.startswith("#"):
-                    if not in_decorators or stripped.startswith(
-                        ("def ", "async def ", "class ")
-                    ):
-                        break
-                cursor += 1
-        for line in covered:
-            existing = index.by_line.get(line, frozenset())
-            index.by_line[line] = existing | rules
+        covers = (
+            None
+            if match.group("kind") == "ignore-file"
+            else _covered_lines(lines, lineno, col)
+        )
+        index.pragmas.append(Pragma(lineno, rules, covers))
     return index

@@ -12,14 +12,12 @@ from repro.staticcheck.rules.autodiff import AutodiffBypassRule
 from repro.staticcheck.rules.precision import PrecisionPolicyRule
 from repro.staticcheck.rules.determinism import DeterminismRule
 from repro.staticcheck.rules.concurrency import ConcurrencyRule
-from repro.staticcheck.rules.api_surface import ApiSurfaceRule
 
 RULE_CLASSES: tuple[type[Rule], ...] = (
     AutodiffBypassRule,
     PrecisionPolicyRule,
     DeterminismRule,
     ConcurrencyRule,
-    ApiSurfaceRule,
 )
 
 

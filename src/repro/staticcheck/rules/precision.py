@@ -7,9 +7,9 @@ breaks float32 training (or silently upcasts it).  Only ``precision.py``
 itself may name a float dtype.  Integer dtypes (indices) are never flagged.
 
 Legitimate float64-canonical sites — raw dataset feature storage,
-Algorithm 2 combination in SI units, checkpoint history arrays — carry a
-``# staticcheck: ignore[precision-policy]`` pragma with a justification,
-or live in the committed baseline.
+Algorithm 2 combination in SI units, checkpoint history arrays, the
+classical baselines' fits — carry a
+``# staticcheck: ignore[precision-policy]`` pragma with a justification.
 """
 
 from __future__ import annotations

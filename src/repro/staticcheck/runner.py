@@ -1,9 +1,7 @@
 """File discovery and check orchestration shared by CLI, CI and tests.
 
 :func:`run_lint` is ``repro check``: the lint rules over every module
-under ``src/repro`` (CI) or over explicit files (the pre-commit hook),
-with the baseline applied.  A full run, every rule over the whole tree,
-also reports the baseline rows no finding matches any more.
+under ``src/repro`` (CI) or over explicit files (the pre-commit hook).
 """
 
 from __future__ import annotations
@@ -12,11 +10,6 @@ import os
 from dataclasses import dataclass, field
 
 from repro.errors import StaticCheckError
-from repro.staticcheck.baseline import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    load_baseline,
-)
 from repro.staticcheck.engine import LintEngine, ModuleContext
 from repro.staticcheck.findings import Finding, Severity, sort_findings
 from repro.staticcheck.rules import rule_names as known_rule_names
@@ -32,10 +25,6 @@ def repo_root() -> str:
     """
     here = os.path.abspath(__file__)
     return os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(here))))
-
-
-def default_baseline_path(root: "str | None" = None) -> str:
-    return os.path.join(root or repo_root(), DEFAULT_BASELINE_NAME)
 
 
 def iter_source_files(
@@ -61,20 +50,16 @@ class CheckResult:
 
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
-    stale_baseline: list[dict] = field(default_factory=list)
 
     def active(self) -> list[Finding]:
-        """Findings that are neither pragma-suppressed nor baselined."""
-        return [f for f in self.findings if not f.suppressed and not f.baselined]
+        """Findings no pragma suppresses."""
+        return [f for f in self.findings if not f.suppressed]
 
     def new_errors(self) -> list[Finding]:
         return [f for f in self.active() if f.severity is Severity.ERROR]
 
     def suppressed_count(self) -> int:
         return sum(1 for f in self.findings if f.suppressed)
-
-    def baselined_count(self) -> int:
-        return sum(1 for f in self.findings if f.baselined)
 
     def ok(self) -> bool:
         return not self.new_errors()
@@ -118,20 +103,17 @@ def run_lint(
     root: "str | None" = None,
     paths: "list[str] | None" = None,
     rule_names: "list[str] | None" = None,
-    baseline: "Baseline | None" = None,
-    baseline_path: "str | os.PathLike | None" = None,
-    use_baseline: bool = True,
 ) -> CheckResult:
     """Run the lint rules *rule_names* (default: all) over *paths*
     (default: every module under ``src/repro``).
 
     *paths* are files: absolute, relative to the working directory, or
     else relative to the repo root; a missing path or a directory raises
-    :class:`~repro.errors.StaticCheckError`.  The baseline is loaded from
-    *baseline_path* (default ``<root>/staticcheck-baseline.json``) unless
-    an explicit one or ``use_baseline=False`` is given.  Stale baseline
-    rows are reported only by a full run: a run over some files or some
-    rules does not look for the other rows, which would all look stale.
+    :class:`~repro.errors.StaticCheckError`.  When every rule runs, each
+    checked file's pragmas are judged, and one that suppresses no
+    finding is an ``unused-pragma`` error; a ``rule_names`` subset
+    judges none, since it cannot tell an unused pragma from one whose
+    rule it left out.
     """
     root = root or repo_root()
     rules = select_rules(rule_names)
@@ -143,13 +125,4 @@ def run_lint(
     findings = sort_findings(
         [f for ctx in contexts for f in engine.check_context(ctx)]
     )
-    if baseline is None and use_baseline:
-        baseline = load_baseline(baseline_path or default_baseline_path(root))
-    stale: list[dict] = []
-    if baseline is not None:
-        findings = baseline.apply(findings)
-        if paths is None and rule_names is None:
-            stale = baseline.stale_entries(findings)
-    return CheckResult(
-        findings=findings, files_checked=len(contexts), stale_baseline=stale
-    )
+    return CheckResult(findings=findings, files_checked=len(contexts))

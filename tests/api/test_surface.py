@@ -1,10 +1,16 @@
 """Public-API snapshot: the supported surface, pinned.
 
 If one of these tests fails, the public contract changed — either revert,
-or update this snapshot *and* docs/api.md in the same change.
+or update this snapshot *and* docs/api.md in the same change.  Every
+module under ``repro`` that declares ``__all__`` is also checked at
+runtime: each name resolves, none repeats, and every key of a lazy
+``_EXPORTS`` table is listed.
 """
 
+import importlib
 import inspect
+import os
+import re
 
 import repro
 import repro.api
@@ -148,6 +154,29 @@ TOP_LEVEL_SURFACE = [
 ]
 
 
+def _modules_declaring_all() -> list[str]:
+    """Every module under ``repro`` that assigns ``__all__`` at top level."""
+    package_dir = os.path.dirname(repro.__file__)
+    names = []
+    for dirpath, dirnames, filenames in os.walk(package_dir):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        for filename in sorted(filenames):
+            path = os.path.join(dirpath, filename)
+            if not filename.endswith(".py"):
+                continue
+            with open(path, encoding="utf-8") as handle:
+                if not re.search(r"^__all__\b", handle.read(), re.MULTILINE):
+                    continue
+            rel = os.path.relpath(path, os.path.dirname(package_dir))
+            name = rel[: -len(".py")].replace(os.sep, ".")
+            names.append(name.removesuffix(".__init__"))
+    return names
+
+
+def _all_declaring_modules():
+    return [importlib.import_module(name) for name in _modules_declaring_all()]
+
+
 class TestSurfaceSnapshot:
     def test_api_all(self):
         assert sorted(repro.api.__all__) == API_SURFACE
@@ -172,12 +201,30 @@ class TestSurfaceSnapshot:
     def test_nn_all(self):
         assert sorted(repro.nn.__all__) == NN_SURFACE
 
+    def test_every_all_declaring_module_is_found(self):
+        found = set(_modules_declaring_all())
+        assert {
+            "repro", "repro.api", "repro.flows", "repro.models", "repro.nn",
+            "repro.serve", "repro.analysis", "repro.circuits.generators",
+        } <= found
+
     def test_every_exported_name_resolves(self):
-        for module in (
-            repro, repro.api, repro.flows, repro.models, repro.nn, repro.serve
-        ):
+        for module in _all_declaring_modules():
             for name in module.__all__:
                 assert getattr(module, name) is not None, (module.__name__, name)
+
+    def test_no_exported_name_repeats(self):
+        for module in _all_declaring_modules():
+            names = list(module.__all__)
+            repeats = sorted({name for name in names if names.count(name) > 1})
+            assert repeats == [], (module.__name__, repeats)
+
+    def test_every_lazy_export_is_listed(self):
+        # a PEP 562 table key missing from __all__ is hidden from
+        # star-imports and dir()
+        for module in _all_declaring_modules():
+            missing = sorted(set(getattr(module, "_EXPORTS", ())) - set(module.__all__))
+            assert missing == [], (module.__name__, missing)
 
     def test_dir_covers_all(self):
         for module in (

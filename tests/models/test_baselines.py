@@ -59,25 +59,24 @@ class TestRegressionTree:
         X = np.arange(10, dtype=float).reshape(-1, 1)
         y = np.arange(10, dtype=float)
         tree = RegressionTree(max_depth=10, min_samples_leaf=5).fit(X, y)
-
-        def leaves(node):
-            if node.is_leaf:
-                return [node]
-            return leaves(node.left) + leaves(node.right)
-
         # with min 5 per leaf and 10 samples, at most one split happened
-        assert len(leaves(tree.root)) <= 2
+        assert len(_split_nodes(tree)) <= 1
 
     def test_constant_target_single_leaf(self):
         X = np.random.default_rng(0).random((30, 2))
         y = np.full(30, 7.0)
         tree = RegressionTree().fit(X, y)
-        assert tree.root.is_leaf
+        assert len(tree.value) == 1 and tree.left[0] == tree.right[0] == 0
         np.testing.assert_allclose(tree.predict(X), 7.0)
 
     def test_unfitted_raises(self):
         with pytest.raises(ModelError):
             RegressionTree().predict(np.ones((1, 1)))
+
+    def test_no_features_is_one_leaf(self):
+        y = np.arange(12, dtype=float)
+        tree = RegressionTree().fit(np.empty((12, 0)), y)
+        assert np.array_equal(tree.predict(np.empty((3, 0))), np.full(3, y.mean()))
 
 
 class TestGBDT:
@@ -176,21 +175,21 @@ class TestBaselinePredictor:
         assert evaluate(xgb, records)["mae"] <= evaluate(lin, records)["mae"] * 1.1
 
 
+def _split_nodes(tree):
+    """Indices of a fitted tree's splits; a leaf is its own child."""
+    return np.flatnonzero(tree.left != np.arange(len(tree.left)))
+
+
 def _walk_each_row(tree, X):
     """The per-row traversal: one root-to-leaf walk per row."""
     out = np.empty(len(X))
     for i, row in enumerate(X):
-        node = tree.root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        out[i] = node.value
+        node = 0
+        while tree.left[node] != node:
+            goes_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if goes_left else tree.right[node]
+        out[i] = tree.value[node]
     return out
-
-
-def _internal_nodes(node):
-    if node.is_leaf:
-        return []
-    return [node, *_internal_nodes(node.left), *_internal_nodes(node.right)]
 
 
 class TestTreeRouting:
@@ -202,9 +201,9 @@ class TestTreeRouting:
         y = X[:, 0] * 2.0 - X[:, 1] + rng.normal(0.0, 0.1, 300)
         gbdt = GradientBoostedTrees(n_estimators=20, max_depth=4).fit(X, y)
         thresholds = [
-            node.threshold
+            threshold
             for tree in gbdt.trees_
-            for node in _internal_nodes(tree.root)
+            for threshold in tree.threshold[_split_nodes(tree)]
         ]
         queries = rng.normal(1.5, 1.5, size=(200, 3))
         queries[:20] = np.array(thresholds[:20])[:, None]  # ties
@@ -217,6 +216,17 @@ class TestTreeRouting:
         for tree in gbdt.trees_:
             oracle += gbdt.learning_rate * _walk_each_row(tree, queries)
         assert np.array_equal(gbdt.predict(queries), oracle)
+
+    def test_feature_gains_equal_the_per_split_sum(self):
+        """One bincount adds each feature's split gains in pre-order,
+        exactly as summing them split by split does."""
+        X, y = _toy_regression(n=300, seed=4)
+        gbdt = GradientBoostedTrees(n_estimators=20, max_depth=4).fit(X, y)
+        for tree in gbdt.trees_:
+            oracle = np.zeros(4)
+            for node in _split_nodes(tree):
+                oracle[tree.feature[node]] += tree.gain[node]
+            assert np.array_equal(tree.feature_gains(4), oracle)
 
 
 def _best_split_loop(tree, X, y):
@@ -279,14 +289,7 @@ class TestSplitSearch:
         monkeypatch.setattr(RegressionTree, "_best_split", _best_split_loop)
         slow = GradientBoostedTrees(n_estimators=15, max_depth=4).fit(X, y)
         for got, want in zip(fast.trees_, slow.trees_):
-            pairs = [(got.root, want.root)]
-            while pairs:
-                a, b = pairs.pop()
-                assert (a.feature, a.threshold, a.value) == (
-                    b.feature, b.threshold, b.value
-                )
-                assert a.gain == pytest.approx(b.gain, rel=1e-12, abs=0.0)
-                assert a.is_leaf == b.is_leaf
-                if not a.is_leaf:
-                    pairs += [(a.left, b.left), (a.right, b.right)]
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            np.testing.assert_allclose(got.gain, want.gain, rtol=1e-12, atol=0.0)
         assert np.array_equal(fast.predict(X), slow.predict(X))

@@ -161,11 +161,3 @@ class TestSnapshot:
         reg.inc("gone_total")
         reg.reset()
         assert reg.snapshot() == []
-
-    def test_render_lists_all_metrics(self, reg):
-        reg.inc("graphs_built_total", 7)
-        reg.observe("graph.nodes", 123.0, buckets=DEFAULT_BUCKETS)
-        text = reg.render()
-        assert "graphs_built_total" in text
-        assert "graph.nodes" in text
-        assert "7" in text

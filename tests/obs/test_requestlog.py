@@ -88,47 +88,23 @@ class TestAccessLog:
             request_id="r1", status=200, duration_s=0.01, route="/predict"
         )
         assert record["request_id"] == "r1"
-        assert "sampled" not in record and "detail" not in record
+        assert "sampled" not in record
         line = json.loads(sink.getvalue())
         assert line["route"] == "/predict"
 
-    def test_error_samples_in_detail(self):
-        sink = io.StringIO()
-        log = AccessLog(sink, slow_s=1.0)
+    def test_error_samples_in(self):
+        log = AccessLog(io.StringIO(), slow_s=1.0)
         record = log.log(
             request_id="r2", status=500, duration_s=0.01,
-            detail_fn=lambda: {"spans": 3},
+            error="RuntimeError: boom",
         )
         assert record["sampled"] is True
-        assert record["detail"] == {"spans": 3}
+        assert record["error"] == "RuntimeError: boom"
 
     def test_slow_request_samples_in(self):
         log = AccessLog(io.StringIO(), slow_s=0.1)
-        record = log.log(
-            request_id="r3", status=200, duration_s=0.5,
-            detail_fn=lambda: "trace",
-        )
-        assert record["sampled"] is True and record["detail"] == "trace"
-
-    def test_fast_success_never_calls_detail_fn(self):
-        calls = []
-        log = AccessLog(io.StringIO(), slow_s=1.0)
-        log.log(
-            request_id="r4", status=200, duration_s=0.01,
-            detail_fn=lambda: calls.append(1),
-        )
-        assert calls == []
-
-    def test_detail_fn_exception_is_contained(self):
-        def boom():
-            raise RuntimeError("span serialisation broke")
-
-        log = AccessLog(io.StringIO(), slow_s=1.0)
-        record = log.log(
-            request_id="r5", status=500, duration_s=0.01, detail_fn=boom
-        )
-        assert "RuntimeError" in record["detail_error"]
-        assert "detail" not in record
+        record = log.log(request_id="r3", status=200, duration_s=0.5)
+        assert record["sampled"] is True
 
     def test_none_fields_dropped(self):
         log = AccessLog(io.StringIO())

@@ -68,6 +68,11 @@ class TestRequestFromJson:
         with pytest.raises(ApiError, match="netlist"):
             request_from_json({"name": "x"})
 
+    @pytest.mark.parametrize("value", ["false", 0, None, [False]])
+    def test_rejects_non_boolean_use_cache(self, value):
+        with pytest.raises(ApiError, match="use_cache"):
+            request_from_json({"netlist": "x", "use_cache": value})
+
 
 class TestEndpoints:
     def test_healthz(self, served):
@@ -205,6 +210,27 @@ class TestErrorMapping:
             {"netlist": netlist_text, "model": "CAP", "timeout_s": "soon"},
         )
         assert code == 400 and "timeout_s" in payload["message"]
+
+    def test_a_non_boolean_use_cache_is_400(self, served, netlist_text):
+        # bool("false") is True: a string would cache what the client
+        # asked not to
+        code, payload = _post_error(
+            served.url + "/predict",
+            {"netlist": netlist_text, "model": "CAP", "use_cache": "false"},
+        )
+        assert code == 400 and "use_cache" in payload["message"]
+
+    def test_use_cache_false_leaves_the_repeat_a_miss(
+        self, api_cap_predictor, netlist_text
+    ):
+        engine = create_engine({"CAP": api_cap_predictor})
+        body = {"netlist": netlist_text, "model": "CAP", "use_cache": False}
+        with PredictionServer(engine, port=0) as server:
+            answers = [_post(server.url + "/predict", body) for _ in range(2)]
+        assert [
+            (code, payload["timing"]["cache_hit"]) for code, payload in answers
+        ] == [(200, False), (200, False)]
+        assert len(engine.cache) == 0
 
     def test_unparseable_netlist_is_400_on_every_repeat(self, served):
         for _ in range(2):
@@ -591,4 +617,4 @@ class TestTelemetry:
         assert "cache_hit" in fast and "inference_s" in fast
         (err,) = [l for l in lines if l["status"] == 400]
         assert err["sampled"] is True
-        assert "error" in err
+        assert "error" in err and "detail" not in err

@@ -27,22 +27,22 @@ class TestRunner:
 
 class TestRepoIsClean:
     """The acceptance gate: the full check (every rule over the whole
-    tree, as CI runs it) has zero non-baselined findings."""
+    tree, as CI runs it) has zero unsuppressed findings, and so every
+    pragma in the tree still suppresses one."""
 
-    def test_lint_is_clean_with_baseline(self):
+    def test_lint_is_clean(self):
         result = run_lint()
         assert result.new_errors() == [], "\n".join(
             f"{f.location()}: [{f.rule}] {f.message}" for f in result.new_errors()
         )
 
-    def test_baseline_has_no_stale_entries(self):
-        result = run_lint()
-        assert result.stale_baseline == []
+
+UNUSED = "x = 1  # staticcheck: ignore[determinism] -- nothing to excuse\n"
 
 
 class TestCheckCommand:
     def test_clean_run_exits_zero(self, capsys):
-        assert main(["check", "--fail-stale"]) == 0
+        assert main(["check"]) == 0
         out = capsys.readouterr().out
         assert "0 new error(s)" in out
 
@@ -63,23 +63,28 @@ class TestCheckCommand:
 
     def test_rules_filter(self, capsys):
         code = main(["check", "--rules", "determinism",
-                     "src/repro/models/gbdt.py", "--no-baseline"])
-        assert code == 0  # gbdt's findings are precision-policy only
+                     "src/repro/analysis/tsne.py"])
+        assert code == 0  # tsne's findings are precision-policy only
 
     def test_rules_subset_keeps_other_pragmas_valid(self):
         """Pragmas for unselected rules are not typos under --rules."""
         result = run_lint(rule_names=["determinism"])
         assert not any(f.rule == "invalid-pragma" for f in result.findings)
 
-    def test_rules_subset_skips_stale_detection(self):
-        # a subset run can't tell a stale entry from an unselected rule's
-        result = run_lint(rule_names=["determinism"])
-        assert result.stale_baseline == []
+    def test_explicit_path_judges_its_pragmas(self, tmp_path, capsys):
+        bad = tmp_path / "unused.py"
+        bad.write_text(UNUSED)
+        assert main(["check", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "unused.py:1: [unused-pragma]" in out
 
-    def test_paths_skip_stale_detection(self):
-        # nor can a run over some files tell one from another file's
-        result = run_lint(paths=["src/repro/nn/loss.py"])
-        assert result.stale_baseline == []
+    def test_rules_subset_judges_no_pragma(self, tmp_path, capsys):
+        # a subset cannot tell an unused pragma from one whose rule it
+        # left out
+        bad = tmp_path / "unused.py"
+        bad.write_text(UNUSED)
+        assert main(["check", "--rules", "precision-policy", str(bad)]) == 0
+        assert "unused-pragma" not in capsys.readouterr().out
 
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["check", "no/such/file.py"]) == 2
@@ -107,33 +112,20 @@ class TestCheckCommand:
         assert main(["check", "--rules", "bogus"]) == 2
         assert "unknown rule" in capsys.readouterr().err
 
-    def test_update_baseline_requires_full_run(self, tmp_path, capsys):
-        assert main(["check", "--update-baseline",
-                     "src/repro/nn/loss.py"]) == 2
-
-    def test_update_baseline_refuses_rules_subset(self, tmp_path, capsys):
-        # a subset's findings would replace every other rule's rows
-        target = tmp_path / "baseline.json"
-        assert main(["check", "--update-baseline", "--rules", "determinism",
-                     "--baseline", str(target)]) == 2
-        assert not target.exists()
-        assert "--rules" in capsys.readouterr().err
-
-    def test_update_baseline_round_trip(self, tmp_path, monkeypatch, capsys):
-        target = tmp_path / "baseline.json"
-        assert main(["check", "--update-baseline",
-                     "--baseline", str(target)]) == 0
-        assert target.exists()
-        # the fresh baseline makes a --baseline run clean
-        assert main(["check", "--fail-stale",
-                     "--baseline", str(target)]) == 0
+    def test_help_lists_four_options(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        out = capsys.readouterr().out
+        for option in ("--rules", "--format", "--verbose", "--list-rules"):
+            assert option in out
+        assert "baseline" not in out and "--fail-stale" not in out
 
     def test_list_rules(self, capsys):
         assert main(["check", "--list-rules"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == [
             "autodiff-bypass", "precision-policy", "determinism",
-            "concurrency", "api-surface",
+            "concurrency",
         ]
 
 
@@ -161,9 +153,6 @@ class TestCISeededViolation:
             os.path.join(repo_root(), "src", "repro"),
             tmp_path / "src" / "repro",
             ignore=shutil.ignore_patterns("__pycache__"),
-        )
-        shutil.copy(
-            os.path.join(repo_root(), "staticcheck-baseline.json"), tmp_path
         )
         registry = tmp_path / "src" / "repro" / "serve" / "registry.py"
         source = registry.read_text()

@@ -308,38 +308,6 @@ class TestConcurrency:
         )
 
 
-class TestApiSurface:
-    def test_flags_unresolvable_export(self):
-        source = "__all__ = ['present', 'missing']\npresent = 1\n"
-        findings = by_rule(lint(source, "src/repro/api/foo.py"), "api-surface")
-        assert len(findings) == 1
-        assert "'missing'" in findings[0].message
-
-    def test_flags_lazy_key_missing_from_all(self):
-        source = (
-            "__all__ = ['A']\n"
-            "_EXPORTS = {'A': 'mod_a', 'B': 'mod_b'}\n"
-            "def __getattr__(name):\n"
-            "    return _EXPORTS[name]\n"
-        )
-        findings = by_rule(lint(source, "src/repro/api/foo.py"), "api-surface")
-        assert len(findings) == 1
-        assert "'B'" in findings[0].message
-
-    def test_lazy_exports_resolve_through_table(self):
-        source = (
-            "__all__ = ['A', 'B']\n"
-            "_EXPORTS = {'A': 'mod_a', 'B': 'mod_b'}\n"
-            "def __getattr__(name):\n"
-            "    return _EXPORTS[name]\n"
-        )
-        assert not lint(source, "src/repro/api/foo.py")
-
-    def test_flags_duplicates(self):
-        source = "__all__ = ['x', 'x']\nx = 1\n"
-        assert by_rule(lint(source, "src/repro/api/foo.py"), "api-surface")
-
-
 class TestEngine:
     def test_syntax_error_raises(self):
         with pytest.raises(StaticCheckError, match="cannot parse"):

@@ -1,14 +1,12 @@
-"""Pragma and baseline suppression paths, including the failure modes."""
+"""Suppression pragmas, including the failure modes: a pragma naming no
+rule, and a pragma that suppresses nothing."""
 
 import ast
-import json
 import textwrap
 
 import pytest
 
-from repro.errors import StaticCheckError
-from repro.staticcheck import Baseline, LintEngine, all_rules, load_baseline
-from repro.staticcheck.baseline import write_baseline
+from repro.staticcheck import LintEngine, all_rules
 from repro.staticcheck.engine import Rule
 from repro.staticcheck.pragmas import parse_pragmas
 
@@ -140,7 +138,10 @@ class TestPragmaEdgeCases:
                 return 1
             """
         )
-        assert len(findings) == 1 and not findings[0].suppressed
+        by_rule = {f.rule: f for f in findings}
+        assert sorted(by_rule) == ["def-anchor", "unused-pragma"]
+        assert not by_rule["def-anchor"].suppressed
+        assert by_rule["unused-pragma"].line == 2
 
     def test_multi_rule_ignore_suppresses_both_rules(self):
         source = (
@@ -202,47 +203,70 @@ class TestPragmaEdgeCases:
         assert len(findings) == 1 and findings[0].suppressed
 
 
-class TestBaseline:
-    def test_baseline_marks_known_findings(self):
-        findings = lint(BAD)
-        baseline = Baseline.from_findings(findings)
-        applied = baseline.apply(lint(BAD))
-        assert all(f.baselined for f in applied)
+class TestUnusedPragma:
+    """A pragma that no longer suppresses anything fails the check, so an
+    exception cannot outlive the line it excused."""
 
-    def test_count_budget_catches_new_occurrence(self):
-        baseline = Baseline.from_findings(lint(BAD))
-        doubled = BAD + "y = np.zeros(3, dtype=np.float64)\n"
-        applied = baseline.apply(lint(doubled))
-        # the x line is covered, the new y line is not
-        flags = sorted((f.line, f.baselined) for f in applied)
-        assert flags == [(2, True), (3, False)]
+    def test_a_new_flagged_neighbour_still_fails(self):
+        # a pragma excuses one line: a second cast next to an excused one
+        # is a new error, as a baseline's count budget made it
+        source = (
+            "import numpy as np\n"
+            "# staticcheck: ignore[precision-policy] -- canonical\n"
+            "x = np.zeros(3, dtype=np.float64)\n"
+            "y = np.zeros(3, dtype=np.float64)\n"
+        )
+        flags = [(f.rule, f.line, f.suppressed) for f in lint(source)]
+        assert flags == [
+            ("precision-policy", 3, True), ("precision-policy", 4, False)
+        ]
 
-    def test_fingerprint_survives_line_drift(self):
-        shifted = "import numpy as np\n\n\nx = np.zeros(3, dtype=np.float64)\n"
-        baseline = Baseline.from_findings(lint(BAD))
-        applied = baseline.apply(lint(shifted))
-        assert all(f.baselined for f in applied)
+    def test_inline_pragma_on_clean_line_is_reported(self):
+        findings = lint("x = 1  # staticcheck: ignore[determinism] -- stale\n")
+        assert [(f.rule, f.line, f.suppressed) for f in findings] == [
+            ("unused-pragma", 1, False)
+        ]
+        assert "determinism" in findings[0].message
 
-    def test_round_trip_and_stale_detection(self, tmp_path):
-        baseline = Baseline.from_findings(lint(BAD))
-        path = tmp_path / "baseline.json"
-        write_baseline(path, baseline)
-        loaded = load_baseline(path)
-        assert loaded.counts == baseline.counts
-        stale = loaded.stale_entries([])  # nothing fires any more
-        assert len(stale) == 1 and stale[0]["rule"] == "precision-policy"
+    def test_used_pragma_is_not_reported(self):
+        source = (
+            "import numpy as np\n"
+            "x = np.zeros(3, dtype=np.float64)  "
+            "# staticcheck: ignore[precision-policy] -- test\n"
+        )
+        assert [f.rule for f in lint(source)] == ["precision-policy"]
 
-    def test_missing_file_is_empty(self, tmp_path):
-        assert len(load_baseline(tmp_path / "nope.json")) == 0
+    def test_multi_rule_pragma_reports_only_the_idle_rule(self):
+        source = (
+            "import numpy as np\n"
+            "x = np.zeros(3, dtype=np.float64)  "
+            "# staticcheck: ignore[precision-policy,determinism] -- test\n"
+        )
+        (unused,) = [f for f in lint(source) if f.rule == "unused-pragma"]
+        assert "determinism" in unused.message
+        assert "precision-policy" not in unused.message
 
-    def test_bad_json_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("{not json")
-        with pytest.raises(StaticCheckError, match="unreadable"):
-            load_baseline(path)
+    def test_standalone_pragma_anchors_on_its_own_line(self):
+        source = (
+            "# staticcheck: ignore[precision-policy] -- wrapped\n"
+            "# justification\n"
+            "x = 1\n"
+        )
+        findings = lint(source)
+        assert [(f.rule, f.line) for f in findings] == [("unused-pragma", 1)]
 
-    def test_wrong_version_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(StaticCheckError, match="version"):
-            load_baseline(path)
+    def test_bare_and_file_wide_pragmas_are_judged_and_cannot_hide_it(self):
+        findings = lint(
+            "# staticcheck: ignore-file -- waives every rule\n"
+            "x = 1  # staticcheck: ignore\n"
+            "y = 2  # staticcheck: ignore[determinism] -- stale\n"
+        )
+        assert [(f.rule, f.line, f.suppressed) for f in findings] == [
+            ("unused-pragma", 1, False),
+            ("unused-pragma", 2, False),
+            ("unused-pragma", 3, False),
+        ]
+
+    def test_unknown_rule_is_invalid_not_unused(self):
+        findings = lint("x = 1  # staticcheck: ignore[no-such-rule]\n")
+        assert [f.rule for f in findings] == ["invalid-pragma"]
