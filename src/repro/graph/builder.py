@@ -14,7 +14,7 @@ from repro import obs
 from repro.circuits import devices as dev
 from repro.circuits.netlist import Circuit
 from repro.errors import GraphConstructionError
-from repro.graph.features import device_features, feature_dim, net_features
+from repro.graph.features import feature_dim, net_features
 from repro.graph.hetero import HeteroGraph, edge_type_name
 
 #: Histogram buckets for graph sizes (node/edge counts).
@@ -38,40 +38,70 @@ def build_graph(circuit: Circuit, validate: bool = True) -> HeteroGraph:
 
 
 def _build_graph(circuit: Circuit, validate: bool) -> HeteroGraph:
-    graph = HeteroGraph(name=circuit.name)
+    """One pass over the instances: node ids, feature rows and terminals.
 
-    # --- nodes -------------------------------------------------------
-    type_members: dict[str, list[int]] = {}
-    type_features: dict[str, list[list[float]]] = {}
-
-    def add_node(node_type: str, name: str, feats: list[float]) -> int:
-        node_id = len(graph.node_type_of)
-        graph.node_type_of.append(node_type)
-        graph.node_name_of.append(name)
-        type_members.setdefault(node_type, []).append(node_id)
-        type_features.setdefault(node_type, []).append(feats)
-        return node_id
-
+    Net nodes come first, in net order, then one node per instance in
+    instance order.  Node types are listed net first, then in order of
+    first appearance; edge types (one twin pair per device type and
+    terminal) in order of their first signal-net terminal.
+    """
     signal_nets = [net.name for net in circuit.signal_nets()]
     if not signal_nets:
         raise GraphConstructionError(
             f"circuit {circuit.name!r} has no signal nets to build a graph from"
         )
-    for net_name in signal_nets:
-        graph.net_nodes[net_name] = add_node(
-            dev.NET, net_name, net_features(circuit, net_name)
-        )
-    for inst in circuit.instances():
-        graph.device_nodes[inst.name] = add_node(
-            inst.device_type, inst.name, device_features(inst)
-        )
+    instances = list(circuit.instances())
+    device_names = [inst.name for inst in instances]
+    num_nets = len(signal_nets)
+    graph = HeteroGraph(
+        name=circuit.name,
+        node_type_of=[dev.NET] * num_nets + [inst.device_type for inst in instances],
+        node_name_of=signal_nets + device_names,
+        net_nodes=dict(zip(signal_nets, range(num_nets))),
+        device_nodes=dict(zip(device_names, range(num_nets, num_nets + len(instances)))),
+    )
 
-    for node_type, members in type_members.items():
-        graph.nodes_of_type[node_type] = np.asarray(members, dtype=np.int64)
+    # --- nodes and terminals, grouped by node type -----------------
+    #: node type -> (node ids, feature rows, terminal -> (net ids,
+    #: device ids), the type's feature-vector function)
+    by_type: dict[str, tuple[list[int], list[list[float]], dict, object]] = {
+        dev.NET: (
+            range(num_nets),
+            [net_features(circuit, net_name) for net_name in signal_nets],
+            {},
+            None,
+        )
+    }
+    #: (device type, terminal) pairs in order of first signal-net edge
+    edge_order: list[tuple[str, str]] = []
+    net_id_of = graph.net_nodes.get
+    for node_id, inst in enumerate(instances, num_nets):
+        device_type = inst.device_type
+        group = by_type.get(device_type)
+        if group is None:
+            group = by_type[device_type] = (
+                [], [], {}, dev.spec_for(device_type).feature_vector
+            )
+        ids, rows, terminals, feature_vector = group
+        ids.append(node_id)
+        rows.append(feature_vector(inst.params))
+        for terminal, net_name in inst.conns.items():
+            net_id = net_id_of(net_name)
+            if net_id is None:  # supply/ground: ignored (paper §II-B)
+                continue
+            pair = terminals.get(terminal)
+            if pair is None:
+                pair = terminals[terminal] = ([], [])
+                edge_order.append((device_type, terminal))
+            pair[0].append(net_id)
+            pair[1].append(node_id)
+
+    for node_type, (ids, rows, _, _) in by_type.items():
+        graph.nodes_of_type[node_type] = np.array(ids, dtype=np.int64)
         # staticcheck: ignore[precision-policy] -- raw
         # features are stored float64-canonical; the model casts at the
         # encoder boundary, so nothing float64 survives into the kernels
-        feats = np.asarray(type_features[node_type], dtype=np.float64)
+        feats = np.array(rows, dtype=np.float64)
         expected = feature_dim(node_type)
         if feats.shape[1] != expected:
             raise GraphConstructionError(
@@ -80,28 +110,17 @@ def _build_graph(circuit: Circuit, validate: bool) -> HeteroGraph:
             )
         graph.features[node_type] = feats
 
-    # --- edges -------------------------------------------------------
-    edge_lists: dict[str, tuple[list[int], list[int]]] = {}
-
-    def add_edge(edge_type: str, src: int, dst: int) -> None:
-        srcs, dsts = edge_lists.setdefault(edge_type, ([], []))
-        srcs.append(src)
-        dsts.append(dst)
-
-    for inst in circuit.instances():
-        device_id = graph.device_nodes[inst.name]
-        for terminal, net_name in inst.conns.items():
-            net_id = graph.net_nodes.get(net_name)
-            if net_id is None:  # supply/ground: ignored (paper §II-B)
-                continue
-            terminal_kind = f"{inst.device_type}_{terminal}"
-            add_edge(edge_type_name(dev.NET, terminal_kind), net_id, device_id)
-            add_edge(edge_type_name(terminal_kind, dev.NET), device_id, net_id)
-
-    for edge_type, (srcs, dsts) in edge_lists.items():
-        graph.edges[edge_type] = (
-            np.asarray(srcs, dtype=np.int64),
-            np.asarray(dsts, dtype=np.int64),
+    # --- edges: a twin pair per (device type, terminal) --------------
+    for device_type, terminal in edge_order:
+        net_ids, device_ids = by_type[device_type][2][terminal]
+        kind = f"{device_type}_{terminal}"
+        graph.edges[edge_type_name(dev.NET, kind)] = (
+            np.array(net_ids, dtype=np.int64),
+            np.array(device_ids, dtype=np.int64),
+        )
+        graph.edges[edge_type_name(kind, dev.NET)] = (
+            np.array(device_ids, dtype=np.int64),
+            np.array(net_ids, dtype=np.int64),
         )
 
     if validate:

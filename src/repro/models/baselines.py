@@ -29,16 +29,22 @@ def baseline_features(
     ids = spec.node_ids(graph)
     if spec.kind == "net":
         return ids, scaled[dev.NET]
-    rows = []
-    for node_id in ids:
-        type_name = graph.node_type_of[node_id]
-        members = graph.nodes_of_type[type_name]
-        row_index = int(np.searchsorted(members, node_id))
-        onehot = [1.0, 0.0] if type_name == dev.TRANSISTOR else [0.0, 1.0]
-        rows.append(np.concatenate([scaled[type_name][row_index], onehot]))
-    # staticcheck: ignore[precision-policy] -- the classical baselines
-    # (Fig. 6) fit and predict in float64, outside the GNN precision policy
-    return ids, np.asarray(rows, dtype=np.float64)
+    if not len(ids):
+        # staticcheck: ignore[precision-policy] -- the classical baselines
+        # (Fig. 6) fit and predict in float64, outside the GNN precision policy
+        return ids, np.asarray([], dtype=np.float64)
+    kinds = np.array([graph.node_type_of[node_id] for node_id in ids])
+    rows = None
+    for type_name in dict.fromkeys(kinds.tolist()):
+        at = np.flatnonzero(kinds == type_name)
+        row_index = np.searchsorted(graph.nodes_of_type[type_name], ids[at])
+        feats = scaled[type_name][row_index]
+        if rows is None:
+            # staticcheck: ignore[precision-policy] -- as above
+            rows = np.empty((len(ids), feats.shape[1] + 2), dtype=np.float64)
+        rows[at, :-2] = feats
+        rows[at, -2:] = [1.0, 0.0] if type_name == dev.TRANSISTOR else [0.0, 1.0]
+    return ids, rows
 
 
 class BaselinePredictor:

@@ -214,16 +214,14 @@ class GraphInputs:
 
     def edge_plans(self, edge_type: str) -> tuple[SegmentPlan, SegmentPlan]:
         """(src, dst) plans for one edge type's COO arrays."""
-        src, dst = self.edges[edge_type]
-        return (
-            self._cached(
-                ("edge_src_plan", edge_type),
-                lambda: SegmentPlan.build(src, self.num_nodes),
-            ),
-            self._cached(
-                ("edge_dst_plan", edge_type),
-                lambda: SegmentPlan.build(dst, self.num_nodes),
-            ),
+        return self._edge_plan(edge_type, 0), self._edge_plan(edge_type, 1)
+
+    def _edge_plan(self, edge_type: str, end: int) -> SegmentPlan:
+        """The plan over one end (0 = source, 1 = destination) of an edge
+        type's COO arrays, built on first use."""
+        return self._cached(
+            ("edge_dst_plan" if end else "edge_src_plan", edge_type),
+            lambda: SegmentPlan.build(self.edges[edge_type][end], self.num_nodes),
         )
 
     # -- Per-edge-type blocks of the merged edge list --------------------
@@ -264,7 +262,7 @@ class GraphInputs:
 
         def build():
             names, _ = self.edge_blocks()
-            compact = [self.edge_plans(t)[1].compact() for t in names]
+            compact = [self._edge_plan(t, 1).compact() for t in names]
             sizes = [plan.num_segments for plan in compact]
             offsets = np.cumsum([0] + sizes[:-1]).astype(np.int64)
             return SegmentPlan.concat(compact, offsets, int(sum(sizes)))

@@ -153,6 +153,26 @@ class TestBaselinePredictor:
         assert X.shape[1] == 6  # 4 Table II features + thin/thick one-hot
         assert set(np.unique(X[:, 4:])) <= {0.0, 1.0}
 
+    def test_device_features_equal_the_per_node_rows(self, tiny_bundle):
+        """One searchsorted per node type builds the rows one search per
+        node did: each device's scaled features, then its one-hot."""
+        from repro.circuits import devices as dev
+        from repro.data import target_by_name
+
+        spec = target_by_name("SA")
+        for record in tiny_bundle.records("train") + tiny_bundle.records("test"):
+            graph = record.graph
+            scaled = tiny_bundle.scaler.transform(graph)
+            ids, X = baseline_features(graph, tiny_bundle.scaler, spec)
+            rows = []
+            for node_id in ids:
+                type_name = graph.node_type_of[node_id]
+                row = int(np.searchsorted(graph.nodes_of_type[type_name], node_id))
+                onehot = [1.0, 0.0] if type_name == dev.TRANSISTOR else [0.0, 1.0]
+                rows.append(np.concatenate([scaled[type_name][row], onehot]))
+            oracle = np.asarray(rows, dtype=np.float64)
+            assert X.dtype == oracle.dtype and np.array_equal(X, oracle)
+
     @pytest.mark.parametrize("kind", ["xgb", "linear"])
     def test_fit_predict_evaluate(self, tiny_bundle, kind):
         predictor = BaselinePredictor(kind, "SA").fit(tiny_bundle)
@@ -216,6 +236,26 @@ class TestTreeRouting:
         for tree in gbdt.trees_:
             oracle += gbdt.learning_rate * _walk_each_row(tree, queries)
         assert np.array_equal(gbdt.predict(queries), oracle)
+
+    @pytest.mark.parametrize("max_depth, n_rows", [(4, 300), (2, 25), (3, 40)])
+    def test_stacked_trees_equal_the_per_tree_loop(self, max_depth, n_rows):
+        """Descending every (tree, row) pair together and adding the leaf
+        values in tree order is the per-tree loop bit for bit, with trees
+        of different sizes (stumps, leaves) in one ensemble."""
+        rng = np.random.default_rng(max_depth)
+        X = rng.normal(size=(n_rows, 3))
+        y = np.where(X[:, 0] > 0, 1.0, 0.0) + 0.1 * rng.normal(size=n_rows)
+        gbdt = GradientBoostedTrees(
+            n_estimators=30, max_depth=max_depth, subsample=0.5, seed=1
+        ).fit(X, y)
+        assert len({len(tree.value) for tree in gbdt.trees_}) > 1
+        queries = rng.normal(size=(50, 3))
+        queries[:5, 0] = np.nan
+        for rows in (X, queries, queries[:1], queries[:0], np.empty(0)):
+            oracle = np.full(len(rows), gbdt.base_)
+            for tree in gbdt.trees_:
+                oracle += gbdt.learning_rate * tree.predict(rows)
+            assert np.array_equal(gbdt.predict(rows), oracle)
 
     def test_feature_gains_equal_the_per_split_sum(self):
         """One bincount adds each feature's split gains in pre-order,

@@ -252,6 +252,21 @@ class TestEdgeBlocks:
                 inv.ravel(), 1.0 / expected.counts[expected.segment_ids]
             )
 
+    def test_type_dst_plan_builds_no_source_plan(self, tiny_bundle):
+        """Only destination plans feed the pair plan; the per-type source
+        plans stay unbuilt until something asks for them."""
+        record = tiny_bundle.records("test")[0]
+        inputs = GraphInputs.from_record(record, tiny_bundle.scaler)
+        inputs.type_dst_plan()
+        built = {key[0] for key in inputs._cache if isinstance(key, tuple)}
+        assert "edge_dst_plan" in built
+        assert "edge_src_plan" not in built
+        names, _ = inputs.edge_blocks()
+        for edge_type in names:
+            src, dst = inputs.edge_plans(edge_type)
+            np.testing.assert_array_equal(src.segment_ids, inputs.edges[edge_type][0])
+            np.testing.assert_array_equal(dst.segment_ids, inputs.edges[edge_type][1])
+
     def test_mega_batch_plan_matches_graph_merge(self, tiny_bundle):
         records = tiny_bundle.records("train")[:5]
         scaler = tiny_bundle.scaler

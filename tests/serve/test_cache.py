@@ -1,48 +1,17 @@
-"""GraphCache: content-hash identity, LRU behaviour, per-scaler inputs."""
+"""GraphCache: content-hash identity, LRU behaviour, per-scaler inputs.
+
+The fingerprints themselves are tested in ``tests/data/test_fingerprint.py``.
+"""
 
 import pytest
 
 from repro.circuits.spice import read_spice, write_spice
-from repro.serve import GraphCache, circuit_fingerprint, scaler_fingerprint
+from repro.serve import GraphCache
 
 
 @pytest.fixture
 def circuits(tiny_bundle):
     return [record.circuit for record in tiny_bundle.records("test")]
-
-
-class TestFingerprints:
-    def test_stable_across_reparse(self, circuits):
-        # the same netlist text parsed twice is the same content
-        text = write_spice(circuits[0])
-        first = read_spice(text, name="same")
-        second = read_spice(text, name="same")
-        assert circuit_fingerprint(first) == circuit_fingerprint(second)
-
-    def test_differs_between_circuits(self, circuits):
-        prints = {circuit_fingerprint(c) for c in circuits}
-        assert len(prints) == len(circuits)
-
-    def test_parameter_change_changes_fingerprint(self, circuits):
-        circuit = circuits[0]
-        before = circuit_fingerprint(circuit)
-        instance = next(iter(circuit.instances()))
-        original = dict(instance.params)
-        try:
-            for key, value in list(instance.params.items()):
-                if isinstance(value, (int, float)):
-                    instance.params[key] = value + 3.0
-                    break
-            assert circuit_fingerprint(circuit) != before
-        finally:
-            instance.params.clear()
-            instance.params.update(original)
-
-    def test_scaler_fingerprint_memoised(self, tiny_bundle):
-        scaler = tiny_bundle.scaler
-        first = scaler_fingerprint(scaler)
-        assert scaler_fingerprint(scaler) == first
-        assert getattr(scaler, "_content_fingerprint") == first
 
 
 class TestGraphCache:
