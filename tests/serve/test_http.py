@@ -143,6 +143,17 @@ class TestErrorMapping:
         assert code == 400
         assert "no signal nets" in payload["message"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("netlist", "M1 out in\ud800x vss vss nch L=16n\nR1 out in 1k\n.end\n"),
+        ("name", "x\ud800"),
+    ])
+    def test_a_lone_surrogate_is_400(self, served, netlist_text, field, value):
+        # json.dumps escapes it as \ud800, which the server decodes back
+        body = {"netlist": netlist_text, "name": "x", "model": "CAP", field: value}
+        code, payload = _post_error(served.url + "/predict", body)
+        assert code == 400
+        assert "UTF-8" in payload["message"]
+
     def test_unknown_model_is_404(self, served, netlist_text):
         code, payload = _post_error(
             served.url + "/predict", {"netlist": netlist_text, "model": "nope"}
