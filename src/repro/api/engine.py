@@ -51,7 +51,6 @@ from repro.api.types import (
 from repro.errors import ApiError, ServeOverloadedError, ServeTimeoutError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serve.cache import GraphCache
     from repro.serve.registry import ModelRegistry, RegistryEntry
 
 
@@ -59,10 +58,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class EngineConfig:
     """Engine sizing knobs.
 
+    ``cache_size`` is the most circuits the graph cache holds;
     ``max_batch`` is the most requests merged into one group;
     ``queue_depth`` bounds the requests admitted and not yet answered (one
     more raises :class:`~repro.errors.ServeOverloadedError`); ``timeout_s``
-    is the default deadline for the wait before a request runs.
+    is the default deadline for the wait before a request runs.  The
+    three sizes must be at least 1 (``ValueError`` otherwise, naming the
+    field).
 
     ``dtype`` is the *serving* compute precision: model weights are cast
     to it once, when the engine is built (a saved model is loaded at it;
@@ -79,6 +81,12 @@ class EngineConfig:
     timeout_s: float | None = None
     dtype: str = "float32"
 
+    def __post_init__(self):
+        for name in ("cache_size", "max_batch", "queue_depth"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
 
 def _target_kind(target: str) -> str:
     from repro.data.targets import target_by_name
@@ -92,30 +100,16 @@ def _target_kind(target: str) -> str:
 class Engine:
     """Serve predictions for every registered model through one contract."""
 
-    def __init__(
-        self,
-        models,
-        *,
-        config: EngineConfig | None = None,
-        cache: "GraphCache | None" = None,
-    ):
+    def __init__(self, models, *, config: EngineConfig | None = None):
         from repro.serve.cache import GraphCache
 
         self.config = config or EngineConfig()
-        if self.config.max_batch < 1 or self.config.queue_depth < 1:
-            raise ValueError("max_batch and queue_depth must be >= 1")
         self._dtype = precision.resolve_dtype(self.config.dtype)
         # loading under the serving policy casts checkpoint weights to the
         # serving dtype once, instead of on every forward
         with precision.compute_dtype(self._dtype):
             self.registry = _at_dtype(_coerce_registry(models), self._dtype)
-        # explicit None test: a freshly injected cache is empty and an
-        # empty GraphCache is falsy through __len__
-        self.cache = (
-            cache
-            if cache is not None
-            else GraphCache(max_entries=self.config.cache_size)
-        )
+        self.cache = GraphCache(max_entries=self.config.cache_size)
         self._group_lock = forksafe.Lock()  # one group at a time
         self._queue_lock = forksafe.Lock()  # guards _pending
         self._pending = 0  # requests admitted and not yet answered
@@ -201,8 +195,6 @@ class Engine:
                 "hit_rate": self.cache.hit_rate(),
                 "entries": len(self.cache),
                 "max_entries": self.cache.max_entries,
-                "max_bytes": self.cache.max_bytes,
-                "bytes": self.cache.current_bytes(),
             },
             "queue": {
                 "pending": pending,
@@ -560,16 +552,14 @@ def create_engine(
     workers: int | None = None,
     timeout_s: float | None = None,
     dtype: str = "float32",
-    cache=None,
 ) -> Engine:
     """One-call engine construction.
 
     *models* may be a saved-model directory/path (discovered and
     warm-loaded), a ``{name: model}`` mapping, a
     :class:`~repro.serve.registry.ModelRegistry`, or a single model object
-    (registered as ``"default"``).  A pre-built
-    :class:`~repro.serve.cache.GraphCache` (e.g. one bounded by bytes) may
-    be injected via *cache*; it wins over *cache_size*.
+    (registered as ``"default"``).  *cache_size* bounds the engine's
+    :class:`~repro.serve.cache.GraphCache` in entries.
     *dtype* sets the serving compute precision (float32 by default; pass
     ``dtype="float64"`` for bit-exact parity with training).  *workers* is
     accepted and ignored: an engine answers in the calling thread.
@@ -583,7 +573,6 @@ def create_engine(
             timeout_s=timeout_s,
             dtype=dtype,
         ),
-        cache=cache,
     )
 
 

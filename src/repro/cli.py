@@ -32,12 +32,16 @@ Subcommands::
                                [--procs 1] [--max-batch 16]
                                [--queue-depth 128] [--cache-size 256]
                                [--timeout-s T] [--precision float32]
+                               [--metrics-dir DIR] [--access-log FILE]
         Discover saved models under ``--models`` and answer predictions over
-        stdlib JSON/HTTP: ``POST /predict``, ``GET /healthz``,
-        ``GET /metrics``.  Each process answers one group of at most
+        stdlib JSON/HTTP from a pool of ``--procs`` forked worker processes
+        behind one port: ``POST /predict``, ``GET /healthz``,
+        ``GET /metrics``.  Each worker answers one group of at most
         ``--max-batch`` requests at a time; ``--queue-depth`` bounds the
         requests it holds (429 beyond), and ``--timeout-s`` fails one that
-        waited longer (504).
+        waited longer (504).  SIGTERM drains the workers and exits 0;
+        SIGHUP reloads the artifacts that changed on disk.  A size below 1
+        exits 2 before any worker starts.
 
     python -m repro experiment {table4,fig5,fig6,fig7,fig8,table5,layers,ingredients}
         Run one paper experiment and print its table (honours
@@ -209,97 +213,43 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_build(args: argparse.Namespace):
-    """Build the (engine, server) pair for ``repro serve``.
-
-    Split from :func:`_cmd_serve` so tests can drive the exact CLI stack
-    without blocking in ``serve_forever``.
-    """
-    from repro.api.engine import create_engine
-    from repro.serve.http import PredictionServer
-
-    engine = create_engine(
-        args.models,
-        cache_size=args.cache_size,
-        max_batch=args.max_batch,
-        queue_depth=args.queue_depth,
-        timeout_s=args.timeout_s,
-        dtype=args.precision,
-    )
-    access_log = None
-    if getattr(args, "access_log", None):
-        from repro.obs.requestlog import AccessLog
-
-        access_log = AccessLog(args.access_log)
-    metrics_dir = getattr(args, "metrics_dir", None)
-    if metrics_dir:
-        # single-process serving still writes a metrics file, so
-        # `repro obs top --dir` works against a one-worker deployment
-        from repro import obs
-        from repro.obs.mpmetrics import MetricsFileWriter
-
-        obs.enable_metrics()
-        obs.registry().attach_mirror(
-            MetricsFileWriter(metrics_dir, worker=0, generation=0)
-        )
-    server = PredictionServer(
-        engine,
-        host=args.host,
-        port=args.port,
-        quiet=not args.verbose,
-        metrics_dir=metrics_dir,
-        access_log=access_log,
-    )
-    return engine, server
-
-
-def _cmd_serve_pool(args: argparse.Namespace) -> int:
-    """``repro serve --procs N``: pre-fork worker pool on one port."""
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """``repro serve``: a pool of ``--procs`` forked workers on one port."""
+    from repro.errors import ServeError
     from repro.serve.pool import PoolConfig, ServerPool
 
-    config = PoolConfig(
-        workers=args.procs,
-        host=args.host,
-        port=args.port,
-        cache_size=args.cache_size,
-        max_batch=args.max_batch,
-        queue_depth=args.queue_depth,
-        timeout_s=args.timeout_s,
-        dtype=args.precision,
-        quiet=not args.verbose,
-        metrics_dir=getattr(args, "metrics_dir", None),
-        access_log=getattr(args, "access_log", None),
-    )
+    try:
+        config = PoolConfig(
+            workers=args.procs,
+            host=args.host,
+            port=args.port,
+            cache_size=args.cache_size,
+            max_batch=args.max_batch,
+            queue_depth=args.queue_depth,
+            timeout_s=args.timeout_s,
+            dtype=args.precision,
+            quiet=not args.verbose,
+            metrics_dir=args.metrics_dir,
+            access_log=args.access_log,
+        )
+    except (ServeError, ValueError) as error:
+        print(f"repro serve: {error}", file=sys.stderr)
+        return 2
     with ServerPool(args.models, config=config) as pool:
         names = ", ".join(pool.registry.names())
         print(
             f"serving {len(pool.registry)} model(s) [{names}] at {pool.url} "
-            f"across {args.procs} workers"
+            f"across {args.procs} worker process(es)"
         )
         print("endpoints: POST /predict, GET /healthz, GET /metrics "
               "(?format=prom for Prometheus)")
         print(f"fleet metrics: repro obs top --dir {pool.metrics_dir}")
-        print("signals: SIGHUP reloads changed artifacts, SIGTERM drains")
+        print("signals: SIGHUP reloads changed artifacts, SIGTERM drains",
+              flush=True)
         try:
             pool.run_forever()
         except KeyboardInterrupt:  # pragma: no cover - interactive path
             pass
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.procs > 1:
-        return _cmd_serve_pool(args)
-    engine, server = _serve_build(args)
-    names = ", ".join(engine.registry.names())
-    print(f"serving {len(engine.registry)} model(s) [{names}] at {server.url}")
-    print("endpoints: POST /predict, GET /healthz, GET /metrics")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        server.shutdown()
     return 0
 
 
@@ -310,8 +260,6 @@ def _obs_top_rows(snapshots, previous: dict | None, interval_s: float):
     deltas; None (first poll / --once) derives rps from the worker's
     uptime instead.
     """
-    from repro.obs.mpmetrics import _rebuild_histogram
-
     rows = []
     for snap in snapshots:
         requests = snap.value("serve.requests_total")
@@ -320,15 +268,13 @@ def _obs_top_rows(snapshots, previous: dict | None, interval_s: float):
         else:
             uptime = snap.value("proc.uptime_s")
             rps = requests / uptime if uptime > 0 else 0.0
-        hist_row = snap.row("serve.request_seconds", "histogram")
+        latency = snap.row("serve.request_seconds", "histogram") or {}
         quantiles = {}
-        if hist_row and hist_row["count"]:
-            hist = _rebuild_histogram(hist_row)
-            for q, label in ((0.50, "p50_ms"), (0.95, "p95_ms"),
-                             (0.99, "p99_ms")):
-                quantiles[label] = round(hist.quantile(q) * 1e3, 3)
-        else:
-            quantiles = {"p50_ms": None, "p95_ms": None, "p99_ms": None}
+        for label in ("p50", "p95", "p99"):
+            seconds = latency.get(label)
+            quantiles[f"{label}_ms"] = (
+                None if seconds is None else round(seconds * 1e3, 3)
+            )
         hits = snap.value("serve.graph_cache_hits_total")
         misses = snap.value("serve.graph_cache_misses_total")
         lookups = hits + misses
@@ -583,8 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8080,
                          help="TCP port (0 binds an ephemeral port)")
     p_serve.add_argument("--procs", type=int, default=1,
-                         help="worker processes; >1 forks a pool behind "
-                              "one port")
+                         help="worker processes forked behind one port")
     p_serve.add_argument("--max-batch", type=int, default=16,
                          help="max requests merged into one forward pass")
     p_serve.add_argument("--queue-depth", type=int, default=128,
@@ -603,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="log every HTTP request to stderr")
     p_serve.add_argument("--metrics-dir", default=None, metavar="DIR",
                          help="directory for per-worker mmap metrics files "
-                              "(pools auto-create one when omitted)")
+                              "(default: a temporary one, removed on exit)")
     p_serve.add_argument("--access-log", default=None, metavar="FILE",
                          help="append one JSON line per request here "
                               "(tail-sampled span detail on slow/error)")
@@ -648,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_top.add_argument("--dir", required=True,
                        help="pool metrics directory (printed by "
-                            "`repro serve --procs N`)")
+                            "`repro serve`)")
     p_top.add_argument("--interval", type=float, default=2.0,
                        help="poll interval in seconds")
     p_top.add_argument("--once", action="store_true",

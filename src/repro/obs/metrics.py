@@ -122,6 +122,30 @@ class Histogram:
             previous_bound = bound
         return self.max  # pragma: no cover - rank beyond counted items
 
+    def row(self) -> dict:
+        """The summary fields of this histogram's JSON row: ``count``,
+        ``sum``, ``mean``, ``min``, ``max``, ``p50``, ``p95``, ``p99``
+        (None where empty) and ``buckets`` (an infinite bound as None).
+
+        A registry snapshot, a worker metrics file and the fleet merge
+        all summarise a histogram here.
+        """
+        empty = not self.count
+        return {
+            "count": self.count,
+            "sum": self.total,
+            "mean": self.mean,
+            "min": None if empty else self.min,
+            "max": None if empty else self.max,
+            "p50": None if empty else self.quantile(0.50),
+            "p95": None if empty else self.quantile(0.95),
+            "p99": None if empty else self.quantile(0.99),
+            "buckets": [
+                [bound if math.isfinite(bound) else None, count]
+                for bound, count in zip(self.buckets, self.counts)
+            ],
+        }
+
 
 class MetricsRegistry:
     """Create-on-first-use store of named metrics."""
@@ -213,20 +237,7 @@ class MetricsRegistry:
                 "labels": metric.labels,
             }
             if isinstance(metric, Histogram):
-                row.update(
-                    count=metric.count,
-                    sum=metric.total,
-                    mean=metric.mean,
-                    min=metric.min if metric.count else None,
-                    max=metric.max if metric.count else None,
-                    p50=metric.quantile(0.50) if metric.count else None,
-                    p95=metric.quantile(0.95) if metric.count else None,
-                    p99=metric.quantile(0.99) if metric.count else None,
-                    buckets=[
-                        [b if math.isfinite(b) else None, c]
-                        for b, c in zip(metric.buckets, metric.counts)
-                    ],
-                )
+                row.update(metric.row())
             else:
                 row["value"] = metric.value
             rows.append(row)

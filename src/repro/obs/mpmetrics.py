@@ -350,16 +350,14 @@ def _parse_slots(data: bytes, used: int) -> list[dict]:
             "type": "metric", "kind": name_of, "name": name, "labels": labels,
         }
         if kind == _KIND_HISTOGRAM:
-            count, total, vmin, vmax = struct.unpack_from("<Qddd", data, voff)
-            n = len(buckets)
-            counts = list(struct.unpack_from(f"<{n}Q", data, voff + 32))
-            row.update(
-                count=count,
-                sum=total,
-                min=vmin if count else None,
-                max=vmax if count else None,
-                buckets=[[b, c] for b, c in zip(buckets, counts)],
+            hist = _histogram(name, buckets)
+            hist.count, hist.total, hist.min, hist.max = struct.unpack_from(
+                "<Qddd", data, voff
             )
+            hist.counts = list(
+                struct.unpack_from(f"<{len(buckets)}Q", data, voff + 32)
+            )
+            row.update(hist.row())
         else:
             value, updated = struct.unpack_from("<dd", data, voff)
             row["value"] = value
@@ -511,6 +509,7 @@ def merge_snapshots(snapshots: list[WorkerSnapshot]) -> list[dict]:
     ``workers`` count per row.
     """
     merged: dict[tuple, dict] = {}
+    histograms: dict[tuple, Histogram] = {}
     for snapshot in snapshots:
         for row in snapshot.rows:
             key = _merge_key(row)
@@ -524,9 +523,8 @@ def merge_snapshots(snapshots: list[WorkerSnapshot]) -> list[dict]:
                     "workers": 0,
                 }
                 if row["kind"] == "histogram":
-                    into.update(
-                        count=0, sum=0.0, min=None, max=None,
-                        buckets=[[b, 0] for b, _ in row["buckets"]],
+                    histograms[key] = _histogram(
+                        row["name"], [bound for bound, _ in row["buckets"]]
                     )
                 elif row["kind"] == "counter":
                     into["value"] = 0.0
@@ -541,37 +539,27 @@ def merge_snapshots(snapshots: list[WorkerSnapshot]) -> list[dict]:
                     into["value"] = row["value"]
                     into["updated"] = row.get("updated", 0.0)
             else:
-                into["count"] += row["count"]
-                into["sum"] += row["sum"]
+                hist = histograms[key]
+                hist.count += row["count"]
+                hist.total += row["sum"]
                 if row["count"]:
-                    if into["min"] is None or row["min"] < into["min"]:
-                        into["min"] = row["min"]
-                    if into["max"] is None or row["max"] > into["max"]:
-                        into["max"] = row["max"]
-                for pair, (_, count) in zip(into["buckets"], row["buckets"]):
-                    pair[1] += count
-    rows = []
+                    hist.min = min(hist.min, row["min"])
+                    hist.max = max(hist.max, row["max"])
+                for index, (_, count) in enumerate(row["buckets"]):
+                    hist.counts[index] += count
+    for key, hist in histograms.items():
+        merged[key].update(hist.row())
     for row in merged.values():
         row.pop("updated", None)
-        if row["kind"] == "histogram":
-            hist = _rebuild_histogram(row)
-            row["mean"] = hist.mean
-            for q, label in ((0.50, "p50"), (0.95, "p95"), (0.99, "p99")):
-                row[label] = hist.quantile(q) if hist.count else None
-        rows.append(row)
-    rows.sort(key=lambda r: (r["name"], sorted(r["labels"].items())))
-    return rows
-
-
-def _rebuild_histogram(row: dict) -> Histogram:
-    """A :class:`Histogram` carrying a merged row's state (for quantiles)."""
-    bounds = tuple(
-        b if b is not None else math.inf for b, _ in row["buckets"]
+    return sorted(
+        merged.values(), key=lambda r: (r["name"], sorted(r["labels"].items()))
     )
-    hist = Histogram(name=row["name"], buckets=bounds)
-    hist.counts = [count for _, count in row["buckets"]]
-    hist.count = row["count"]
-    hist.total = row["sum"]
-    hist.min = row["min"] if row["min"] is not None else math.inf
-    hist.max = row["max"] if row["max"] is not None else -math.inf
-    return hist
+
+
+def _histogram(name: str, bounds) -> Histogram:
+    """An empty :class:`Histogram` over *bounds* as a row stores them
+    (an infinite bound as None)."""
+    return Histogram(
+        name=name,
+        buckets=tuple(math.inf if bound is None else bound for bound in bounds),
+    )

@@ -28,8 +28,6 @@ import hashlib
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro import forksafe, obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,78 +64,19 @@ def text_key(name: str, text: str) -> bytes:
     return hasher.digest()
 
 
-def arrays_nbytes(obj, _seen: set | None = None, _depth: int = 0) -> int:
-    """Approximate bytes held in numpy arrays reachable from *obj*.
-
-    Walks dicts/sequences/plain objects a few levels deep (graphs, scaled
-    inputs and their cached :class:`~repro.nn.plan.SegmentPlan` schedules)
-    without following cycles.  An estimate for cache budgeting, not an
-    exact allocator account.
-    """
-    if _depth > 6:
-        return 0
-    seen = _seen if _seen is not None else set()
-    if id(obj) in seen:
-        return 0
-    seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if isinstance(obj, dict):
-        return sum(arrays_nbytes(v, seen, _depth + 1) for v in obj.values())
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return sum(arrays_nbytes(v, seen, _depth + 1) for v in obj)
-    if isinstance(obj, (str, bytes, int, float, bool, type(None))):
-        return 0
-    attrs = getattr(obj, "__dict__", None)
-    if attrs:
-        return sum(arrays_nbytes(v, seen, _depth + 1) for v in attrs.values())
-    return 0
-
-
-def _graph_nbytes(graph: "HeteroGraph") -> int:
-    """:func:`arrays_nbytes` of a graph, read from the fields that hold
-    its arrays (the name lists and lookup maps hold none)."""
-    arrays = {
-        id(array): array
-        for array in (
-            *graph.nodes_of_type.values(),
-            *graph.features.values(),
-            *(array for pair in graph.edges.values() for array in pair),
-        )
-    }
-    return sum(int(array.nbytes) for array in arrays.values())
-
-
 class CachedGraph:
     """One cache entry: the built graph plus per-scaler scaled inputs.
 
-    The per-scaler memo (``_inputs``) is part of the entry's byte account:
-    every memoised :class:`GraphInputs` reports its size through
-    ``on_grow`` so the owning :class:`GraphCache` can budget bytes, and
-    :meth:`release` drops the memo (and each input's lazy plan cache)
-    when the entry is evicted — an evicted graph must not stay alive
-    through its own memo dict.
+    The per-scaler memo (``_inputs``) lives and dies with the entry: once
+    the cache evicts it and the callers drop it, refcounting frees the
+    graph and every memoised :class:`GraphInputs`.
     """
 
-    def __init__(
-        self,
-        fingerprint: str,
-        graph: "HeteroGraph",
-        on_grow=None,
-    ):
+    def __init__(self, fingerprint: str, graph: "HeteroGraph"):
         self.fingerprint = fingerprint
         self.graph = graph
-        self.released = False
         self._inputs: dict[str, GraphInputs] = {}
         self._lock = forksafe.Lock()
-        self._nbytes = _graph_nbytes(graph)
-        self._on_grow = on_grow
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes attributed to this entry (graph + memoised inputs)."""
-        with self._lock:
-            return self._nbytes
 
     def inputs_for(self, scaler: "FeatureScaler") -> "GraphInputs":
         """Scaled :class:`GraphInputs`, built at most once per scaler."""
@@ -149,39 +88,16 @@ class CachedGraph:
         from repro.models.inputs import GraphInputs
 
         inputs = GraphInputs.from_graph(self.graph, scaler)
-        grown = 0
         with self._lock:
-            winner = self._inputs.setdefault(key, inputs)
-            if winner is inputs and not self.released:
-                grown = arrays_nbytes(inputs)
-                self._nbytes += grown
-        # notify the owning cache outside the entry lock (lock order:
-        # cache lock -> entry lock, never the other way around)
-        if grown and self._on_grow is not None:
-            self._on_grow(grown)
-        return winner
-
-    def release(self) -> None:
-        """Drop memoised inputs and their plan caches (called on evict)."""
-        with self._lock:
-            self.released = True
-            for inputs in self._inputs.values():
-                cache = getattr(inputs, "_cache", None)
-                if isinstance(cache, dict):
-                    cache.clear()
-            self._inputs.clear()
-            self._on_grow = None
+            return self._inputs.setdefault(key, inputs)
 
 
 class GraphCache:
     """Thread-safe LRU of :class:`CachedGraph` entries, content-hash keyed.
 
-    Bounded two ways: ``max_entries`` (entry count) and, optionally,
-    ``max_bytes`` — an approximate budget over each entry's graph *plus*
-    its per-scaler memoised inputs (the memo used to escape accounting,
-    so a 256-entry cache could quietly hold many times its nominal
-    footprint).  Evicted entries are :meth:`CachedGraph.release`-d so the
-    memo dict and plan caches die with the entry.
+    Bounded by ``max_entries``: a lookup that adds an entry beyond it
+    evicts the least recently used one.  The cache never takes an entry's
+    lock.
 
     The text index maps :func:`text_key` of a request to the fingerprint
     of an entry this cache holds for it.  Parsing and fingerprinting
@@ -190,17 +106,13 @@ class GraphCache:
     ``TEXT_KEYS_PER_ENTRY * max_entries`` keys.
     """
 
-    def __init__(self, max_entries: int = 256, max_bytes: int | None = None):
+    def __init__(self, max_entries: int = 256):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1 (or None)")
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self._entries: OrderedDict[str, CachedGraph] = OrderedDict()
         self._by_text: OrderedDict[bytes, str] = OrderedDict()
-        self._lock = forksafe.RLock()
-        self._bytes = 0
+        self._lock = forksafe.Lock()
         self.hits = 0
         self.text_hits = 0  # the hits that skipped parse and fingerprint
         self.misses = 0
@@ -209,11 +121,6 @@ class GraphCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def current_bytes(self) -> int:
-        """Approximate bytes held by cached graphs + memoised inputs."""
-        with self._lock:
-            return self._bytes
 
     def get(
         self, source: "Circuit | PredictionRequest", use_cache: bool = True
@@ -267,18 +174,19 @@ class GraphCache:
         from repro.graph.builder import build_graph
 
         graph = build_graph(circuit)
+        entry = CachedGraph(fingerprint, graph)
         if not use_cache:
-            return CachedGraph(fingerprint, graph), False
-        entry = CachedGraph(fingerprint, graph, on_grow=self._note_growth)
+            return entry, False
         with self._lock:
             self._index(key, fingerprint)
             existing = self._entries.get(fingerprint)
             if existing is not None:  # raced with another thread
-                entry.release()
                 return existing, True
             self._entries[fingerprint] = entry
-            self._bytes += entry.nbytes
-            self._evict_over_budget()
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+                obs.inc("serve.graph_cache_evictions_total")
         return entry, False
 
     def _index(self, key: bytes | None, fingerprint: str) -> None:
@@ -290,32 +198,6 @@ class GraphCache:
         while len(self._by_text) > TEXT_KEYS_PER_ENTRY * self.max_entries:
             self._by_text.popitem(last=False)
 
-    def _note_growth(self, delta: int) -> None:
-        """A cached entry memoised new inputs; re-check the byte budget."""
-        with self._lock:
-            self._bytes += delta
-            self._evict_over_budget()
-        obs.set_gauge("serve.graph_cache_bytes", self._bytes)
-
-    def _evict_over_budget(self) -> None:
-        """Evict LRU entries beyond either bound.  Caller holds the lock.
-
-        The newest entry always survives, even over ``max_bytes`` — a
-        single circuit larger than the whole budget must still serve.
-        """
-        while len(self._entries) > self.max_entries or (
-            self.max_bytes is not None
-            and self._bytes > self.max_bytes
-            and len(self._entries) > 1
-        ):
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.nbytes
-            evicted.release()
-            self.evictions += 1
-            obs.inc("serve.graph_cache_evictions_total")
-        if self._bytes < 0:  # pragma: no cover - defensive
-            self._bytes = 0
-
     def hit_rate(self) -> float:
         """Fraction of lookups served from cache (0.0 when never queried)."""
         total = self.hits + self.misses
@@ -323,11 +205,8 @@ class GraphCache:
 
     def clear(self) -> None:
         with self._lock:
-            for entry in self._entries.values():
-                entry.release()
             self._entries.clear()
             self._by_text.clear()
-            self._bytes = 0
             self.hits = 0
             self.text_hits = 0
             self.misses = 0

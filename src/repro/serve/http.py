@@ -351,7 +351,8 @@ class PredictionServer:
 
     ``port=0`` binds an ephemeral port (the resolved one is on
     :attr:`port` / :attr:`url`).  Use :meth:`start` for a daemon-thread
-    server in tests, or :meth:`serve_forever` to block (the CLI path).
+    server in tests, or :meth:`serve_forever` to block (what each
+    :class:`~repro.serve.pool.ServerPool` worker does).
 
     A pre-bound listening socket can be injected via ``socket`` — pool
     workers pass the listener they inherit this way — in which case
@@ -443,7 +444,7 @@ class PredictionServer:
         return self
 
     def serve_forever(self) -> None:
-        """Block and serve until interrupted (the ``repro serve`` path)."""
+        """Block and serve until interrupted (a pool worker's serve loop)."""
         self._enter_serving()
         self._server.serve_forever()
 

@@ -62,7 +62,12 @@ READY_TIMEOUT_S = 60.0
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PoolConfig:
-    """Sizing and behaviour knobs for a :class:`ServerPool`."""
+    """Sizing and behaviour knobs for a :class:`ServerPool`.
+
+    Checked when built, before any worker forks: ``workers`` below 1 is a
+    :class:`~repro.errors.ServeError`, and a worker engine size below 1
+    the ``ValueError`` of :class:`~repro.api.engine.EngineConfig`.
+    """
 
     workers: int = 2
     host: str = "127.0.0.1"
@@ -81,6 +86,26 @@ class PoolConfig:
     metrics_dir: str | None = None
     #: structured JSON access-log path (None = no access log)
     access_log: str | None = None
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ServeError(
+                f"a pool needs at least one worker, got workers={self.workers}"
+            )
+        self.engine_config  # checks the worker engine's sizes
+
+    @property
+    def engine_config(self):
+        """The :class:`~repro.api.engine.EngineConfig` of every worker."""
+        from repro.api.engine import EngineConfig
+
+        return EngineConfig(
+            cache_size=self.cache_size,
+            max_batch=self.max_batch,
+            queue_depth=self.queue_depth,
+            timeout_s=self.timeout_s,
+            dtype=self.dtype,
+        )
 
 
 @dataclass
@@ -131,7 +156,7 @@ def _child_main(
 ) -> "None":  # never returns: always os._exit
     status = 0
     try:
-        from repro.api.engine import Engine, EngineConfig
+        from repro.api.engine import Engine
         from repro.serve.http import PredictionServer
 
         # Inherited locks are free and thread-locals empty here, whatever
@@ -142,42 +167,29 @@ def _child_main(
             signal.SIGTERM, lambda *_: term_early.__setitem__("hit", True)
         )
 
-        engine = Engine(
-            registry,
-            config=EngineConfig(
-                cache_size=config.cache_size,
-                max_batch=config.max_batch,
-                queue_depth=config.queue_depth,
-                timeout_s=config.timeout_s,
-                dtype=config.dtype,
-            ),
-        )
+        engine = Engine(registry, config=config.engine_config)
 
         # Fleet telemetry: collect metrics (bounded state, no spans) and
         # stream every registry mutation into this worker's mmap file so
         # the parent / any sibling can serve the merged fleet view.
-        writer = None
-        if config.metrics_dir:
-            obs.enable_metrics()
-            writer = mpmetrics.MetricsFileWriter(
-                config.metrics_dir, worker=index, generation=generation
-            )
-            obs.registry().attach_mirror(writer)
+        obs.enable_metrics()
+        writer = mpmetrics.MetricsFileWriter(
+            config.metrics_dir, worker=index, generation=generation
+        )
+        obs.registry().attach_mirror(writer)
 
-            def _heartbeat(started=time.monotonic()):
-                while True:
-                    try:
-                        obs.set_gauge("proc.rss_kb", _process_rss_kb())
-                        obs.set_gauge(
-                            "proc.uptime_s", time.monotonic() - started
-                        )
-                    except Exception:  # pragma: no cover - telemetry only
-                        pass
-                    time.sleep(1.0)
+        def _heartbeat(started=time.monotonic()):
+            while True:
+                try:
+                    obs.set_gauge("proc.rss_kb", _process_rss_kb())
+                    obs.set_gauge("proc.uptime_s", time.monotonic() - started)
+                except Exception:  # pragma: no cover - telemetry only
+                    pass
+                time.sleep(1.0)
 
-            threading.Thread(
-                target=_heartbeat, name="obs-heartbeat", daemon=True
-            ).start()
+        threading.Thread(
+            target=_heartbeat, name="obs-heartbeat", daemon=True
+        ).start()
 
         access_log = None
         if config.access_log:
@@ -191,7 +203,7 @@ def _child_main(
             daemon_threads=False,  # drain joins in-flight handlers
             quiet=config.quiet,
             generation=generation,
-            metrics_dir=config.metrics_dir or None,
+            metrics_dir=config.metrics_dir,
             access_log=access_log,
         )
 
@@ -211,11 +223,10 @@ def _child_main(
         # Drain epilogue: stop accepting (already done), join in-flight
         # handler threads, close this worker's copy of the listener.
         server.shutdown()
-        if writer is not None:
-            # graceful exit: retire this worker's metrics file so the
-            # merged view never mixes a dead pid's counts back in
-            obs.registry().detach_mirror()
-            writer.close(unlink=True)
+        # graceful exit: retire this worker's metrics file so the merged
+        # view never mixes a dead pid's counts back in
+        obs.registry().detach_mirror()
+        writer.close(unlink=True)
     except BaseException:
         status = 1
         try:  # pragma: no cover - crash reporting only
@@ -246,8 +257,6 @@ class ServerPool:
         if not hasattr(os, "fork"):  # pragma: no cover - non-POSIX
             raise ServeError("ServerPool needs os.fork (POSIX only)")
         self.config = config or PoolConfig()
-        if self.config.workers < 1:
-            raise ServeError("ServerPool needs at least one worker")
         self._models = models
         self.registry = None  # parent's warm copy, populated by start()
         self.generation = 0
@@ -401,7 +410,7 @@ class ServerPool:
             obs.inc("serve.pool_workers_died_total")
             if respawn and not self._stopped:
                 self._spawn(worker.index, self.generation)
-        if dead and self.config.metrics_dir:
+        if dead:
             # a SIGKILL-ed worker leaves its metrics file behind; merge
             # already excludes dead pids, reaping keeps the dir bounded
             mpmetrics.reap_stale(

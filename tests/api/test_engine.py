@@ -715,10 +715,10 @@ class TestQueue:
         circuit = tiny_bundle.records("test")[0].circuit
         eng = create_engine(api_cap_predictor)
         eng.predict(circuit)
-        assert len(eng.cache) == 1 and eng.cache.current_bytes() > 0
+        assert len(eng.cache) == 1
         eng.close()
         eng.close()
-        assert len(eng.cache) == 0 and eng.cache.current_bytes() == 0
+        assert len(eng.cache) == 0
         assert not eng.predict(circuit).timing.cache_hit
 
 
@@ -775,22 +775,21 @@ class TestConstruction:
         assert stats["graph_cache"]["misses"] >= 1
         assert any(row["name"] == "cap" for row in stats["models"])
 
-    def test_injected_cache_is_used_and_reported(self, api_cap_predictor,
-                                                 tiny_bundle):
-        from repro.serve.cache import GraphCache
-
-        cache = GraphCache(max_entries=8, max_bytes=1 << 30)
-        with create_engine(api_cap_predictor, cache=cache) as eng:
-            assert eng.cache is cache
+    def test_cache_size_is_reported_as_max_entries(self, api_cap_predictor,
+                                                   tiny_bundle):
+        with create_engine(api_cap_predictor, cache_size=8) as eng:
             record = tiny_bundle.records("test")[0]
             eng.predict(record.circuit)
             stats = eng.stats()["graph_cache"]
             assert stats["max_entries"] == 8
-            assert stats["max_bytes"] == 1 << 30
             assert stats["misses"] == 1 and stats["entries"] == 1
-            assert stats["bytes"] == cache.current_bytes() > 0
 
-    def test_cli_procs_flag_defaults_to_single_process(self):
+    @pytest.mark.parametrize("field", ["cache_size", "max_batch", "queue_depth"])
+    def test_engine_config_rejects_a_size_below_one(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+            EngineConfig(**{field: 0})
+
+    def test_cli_procs_flag_sets_the_pool_workers(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(

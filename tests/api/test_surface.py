@@ -259,7 +259,7 @@ class TestSignatureSnapshot:
     def test_create_engine(self):
         assert self._params(repro.api.create_engine) == [
             "models", "cache_size", "max_batch", "queue_depth",
-            "workers", "timeout_s", "dtype", "cache",
+            "workers", "timeout_s", "dtype",
         ]
 
     def test_predict_one(self):

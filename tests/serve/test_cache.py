@@ -89,44 +89,9 @@ class TestCachedInputs:
         second = entry.inputs_for(other)
         assert second is not first
 
-
-class TestByteBudget:
-    """Satellite regression: memoised per-scaler inputs must be part of the
-    byte account and must die with an evicted entry (they used to keep
-    evicted graphs alive indefinitely)."""
-
-    def test_graph_bytes_are_every_array_of_the_graph(self, tiny_bundle):
-        from repro.serve.cache import CachedGraph, arrays_nbytes
-
-        for record in tiny_bundle.records("train") + tiny_bundle.records("test"):
-            entry = CachedGraph("key", record.graph)
-            assert entry.nbytes == arrays_nbytes(record.graph) > 0
-
-    def test_entry_bytes_grow_with_memoised_inputs(self, circuits,
-                                                   tiny_bundle):
-        cache = GraphCache()
-        entry = cache.get(circuits[0])
-        graph_only = entry.nbytes
-        assert graph_only > 0
-        entry.inputs_for(tiny_bundle.scaler)
-        assert entry.nbytes > graph_only
-        assert cache.current_bytes() == entry.nbytes
-
-    def test_max_bytes_evicts_lru_but_newest_survives(self, circuits):
-        probe = GraphCache()
-        budget = probe.get(circuits[0]).nbytes  # ~ one graph's footprint
-        cache = GraphCache(max_entries=64, max_bytes=budget)
-        for circuit in circuits:
-            cache.get(circuit)
-        assert len(cache) >= 1  # the newest entry always survives
-        assert len(cache) < len(circuits)
-        assert cache.evictions > 0
-        # the *latest* circuit is the one still cached
-        _, hit = cache.lookup(circuits[-1])
-        assert hit
-
     def test_eviction_releases_memoised_inputs(self, circuits, tiny_bundle):
-        import gc
+        """An evicted entry's memoised inputs die with the entry, by
+        refcount alone, once the caller drops it."""
         import weakref
 
         cache = GraphCache(max_entries=1)
@@ -134,46 +99,9 @@ class TestByteBudget:
         inputs = entry.inputs_for(tiny_bundle.scaler)
         ref = weakref.ref(inputs)
         cache.get(circuits[1])  # evicts circuits[0]
-        assert entry.released
-        assert entry._inputs == {}
+        assert cache.evictions == 1
         del inputs, entry
-        gc.collect()
         assert ref() is None  # nothing keeps the evicted inputs alive
-
-    def test_bytes_return_to_zero_on_clear(self, circuits, tiny_bundle):
-        cache = GraphCache()
-        entry = cache.get(circuits[0])
-        entry.inputs_for(tiny_bundle.scaler)
-        assert cache.current_bytes() > 0
-        cache.clear()
-        assert cache.current_bytes() == 0
-        assert len(cache) == 0
-
-    def test_released_entry_stops_accounting_new_inputs(self, circuits,
-                                                        tiny_bundle):
-        cache = GraphCache(max_entries=1)
-        entry = cache.get(circuits[0])
-        cache.get(circuits[1])  # evict it before any inputs were memoised
-        assert entry.released
-        before = cache.current_bytes()
-        entry.inputs_for(tiny_bundle.scaler)  # still works, but uncounted
-        assert cache.current_bytes() == before
-
-    def test_rejects_silly_byte_budget(self):
-        with pytest.raises(ValueError):
-            GraphCache(max_bytes=0)
-
-    def test_steady_state_footprint_is_bounded(self, circuits, tiny_bundle):
-        # serving an arbitrary stream of circuits through a budgeted cache
-        # must not accumulate bytes beyond budget + one entry
-        probe = GraphCache()
-        largest = max(probe.get(c).nbytes for c in circuits)
-        budget = 2 * largest
-        cache = GraphCache(max_entries=64, max_bytes=budget)
-        for repeat in range(3):
-            for circuit in circuits:
-                cache.get(circuit).inputs_for(tiny_bundle.scaler)
-        assert cache.current_bytes() <= budget + largest
 
 
 class TestTextIndex:

@@ -386,28 +386,6 @@ class TestBodyLength:
         assert "0.3 s" in payload["message"]
 
 
-class TestCliServeBuild:
-    def test_serve_build_wires_registry_and_server(self, tmp_path,
-                                                   api_cap_predictor):
-        from repro.cli import _serve_build, build_parser
-
-        api_cap_predictor.save(tmp_path / "CAP.npz")
-        args = build_parser().parse_args(
-            ["serve", "--models", str(tmp_path), "--port", "0"]
-        )
-        engine, server = _serve_build(args)
-        try:
-            server.start()
-            status, payload = _get(server.url + "/healthz")
-            assert status == 200
-            # a directory of .npz files is one multi-target model
-            (model,) = payload["models"]
-            assert model["name"] == tmp_path.name
-            assert model["targets"] == ["CAP"]
-        finally:
-            server.shutdown()
-
-
 class TestLifecycle:
     """Satellite regression: repeated start/stop on a fixed port must not
     leak the listening socket (EADDRINUSE) or hang in shutdown."""

@@ -4,7 +4,10 @@ import gc
 import http.client
 import json
 import os
+import queue
 import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
@@ -13,8 +16,10 @@ import weakref
 import numpy as np
 import pytest
 
+import repro
 from repro.circuits.spice import write_spice
 from repro.errors import ServeError
+from repro.obs.mpmetrics import metrics_file_name
 from repro.serve.pool import PoolConfig, ServerPool
 
 
@@ -50,6 +55,11 @@ def _post(url, payload, timeout=30.0):
         return response.status, dict(response.headers), json.loads(
             response.read()
         )
+
+
+def _get(url, timeout=10.0):
+    with urllib.request.urlopen(url, timeout=timeout) as response:
+        return response.status, response.read().decode()
 
 
 class TestServerPool:
@@ -413,3 +423,194 @@ class TestReloadLifecycle:
             finally:
                 conn.close()
         assert elapsed < config.drain_timeout_s / 2
+
+
+# ----------------------------------------------------------------------
+# A worker killed mid-request
+# ----------------------------------------------------------------------
+class _StallingAdapter:
+    """An adapter whose forward records its worker's pid, then hangs, so
+    the request it serves stays in flight until the worker is killed."""
+
+    family = "stall"
+    targets = ("CAP",)
+
+    def __init__(self, pid_path):
+        self.pid_path = pid_path
+
+    def predict_works(self, works, targets):
+        partial = f"{self.pid_path}.partial"
+        with open(partial, "w") as handle:
+            handle.write(str(os.getpid()))
+        os.replace(partial, self.pid_path)
+        time.sleep(60.0)
+        raise AssertionError("the worker outlived its SIGKILL")
+
+
+class TestWorkerDeath:
+    @pytest.fixture
+    def metrics(self):
+        from repro import obs
+
+        obs.enable_metrics()
+        obs.registry().reset()
+        yield obs.registry()
+        obs.disable_metrics()
+        obs.registry().reset()
+
+    def test_worker_killed_mid_request(self, tmp_path, netlist_text, metrics):
+        """The client gets an error at once, not a hang; the pool reaps
+        the worker exactly once, retires its metrics file and answers from
+        a replacement."""
+        pid_path = tmp_path / "pid"
+        config = PoolConfig(workers=1, port=0, drain_timeout_s=10.0)
+        model = {"stall": _StallingAdapter(str(pid_path))}
+        with ServerPool(model, config=config) as running:
+            outcome = {}
+
+            def client():
+                try:
+                    _post(running.url + "/predict", {"netlist": netlist_text})
+                except Exception as error:  # noqa: BLE001 - asserted below
+                    outcome["error"] = error
+                outcome["done"] = time.monotonic()
+
+            thread = threading.Thread(target=client)
+            thread.start()
+            deadline = time.monotonic() + 30.0
+            while not pid_path.exists():
+                assert time.monotonic() < deadline, "no request reached a worker"
+                time.sleep(0.01)
+            victim = int(pid_path.read_text())
+            assert running.pids() == [victim]
+            victim_file = metrics_file_name(victim, 0)
+            assert victim_file in os.listdir(running.metrics_dir)
+            os.kill(victim, signal.SIGKILL)
+            killed = time.monotonic()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+            assert isinstance(outcome.get("error"), OSError)
+            assert outcome["done"] - killed < 5.0
+
+            dead: list = []
+            deadline = time.monotonic() + 10.0
+            while not dead and time.monotonic() < deadline:
+                dead = running.poll()
+                time.sleep(0.01)
+            assert dead == [0]
+            assert running.poll() == []
+            assert metrics.counter("serve.pool_workers_died_total").value == 1
+            assert victim_file not in os.listdir(running.metrics_dir)
+            (replacement,) = running.pids()
+            status, body = _get(running.url + "/healthz")
+        assert replacement != victim
+        assert status == 200
+        assert json.loads(body)["worker"]["pid"] == replacement
+
+
+# ----------------------------------------------------------------------
+# `repro serve`: the CLI front end of the pool
+# ----------------------------------------------------------------------
+class TestReproServe:
+    @pytest.mark.parametrize("flag, field", [
+        ("--procs", "workers"),
+        ("--max-batch", "max_batch"),
+        ("--queue-depth", "queue_depth"),
+        ("--cache-size", "cache_size"),
+    ])
+    def test_a_size_below_one_exits_2_before_any_fork(
+        self, artifact, flag, field, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        def start(pool):
+            raise AssertionError("repro serve started a worker")
+
+        monkeypatch.setattr(ServerPool, "start", start)
+        code = main(
+            ["serve", "--models", os.fspath(artifact), "--port", "0", flag, "0"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("repro serve: ") and field in err
+
+    def test_sighup_reloads_and_sigterm_drains(
+        self, tmp_path, api_cap_predictor, netlist_text
+    ):
+        """`python -m repro serve` in its own process: fleet metrics from
+        the start, a rolling reload on SIGHUP and a clean exit on SIGTERM
+        that removes the metrics directory it made."""
+        from repro.models import TargetPredictor
+        from repro.serve.registry import artifact_version
+
+        models = tmp_path / "models"
+        models.mkdir()
+        path = models / "CAP.npz"
+        api_cap_predictor.save(path)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--models", str(models),
+             "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            start_new_session=True,  # its workers share its process group
+        )
+        lines: queue.Queue = queue.Queue()
+
+        def pump():
+            for line in proc.stdout:
+                lines.put(line)
+
+        pumping = threading.Thread(target=pump, daemon=True)
+        pumping.start()
+        try:
+            seen: list = []
+            while not (seen and seen[-1].startswith("signals:")):
+                seen.append(lines.get(timeout=60.0))
+            (url,) = [
+                line.split(" at ")[1].split()[0]
+                for line in seen if line.startswith("serving ")
+            ]
+            (metrics_dir,) = [
+                line.split("--dir ")[1].strip()
+                for line in seen if line.startswith("fleet metrics:")
+            ]
+
+            health = json.loads(_get(url + "/healthz")[1])
+            assert health["worker"]["generation"] == 0
+            (before,) = health["models"]
+            for _ in range(5):
+                assert _post(url + "/predict", {"netlist": netlist_text})[0] == 200
+            prom = _get(url + "/metrics?format=prom")[1]
+            assert "repro_serve_requests_total 5" in prom.splitlines()
+            payload = json.loads(_get(url + "/metrics")[1])
+            assert {"fleet", "obs", "serve"} <= set(payload)
+
+            retrained = TargetPredictor.load(path)
+            for param in retrained.model.parameters():
+                param.data = param.data + 1e-3
+            retrained.save(path)
+            proc.send_signal(signal.SIGHUP)
+            deadline = time.monotonic() + 60.0
+            while health["worker"]["generation"] == 0:
+                assert time.monotonic() < deadline, "SIGHUP did not reload"
+                time.sleep(0.05)
+                health = json.loads(_get(url + "/healthz")[1])
+            assert health["worker"]["generation"] == 1
+            (after,) = health["models"]
+            assert after["version"] == artifact_version(models)
+            assert after["version"] != before["version"]
+
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60.0) == 0
+            assert not os.path.exists(metrics_dir)
+        finally:
+            try:  # a failed run leaves no supervisor or worker behind
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+            pumping.join(timeout=10.0)
+            proc.stdout.close()
