@@ -7,8 +7,12 @@ or any worker dies.  The parent's ``repro.obs`` metrics snapshot is
 written as a JSONL artifact for upload.
 
 The replay is bracketed by two ``/metrics?format=prom`` scrapes, each run
-through the strict exposition validator; the smoke additionally fails when
-fleet counters are non-monotonic across the scrapes, when the scraped
+through the strict exposition validator.  A worker publishes its metrics
+file once a second (and the one answering a scrape just before it
+answers), so the second scrape waits, for at most 10 s, until every live
+worker has published since the replay ended.  The smoke additionally
+fails when that wait times out, when fleet counters are non-monotonic
+across the scrapes, when the scraped
 fleet totals disagree with the sum of the per-worker metrics files under
 ``pool.metrics_dir``, or when ``repro obs top --once --json`` does not
 report exactly one row per live worker.  Every worker caches the
@@ -36,6 +40,7 @@ import json
 import os
 import sys
 import threading
+import time
 import urllib.request
 
 
@@ -54,6 +59,26 @@ def scrape_prom(url: str):
         )
     _, series = validate_exposition(text)
     return series
+
+
+def await_publish(pool, since: float, workers: int, timeout_s: float = 10.0):
+    """Wait until every live worker has published its metrics file after
+    *since* (wall clock); returns a failure string on timeout, else None."""
+    from repro.obs.mpmetrics import load_snapshots
+
+    deadline = time.monotonic() + timeout_s
+    while True:
+        snaps = load_snapshots(pool.metrics_dir)
+        if len(snaps) == workers and all(
+            snap.published_ts > since for snap in snaps
+        ):
+            return None
+        if time.monotonic() > deadline:
+            return (
+                f"{len(snaps)} live metrics files, not {workers} published "
+                f"within {timeout_s:g}s of the replay"
+            )
+        time.sleep(0.05)
 
 
 def check_telemetry(
@@ -257,8 +282,12 @@ def main(argv=None) -> int:
                 thread.start()
             for thread in threads:
                 thread.join()
+            replayed = time.time()
         with obs.span("serve_smoke.scrape_after"):
             try:
+                late = await_publish(pool, replayed, args.workers)
+                if late:
+                    failures.append(late)
                 after = scrape_prom(pool.url)
                 failures.extend(
                     check_telemetry(

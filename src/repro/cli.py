@@ -317,7 +317,7 @@ def _render_top_table(rows) -> str:
 
 
 def _cmd_obs_top(args: argparse.Namespace) -> int:
-    """Live per-worker dashboard over the pool's mmap metrics files."""
+    """Live per-worker dashboard over the pool's worker metrics files."""
     import json as json_module
     import time
 
@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--verbose", action="store_true",
                          help="log every HTTP request to stderr")
     p_serve.add_argument("--metrics-dir", default=None, metavar="DIR",
-                         help="directory for per-worker mmap metrics files "
+                         help="directory for per-worker metrics files "
                               "(default: a temporary one, removed on exit)")
     p_serve.add_argument("--access-log", default=None, metavar="FILE",
                          help="append one JSON line per request here "

@@ -103,7 +103,7 @@ def enable_metrics() -> None:
     """Turn on metric collection without span collection.
 
     Long-running serving workers want counters/gauges/histograms (bounded
-    state, streamed to their mmap metrics file) but must not accumulate an
+    state, published to their metrics file) but must not accumulate an
     unbounded span list; this enables exactly the former.  Full
     :func:`enable` supersedes it while active.
     """
@@ -126,16 +126,6 @@ def reset() -> None:
     """Drop all recorded spans and metrics."""
     _TRACER.reset()
     _REGISTRY.reset()
-
-
-def _forget_mirror() -> None:
-    """Drop an inherited metrics mirror in a forked child: it writes the
-    parent's mmap metrics file, and two processes writing one file
-    corrupt the merged fleet view (a pool worker attaches its own)."""
-    _REGISTRY._mirror = None
-
-
-os.register_at_fork(after_in_child=_forget_mirror)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,8 @@ Low-cardinality dimensions go in ``labels``
 (``ensemble.range_selected{max_v=1e-15}``), never in the metric name.
 
 All mutation is lock-protected, so metrics can be bumped from worker
-threads; reads (``snapshot``) take the same lock briefly.
+threads; ``snapshot`` builds its rows under the same lock, so no row is
+half-updated.  The lock is a leaf: nothing else is taken while it is held.
 """
 
 from __future__ import annotations
@@ -153,27 +154,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = forksafe.Lock()
         self._metrics: dict[tuple, object] = {}
-        self._mirror = None
-
-    def attach_mirror(self, mirror) -> None:
-        """Mirror every mutation into *mirror* (``.write(metric)``).
-
-        Used by the serving pool to stream each worker's registry into its
-        mmap metrics file; existing metrics are re-written immediately so a
-        mirror attached after warm-up still sees the full state.  Mirror
-        writes happen under the registry lock, giving the file a single
-        writer.
-        """
-        with self._lock:
-            self._mirror = mirror
-            for metric in self._metrics.values():
-                mirror.write(metric)
-
-    def detach_mirror(self):
-        """Stop mirroring; returns the previous mirror (or None)."""
-        with self._lock:
-            mirror, self._mirror = self._mirror, None
-            return mirror
 
     def _get(self, kind, name: str, labels: dict | None, **kwargs):
         key = (kind.__name__, name, _label_key(labels or {}))
@@ -200,15 +180,11 @@ class MetricsRegistry:
         counter = self.counter(name, **labels)
         with self._lock:
             counter.inc(n)
-            if self._mirror is not None:
-                self._mirror.write(counter)
 
     def set(self, name: str, value: float, **labels) -> None:
         gauge = self.gauge(name, **labels)
         with self._lock:
             gauge.set(value)
-            if self._mirror is not None:
-                self._mirror.write(gauge)
 
     def observe(
         self, name: str, value: float, buckets: tuple = DEFAULT_BUCKETS, **labels
@@ -216,8 +192,6 @@ class MetricsRegistry:
         histogram = self.histogram(name, buckets=buckets, **labels)
         with self._lock:
             histogram.observe(value)
-            if self._mirror is not None:
-                self._mirror.write(histogram)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -225,21 +199,24 @@ class MetricsRegistry:
             self._metrics = {}
 
     def snapshot(self) -> list[dict]:
-        """JSON-ready rows, one per metric, sorted by name."""
-        with self._lock:
-            metrics = list(self._metrics.values())
+        """JSON-ready rows, one per metric, sorted by name.
+
+        The rows are built under the registry lock, so each one is a
+        consistent state: a histogram's buckets sum to its ``count``.
+        """
         rows = []
-        for metric in metrics:
-            row = {
-                "type": "metric",
-                "kind": type(metric).__name__.lower(),
-                "name": metric.name,
-                "labels": metric.labels,
-            }
-            if isinstance(metric, Histogram):
-                row.update(metric.row())
-            else:
-                row["value"] = metric.value
-            rows.append(row)
+        with self._lock:
+            for metric in self._metrics.values():
+                row = {
+                    "type": "metric",
+                    "kind": type(metric).__name__.lower(),
+                    "name": metric.name,
+                    "labels": metric.labels,
+                }
+                if isinstance(metric, Histogram):
+                    row.update(metric.row())
+                else:
+                    row["value"] = metric.value
+                rows.append(row)
         rows.sort(key=lambda r: (r["name"], sorted(r["labels"].items())))
         return rows

@@ -1,33 +1,33 @@
-"""mmap-backed multiprocess metrics: per-worker files + a fleet merge.
+"""Multiprocess metrics: per-worker snapshot files + a fleet merge.
 
 A pre-fork :class:`~repro.serve.pool.ServerPool` runs one metrics registry
 per worker process, so any single worker's ``/metrics`` answer used to
 describe 1/N of the fleet.  This module makes every worker's registry
 observable from any process:
 
-* **Writer** — each worker attaches a :class:`MetricsFileWriter` as the
-  mirror of its :class:`~repro.obs.metrics.MetricsRegistry`.  Every
-  counter bump / gauge set / histogram observation is copied into a
-  fixed-slot mmap file named ``worker-<pid>-gen<generation>.mpm`` under a
-  shared directory.  Writes go through a file-wide seqlock (sequence
-  number bumped to odd before, even after), so a reader can detect and
-  retry torn reads; every value is an aligned 8-byte field, so even a
-  torn read never yields a half-written number.
-* **Reader** — :func:`read_metrics_file` parses one file (seqlock retry
-  with a bounded best-effort fallback, which is what makes a worker
-  crash *mid-write* non-fatal: the file stays readable).
-  :func:`load_snapshots` scans a directory, drops files whose pid is
-  dead or whose weight ``generation`` is stale, and
-  :func:`merge_snapshots` folds the survivors into one fleet view:
-  counters and histogram buckets are **summed**, gauges resolve
-  **last-write** (by write timestamp) or **max**.
-* **Reaping** — :func:`reap_stale` unlinks files left behind by dead
-  workers (the pool calls it from ``poll()`` after a respawn), so a
-  SIGKILL-ed worker's final counts are retired exactly once and never
-  double-counted against its replacement.
+* **Writer** — each worker publishes its registry's
+  :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` through a
+  :class:`MetricsFileWriter` as one JSON file named
+  ``worker-<pid>-gen<generation>.json`` under a shared directory.  A
+  publish writes a temp file and renames it into place, so a reader sees
+  either a whole snapshot or the one before it, and a worker killed
+  mid-write leaves its last snapshot intact (plus a ``.tmp`` file).  A
+  pool worker publishes before it reports ready, once a second from its
+  heartbeat thread and just before it answers ``/metrics`` or
+  ``/healthz``.
+* **Reader** — :func:`read_metrics_file` loads one file,
+  :func:`load_snapshots` scans a directory and drops ``.tmp`` files and
+  files whose pid is dead, and :func:`merge_snapshots` folds the
+  survivors into one fleet view: counters and histogram buckets are
+  **summed**, a gauge takes its value from the most recently published
+  snapshot.
+* **Reaping** — :func:`reap_stale` unlinks the files (and ``.tmp``
+  files) left behind by dead workers (the pool calls it from ``poll()``
+  after a respawn), so a SIGKILL-ed worker's final counts are retired
+  exactly once and never double-counted against its replacement.
 
-The file format is versioned and self-describing; no locks are shared
-across processes (single writer per file, lock-free readers).
+No locks are shared across processes: each file has one writer process,
+and readers take no lock.
 """
 
 from __future__ import annotations
@@ -35,55 +35,20 @@ from __future__ import annotations
 import json
 import math
 import os
-import struct
+import re
 import time
 from dataclasses import dataclass, field
 
 from repro import forksafe
 from repro.errors import ObsError
-from repro.obs.metrics import Counter, Gauge, Histogram
+from repro.obs.metrics import Histogram
 
-MAGIC = b"RPMM"
-VERSION = 1
-
-#: Fixed header layout (offsets into the file).
-_OFF_MAGIC = 0  # 4s
-_OFF_VERSION = 4  # u32
-_OFF_PID = 8  # u32
-_OFF_WORKER = 12  # u32
-_OFF_GENERATION = 16  # u32
-_OFF_CAPACITY = 20  # u32
-_OFF_CREATED = 24  # f64, epoch seconds
-_OFF_SEQ = 32  # u64 seqlock (odd = write in progress)
-_OFF_USED = 40  # u32 slots allocated
-HEADER_SIZE = 64
-
-#: Per-slot layout: metadata region then a fixed value region.
-_META_BYTES = 184  # JSON [kind, name, labels, buckets] payload budget
-_SLOT_META = 192  # kind u8, pad u8, meta_len u16, pad u32, meta bytes
-_SLOT_VALUES = 240
-SLOT_SIZE = _SLOT_META + _SLOT_VALUES
-MAX_BUCKETS = 24
-DEFAULT_CAPACITY = 512
-
-_KIND_COUNTER = 1
-_KIND_GAUGE = 2
-_KIND_HISTOGRAM = 3
-_KIND_NAMES = {
-    _KIND_COUNTER: "counter",
-    _KIND_GAUGE: "gauge",
-    _KIND_HISTOGRAM: "histogram",
-}
-
-_FILE_SUFFIX = ".mpm"
+_FILE_SUFFIX = ".json"
+_FILE_NAME = re.compile(r"worker-(\d+)-gen\d+\.json(\.tmp)?")
 
 
 def metrics_file_name(pid: int, generation: int) -> str:
     return f"worker-{pid}-gen{generation}{_FILE_SUFFIX}"
-
-
-def file_size(capacity: int) -> int:
-    return HEADER_SIZE + capacity * SLOT_SIZE
 
 
 def pid_alive(pid: int) -> bool:
@@ -99,22 +64,12 @@ def pid_alive(pid: int) -> bool:
     return True
 
 
-def _metric_key(metric) -> tuple:
-    labels = tuple(sorted(metric.labels.items()))
-    if isinstance(metric, Histogram):
-        return ("histogram", metric.name, labels, tuple(metric.buckets))
-    kind = "counter" if isinstance(metric, Counter) else "gauge"
-    return (kind, metric.name, labels)
-
-
 class MetricsFileWriter:
-    """Single-writer mmap mirror of one process's metrics registry.
+    """Publishes one process's registry snapshot as a JSON file.
 
-    Attach via :meth:`repro.obs.metrics.MetricsRegistry.attach_mirror`;
-    the registry then calls :meth:`write` (under its own lock, so there
-    is exactly one writer) after every mutation.  Failures are absorbed
-    and counted in :attr:`dropped` — telemetry must never take down the
-    serving path.
+    The file is created by the first :meth:`publish` and replaced whole
+    by each one after it.  :meth:`close` stops publishing and, with
+    ``unlink=True``, removes the file.
     """
 
     def __init__(
@@ -123,152 +78,53 @@ class MetricsFileWriter:
         *,
         worker: int = 0,
         generation: int = 0,
-        capacity: int = DEFAULT_CAPACITY,
         pid: int | None = None,
     ):
-        if capacity < 1:
-            raise ObsError("metrics file capacity must be >= 1")
         self.directory = os.fspath(directory)
         self.worker = int(worker)
         self.generation = int(generation)
-        self.capacity = int(capacity)
         self.pid = os.getpid() if pid is None else int(pid)
         self.path = os.path.join(
             self.directory, metrics_file_name(self.pid, self.generation)
         )
-        self.dropped = 0  # metrics we could not mirror (full/oversized meta)
+        self.created = time.time()  # staticcheck: ignore[determinism] -- telemetry timestamps are intentionally wall-clock
         self._lock = forksafe.Lock()
-        self._slots: dict[tuple, int] = {}
-        self._seq = 0
         self._closed = False
-
         os.makedirs(self.directory, exist_ok=True)
-        size = file_size(self.capacity)
-        fd = os.open(self.path, os.O_CREAT | os.O_RDWR | os.O_TRUNC, 0o644)
-        try:
-            os.ftruncate(fd, size)
-            import mmap
 
-            self._mmap = mmap.mmap(fd, size)
-        finally:
-            os.close(fd)
-        header = bytearray(HEADER_SIZE)
-        struct.pack_into("<4s", header, _OFF_MAGIC, MAGIC)
-        struct.pack_into("<I", header, _OFF_VERSION, VERSION)
-        struct.pack_into("<I", header, _OFF_PID, self.pid)
-        struct.pack_into("<I", header, _OFF_WORKER, self.worker)
-        struct.pack_into("<I", header, _OFF_GENERATION, self.generation)
-        struct.pack_into("<I", header, _OFF_CAPACITY, self.capacity)
-        struct.pack_into(
-            "<d", header, _OFF_CREATED,
-            time.time(),  # staticcheck: ignore[determinism] -- telemetry timestamps are intentionally wall-clock
-        )
-        struct.pack_into("<Q", header, _OFF_SEQ, 0)
-        struct.pack_into("<I", header, _OFF_USED, 0)
-        self._mmap[:HEADER_SIZE] = bytes(header)
+    def publish(self, registry) -> None:
+        """Replace the file with *registry*'s snapshot.
 
-    # ------------------------------------------------------------------
-    def write(self, metric) -> None:
-        """Mirror one metric's current state into the file (never raises)."""
-        try:
-            with self._lock:
-                if self._closed:
-                    return
-                key = _metric_key(metric)
-                slot = self._slots.get(key)
-                if slot is None:
-                    slot = self._allocate(key, metric)
-                    if slot is None:
-                        self.dropped += 1
-                        return
-                    self._slots[key] = slot
-                self._begin_write()
-                self._pack_values(slot, metric)
-                self._end_write()
-        except Exception:  # pragma: no cover - defensive mirror boundary
-            self.dropped += 1
-
-    # -- seqlock -------------------------------------------------------
-    def _begin_write(self) -> None:
-        self._seq += 1  # odd: write in progress
-        struct.pack_into("<Q", self._mmap, _OFF_SEQ, self._seq)
-
-    def _end_write(self) -> None:
-        self._seq += 1  # even: consistent
-        struct.pack_into("<Q", self._mmap, _OFF_SEQ, self._seq)
-
-    # -- slots ---------------------------------------------------------
-    def _allocate(self, key: tuple, metric) -> int | None:
-        used = len(self._slots)
-        if used >= self.capacity:
-            return None
-        if isinstance(metric, Histogram):
-            if len(metric.buckets) > MAX_BUCKETS:
-                return None
-            kind = _KIND_HISTOGRAM
-            buckets = [
-                b if math.isfinite(b) else None for b in metric.buckets
-            ]
-        else:
-            kind = (
-                _KIND_COUNTER if isinstance(metric, Counter) else _KIND_GAUGE
-            )
-            buckets = None
-        meta = json.dumps(
-            [metric.name, sorted(metric.labels.items()), buckets],
-            separators=(",", ":"),
-        ).encode()
-        if len(meta) > _META_BYTES:
-            return None
-        offset = HEADER_SIZE + used * SLOT_SIZE
-        self._begin_write()
-        struct.pack_into("<BBHI", self._mmap, offset, kind, 0, len(meta), 0)
-        self._mmap[offset + 8:offset + 8 + len(meta)] = meta
-        struct.pack_into("<I", self._mmap, _OFF_USED, used + 1)
-        self._end_write()
-        return used
-
-    def _pack_values(self, slot: int, metric) -> None:
-        offset = HEADER_SIZE + slot * SLOT_SIZE + _SLOT_META
-        m = self._mmap
-        now = time.time()  # staticcheck: ignore[determinism] -- last-write resolution across workers needs wall-clock
-        if isinstance(metric, Histogram):
-            struct.pack_into(
-                "<Qddd", m, offset,
-                metric.count, metric.total, metric.min, metric.max,
-            )
-            struct.pack_into(
-                f"<{len(metric.counts)}Q", m, offset + 32, *metric.counts
-            )
-        else:
-            struct.pack_into("<dd", m, offset, float(metric.value), now)
-
-    # ------------------------------------------------------------------
-    def flush(self) -> None:
-        with self._lock:
-            if not self._closed:
-                self._mmap.flush()
-
-    def close(self, *, unlink: bool = False) -> None:
+        The writer lock also covers the snapshot, so concurrent publishes
+        (the heartbeat and a ``/metrics`` handler) land in the order they
+        were taken and a file never moves back in time.  The registry
+        lock nests inside the writer lock and never around it.
+        """
+        tmp = self.path + ".tmp"
         with self._lock:
             if self._closed:
                 return
+            published = time.time()  # staticcheck: ignore[determinism] -- readers compare it with the wall clock of their requests
+            payload = {
+                "pid": self.pid,
+                "worker": self.worker,
+                "generation": self.generation,
+                "created": self.created,
+                "published": published,
+                "rows": registry.snapshot(),
+            }
+            with open(tmp, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle)
+            os.replace(tmp, self.path)
+
+    def close(self, *, unlink: bool = False) -> None:
+        with self._lock:
             self._closed = True
-            try:
-                self._mmap.flush()
-            finally:
-                self._mmap.close()
         if unlink:
             try:
                 os.unlink(self.path)
             except OSError:
                 pass
-
-    def __enter__(self) -> "MetricsFileWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 # ----------------------------------------------------------------------
@@ -283,9 +139,8 @@ class WorkerSnapshot:
     worker: int
     generation: int
     created_ts: float
-    seq: int
+    published_ts: float
     alive: bool
-    torn: bool  # best-effort read after seqlock retries ran out
     rows: list = field(default_factory=list)
 
     def row(self, name: str, kind: str | None = None) -> dict | None:
@@ -302,131 +157,36 @@ class WorkerSnapshot:
         return row["value"]
 
 
-def _parse_header(data: bytes, path: str) -> dict:
-    if len(data) < HEADER_SIZE:
-        raise ObsError(f"{path}: truncated metrics file header")
-    magic, = struct.unpack_from("<4s", data, _OFF_MAGIC)
-    if magic != MAGIC:
-        raise ObsError(f"{path}: not a metrics file (bad magic {magic!r})")
-    version, = struct.unpack_from("<I", data, _OFF_VERSION)
-    if version != VERSION:
-        raise ObsError(f"{path}: unsupported metrics file version {version}")
-    pid, worker, generation, capacity = struct.unpack_from(
-        "<IIII", data, _OFF_PID
-    )
-    created, = struct.unpack_from("<d", data, _OFF_CREATED)
-    seq, = struct.unpack_from("<Q", data, _OFF_SEQ)
-    used, = struct.unpack_from("<I", data, _OFF_USED)
-    return {
-        "pid": pid,
-        "worker": worker,
-        "generation": generation,
-        "capacity": capacity,
-        "created_ts": created,
-        "seq": seq,
-        "used": min(used, capacity),
-    }
-
-
-def _parse_slots(data: bytes, used: int) -> list[dict]:
-    rows: list[dict] = []
-    for slot in range(used):
-        offset = HEADER_SIZE + slot * SLOT_SIZE
-        if offset + SLOT_SIZE > len(data):
-            break
-        kind, _pad, meta_len, _pad2 = struct.unpack_from("<BBHI", data, offset)
-        name_of = _KIND_NAMES.get(kind)
-        if name_of is None or meta_len > _META_BYTES:
-            continue
-        try:
-            name, label_items, buckets = json.loads(
-                data[offset + 8:offset + 8 + meta_len].decode()
-            )
-        except (ValueError, UnicodeDecodeError):
-            continue  # torn/garbled slot metadata: skip just this slot
-        labels = dict(label_items)
-        voff = offset + _SLOT_META
-        row: dict = {
-            "type": "metric", "kind": name_of, "name": name, "labels": labels,
-        }
-        if kind == _KIND_HISTOGRAM:
-            hist = _histogram(name, buckets)
-            hist.count, hist.total, hist.min, hist.max = struct.unpack_from(
-                "<Qddd", data, voff
-            )
-            hist.counts = list(
-                struct.unpack_from(f"<{len(buckets)}Q", data, voff + 32)
-            )
-            row.update(hist.row())
-        else:
-            value, updated = struct.unpack_from("<dd", data, voff)
-            row["value"] = value
-            row["updated"] = updated
-        rows.append(row)
-    return rows
-
-
-def read_metrics_file(
-    path: str | os.PathLike,
-    *,
-    retries: int = 10,
-    best_effort: bool = True,
-) -> WorkerSnapshot:
-    """Decode one worker metrics file with seqlock-consistent retries.
-
-    A write in progress (odd sequence) or a sequence that moved between
-    two reads triggers a retry.  After *retries* attempts the last copy
-    is decoded anyway when *best_effort* (every numeric field is an
-    aligned 8-byte value, so individual numbers are never torn — only
-    cross-metric consistency is at stake), which is what keeps a file
-    readable when its writer was SIGKILL-ed mid-write and the sequence
-    is stuck odd forever.
-    """
+def read_metrics_file(path: str | os.PathLike) -> WorkerSnapshot:
+    """Decode one worker metrics file; :class:`ObsError` when it is
+    truncated or not a metrics file."""
     path = os.fspath(path)
-    data = b""
-    torn = True
-    for _ in range(max(1, retries)):
-        with open(path, "rb") as handle:
-            data = handle.read()
-        header = _parse_header(data, path)
-        if header["seq"] % 2 == 1:
-            time.sleep(0.001)
-            continue
-        with open(path, "rb") as handle:
-            check = handle.read(HEADER_SIZE)
-        seq_after, = struct.unpack_from("<Q", check, _OFF_SEQ)
-        if seq_after == header["seq"]:
-            torn = False
-            break
-        time.sleep(0.001)
-    if torn and not best_effort:
-        raise ObsError(f"{path}: metrics file busy (seqlock never settled)")
-    header = _parse_header(data, path)
-    return WorkerSnapshot(
-        path=path,
-        pid=header["pid"],
-        worker=header["worker"],
-        generation=header["generation"],
-        created_ts=header["created_ts"],
-        seq=header["seq"],
-        alive=pid_alive(header["pid"]),
-        torn=torn,
-        rows=_parse_slots(data, header["used"]),
-    )
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        pid = int(payload["pid"])
+        return WorkerSnapshot(
+            path=path,
+            pid=pid,
+            worker=int(payload["worker"]),
+            generation=int(payload["generation"]),
+            created_ts=float(payload["created"]),
+            published_ts=float(payload["published"]),
+            alive=pid_alive(pid),
+            rows=list(payload["rows"]),
+        )
+    except (ValueError, TypeError, KeyError) as error:
+        raise ObsError(f"{path}: not a metrics file ({error})") from None
 
 
 def load_snapshots(
-    directory: str | os.PathLike,
-    *,
-    live_only: bool = True,
-    min_generation: int | None = None,
+    directory: str | os.PathLike, *, live_only: bool = True
 ) -> list[WorkerSnapshot]:
     """Decode every readable metrics file under *directory*.
 
-    ``live_only`` drops files whose writer pid is dead; ``min_generation``
-    drops files published by an older weight generation (a rolling reload
-    briefly overlaps two generations — both count as live until the old
-    workers drain and their files are reaped).
+    ``.tmp`` files (a publish in progress, or one its writer was killed
+    in) are skipped; ``live_only`` also drops files whose writer pid is
+    dead.
     """
     directory = os.fspath(directory)
     snapshots: list[WorkerSnapshot] = []
@@ -440,10 +200,8 @@ def load_snapshots(
         try:
             snapshot = read_metrics_file(os.path.join(directory, name))
         except (ObsError, OSError):
-            continue  # partially created / foreign file: not our problem
+            continue  # foreign file, or reaped since the listing
         if live_only and not snapshot.alive:
-            continue
-        if min_generation is not None and snapshot.generation < min_generation:
             continue
         snapshots.append(snapshot)
     snapshots.sort(key=lambda s: (s.worker, s.pid))
@@ -455,11 +213,13 @@ def reap_stale(
     *,
     keep_pids: tuple | list | set = (),
 ) -> list[str]:
-    """Unlink metrics files whose writer process is gone.
+    """Unlink metrics files and ``.tmp`` files whose writer is gone.
 
-    Returns the removed paths.  Files for pids in *keep_pids* are always
-    kept (the pool passes its current worker pids so a just-forked worker
-    whose file predates the liveness check cannot be reaped by accident).
+    The writer pid is read from the file name, so a ``.tmp`` file left by
+    a killed publish is reaped too.  Returns the removed paths.  Files for
+    pids in *keep_pids* are always kept (the pool passes its current
+    worker pids so a just-forked worker whose file predates the liveness
+    check cannot be reaped by accident).
     """
     directory = os.fspath(directory)
     keep = {int(pid) for pid in keep_pids}
@@ -469,17 +229,13 @@ def reap_stale(
     except OSError:
         return removed
     for name in names:
-        if not name.endswith(_FILE_SUFFIX):
+        match = _FILE_NAME.fullmatch(name)
+        if match is None:
+            continue
+        pid = int(match.group(1))
+        if pid in keep or pid_alive(pid):
             continue
         path = os.path.join(directory, name)
-        try:
-            with open(path, "rb") as handle:
-                header = _parse_header(handle.read(HEADER_SIZE), path)
-            pid = header["pid"]
-        except (ObsError, OSError):
-            pid = -1  # unreadable: treat as dead debris
-        if pid in keep or (pid > 0 and pid_alive(pid)):
-            continue
         try:
             os.unlink(path)
             removed.append(path)
@@ -503,14 +259,14 @@ def merge_snapshots(snapshots: list[WorkerSnapshot]) -> list[dict]:
     """Fold per-worker rows into one fleet view.
 
     Counters and histogram buckets/sums/counts are summed; histogram
-    min/max take the extremes; a gauge takes the value of its newest
-    write.  The output rows have the same shape as
+    min/max take the extremes; a gauge takes its value from the most
+    recently published snapshot.  The output rows have the same shape as
     :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` rows, plus a
     ``workers`` count per row.
     """
     merged: dict[tuple, dict] = {}
     histograms: dict[tuple, Histogram] = {}
-    for snapshot in snapshots:
+    for snapshot in sorted(snapshots, key=lambda s: s.published_ts):
         for row in snapshot.rows:
             key = _merge_key(row)
             into = merged.get(key)
@@ -526,18 +282,13 @@ def merge_snapshots(snapshots: list[WorkerSnapshot]) -> list[dict]:
                     histograms[key] = _histogram(
                         row["name"], [bound for bound, _ in row["buckets"]]
                     )
-                elif row["kind"] == "counter":
-                    into["value"] = 0.0
                 else:
-                    into["value"] = math.nan
-                    into["updated"] = -math.inf
+                    into["value"] = 0.0
             into["workers"] += 1
             if row["kind"] == "counter":
                 into["value"] += row["value"]
             elif row["kind"] == "gauge":
-                if row.get("updated", 0.0) >= into["updated"]:
-                    into["value"] = row["value"]
-                    into["updated"] = row.get("updated", 0.0)
+                into["value"] = row["value"]
             else:
                 hist = histograms[key]
                 hist.count += row["count"]
@@ -549,8 +300,6 @@ def merge_snapshots(snapshots: list[WorkerSnapshot]) -> list[dict]:
                     hist.counts[index] += count
     for key, hist in histograms.items():
         merged[key].update(hist.row())
-    for row in merged.values():
-        row.pop("updated", None)
     return sorted(
         merged.values(), key=lambda r: (r["name"], sorted(r["labels"].items()))
     )

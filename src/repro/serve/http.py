@@ -10,10 +10,10 @@ Endpoints:
 * ``GET /healthz`` — liveness plus the model inventory and the serving
   ``compute`` policy (precision dtype); pool workers
   also report their identity (index, pid, weight ``generation``) and,
-  when a metrics directory is wired, per-worker fleet liveness.
+  when a metrics file is wired, per-worker fleet liveness.
 * ``GET /metrics`` — engine stats (cache hit rate, queue depth), the
   metrics-registry snapshot when collection is on, and the merged fleet
-  rows when a metrics directory is wired.  ``/metrics?format=prom``
+  rows when a metrics file is wired.  ``/metrics?format=prom``
   serves Prometheus text-format 0.0.4 instead (fleet-merged when
   possible, this process's registry otherwise).
 
@@ -104,7 +104,7 @@ class _Handler(BaseHTTPRequestHandler):
     quiet: bool = True
     worker_id: int | None = None  # pool worker index, for fan-out visibility
     generation: int | None = None  # weight generation (pool workers)
-    metrics_dir: str | None = None  # fleet metrics files (pool workers)
+    metrics_file = None  # this worker's MetricsFileWriter (pool workers)
     access_log = None  # an AccessLog, or None
 
     protocol_version = "HTTP/1.1"
@@ -199,9 +199,15 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _fleet_snapshots(self, live_only: bool = True):
+        """Every worker's metrics file, this worker's published first,
+        so the answer is current for this worker."""
         from repro.obs.mpmetrics import load_snapshots
 
-        return load_snapshots(self.metrics_dir, live_only=live_only)
+        try:
+            self.metrics_file.publish(obs.registry())
+        except OSError:  # e.g. the directory was removed: still answer
+            pass
+        return load_snapshots(self.metrics_file.directory, live_only=live_only)
 
     def _handle_get(self) -> None:
         parts = urlsplit(self.path)
@@ -220,7 +226,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "pid": os.getpid(),
                     "generation": self.generation,
                 }
-            if self.metrics_dir:
+            if self.metrics_file is not None:
                 payload["fleet"] = [
                     {
                         "worker": snap.worker,
@@ -233,7 +239,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, payload)
         elif path == "/metrics":
             if query.get("format", [""])[0] == "prom":
-                if self.metrics_dir:
+                if self.metrics_file is not None:
                     text = expo.render_fleet(self._fleet_snapshots())
                 else:
                     text = expo.render_registry_rows(
@@ -244,7 +250,7 @@ class _Handler(BaseHTTPRequestHandler):
             payload = {"serve": self.engine.stats()}
             if obs.metrics_enabled():
                 payload["obs"] = obs.registry().snapshot()
-            if self.metrics_dir:
+            if self.metrics_file is not None:
                 from repro.obs.mpmetrics import merge_snapshots
 
                 payload["fleet"] = merge_snapshots(self._fleet_snapshots())
@@ -359,7 +365,10 @@ class PredictionServer:
     host/port are taken from the socket and the server never binds.
     ``daemon_threads=False`` makes :meth:`shutdown` join in-flight
     handler threads, which is how a draining pool worker guarantees zero
-    failed in-flight requests.
+    failed in-flight requests.  ``metrics_file`` is the worker's
+    :class:`~repro.obs.mpmetrics.MetricsFileWriter`: ``/healthz`` and
+    ``/metrics`` publish through it, then read every worker's file in its
+    directory.
 
     Lifecycle: :meth:`shutdown` is idempotent, returns promptly even when
     the serve loop was never entered (a bare ``BaseServer.shutdown`` would
@@ -379,7 +388,7 @@ class PredictionServer:
         worker_id: int | None = None,
         daemon_threads: bool = True,
         generation: int | None = None,
-        metrics_dir: str | None = None,
+        metrics_file=None,
         access_log=None,
     ):
         self.engine = engine
@@ -393,7 +402,7 @@ class PredictionServer:
                 "quiet": quiet,
                 "worker_id": worker_id,
                 "generation": generation,
-                "metrics_dir": metrics_dir,
+                "metrics_file": metrics_file,
                 "access_log": access_log,
             },
         )

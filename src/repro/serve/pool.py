@@ -81,7 +81,7 @@ class PoolConfig:
     dtype: str = "float32"
     drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S
     quiet: bool = True
-    #: directory for per-worker mmap metrics files (None = auto temp dir,
+    #: directory for per-worker metrics files (None = auto temp dir,
     #: created by start() and removed by stop())
     metrics_dir: str | None = None
     #: structured JSON access-log path (None = no access log)
@@ -167,24 +167,32 @@ def _child_main(
             signal.SIGTERM, lambda *_: term_early.__setitem__("hit", True)
         )
 
+        # Clean obs state: none of the parent's spans, tracemalloc or
+        # metrics; collect metrics only (bounded state, no spans).
+        obs.disable()
+        obs.reset()
+        obs.enable_metrics()
         engine = Engine(registry, config=config.engine_config)
 
-        # Fleet telemetry: collect metrics (bounded state, no spans) and
-        # stream every registry mutation into this worker's mmap file so
-        # the parent / any sibling can serve the merged fleet view.
-        obs.enable_metrics()
+        # Fleet telemetry: publish the registry's snapshot as this
+        # worker's metrics file, so the parent / any sibling can serve the
+        # merged fleet view.
         writer = mpmetrics.MetricsFileWriter(
             config.metrics_dir, worker=index, generation=generation
         )
-        obs.registry().attach_mirror(writer)
 
-        def _heartbeat(started=time.monotonic()):
+        def _heartbeat(started=time.monotonic(), parent=os.getppid()):
             while True:
                 try:
                     obs.set_gauge("proc.rss_kb", _process_rss_kb())
                     obs.set_gauge("proc.uptime_s", time.monotonic() - started)
+                    writer.publish(obs.registry())
                 except Exception:  # pragma: no cover - telemetry only
                     pass
+                if os.getppid() != parent:
+                    # the supervisor died: drain as on its SIGTERM (once)
+                    parent = os.getppid()
+                    os.kill(os.getpid(), signal.SIGTERM)
                 time.sleep(1.0)
 
         threading.Thread(
@@ -203,7 +211,7 @@ def _child_main(
             daemon_threads=False,  # drain joins in-flight handlers
             quiet=config.quiet,
             generation=generation,
-            metrics_dir=config.metrics_dir,
+            metrics_file=writer,
             access_log=access_log,
         )
 
@@ -216,6 +224,7 @@ def _child_main(
             ).start()
 
         signal.signal(signal.SIGTERM, _drain)
+        writer.publish(obs.registry())
         os.write(ready_fd, f"ready {server.port} gen {generation}\n".encode())
         os.close(ready_fd)
         if not term_early["hit"]:
@@ -225,7 +234,6 @@ def _child_main(
         server.shutdown()
         # graceful exit: retire this worker's metrics file so the merged
         # view never mixes a dead pid's counts back in
-        obs.registry().detach_mirror()
         writer.close(unlink=True)
     except BaseException:
         status = 1

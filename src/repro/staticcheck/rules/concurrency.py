@@ -309,9 +309,8 @@ class ConcurrencyRule(Rule):
                 ctx,
                 site,
                 "direct .value write on an obs metric object bypasses the "
-                "registry lock and the multiprocess mirror; use obs.inc()/"
-                "obs.set_gauge()/obs.observe() (or the MetricsRegistry "
-                "inc/set/observe helpers) instead",
+                "registry lock; use obs.inc()/obs.set_gauge()/obs.observe() "
+                "(or the MetricsRegistry inc/set/observe helpers) instead",
             )
 
     # ------------------------------------------------------------------

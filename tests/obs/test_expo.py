@@ -116,12 +116,12 @@ class TestRenderFleet:
                 tmp_path, worker=worker, generation=1,
                 pid=10_000_000 + worker,
             )
-            registry.attach_mirror(writer)
             registry.inc("serve.requests_total", worker + 1)
             registry.set("proc.rss_kb", 100.0 * (worker + 1))
             registry.observe(
                 "serve.request_seconds", 0.2, buckets=(0.5, math.inf)
             )
+            writer.publish(registry)
             writer.close()
         return load_snapshots(tmp_path, live_only=False)
 

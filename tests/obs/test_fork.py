@@ -1,11 +1,13 @@
 """What a forked child inherits from the obs singletons.
 
-The forking thread's span stack and an attached metrics mirror both
-survive ``fork()``; the child must start with neither.
+The forking thread's span stack survives ``fork()``, and a pool worker
+would inherit the parent's tracing, ``tracemalloc`` and metrics; each
+must start with none of them.
 """
 
 import json
 import os
+import tracemalloc
 
 from repro import obs
 
@@ -42,17 +44,61 @@ def test_child_spans_do_not_nest_under_the_forking_span():
     assert got == {"parent_id": None, "depth": 0}
 
 
-class _Mirror:
-    def write(self, metric):
-        pass
+class _ObsStateAdapter:
+    """Answers like the CAP predictor's adapter and records the serving
+    worker's obs state in a file on each call."""
+
+    family = "obs-state"
+
+    def __init__(self, inner, path):
+        self.inner, self.path = inner, path
+
+    @property
+    def targets(self):
+        return self.inner.targets
+
+    def predict_works(self, works, targets):
+        state = {
+            "tracing": obs.is_enabled(),
+            "tracemalloc": tracemalloc.is_tracing(),
+            "metrics": obs.metrics_enabled(),
+        }
+        with open(f"{self.path}.partial", "w") as handle:
+            json.dump(state, handle)
+        os.replace(f"{self.path}.partial", self.path)
+        return self.inner.predict_works(works, targets)
 
 
-def test_mirror_attached_before_the_fork_is_gone_in_the_child():
-    obs.enable()
-    mirror = _Mirror()
-    obs.registry().attach_mirror(mirror)
-    try:
-        got = _in_child(lambda: {"mirror": obs.registry()._mirror is not None})
-    finally:
-        obs.registry().detach_mirror()
-    assert got == {"mirror": False}
+def test_a_pool_worker_starts_with_clean_obs_state(
+    api_cap_predictor, tiny_bundle, tmp_path
+):
+    """A parent that traces (with tracemalloc) and holds a counter forks
+    workers that collect metrics only, from an empty registry."""
+    import urllib.request
+
+    from repro.api.adapters import make_adapter
+    from repro.circuits.spice import write_spice
+    from repro.obs.mpmetrics import load_snapshots
+    from repro.serve.pool import PoolConfig, ServerPool
+
+    state_path = tmp_path / "state.json"
+    model = {"CAP": _ObsStateAdapter(
+        make_adapter(api_cap_predictor), str(state_path)
+    )}
+    body = json.dumps(
+        {"netlist": write_spice(tiny_bundle.records("test")[0].circuit)}
+    ).encode()
+    obs.enable(memory=True)
+    obs.inc("parent.only_total", 7)
+    config = PoolConfig(workers=2, port=0, drain_timeout_s=10.0)
+    with ServerPool(model, config=config) as pool:
+        with urllib.request.urlopen(
+            pool.url + "/predict", data=body, timeout=30.0
+        ) as response:
+            assert response.status == 200
+        snapshots = load_snapshots(pool.metrics_dir)
+    assert json.loads(state_path.read_text()) == {
+        "tracing": False, "tracemalloc": False, "metrics": True,
+    }
+    assert len(snapshots) == 2
+    assert [s.worker for s in snapshots if s.row("parent.only_total")] == []

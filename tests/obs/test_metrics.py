@@ -1,7 +1,9 @@
 """Metrics registry: counters, gauges, histograms, labels, snapshots."""
 
 import math
+import sys
 import threading
+import time
 
 import pytest
 
@@ -161,3 +163,40 @@ class TestSnapshot:
         reg.inc("gone_total")
         reg.reset()
         assert reg.snapshot() == []
+
+    def test_histogram_rows_are_consistent_under_contention(self, reg):
+        """Two threads observe while a third snapshots: every histogram row
+        must be one state, its buckets summing to its count (the exposition
+        check rejects a row whose +Inf bucket differs from ``_count``)."""
+        done = threading.Event()
+        torn, rows_seen = [], [0]
+
+        def observe():
+            while not done.is_set():
+                reg.observe("latency_seconds", 0.002)
+                reg.observe("latency_seconds", 0.2)
+
+        def snapshot():
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline:
+                for row in reg.snapshot():
+                    rows_seen[0] += 1
+                    if sum(n for _, n in row["buckets"]) != row["count"]:
+                        torn.append(row)
+            done.set()
+
+        threads = [threading.Thread(target=observe) for _ in range(2)]
+        threads.append(threading.Thread(target=snapshot))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert rows_seen[0] > 0
+        assert torn == []

@@ -554,12 +554,11 @@ class TestTelemetry:
 
         obs.enable_metrics()
         writer = MetricsFileWriter(tmp_path, worker=0, generation=1)
-        obs.registry().attach_mirror(writer)
         engine = create_engine({"CAP": api_cap_predictor})
         try:
             with PredictionServer(
                 engine, port=0, worker_id=0, generation=1,
-                metrics_dir=str(tmp_path),
+                metrics_file=writer,
             ) as server:
                 obs.inc("serve.requests_total", 5)
                 health = json.loads(self._open(server.url + "/healthz").read())
@@ -576,10 +575,27 @@ class TestTelemetry:
                 fleet = {row["name"]: row for row in plain["fleet"]}
                 assert fleet["serve.requests_total"]["value"] == 5.0
         finally:
-            obs.registry().detach_mirror()
             writer.close(unlink=True)
             obs.disable_metrics()
             obs.registry().reset()
+
+    def test_a_removed_metrics_directory_never_fails_healthz(
+        self, api_cap_predictor, tmp_path
+    ):
+        import shutil
+
+        from repro.obs.mpmetrics import MetricsFileWriter
+
+        directory = tmp_path / "obs"
+        engine = create_engine({"CAP": api_cap_predictor})
+        with PredictionServer(
+            engine, port=0, worker_id=0, generation=0,
+            metrics_file=MetricsFileWriter(directory),
+        ) as server:
+            shutil.rmtree(directory)
+            response = self._open(server.url + "/healthz")
+            assert response.code == 200
+            assert json.loads(response.read())["fleet"] == []
 
     def test_access_log_tail_sampling_through_server(self, api_cap_predictor,
                                                      netlist_text, tmp_path):

@@ -5,7 +5,9 @@ import http.client
 import json
 import os
 import queue
+import shutil
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -89,12 +91,24 @@ class TestServerPool:
         from repro.obs.mpmetrics import load_snapshots
 
         def lookups():
+            # a worker publishes once a second: wait for a publish of each
+            # that follows the last response
+            since = time.time()
+            deadline = time.monotonic() + 10.0
+            while True:
+                snaps = load_snapshots(pool.metrics_dir)
+                if len(snaps) == 2 and all(
+                    snap.published_ts > since for snap in snaps
+                ):
+                    break
+                assert time.monotonic() < deadline, "no worker published"
+                time.sleep(0.05)
             return {
                 snap.worker: (
                     snap.value("serve.graph_cache_hits_total"),
                     snap.value("serve.graph_cache_misses_total"),
                 )
-                for snap in load_snapshots(pool.metrics_dir)
+                for snap in snaps
             }
 
         before = lookups()
@@ -614,3 +628,69 @@ class TestReproServe:
             proc.wait()
             pumping.join(timeout=10.0)
             proc.stdout.close()
+
+    def test_a_worker_drains_when_its_supervisor_dies(self, artifact):
+        """SIGKILL of `repro serve` leaves no worker behind: the worker
+        sees its parent change and drains as on SIGTERM."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--models", os.path.dirname(artifact), "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            start_new_session=True,  # its worker shares its process group
+        )
+        lines: queue.Queue = queue.Queue()
+
+        def pump():
+            for line in proc.stdout:
+                lines.put(line)
+
+        pumping = threading.Thread(target=pump, daemon=True)
+        pumping.start()
+        metrics_dir = None
+        try:
+            seen: list = []
+            while not (seen and seen[-1].startswith("signals:")):
+                seen.append(lines.get(timeout=60.0))
+            (url,) = [
+                line.split(" at ")[1].split()[0]
+                for line in seen if line.startswith("serving ")
+            ]
+            (metrics_dir,) = [
+                line.split("--dir ")[1].strip()
+                for line in seen if line.startswith("fleet metrics:")
+            ]
+            worker = json.loads(_get(url + "/healthz")[1])["worker"]["pid"]
+            proc.kill()
+            proc.wait(timeout=10.0)
+
+            deadline = time.monotonic() + 10.0
+            while not _exited(worker):
+                assert time.monotonic() < deadline, "the worker outlived it"
+                time.sleep(0.05)
+            port = int(url.rsplit(":", 1)[1])
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", port), timeout=5.0)
+            assert os.listdir(metrics_dir) == []  # drained: file retired
+        finally:
+            try:  # a failed run leaves no supervisor or worker behind
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+            pumping.join(timeout=10.0)
+            proc.stdout.close()
+            if metrics_dir is not None:
+                shutil.rmtree(metrics_dir, ignore_errors=True)
+
+
+def _exited(pid: int) -> bool:
+    """True once *pid* has exited (gone, or a zombie nobody reaped yet)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True

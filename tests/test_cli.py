@@ -322,7 +322,6 @@ class TestObsTopCli:
         writer = MetricsFileWriter(
             directory, worker=worker, generation=1, pid=pid
         )
-        registry.attach_mirror(writer)
         registry.inc("serve.requests_total", requests)
         registry.set("proc.uptime_s", uptime)
         registry.set("proc.rss_kb", 1000.0 * (worker + 1))
@@ -333,6 +332,7 @@ class TestObsTopCli:
             "serve.request_seconds", 0.05 * (worker + 1),
             buckets=(0.1, 1.0, math.inf),
         )
+        writer.publish(registry)
         writer.close()
 
     def test_once_json_one_row_per_live_worker(self, tmp_path, capsys):
